@@ -177,22 +177,9 @@ class WeightAssignment:
         return Polynomial.var(self.atom_vars[atom])
 
 
-def weight(P: Poset, x: str, weights: WeightAssignment,
-           support: Mapping[str, frozenset] | None = None,
-           ground_vars: Mapping[str, int] | None = None) -> Polynomial:
-    """Weight w(x) = sum of atom variables below x.
-
-    In adapter mode (support and ground_vars given, e.g. flats of a
-    matroid or zero sets of covectors) it is instead the sum of
-    ground-element variables in the support of x.
-    """
-    if support is not None:
-        if ground_vars is None:
-            raise ValueError("adapter mode needs ground_vars")
-        out = Polynomial.zero()
-        for e in sorted(support[x]):
-            out = out + Polynomial.var(ground_vars[e])
-        return out
+def weight(P: Poset, x: str, weights: WeightAssignment) -> Polynomial:
+    """Weight w(x) = sum of atom variables below x.  Ground-element
+    variables come in through ground_substitution."""
     out = Polynomial.zero()
     for a in P.atoms:
         if P.leq(a, x):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .matroid import set_id
-from .poset import Poset, build_poset
+from .poset import NotABouquet, Poset, inclusion_poset
 
 
 class ComError(Exception):
@@ -44,10 +43,6 @@ class SEViolation(ComError):
     def __init__(self, x: str, y: str, e: str):
         super().__init__(f"no eliminating covector for X={x} Y={y} at {e}")
         self.witness = (x, y, e)
-
-
-class BouquetCheckFailed(ComError):
-    pass
 
 
 _SIGNS = set("+-0")
@@ -150,23 +145,16 @@ def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
     """Distinct zero sets ordered by inclusion.
 
     Element ids are canonical set strings; the returned mapping doubles
-    as weight support for ground-variable substitution.  The result is
-    asserted to be a bouquet of geometric lattices.
+    as weight support for ground-variable substitution.  Raises
+    NotABouquet when the result is not a bouquet of geometric lattices.
     """
     if not isinstance(c, CovectorSet):
         raise NotValidated("zero_set_poset needs a validated CovectorSet")
-    zsets = sorted({frozenset(zero_set(c.ground, x)) for x in c.covectors},
-                   key=lambda s: (len(s), sorted(s)))
-    ids = {s: set_id(s) for s in zsets}
-    covers = []
-    for a in zsets:
-        for b in zsets:
-            if a < b and not any(a < z < b for z in zsets):
-                covers.append((ids[a], ids[b]))
-    poset = build_poset([ids[s] for s in zsets], covers)
+    poset, mapping = inclusion_poset(
+        frozenset(zero_set(c.ground, x)) for x in c.covectors)
     if not poset.is_bouquet():
-        raise BouquetCheckFailed("zero-set poset is not a bouquet of geometric lattices")
-    return poset, {ids[s]: s for s in zsets}
+        raise NotABouquet("zero-set poset is not a bouquet of geometric lattices")
+    return poset, mapping
 
 
 def com_from_json(data: dict) -> CovectorSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chains import ChainMatrix, Labeling, WeightAssignment, chain_matrix, min_labeling, weight
 from .polyring import Polynomial, power_product
-from .poset import Poset, PosetError
+from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
 # above 2^61 (62 bits).
@@ -31,10 +31,6 @@ class NonZeroOffBlock(DeterminantError):
 
 
 class TooLarge(DeterminantError):
-    pass
-
-
-class NotABouquet(PosetError):
     pass
 
 
@@ -117,13 +113,32 @@ def det_cofactor(M: Matrix) -> Polynomial:
     return expand(list(range(n)), list(range(n)))
 
 
-def rhs_product(P: Poset, weights: WeightAssignment) -> tuple[Polynomial, dict[str, int]]:
-    """The factorization's right-hand side: product over all elements x
-    of w(x)^rho(x), together with the exponent table."""
+def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
+                       ) -> tuple[Polynomial, list[tuple[str, int, Polynomial]]]:
+    """Bareiss determinant of each family block of the chain matrix, as
+    (top, dim, det) triples, and their product."""
+    block_dets = [(top, len(B), det_bareiss(B))
+                  for top, B in block_decompose(chain_matrix(P, labeling, weights))]
+    det = Polynomial.one()
+    for _, _, d in block_dets:
+        det = det * d
+    return det, block_dets
+
+
+def rho_exponents(P: Poset) -> dict[str, int]:
+    """The exponent table x -> rho(x) of the right-hand side; a negative
+    exponent raises DeterminantError."""
     exponents = {x: P.rho(x) for x in P.elements}
     for x, e in exponents.items():
         if e < 0:
             raise DeterminantError(f"negative exponent rho({x!r}) = {e}")
+    return exponents
+
+
+def rhs_product(P: Poset, weights: WeightAssignment) -> tuple[Polynomial, dict[str, int]]:
+    """The factorization's right-hand side: product over all elements x
+    of w(x)^rho(x), together with the exponent table."""
+    exponents = rho_exponents(P)
     product = power_product(
         (weight(P, x, weights), exponents[x]) for x in P.elements)
     return product, exponents
@@ -189,7 +204,8 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
     Symbolic mode expands both sides exactly and resolves the sign by
     trying + then -.  Randomized mode evaluates both sides at `trials`
     random points in [1, 10^6] modulo a fixed 62-bit prime and requires
-    one consistent sign across all trials.
+    one consistent sign across all trials; it never expands the
+    right-hand side.
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
@@ -198,16 +214,9 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
     if weights is None:
         weights = WeightAssignment.default(P)
 
-    M = chain_matrix(P, labeling, weights)
-    blocks = block_decompose(M)
-    _, exponents = rhs_product(P, weights)
-
     if mode == "symbolic":
-        block_dets = [(top, len(B), det_bareiss(B)) for top, B in blocks]
-        det = Polynomial.one()
-        for _, _, d in block_dets:
-            det = det * d
-        rhs, _ = rhs_product(P, weights)
+        det, block_dets = block_determinants(P, labeling, weights)
+        rhs, exponents = rhs_product(P, weights)
         if det == rhs:
             sign, verdict = 1, True
         elif det == -rhs:
@@ -220,6 +229,8 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
 
+    blocks = block_decompose(chain_matrix(P, labeling, weights))
+    exponents = rho_exponents(P)
     p = VERIFICATION_PRIME
     rng = random.Random(seed)
     variables = sorted(set(weights.atom_vars.values()))

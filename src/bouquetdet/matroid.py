@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import Poset, build_poset
+from .poset import NotABouquet, Poset, inclusion_poset, set_id
 
 
 class MatroidError(Exception):
@@ -52,15 +52,6 @@ class UnionMismatch(MatroidError):
 
 class ExchangeAcrossRoofsFails(MatroidError):
     pass
-
-
-class BouquetCheckFailed(MatroidError):
-    pass
-
-
-def set_id(s: Iterable[str]) -> str:
-    """Canonical string id for a ground subset, e.g. "{a,b}"."""
-    return "{" + ",".join(sorted(s)) + "}"
 
 
 class Matroid:
@@ -167,20 +158,7 @@ def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
     """
     if not m.is_simple():
         raise NotSimple("flat lattice requires a simple matroid; simplify first")
-    flats = m.flats()
-    return _inclusion_poset(flats)
-
-
-def _inclusion_poset(flats: list[frozenset]) -> tuple[Poset, dict[str, frozenset]]:
-    flats = sorted(set(flats), key=lambda f: (len(f), sorted(f)))
-    ids = {f: set_id(f) for f in flats}
-    covers = []
-    for a in flats:
-        for b in flats:
-            if a < b and not any(a < c < b for c in flats):
-                covers.append((ids[a], ids[b]))
-    poset = build_poset([ids[f] for f in flats], covers)
-    return poset, {ids[f]: f for f in flats}
+    return inclusion_poset(m.flats())
 
 
 class BouquetOfMatroids:
@@ -241,18 +219,18 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
 def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset]]:
     """Union of the per-roof flats ordered by inclusion.
 
-    Each roof matroid must be simple.  The result is asserted to be a
-    bouquet of geometric lattices; a failure surfaces a modeling error
-    in the input rather than being silently accepted.
+    Each roof matroid must be simple.  Raises NotABouquet when the result
+    is not a bouquet of geometric lattices: that is a modeling error in
+    the input, not something to accept silently.
     """
     flats: set[frozenset] = set()
     for i, m in enumerate(b.roof_matroids):
         if not m.is_simple():
             raise NotSimple(f"roof {i} matroid is not simple")
         flats.update(m.flats())
-    poset, mapping = _inclusion_poset(sorted(flats, key=lambda f: (len(f), sorted(f))))
+    poset, mapping = inclusion_poset(flats)
     if not poset.is_bouquet():
-        raise BouquetCheckFailed("flat poset is not a bouquet of geometric lattices")
+        raise NotABouquet("flat poset is not a bouquet of geometric lattices")
     return poset, mapping
 
 

@@ -35,17 +35,24 @@ class NotComparable(PosetError):
     pass
 
 
+class NotABouquet(PosetError):
+    """The poset is not a bouquet of geometric lattices."""
+
+
 class Poset:
     """Immutable finite poset.  Use build_poset() to construct."""
 
     __slots__ = (
         "elements", "covers", "_up", "_down", "_upcov", "_downcov",
-        "bottom", "atoms", "maximal", "_rank", "_mobius_cache",
+        "bottom", "atoms", "maximal", "_order", "_rank", "_bouquet",
+        "_mobius_cache",
     )
 
     def __init__(self, elements: tuple[str, ...], covers: frozenset[tuple[str, str]],
                  up: dict[str, frozenset], down: dict[str, frozenset],
-                 upcov: dict[str, tuple[str, ...]], downcov: dict[str, tuple[str, ...]]):
+                 upcov: dict[str, tuple[str, ...]], downcov: dict[str, tuple[str, ...]],
+                 order: tuple[str, ...]):
+        """`order` is a topological order of `elements` (bottom-up)."""
         self.elements = elements
         self.covers = covers
         self._up = up
@@ -59,7 +66,9 @@ class Poset:
         else:
             self.atoms = ()
         self.maximal = tuple(x for x in elements if not upcov[x])
+        self._order = order
         self._rank: dict[str, int] | None = None
+        self._bouquet: bool | None = None
         self._mobius_cache: dict[tuple[str, str], int] = {}
 
     # -- order queries ------------------------------------------------
@@ -127,14 +136,6 @@ class Poset:
         return all(self.meet(x, y) is not None
                    for i, x in enumerate(els) for y in els[i + 1:])
 
-    def is_lattice(self) -> bool:
-        els = self.elements
-        for i, x in enumerate(els):
-            for y in els[i + 1:]:
-                if self.meet(x, y) is None or self.join(x, y) is None:
-                    return False
-        return True
-
     def geometric_failure(self) -> tuple[str, tuple] | None:
         """None if this poset is a geometric lattice, otherwise a
         (reason, witness) pair: reason in {"not-lattice", "not-atomic",
@@ -163,11 +164,14 @@ class Poset:
         """Meet semilattice whose interval below each maximal element is
         a geometric lattice.  (Every interval of the poset sits inside
         some [0̂, r], and intervals of geometric lattices are geometric,
-        so checking the top intervals suffices.)"""
-        if self.bottom is None or not self.is_meet_semilattice():
-            return False
-        return all(self.interval(self.bottom, r).is_geometric_lattice()
-                   for r in self.maximal)
+        so checking the top intervals suffices.)  Evaluated once; later
+        calls return the stored verdict."""
+        if self._bouquet is None:
+            self._bouquet = (
+                self.bottom is not None and self.is_meet_semilattice()
+                and all(self.interval(self.bottom, r).is_geometric_lattice()
+                        for r in self.maximal))
+        return self._bouquet
 
     # -- rank and invariants ------------------------------------------
 
@@ -177,7 +181,7 @@ class Poset:
         if self.bottom is None:
             raise NotRanked("no unique bottom element")
         rank = {self.bottom: 0}
-        for x in self._topo_order():
+        for x in self._order:
             if x == self.bottom:
                 continue
             parents = {rank[p] for p in self._downcov[x]}
@@ -186,21 +190,6 @@ class Poset:
             rank[x] = parents.pop() + 1
         self._rank = rank
         return rank
-
-    def _topo_order(self) -> list[str]:
-        order = []
-        seen: set[str] = set()
-        pending = dict((x, len(self._downcov[x])) for x in self.elements)
-        stack = [x for x in self.elements if pending[x] == 0]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            seen.add(x)
-            for y in self._upcov[x]:
-                pending[y] -= 1
-                if pending[y] == 0:
-                    stack.append(y)
-        return order
 
     def rank(self, x: str) -> int:
         self._check(x)
@@ -323,7 +312,31 @@ def build_poset(elements: Sequence[str], covers: Iterable[Sequence[str]]) -> Pos
         {x: frozenset(s) for x, s in down.items()},
         {x: tuple(v) for x, v in upcov.items()},
         {x: tuple(v) for x, v in downcov.items()},
+        tuple(order),
     )
+
+
+def set_id(s: Iterable[str]) -> str:
+    """Canonical string id for a ground subset, e.g. "{a,b}"."""
+    return "{" + ",".join(sorted(s)) + "}"
+
+
+def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozenset]]:
+    """Distinct sets ordered by inclusion.
+
+    Element ids are canonical set strings, listed by increasing size; the
+    returned id -> set mapping doubles as weight support for
+    ground-variable substitution.
+    """
+    sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
+    ids = {s: set_id(s) for s in sets}
+    covers = []
+    for a in sets:
+        for b in sets:
+            if a < b and not any(a < c < b for c in sets):
+                covers.append((ids[a], ids[b]))
+    poset = build_poset([ids[s] for s in sets], covers)
+    return poset, {ids[s]: s for s in sets}
 
 
 def poset_from_json(data: dict) -> Poset:

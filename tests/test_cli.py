@@ -134,3 +134,84 @@ class TestTextFormat:
         code, out = run(capsys, "det", PEX, "--format", "text")
         assert code == 0
         assert out.strip().startswith("w1^2")
+
+
+COMMANDS = ["check", "matrix", "det", "rho", "verify", "dot"]
+FIXTURE_FILES = sorted(p.name for p in FIXTURES.glob("*.json"))
+# Exit codes per command, in COMMANDS order, for the fixtures that are not
+# all-zero: the pentagon parses as a poset but is not a bouquet, and `dot`
+# does not require one.
+EXIT_CODES = {"poset_pentagon.json": [2, 2, 2, 2, 2, 0]}
+
+
+def fixture_kind(name: str) -> str:
+    """Fixture files are named <kind>_<instance>.json."""
+    return name.split("_")[0]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fixture(self, capsys, name, command):
+        expected = EXIT_CODES.get(name, [0] * len(COMMANDS))
+        code, _ = run(capsys, command, str(FIXTURES / name),
+                      "--kind", fixture_kind(name))
+        assert code == expected[COMMANDS.index(command)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kind, text, expected", [
+        ("poset", "{not json", 3),
+        ("poset", json.dumps({"elements": ["0"]}), 3),
+        ("com", json.dumps({"ground": ["e"]}), 3),
+    ])
+    def test_unparseable(self, tmp_path, capsys, command, kind, text, expected):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, _ = run(capsys, command, str(path), "--kind", kind)
+        assert code == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_simple_matroid(self, tmp_path, capsys, command):
+        # 1 and 2 are parallel: valid as a matroid, but it has no flat lattice.
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps({"ground": ["1", "2"],
+                                    "independents": [[], ["1"], ["2"]]}))
+        code, out = run(capsys, command, str(path), "--kind", "matroid")
+        if command == "check":
+            assert code == 0 and json.loads(out)["simple"] is False
+        else:
+            assert code == 2
+
+
+class TestRunOnce:
+    """Each pipeline step runs once per CLI call."""
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    @pytest.mark.parametrize("command", ["matrix", "det", "rho", "verify"])
+    def test_one_bouquet_evaluation(self, monkeypatch, capsys, name, command):
+        # Every fixture has a bottom element, so one evaluation of the
+        # bouquet check runs exactly one meet-semilattice test.
+        from bouquetdet.poset import Poset
+        calls = []
+        original = Poset.is_meet_semilattice
+        monkeypatch.setattr(Poset, "is_meet_semilattice",
+                            lambda self: calls.append(self) or original(self))
+        run(capsys, command, str(FIXTURES / name), "--kind", fixture_kind(name))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
+    @pytest.mark.parametrize("argv, expansions", [
+        pytest.param(("verify",), 1, id="verify-symbolic"),
+        pytest.param(("verify", "--mode", "randomized"), 0, id="verify-randomized"),
+        pytest.param(("det",), 0, id="det"),
+    ])
+    def test_rhs_expansions(self, monkeypatch, capsys, name, argv, expansions):
+        from bouquetdet import determinant
+        calls = []
+        original = determinant.power_product
+        monkeypatch.setattr(determinant, "power_product",
+                            lambda factors: calls.append(1) or original(factors))
+        code, _ = run(capsys, argv[0], str(FIXTURES / name), *argv[1:],
+                      "--kind", fixture_kind(name))
+        assert code == 0
+        assert len(calls) == expansions

@@ -1,7 +1,7 @@
 import pytest
 
 from bouquetdet.poset import (CycleDetected, NotComparable, RedundantCover,
-                              UnknownElement, build_poset)
+                              UnknownElement, build_poset, inclusion_poset)
 
 
 def brute_mobius(P, x, y):
@@ -19,6 +19,15 @@ class TestBuild:
         P = build_poset(["0", "a1"], [("0", "a1")])
         assert P.bottom == "0"
         assert P.atoms == ("a1",)
+
+    def test_inclusion_poset(self):
+        sets = [frozenset("ab"), frozenset("b"), frozenset(), frozenset("a"),
+                frozenset("b"), frozenset("abc")]
+        P, mapping = inclusion_poset(sets)
+        assert P.elements == ("{}", "{a}", "{b}", "{a,b}", "{a,b,c}")
+        assert P.covers == {("{}", "{a}"), ("{}", "{b}"), ("{a}", "{a,b}"),
+                            ("{b}", "{a,b}"), ("{a,b}", "{a,b,c}")}
+        assert mapping["{a,b}"] == frozenset("ab")
 
     def test_example_shape(self, bouquet_example):
         P = bouquet_example
