@@ -287,11 +287,9 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
             for a_tuple in gens[i]:
                 key = frozenset(a_tuple)
                 for b_tuple in by_set[j].get(key, ()):
-                    sign = _permutation_sign(a_tuple, b_tuple)
-                    term = Polynomial.const(sign)
-                    for atom in a_tuple:
-                        term = term * weights.var(atom)
-                    acc = acc + term
+                    acc = acc + Polynomial.monomial(
+                        (weights.atom_vars[a] for a in a_tuple),
+                        _permutation_sign(a_tuple, b_tuple))
             rows[i][j] = acc
     return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
                        tuple(tuple(row) for row in rows))

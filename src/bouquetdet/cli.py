@@ -78,12 +78,16 @@ STRUCTURAL_ERRORS = (PosetError, matroid_mod.MatroidError, com_mod.ComError)
 
 
 def _parse(args):
-    """Read the input file and validate it with its kind's parser."""
+    """Read the input file and validate it with its kind's parser.  JSON
+    of the wrong shape (a list for an object, a cover that is not a
+    pair, a number for a list, ...) is a parse error."""
     data = _load_json(args.input)
     try:
         return KINDS[args.kind].parse(data)
     except KeyError as exc:
         raise CliError(f"missing field in input: {exc}", EXIT_PARSE) from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"malformed input: {exc}", EXIT_PARSE) from exc
 
 
 def _load_poset(args) -> Poset:
@@ -110,11 +114,12 @@ def _labeling_and_weights(P: Poset, args):
     return labeling, WeightAssignment({a: i for i, a in enumerate(atom_order)})
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the requested format; only that one is built."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_check(args) -> int:
@@ -124,12 +129,12 @@ def cmd_check(args) -> int:
     except STRUCTURAL_ERRORS as exc:
         report["valid"] = False
         report["error"] = f"{type(exc).__name__}: {exc}"
-        _emit(args, report, report["error"])
+        _emit(args, lambda: report, lambda: report["error"])
         return EXIT_STRUCTURAL
     ok = report.get("bouquet", True)  # other kinds are valid once parsed
     report["valid"] = ok
-    text = "\n".join(f"{k}: {v}" for k, v in report.items() if k != "kind")
-    _emit(args, report, text)
+    _emit(args, lambda: report,
+          lambda: "\n".join(f"{k}: {v}" for k, v in report.items() if k != "kind"))
     return EXIT_OK if ok else EXIT_STRUCTURAL
 
 
@@ -144,10 +149,13 @@ def cmd_matrix(args) -> int:
     _require_bouquet(P)
     labeling, weights = _labeling_and_weights(P, args)
     M = chain_matrix(P, labeling, weights)
-    payload = M.to_json()
-    lines = [f"chains: {[list(c.elements) for c in M.chains]}"]
-    lines += [" | ".join(p.to_string() for p in row) for row in M.entries]
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"chains: {[list(c.elements) for c in M.chains]}"]
+        lines += [" | ".join(p.to_string() for p in row) for row in M.entries]
+        return "\n".join(lines)
+
+    _emit(args, M.to_json, text)
     return EXIT_OK
 
 
@@ -157,10 +165,10 @@ def cmd_det(args) -> int:
     labeling, weights = _labeling_and_weights(P, args)
     product, blocks = block_determinants(P, labeling, weights)
     det = product.to_string()
-    _emit(args, {"det": det,
-                 "blocks": [{"top": t, "dim": d, "det": p.to_string()}
-                            for t, d, p in blocks]},
-          det)
+    _emit(args, lambda: {"det": det,
+                         "blocks": [{"top": t, "dim": d, "det": p.to_string()}
+                                    for t, d, p in blocks]},
+          lambda: det)
     return EXIT_OK
 
 
@@ -170,10 +178,9 @@ def cmd_rho(args) -> int:
     table = {x: {"rank": P.rank(x), "mobius": P.mobius(P.bottom, x),
                  "beta": P.beta(x), "rho": P.rho(x)}
              for x in P.elements}
-    text = "\n".join(
+    _emit(args, lambda: table, lambda: "\n".join(
         f"{x}: rank={v['rank']} mu={v['mobius']} beta={v['beta']} rho={v['rho']}"
-        for x, v in table.items())
-    _emit(args, table, text)
+        for x, v in table.items()))
     return EXIT_OK
 
 
@@ -185,13 +192,16 @@ def cmd_verify(args) -> int:
                                 trials=args.trials, seed=args.seed)
     except (NotABouquet, DeterminantError) as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
-    payload = report.to_json()
-    text = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
-            f"mode: {report.mode}")
-    if report.determinant is not None:
-        text += f"\ndet: {report.determinant.to_string()}"
-        text += f"\nproduct: {report.rhs.to_string()}"
-    _emit(args, payload, text)
+
+    def text() -> str:
+        out = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
+               f"mode: {report.mode}")
+        if report.determinant is not None:
+            out += f"\ndet: {report.determinant.to_string()}"
+            out += f"\nproduct: {report.rhs.to_string()}"
+        return out
+
+    _emit(args, report.to_json, text)
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 

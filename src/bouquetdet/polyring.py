@@ -3,15 +3,32 @@
 Variables are nonnegative integer indices; index i prints as "w{i+1}" by
 default.  Monomials are stored as sorted tuples of (variable, exponent)
 pairs with all exponents positive, so equal polynomials have identical
-internal form.  Terms are ordered graded-lexicographically for printing
-and for leading-term division.
+internal form.  Terms are ordered graded-lexicographically with
+w1 > w2 > ... for printing and for leading-term division.
+
+Multiplication and exact division run on packed monomials (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each operation lays its monomials out in
+one int: the total degree in the top field, then one field per variable
+occurring in the operands, the smallest index highest.  A larger int is
+then exactly an earlier monomial in the graded-lex order, and multiplying
+monomials is adding ints.  The field width is chosen per operation from
+the operands' degree bound, plus one guard bit per exponent field: when
+one monomial does not divide another, their difference is negative or
+has a guard bit set.  Exact division keeps its remainder as a dict from
+packed monomial to coefficient together with a max-heap of its keys
+(after Johnson, 1974): it pops the leading monomial, forms one quotient
+term t and subtracts t * (q - LT(q)) in place.
 """
 
 from __future__ import annotations
 
+import heapq
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 Monomial = tuple[tuple[int, int], ...]
+_exponent = itemgetter(1)
 
 
 class PolyError(Exception):
@@ -26,46 +43,51 @@ class NotDivisible(PolyError):
     """Exact division was requested but the remainder is nonzero."""
 
 
-def _normalize_mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    merged: dict[int, int] = {}
-    for v, e in pairs:
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e:
-            merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
-
-
 def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum(map(_exponent, m))
 
 
-def _mono_key(m: Monomial):
-    # Graded-lex: higher total degree first, then higher power on the
-    # smallest variable.  Sorting ascending by this key puts the leading
-    # term first.
-    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+class _Packing:
+    """Packed-int layout of the monomials in `variables` up to total
+    degree `degree` (see the module docstring)."""
 
+    __slots__ = ("fields", "shift", "top", "mask")
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    merged = dict(a)
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+    def __init__(self, variables: set[int], degree: int):
+        width = degree.bit_length() + 1
+        self.mask = (1 << width) - 1
+        shift = self.top = len(variables) * width
+        fields = []
+        for v in sorted(variables):
+            shift -= width
+            fields.append((v, shift))
+        self.fields = fields
+        self.shift = dict(fields)
 
+    def guard(self) -> int:
+        """The top bit of every exponent field."""
+        high = (self.mask + 1) >> 1
+        return sum(high << s for _, s in self.fields)
 
-def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    rest = dict(a)
-    for v, e in b:
-        have = rest.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del rest[v]
-        else:
-            rest[v] = have - e
-    return tuple(sorted(rest.items()))
+    def key(self, m: Monomial) -> int:
+        shift = self.shift
+        deg = key = 0
+        for v, e in m:
+            deg += e
+            key += e << shift[v]
+        return key + (deg << self.top)
+
+    def pack(self, p: "Polynomial") -> dict[int, int]:
+        key = self.key
+        return {key(m): c for m, c in p._terms.items()}
+
+    def unpack(self, packed: Mapping[int, int]) -> "Polynomial":
+        fields, mask = self.fields, self.mask
+        out = Polynomial()
+        out._terms = {
+            tuple((v, e) for v, s in fields if (e := k >> s & mask)): c
+            for k, c in packed.items() if c}
+        return out
 
 
 class Polynomial:
@@ -102,6 +124,17 @@ class Polynomial:
             raise ValueError("variable index must be >= 0")
         return Polynomial({((index, 1),): 1})
 
+    @staticmethod
+    def monomial(variables: Iterable[int], coeff: int = 1) -> "Polynomial":
+        """coeff times the product of `variables`; a variable listed k
+        times gets exponent k."""
+        exponents: dict[int, int] = {}
+        for v in variables:
+            if v < 0:
+                raise ValueError("variable index must be >= 0")
+            exponents[v] = exponents.get(v, 0) + 1
+        return Polynomial({tuple(sorted(exponents.items())): coeff})
+
     # -- inspection ---------------------------------------------------
 
     @property
@@ -117,11 +150,7 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(_mono_degree(m) for m in self._terms)
-
-    def _leading(self) -> tuple[Monomial, int]:
-        m = min(self._terms, key=_mono_key)
-        return m, self._terms[m]
+        return max(map(_mono_degree, self._terms))
 
     # -- ring operations ----------------------------------------------
 
@@ -138,12 +167,18 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Monomial, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return Polynomial(out)
+        if not self._terms or not other._terms:
+            return Polynomial.zero()
+        layout = _Packing(self.variables() | other.variables(),
+                          self.total_degree() + other.total_degree())
+        b = list(layout.pack(other).items())
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in layout.pack(self).items():
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return layout.unpack(out)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -178,18 +213,39 @@ class Polynomial:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return Polynomial.zero()
-        lt_q, lc_q = q._leading()
-        rem = self
-        quot: dict[Monomial, int] = {}
-        while not rem.is_zero():
-            lt_r, lc_r = rem._leading()
-            m = _mono_div(lt_r, lt_q)
-            if m is None or lc_r % lc_q != 0:
+        degree = self.total_degree()
+        if q.total_degree() > degree:
+            raise NotDivisible(f"{q} does not divide {self}")
+        layout = _Packing(self.variables() | q.variables(), degree)
+        guard = layout.guard()
+        rem = layout.pack(self)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        tail = layout.pack(q)
+        lt_q = max(tail)
+        lc_q = tail.pop(lt_q)
+        tail = list(tail.items())
+        quot: dict[int, int] = {}
+        while heap:
+            k = -heapq.heappop(heap)
+            c = rem.pop(k)
+            if not c:
+                continue
+            m = k - lt_q
+            s, r = divmod(c, lc_q)
+            if m < 0 or m & guard or r:
                 raise NotDivisible(f"{q} does not divide {self}")
-            c = lc_r // lc_q
-            quot[m] = quot.get(m, 0) + c
-            rem = rem - Polynomial({m: c}) * q
-        return Polynomial(quot)
+            quot[m] = s
+            # Every key m + t below is smaller than k, so no key that has
+            # left the heap comes back and each key is pushed once.
+            for t, ct in tail:
+                key = m + t
+                if key in rem:
+                    rem[key] -= s * ct
+                else:
+                    rem[key] = -s * ct
+                    heapq.heappush(heap, -key)
+        return layout.unpack(quot)
 
     # -- homomorphisms ------------------------------------------------
 
@@ -226,7 +282,8 @@ class Polynomial:
         if name is None:
             name = lambda i: f"w{i + 1}"
         parts = []
-        for m in sorted(self._terms, key=_mono_key):
+        order = _Packing(self.variables(), self.total_degree()).key
+        for m in sorted(self._terms, key=order, reverse=True):
             c = self._terms[m]
             factors = []
             for v, e in m:

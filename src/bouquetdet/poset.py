@@ -44,8 +44,8 @@ class Poset:
 
     __slots__ = (
         "elements", "covers", "_up", "_down", "_upcov", "_downcov",
-        "bottom", "atoms", "maximal", "_order", "_rank", "_bouquet",
-        "_mobius_cache",
+        "bottom", "atoms", "maximal", "_order", "_rank", "_semilattice",
+        "_bouquet", "_mobius_cache",
     )
 
     def __init__(self, elements: tuple[str, ...], covers: frozenset[tuple[str, str]],
@@ -68,6 +68,7 @@ class Poset:
         self.maximal = tuple(x for x in elements if not upcov[x])
         self._order = order
         self._rank: dict[str, int] | None = None
+        self._semilattice: bool | None = None
         self._bouquet: bool | None = None
         self._mobius_cache: dict[tuple[str, str], int] = {}
 
@@ -132,9 +133,13 @@ class Poset:
     # -- structure tests ----------------------------------------------
 
     def is_meet_semilattice(self) -> bool:
-        els = self.elements
-        return all(self.meet(x, y) is not None
-                   for i, x in enumerate(els) for y in els[i + 1:])
+        """Every pair has a meet.  Evaluated once; later calls return the
+        stored verdict."""
+        if self._semilattice is None:
+            els = self.elements
+            self._semilattice = all(self.meet(x, y) is not None
+                                    for i, x in enumerate(els) for y in els[i + 1:])
+        return self._semilattice
 
     def geometric_failure(self) -> tuple[str, tuple] | None:
         """None if this poset is a geometric lattice, otherwise a

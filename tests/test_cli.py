@@ -163,6 +163,8 @@ class TestExitCodes:
         ("poset", "{not json", 3),
         ("poset", json.dumps({"elements": ["0"]}), 3),
         ("com", json.dumps({"ground": ["e"]}), 3),
+        ("poset", "[]", 3),
+        ("poset", json.dumps({"elements": ["0", "a"], "covers": [["0"]]}), 3),
     ])
     def test_unparseable(self, tmp_path, capsys, command, kind, text, expected):
         path = tmp_path / "input.json"
@@ -197,6 +199,25 @@ class TestRunOnce:
         monkeypatch.setattr(Poset, "is_meet_semilattice",
                             lambda self: calls.append(self) or original(self))
         run(capsys, command, str(FIXTURES / name), "--kind", fixture_kind(name))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", [n for n in FIXTURE_FILES
+                                      if fixture_kind(n) == "poset"])
+    def test_check_one_meet_evaluation(self, monkeypatch, capsys, name):
+        # `check` reports the meet-semilattice verdict and the bouquet
+        # verdict; the second reuses the first.  Count the tests that are
+        # evaluated, not the verdicts read back from the poset.
+        from bouquetdet.poset import Poset
+        calls = []
+        original = Poset.is_meet_semilattice
+
+        def counting(self):
+            if self._semilattice is None:
+                calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Poset, "is_meet_semilattice", counting)
+        run(capsys, "check", str(FIXTURES / name), "--kind", "poset")
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))

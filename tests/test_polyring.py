@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bouquetdet.determinant import det_bareiss
 from bouquetdet.polyring import (DivisionByZero, NotDivisible, Polynomial,
                                  power_product)
 
@@ -57,12 +60,55 @@ def test_exact_div_roundtrip(p, q):
         assert (p * q).exact_div(q) == p
 
 
+# Polynomials in six variables whose terms have degree at most 6.
+polys6 = st.lists(
+    st.tuples(st.integers(-9, 9), st.lists(st.integers(0, 5), max_size=6)),
+    max_size=6,
+).map(lambda terms: poly_from_terms(
+    (c, [vs.count(v) for v in range(6)]) for c, vs in terms))
+
+
+@given(polys6, polys6)
+def test_exact_div_roundtrip_six_variables(p, q):
+    for a, b in ((p, q), (q, p)):
+        if not b.is_zero():
+            assert (a * b).exact_div(b) == a
+
+
 def test_exact_div_examples():
     p = w[0] * w[1] * w[2] * (w[0] + w[1] + w[2])
     assert p.exact_div(w[0]) == w[1] * w[2] * (w[0] + w[1] + w[2])
     assert p.exact_div(p) == Polynomial.one()
     with pytest.raises(NotDivisible):
         (w[0] + w[1]).exact_div(w[0])
+
+
+def test_exact_div_large_exponents():
+    # exponents far wider than a small fixed field
+    assert (w[0] ** 300 * w[1]).exact_div(w[0] ** 299) == w[0] * w[1]
+    p = (w[0] ** 1000 + w[2] ** 999 * w[1]) * (w[0] ** 3 - w[1] ** 500)
+    assert p.exact_div(w[0] ** 3 - w[1] ** 500) == w[0] ** 1000 + w[2] ** 999 * w[1]
+
+
+def test_large_variable_index():
+    v = Polynomial.var(10_000)
+    p = (v + w[0]) * (v ** 2 - w[5])
+    assert p.exact_div(v + w[0]) == v ** 2 - w[5]
+    assert v.variables() == {10_000}
+    assert (v * w[0]).to_string() == "w1*w10001"
+
+
+@pytest.mark.parametrize("p, q", [
+    (w[0] ** 2 + w[1], w[0]),               # leading terms divide, a later one does not
+    (Polynomial.const(3) * w[0], Polynomial.const(2) * w[0]),  # coefficient
+    (w[0] ** 2, w[0] * w[1]),               # same degree, monomial does not divide
+    (w[0], w[0] * w[1]),                    # divisor of higher degree
+    (w[1] ** 3, w[0]),                      # variable absent from the dividend
+    (w[0] * w[1] + Polynomial.one(), w[0] + w[1]),  # nonzero remainder
+])
+def test_not_divisible(p, q):
+    with pytest.raises(NotDivisible):
+        p.exact_div(q)
 
 
 def test_pow_and_power_product():
@@ -73,6 +119,14 @@ def test_pow_and_power_product():
     rhs = (w[4] ** 3 * w[3] ** 2 * w[2] * w[1] * w[0] ** 2
            * (w[1] + w[2] + w[4]))
     assert lhs == rhs
+
+
+def test_monomial():
+    assert Polynomial.monomial([2, 0, 2], -3) == Polynomial.const(-3) * w[0] * w[2] ** 2
+    assert Polynomial.monomial([]) == Polynomial.one()
+    assert Polynomial.monomial([4], 0).is_zero()
+    with pytest.raises(ValueError):
+        Polynomial.monomial([1, -1])
 
 
 def test_substitute():
@@ -111,3 +165,34 @@ def test_to_string():
     assert p.to_string() == "w1^2*w2 + 3*w5"
     assert (-w[0] + w[1]).to_string() in ("w2 - w1", "-w1 + w2")
     assert Polynomial.zero().to_string() == "0"
+
+
+def test_to_string_graded_lex_order():
+    # higher total degree first; within a degree, the higher power of
+    # the lower-indexed variable first
+    p = (w[1] + Polynomial.const(3) + w[0] * w[2] + w[1] ** 2 + w[0]
+         + w[0] ** 2 * w[1] - Polynomial.const(2) * w[2] ** 3 - w[0] * w[1] * w[5])
+    assert p.to_string() == ("w1^2*w2 - w1*w2*w6 - 2*w3^3 + w1*w3 + w2^2"
+                             " + w1 + w2 + 3")
+
+
+def to_sympy(p, symbols):
+    import sympy
+    return sympy.Add(*[c * sympy.Mul(*[symbols[v] ** e for v, e in m])
+                       for m, c in p.terms.items()])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_det_bareiss_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def entry():
+        return poly_from_terms((rng.randint(-3, 3), [rng.randint(0, 2) for _ in range(3)])
+                               for _ in range(rng.randint(0, 3)))
+
+    M = [[entry() for _ in range(n)] for _ in range(n)]
+    symbols = sympy.symbols("w1:4")
+    expected = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in M]).det()
+    assert sympy.expand(to_sympy(det_bareiss(M), symbols) - expected) == 0
