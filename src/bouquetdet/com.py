@@ -53,6 +53,17 @@ def _check_vector(ground: Sequence[str], x: str) -> None:
         raise GroundMismatch(f"covector {x!r} does not fit ground of size {len(ground)}")
 
 
+def _sign_masks(x: str) -> tuple[int, int]:
+    """(plus, minus) bitmasks of a covector; bit i is ground position i."""
+    plus = minus = 0
+    for i, s in enumerate(x):
+        if s == "+":
+            plus |= 1 << i
+        elif s == "-":
+            minus |= 1 << i
+    return plus, minus
+
+
 def negate(x: str) -> str:
     return x.translate(str.maketrans("+-", "-+"))
 
@@ -106,9 +117,27 @@ class CovectorSet:
 
 
 def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet:
-    """Check face symmetry (FS) and strong elimination (SE) by brute
-    force; raises FSViolation / SEViolation with a witness on failure."""
+    """Check face symmetry (FS) and strong elimination (SE) on every pair
+    of covectors, with no sampling; raises FSViolation / SEViolation with
+    a witness on failure.
+
+    Each covector is held as two bitmasks over the ground positions, the
+    positions signed + and the positions signed -.  FS: X o (-Y) is two
+    mask expressions and one set lookup.  SE: `at[s][f]` is the bitset of
+    covector indices with sign s at position f; the covectors that agree
+    with X o Y off the separator S(X, Y) are the AND of
+    `at[(X o Y)_f][f]` over f not in S, and SE fails at e in S exactly
+    when none of them is 0 at e.  Off S, X o Y = Y o X, so each unordered
+    pair is checked once, and the outcome is memoised on S and X o Y
+    restricted to the complement of S.
+
+    Witnesses follow input order with duplicates dropped: FSViolation
+    names the first failing (X, Y), X in the outer loop; SEViolation the
+    first failing pair in the same order, then the first failing e in
+    ground order.
+    """
     ground = tuple(ground)
+    n = len(ground)
     vecs = []
     seen = set()
     for x in covectors:
@@ -116,28 +145,43 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
         if x not in seen:
             seen.add(x)
             vecs.append(x)
-    pool = frozenset(vecs)
-    for x in vecs:
-        for y in vecs:
-            if composition(x, negate(y)) not in pool:
+    masks = [_sign_masks(x) for x in vecs]
+    pool = {plus | minus << n for plus, minus in masks}
+    for x, (xp, xm) in zip(vecs, masks):
+        free = ~(xp | xm)
+        for y, (yp, ym) in zip(vecs, masks):
+            if (xp | ym & free) | (xm | yp & free) << n not in pool:
                 raise FSViolation(x, y)
-    for x in vecs:
-        for y in vecs:
-            sep = [i for i, (a, b) in enumerate(zip(x, y))
-                   if a != "0" and b != "0" and a != b]
+    at = {s: [0] * n for s in _SIGNS}
+    for k, x in enumerate(vecs):
+        for f, s in enumerate(x):
+            at[s][f] |= 1 << k
+    everyone = (1 << len(vecs)) - 1
+    memo: dict[tuple[int, int, int], int | None] = {}
+    for i, (xp, xm) in enumerate(masks):
+        for j in range(i + 1, len(vecs)):
+            yp, ym = masks[j]
+            sep = xp & ym | xm & yp
             if not sep:
                 continue
-            comp = composition(x, y)
-            sep_set = set(sep)
-            for e in sep:
-                for z in vecs:
-                    if z[e] != "0":
-                        continue
-                    if all(z[f] == comp[f] for f in range(len(ground))
-                           if f not in sep_set):
-                        break
-                else:
-                    raise SEViolation(x, y, ground[e])
+            # X o Y off S, where it equals Y o X
+            plus, minus = (xp | yp) & ~sep, (xm | ym) & ~sep
+            key = (sep, plus, minus)
+            if key not in memo:
+                agree = everyone
+                for f in range(n):
+                    bit = 1 << f
+                    if plus & bit:
+                        agree &= at["+"][f]
+                    elif minus & bit:
+                        agree &= at["-"][f]
+                    elif not sep & bit:
+                        agree &= at["0"][f]
+                memo[key] = next((e for e in range(n)
+                                  if sep >> e & 1 and not agree & at["0"][e]), None)
+            failing = memo[key]
+            if failing is not None:
+                raise SEViolation(vecs[i], vecs[j], ground[failing])
     return CovectorSet(ground, tuple(vecs))
 
 

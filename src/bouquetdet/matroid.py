@@ -63,25 +63,44 @@ class Matroid:
         self.ground = ground
         self.independents = independents
 
-    def rank(self, subset: Iterable[str]) -> int:
+    def _basis(self, subset: Iterable[str]) -> frozenset:
+        """A maximal independent subset of `subset`, grown greedily in
+        ground order.  All of them have the same size because the
+        exchange axiom holds (`build_matroid` checks it)."""
         s = frozenset(subset)
-        return max(len(i) for i in self.independents if i <= s)
+        b = frozenset()
+        for e in self.ground:
+            if e in s and b | {e} in self.independents:
+                b = b | {e}
+        return b
+
+    def rank(self, subset: Iterable[str]) -> int:
+        return len(self._basis(subset))
 
     def closure(self, subset: Iterable[str]) -> frozenset:
+        """`subset` plus every element whose addition to a basis of it is
+        dependent."""
         s = frozenset(subset)
-        r = self.rank(s)
+        b = self._basis(s)
         return s | {e for e in self.ground
-                    if e not in s and self.rank(s | {e}) == r}
+                    if e not in s and b | {e} not in self.independents}
 
     def flats(self) -> list[frozenset]:
-        """All closure-closed subsets, by brute-force fixed-point scan."""
-        out = set()
-        ground = list(self.ground)
-        for k in range(len(ground) + 1):
-            for combo in combinations(ground, k):
-                s = frozenset(combo)
-                if self.closure(s) == s:
-                    out.add(s)
+        """All flats, sorted by size then elements.  Grown from the
+        closure of the empty set: the flats covering a flat F are the
+        closures of F + e for e not in F, so every flat is reached."""
+        bottom = self.closure(())
+        out = {bottom}
+        layer = [bottom]
+        while layer:
+            above = set()
+            for f in layer:
+                for e in self.ground:
+                    if e not in f:
+                        above.add(self.closure(f | {e}))
+            above -= out
+            out |= above
+            layer = list(above)
         return sorted(out, key=lambda f: (len(f), sorted(f)))
 
     def is_simple(self) -> bool:

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
                                 enumerate_covectors)
@@ -70,8 +73,9 @@ class TestValidation:
     def test_se_violation(self):
         # +- and -+ compose fine under FS closure but eliminating l1
         # needs a covector 0? which is absent
-        with pytest.raises((FSViolation, SEViolation)):
+        with pytest.raises(SEViolation) as info:
             validate_com(["l1", "l2"], ["+-", "-+", "++", "--"])
+        assert info.value.witness == ("+-", "-+", "l1")
 
     def test_om_flags(self, generic, concurrent):
         assert concurrent.is_om()
@@ -83,6 +87,100 @@ class TestValidation:
             for x in c.covectors:
                 for y in c.covectors:
                     assert composition(x, y) in pool
+
+
+def brute_force_com(ground, covectors):
+    """Oracle for validate_com: the FS and SE axioms checked straight from
+    their definitions, scanning every covector Z for every ordered pair
+    (X, Y) and every separating element e."""
+    ground = tuple(ground)
+    vecs = list(dict.fromkeys(covectors))
+    pool = frozenset(vecs)
+    for x in vecs:
+        for y in vecs:
+            if composition(x, negate(y)) not in pool:
+                raise FSViolation(x, y)
+    for x in vecs:
+        for y in vecs:
+            sep = [i for i, (a, b) in enumerate(zip(x, y))
+                   if a != "0" and b != "0" and a != b]
+            comp = composition(x, y)
+            for e in sep:
+                if not any(z[e] == "0" and all(z[f] == comp[f] for f in range(len(ground))
+                                               if f not in sep)
+                           for z in vecs):
+                    raise SEViolation(x, y, ground[e])
+    return tuple(vecs)
+
+
+def outcome(validate, ground, covectors):
+    """The covectors on success, else the exception class and witness."""
+    try:
+        result = validate(ground, covectors)
+    except (FSViolation, SEViolation) as exc:
+        return type(exc), exc.witness
+    return getattr(result, "covectors", result)
+
+
+def fs_closure(vecs):
+    closed = set(vecs)
+    while True:
+        new = {composition(x, negate(y)) for x in closed for y in closed} - closed
+        if not new:
+            return sorted(closed)
+        closed |= new
+
+
+@st.composite
+def sign_vector_sets(draw):
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.text("+-0", min_size=n, max_size=n), max_size=8))
+    if draw(st.booleans()):
+        # FS holds after closing, so strong elimination decides
+        vecs = draw(st.permutations(fs_closure(vecs)))
+    return [f"e{i}" for i in range(n)], vecs
+
+
+def perturb(rng, covectors):
+    """A line COM with covectors dropped, a +- pair dropped, signs flipped
+    or a covector repeated, then possibly shuffled."""
+    vecs = list(covectors)
+    how = rng.randrange(4)
+    if how == 0:
+        for _ in range(rng.randint(1, 3)):
+            vecs.pop(rng.randrange(len(vecs)))
+    elif how == 1:
+        x = rng.choice(vecs)
+        vecs = [y for y in vecs if y not in (x, negate(x))]
+    elif how == 2:
+        for _ in range(rng.randint(1, 2)):
+            k, f = rng.randrange(len(vecs)), rng.randrange(len(vecs[0]))
+            vecs[k] = vecs[k][:f] + rng.choice("+-0".replace(vecs[k][f], "")) + vecs[k][f + 1:]
+    else:
+        vecs.append(rng.choice(vecs))
+    if rng.random() < 0.5:
+        rng.shuffle(vecs)
+    return vecs
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(sign_vector_sets())
+    def test_sign_vector_sets(self, case):
+        ground, vecs = case
+        assert outcome(validate_com, ground, vecs) == outcome(brute_force_com, ground, vecs)
+
+    def test_perturbed_line_coms(self):
+        rng = random.Random(4)
+        seen = set()
+        for lines in (GENERIC_LINES, CONCURRENT_LINES):
+            base = enumerate_covectors(lines)
+            ground = [f"l{i + 1}" for i in range(len(lines))]
+            for vecs in [base] + [perturb(rng, base) for _ in range(150)]:
+                expected = outcome(brute_force_com, ground, vecs)
+                assert outcome(validate_com, ground, vecs) == expected
+                seen.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert seen == {"ok", FSViolation, SEViolation}
 
 
 class TestFace:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from bouquetdet.chains import WeightAssignment, ground_substitution
@@ -43,6 +45,65 @@ class TestRankClosureFlats:
     def test_flats_are_closure_fixed_points(self, u23):
         for f in u23.flats():
             assert u23.closure(f) == f
+
+
+def uniform(r, n):
+    ground = [str(i) for i in range(n)]
+    return build_matroid(ground, [s for k in range(r + 1)
+                                  for s in combinations(ground, k)])
+
+
+def graphic_k5():
+    """M(K5): edge sets of the complete graph on 5 vertices with no cycle."""
+    edges = list(combinations(range(5), 2))
+
+    def is_forest(subset):
+        parent = list(range(5))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+        for u, v in subset:
+            a, b = find(u), find(v)
+            if a == b:
+                return False
+            parent[a] = b
+        return True
+    ground = [f"{u}{v}" for u, v in edges]
+    return build_matroid(ground, [[f"{u}{v}" for u, v in s] for k in range(5)
+                                  for s in combinations(edges, k) if is_forest(s)])
+
+
+ORACLE_MATROIDS = {
+    **{name: lambda name=name: matroid_from_json(load_fixture(name)) for name in (
+        "matroid_u23.json", "matroid_u24.json", "matroid_u34.json",
+        "matroid_k3.json", "matroid_k4_minus_edge.json", "matroid_cycle4.json")},
+    "U(2,9)": lambda: uniform(2, 9),
+    "U(4,9)": lambda: uniform(4, 9),
+    "M(K5)": graphic_k5,
+    # a loop and a parallel pair: the empty set is not a flat
+    "loop+parallel": lambda: build_matroid(["1", "2", "3", "4"],
+                                           [[], ["1"], ["2"], ["3"], ["1", "2"], ["1", "3"]]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MATROIDS)
+def test_rank_closure_flats_against_brute_force(name):
+    """Oracle: rank as the largest independent subset, closure and flats
+    from that rank over every subset of the ground set."""
+    m = ORACLE_MATROIDS[name]()
+    subsets = [frozenset(c) for k in range(len(m.ground) + 1)
+               for c in combinations(m.ground, k)]
+    rank = {s: max(len(i) for i in m.independents if i <= s) for s in subsets}
+    flats = []
+    for s in subsets:
+        closure = s | {e for e in m.ground if rank[s | {e}] == rank[s]}
+        assert m.rank(s) == rank[s]
+        assert m.closure(s) == closure
+        if closure == s:
+            flats.append(s)
+    assert m.flats() == sorted(flats, key=lambda f: (len(f), sorted(f)))
 
 
 class TestSimple:
