@@ -196,9 +196,9 @@ def cmd_verify(args) -> int:
     def text() -> str:
         out = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
                f"mode: {report.mode}")
-        if report.determinant is not None:
-            out += f"\ndet: {report.determinant.to_string()}"
-            out += f"\nproduct: {report.rhs.to_string()}"
+        det, product = report.texts()
+        if det is not None:
+            out += f"\ndet: {det}\nproduct: {product}"
         return out
 
     _emit(args, report.to_json, text)

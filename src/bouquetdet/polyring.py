@@ -277,28 +277,28 @@ class Polynomial:
 
     def to_string(self, name: Callable[[int], str] | None = None) -> str:
         """Canonical text form, e.g. "w1^2*w2 + 3*w5"."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         if name is None:
             name = lambda i: f"w{i + 1}"
-        parts = []
-        order = _Packing(self.variables(), self.total_degree()).key
-        for m in sorted(self._terms, key=order, reverse=True):
-            c = self._terms[m]
-            factors = []
-            for v, e in m:
-                factors.append(name(v) if e == 1 else f"{name(v)}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            parts.append((c < 0, body))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, body in parts[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
+        factors = {f for m in terms for f in m}
+        names = {v: name(v) for v, _ in factors}
+        factor = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}"
+                  for v, e in factors}.__getitem__
+        order = _Packing(set(names), self.total_degree()).key
+        out = []
+        for m in sorted(terms, key=order, reverse=True):
+            c = terms[m]
+            out.append(" - " if c < 0 else " + ")
+            if not m:
+                out.append(str(abs(c)))
+                continue
+            if c != 1 and c != -1:
+                out.append(f"{abs(c)}*")
+            out.append("*".join(map(factor, m)))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"

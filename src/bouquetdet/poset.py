@@ -146,20 +146,27 @@ class Poset:
         (reason, witness) pair: reason in {"not-lattice", "not-atomic",
         "not-semimodular"}."""
         els = self.elements
+        # meet_join[x][y] for x != y, filled from the unordered pairs.
+        meet_join: dict[str, dict[str, tuple[str, str]]] = {x: {} for x in els}
         for i, x in enumerate(els):
             for y in els[i + 1:]:
-                if self.meet(x, y) is None or self.join(x, y) is None:
+                m, j = self.meet(x, y), self.join(x, y)
+                if m is None or j is None:
                     return ("not-lattice", (x, y))
+                meet_join[x][y] = meet_join[y][x] = (m, j)
         for x in els:
             below = [a for a in self.atoms if self.leq(a, x)]
             if self.join_all(below) != x:
                 return ("not-atomic", (x,))
+        # x = y never fails: x ^ x = x does not cover x.
+        covers = self.covers
         for x in els:
+            row = meet_join[x]
             for y in els:
-                m = self.meet(x, y)
-                j = self.join(x, y)
-                if (m, x) in self.covers and (y, j) not in self.covers and y != j:
-                    return ("not-semimodular", (x, y))
+                if y != x and (row[y][0], x) in covers:
+                    j = row[y][1]
+                    if (y, j) not in covers and y != j:
+                        return ("not-semimodular", (x, y))
         return None
 
     def is_geometric_lattice(self) -> bool:

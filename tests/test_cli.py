@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bouquetdet.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 
 PEX = str(FIXTURES / "poset_bouquet_example.json")
 PENTAGON = str(FIXTURES / "poset_pentagon.json")
@@ -222,17 +222,89 @@ class TestRunOnce:
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("argv, expansions", [
-        pytest.param(("verify",), 1, id="verify-symbolic"),
+        pytest.param(("verify",), 0, id="verify-symbolic"),
         pytest.param(("verify", "--mode", "randomized"), 0, id="verify-randomized"),
         pytest.param(("det",), 0, id="det"),
     ])
     def test_rhs_expansions(self, monkeypatch, capsys, name, argv, expansions):
+        # Expansions of the global prod w(x)^rho(x) by rhs_product.  A
+        # true symbolic verdict is decided block by block, each block
+        # against its own product, so it never expands the global one.
         from bouquetdet import determinant
         calls = []
-        original = determinant.power_product
-        monkeypatch.setattr(determinant, "power_product",
-                            lambda factors: calls.append(1) or original(factors))
+        original = determinant.rhs_product
+        monkeypatch.setattr(determinant, "rhs_product",
+                            lambda *a: calls.append(1) or original(*a))
         code, _ = run(capsys, argv[0], str(FIXTURES / name), *argv[1:],
                       "--kind", fixture_kind(name))
         assert code == 0
         assert len(calls) == expansions
+
+    @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
+        # On sign +1 the right-hand side is the determinant itself, formatted once.
+        from bouquetdet import cli
+        from bouquetdet.polyring import Polynomial
+        reports, formatted = [], []
+        verify, to_string = cli.verify_theorem, Polynomial.to_string
+        monkeypatch.setattr(cli, "verify_theorem",
+                            lambda *a, **k: reports.append(verify(*a, **k)) or reports[-1])
+        monkeypatch.setattr(Polynomial, "to_string",
+                            lambda self, *a: formatted.append(self) or to_string(self, *a))
+        code, _ = run(capsys, "verify", str(FIXTURES / name), "--kind",
+                      fixture_kind(name), "--format", fmt)
+        assert code == 0
+        report, = reports
+        assert len([p for p in formatted
+                    if p is report.determinant or p is report.rhs]) == 1
+
+
+def perturb_block(monkeypatch, change):
+    """Make det_bareiss return change(det) for the first block it sees."""
+    from bouquetdet import determinant
+    original = determinant.det_bareiss
+    seen = []
+
+    def patched(B):
+        seen.append(1)
+        return change(original(B)) if len(seen) == 1 else original(B)
+
+    monkeypatch.setattr(determinant, "det_bareiss", patched)
+
+
+class TestPerturbedVerdict:
+    """Block determinants altered by hand: the only inputs whose verdict
+    is false or whose sign is -1."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_negated_block(self, monkeypatch, capsys, fmt):
+        from bouquetdet.chains import WeightAssignment, min_labeling
+        from bouquetdet.determinant import block_determinants
+        from bouquetdet.poset import poset_from_json
+        P = poset_from_json(load_fixture("poset_bouquet_example.json"))
+        unperturbed, _ = block_determinants(P, min_labeling(P),
+                                            WeightAssignment.default(P))
+        det = -unperturbed
+        perturb_block(monkeypatch, lambda d: -d)
+        code, out = run(capsys, "verify", PEX, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            texts = payload["sign"], payload["det"], payload["product"]
+        else:
+            lines = dict(line.split(": ", 1) for line in out.splitlines())
+            texts = int(lines["sign"]), lines["det"], lines["product"]
+        assert texts == (-1, det.to_string(), (-det).to_string())
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_scaled_block(self, monkeypatch, capsys, fmt):
+        from bouquetdet.polyring import Polynomial
+        perturb_block(monkeypatch, lambda d: d * Polynomial.const(2))
+        code, out = run(capsys, "verify", PEX, "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["verdict"] is False and payload["sign"] is None
+        else:
+            assert out.startswith("verdict: False\nsign: None\n")

@@ -1,10 +1,20 @@
+from itertools import combinations
+
 import pytest
 
-from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling
+from bouquetdet import determinant
+from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling, weight
+from bouquetdet.cli import KINDS
 from bouquetdet.determinant import (NonZeroOffBlock, NotABouquet, TooLarge,
-                                    block_decompose, det_bareiss, det_cofactor,
+                                    block_decompose, block_determinants,
+                                    det_bareiss, det_cofactor,
                                     rhs_product, verify_theorem)
+from bouquetdet.matroid import (bouquet_flat_poset, build_bouquet_of_matroids,
+                                flat_lattice)
 from bouquetdet.polyring import Polynomial
+from conftest import load_fixture
+from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
+from test_matroid import graphic_complete, uniform
 
 
 def var(i):
@@ -160,3 +170,101 @@ class TestVerify:
         payload = verify_theorem(bouquet_example).to_json()
         assert set(payload) >= {"verdict", "sign", "det", "product",
                                 "exponents", "blocks", "mode", "trials", "seed"}
+
+
+def global_verdict(P):
+    """Oracle: multiply the block determinants, expand the global
+    prod w(x)^rho(x) and compare; (verdict, sign, det, rhs)."""
+    weights = WeightAssignment.default(P)
+    det, _ = block_determinants(P, min_labeling(P), weights)
+    rhs, _ = rhs_product(P, weights)
+    sign = 1 if det == rhs else -1 if det == -rhs else None
+    return sign is not None, sign, det, rhs
+
+
+def uniform_bouquet(roofs, r, n):
+    """`roofs` copies of U(r, n), each sharing r - 1 elements with the next."""
+    step = n - (r - 1)
+    ground = [f"b{i:02d}" for i in range(roofs * step + r - 1)]
+    members = [ground[i * step: i * step + n] for i in range(roofs)]
+    independents = {frozenset(s) for roof in members
+                    for k in range(r + 1) for s in combinations(roof, k)}
+    return bouquet_flat_poset(build_bouquet_of_matroids(ground, members, independents))[0]
+
+
+def fixture_poset(name):
+    kind = KINDS[fixture_kind(name)]
+    return kind.poset(kind.parse(load_fixture(name)))
+
+
+INSTANCES = {
+    **{name: lambda name=name: fixture_poset(name) for name in FIXTURE_FILES
+       if name not in EXIT_CODES},
+    "U(3,5)": lambda: flat_lattice(uniform(3, 5))[0],
+    "U(2,6)": lambda: flat_lattice(uniform(2, 6))[0],
+    "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
+    "2xU(3,5)": lambda: uniform_bouquet(2, 3, 5),
+    "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5),
+}
+
+
+class TestBlockVerdict:
+    """The per-block verdict against the global expand-and-compare."""
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_equals_global(self, name):
+        P = INSTANCES[name]()
+        report = verify_theorem(P)
+        assert (report.verdict, report.sign, report.determinant, report.rhs) == \
+            global_verdict(P)
+
+    @staticmethod
+    def perturbed(monkeypatch, P, change):
+        """Symbolic verify of P with block i's determinant replaced by
+        change(i, det, w), w the element weights; the global oracle sees
+        the same block determinants.  Returns (report, oracle, number of
+        global right-hand-side expansions made by verify)."""
+        weights = WeightAssignment.default(P)
+        w = {x: weight(P, x, weights) for x in P.elements}
+        calls = []
+        original = determinant.det_bareiss
+
+        def patched(B):
+            calls.append(1)
+            return change(len(calls) - 1, original(B), w)
+
+        monkeypatch.setattr(determinant, "det_bareiss", patched)
+        expansions = []
+        rhs = determinant.rhs_product
+        monkeypatch.setattr(determinant, "rhs_product",
+                            lambda *a: expansions.append(1) or rhs(*a))
+        report = verify_theorem(P)
+        calls.clear()
+        oracle = global_verdict(P)
+        return report, oracle, len(expansions)
+
+    # Blocks of the worked example, in order: r1, r2, r3, r4; the r3 block
+    # is w2*w3*w5*(w2 + w3 + w5), the last factor being w(r3).
+    @pytest.mark.parametrize("change, verdict, sign, expansions", [
+        pytest.param(lambda i, d, w: d * Polynomial.const(2) if i == 0 else d,
+                     False, None, 1, id="scaled"),
+        pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
+                     False, None, 1, id="extra-factor"),
+        pytest.param(lambda i, d, w: d * w["r3"] if i == 0
+                     else d.exact_div(w["r3"]) if i == 2 else d,
+                     True, 1, 1, id="moved-factor"),
+        pytest.param(lambda i, d, w: -d if i == 1 else d,
+                     True, -1, 0, id="negated"),
+        pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
+                     else d.exact_div(w["r3"]) if i == 2 else d,
+                     True, -1, 1, id="moved-factor-negated"),
+    ])
+    def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,
+                              verdict, sign, expansions):
+        report, oracle, made = self.perturbed(monkeypatch, bouquet_example, change)
+        assert (report.verdict, report.sign, report.determinant, report.rhs) == oracle
+        assert (report.verdict, report.sign) == (verdict, sign)
+        assert made == expansions
+        det, product = report.texts()
+        assert det == report.determinant.to_string()
+        assert product == report.rhs.to_string()

@@ -53,12 +53,12 @@ def uniform(r, n):
                                   for s in combinations(ground, k)])
 
 
-def graphic_k5():
-    """M(K5): edge sets of the complete graph on 5 vertices with no cycle."""
-    edges = list(combinations(range(5), 2))
+def graphic_complete(n):
+    """M(K_n): edge sets of the complete graph on n vertices with no cycle."""
+    edges = list(combinations(range(n), 2))
 
     def is_forest(subset):
-        parent = list(range(5))
+        parent = list(range(n))
 
         def find(v):
             while parent[v] != v:
@@ -71,7 +71,7 @@ def graphic_k5():
             parent[a] = b
         return True
     ground = [f"{u}{v}" for u, v in edges]
-    return build_matroid(ground, [[f"{u}{v}" for u, v in s] for k in range(5)
+    return build_matroid(ground, [[f"{u}{v}" for u, v in s] for k in range(n)
                                   for s in combinations(edges, k) if is_forest(s)])
 
 
@@ -81,7 +81,7 @@ ORACLE_MATROIDS = {
         "matroid_k3.json", "matroid_k4_minus_edge.json", "matroid_cycle4.json")},
     "U(2,9)": lambda: uniform(2, 9),
     "U(4,9)": lambda: uniform(4, 9),
-    "M(K5)": graphic_k5,
+    "M(K5)": lambda: graphic_complete(5),
     # a loop and a parallel pair: the empty set is not a flat
     "loop+parallel": lambda: build_matroid(["1", "2", "3", "4"],
                                            [[], ["1"], ["2"], ["3"], ["1", "2"], ["1", "3"]]),

@@ -176,6 +176,34 @@ def test_to_string_graded_lex_order():
                              " + w1 + w2 + 3")
 
 
+def reference_to_string(p, name=lambda i: f"w{i + 1}"):
+    """Oracle: the term loop with one factor string per occurrence, in the
+    order of a sort on (total degree, exponent vector)."""
+    if p.is_zero():
+        return "0"
+    n = max(p.variables(), default=-1) + 1
+
+    def order(m):
+        exps = dict(m)
+        return (sum(exps.values()), [exps.get(v, 0) for v in range(n)])
+
+    out = ""
+    for m in sorted(p.terms, key=order, reverse=True):
+        c = p.terms[m]
+        factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        out += ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+        out += body
+    return out
+
+
+@given(polys6)
+def test_to_string_against_reference(p):
+    assert p.to_string() == reference_to_string(p)
+    name = lambda i: f"x_{i}"
+    assert p.to_string(name) == reference_to_string(p, name)
+
+
 def to_sympy(p, symbols):
     import sympy
     return sympy.Add(*[c * sympy.Mul(*[symbols[v] ** e for v, e in m])

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bouquetdet.matroid import flat_lattice
 from bouquetdet.poset import (CycleDetected, NotComparable, RedundantCover,
-                              UnknownElement, build_poset, inclusion_poset)
+                              UnknownElement, build_poset, inclusion_poset,
+                              poset_from_json)
+from conftest import FIXTURES, load_fixture
+from test_matroid import graphic_complete, uniform
 
 
 def brute_mobius(P, x, y):
@@ -116,6 +121,92 @@ class TestStructure:
                     m, j = I.meet(x, y), I.join(x, y)
                     if (m, x) in I.covers:
                         assert y == j or (y, j) in I.covers
+
+
+def brute_geometric_failure(P):
+    """Oracle: meet and join recomputed for every unordered pair, then for
+    every ordered pair in the semimodularity test."""
+    els = P.elements
+    for i, x in enumerate(els):
+        for y in els[i + 1:]:
+            if P.meet(x, y) is None or P.join(x, y) is None:
+                return ("not-lattice", (x, y))
+    for x in els:
+        below = [a for a in P.atoms if P.leq(a, x)]
+        if P.join_all(below) != x:
+            return ("not-atomic", (x,))
+    for x in els:
+        for y in els:
+            m = P.meet(x, y)
+            j = P.join(x, y)
+            if (m, x) in P.covers and (y, j) not in P.covers and y != j:
+                return ("not-semimodular", (x, y))
+    return None
+
+
+def lattice_intervals(P):
+    """P and its intervals [0, x] and [x, 1]."""
+    top = P.maximal[0]
+    yield P
+    for x in P.elements:
+        yield P.interval(P.bottom, x)
+        yield P.interval(x, top)
+
+
+@st.composite
+def small_posets(draw):
+    """Posets on up to 7 elements in a drawn element order: the covers of
+    the transitive closure of a drawn relation i < j, half of the time
+    with a bottom and a top added, so that lattices occur often."""
+    n = draw(st.integers(1, 7))
+    less = {(i, j) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)) if i < j}
+    if draw(st.booleans()):
+        less |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
+    for k in range(n):
+        less |= {(i, j) for i, a in less if a == k for b, j in less if b == k}
+    covers = [(f"e{i}", f"e{j}") for i, j in less
+              if not any((i, k) in less and (k, j) in less for k in range(n))]
+    order = draw(st.permutations([f"e{i}" for i in range(n)]))
+    return build_poset(order, covers)
+
+
+class TestGeometricFailureOracle:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("poset_*.json")))
+    def test_poset_fixtures(self, name):
+        P = poset_from_json(load_fixture(name))
+        for r in P.maximal:
+            I = P.interval(P.bottom, r)
+            assert I.geometric_failure() == brute_geometric_failure(I)
+        assert P.geometric_failure() == brute_geometric_failure(P)
+
+    @pytest.mark.parametrize("elements, covers, reason", [
+        (["a", "b"], [], "not-lattice"),
+        (["0", "a", "b"], [("0", "a"), ("a", "b")], "not-atomic"),
+        # atomic, but 0 = a ^ c is covered by c while a is not covered by
+        # a v c = 1
+        (["0", "a", "b", "c", "ab", "1"],
+         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+          ("ab", "1"), ("c", "1")], "not-semimodular"),
+        (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+         None),
+    ])
+    def test_each_reason(self, elements, covers, reason):
+        P = build_poset(elements, covers)
+        found = P.geometric_failure()
+        assert (found and found[0]) == reason
+        assert found == brute_geometric_failure(P)
+
+    @pytest.mark.parametrize("make", [lambda: uniform(4, 9), lambda: graphic_complete(5)],
+                             ids=["U(4,9)", "M(K5)"])
+    def test_matroid_intervals(self, make):
+        for I in lattice_intervals(flat_lattice(make())[0]):
+            assert I.geometric_failure() == brute_geometric_failure(I) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, P):
+        assert P.geometric_failure() == brute_geometric_failure(P)
 
 
 class TestRank:
