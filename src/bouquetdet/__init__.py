@@ -5,28 +5,27 @@ sign-vector (COM) front ends."""
 
 from .chains import (Chain, ChainMatrix, Labeling, WeightAssignment,
                      chain_matrix, enumerate_maximal_chains, generators,
-                     ground_substitution, is_convex, is_neat, make_labeling,
-                     min_labeling, neat_chain_families, weight)
+                     ground_substitution, is_neat, make_labeling, min_labeling,
+                     neat_chain_families, weight)
 from .com import CovectorSet, validate_com, zero_set_poset
 from .determinant import (VERIFICATION_PRIME, VerificationReport,
-                          block_decompose, det_bareiss, det_cofactor,
-                          rhs_product, verify_theorem)
+                          block_decompose, det_bareiss, rhs_product,
+                          verify_theorem)
 from .matroid import (BouquetOfMatroids, Matroid, bouquet_flat_poset,
-                      build_bouquet_of_matroids, build_matroid, flat_lattice,
-                      simplify)
+                      build_bouquet_of_matroids, build_matroid, flat_lattice)
 from .polyring import Polynomial, power_product
 from .poset import Poset, build_poset, poset_from_json
 
 __all__ = [
     "Chain", "ChainMatrix", "Labeling", "WeightAssignment", "chain_matrix",
     "enumerate_maximal_chains", "generators", "ground_substitution",
-    "is_convex", "is_neat", "make_labeling", "min_labeling",
+    "is_neat", "make_labeling", "min_labeling",
     "neat_chain_families", "weight",
     "CovectorSet", "validate_com", "zero_set_poset",
     "VERIFICATION_PRIME", "VerificationReport", "block_decompose",
-    "det_bareiss", "det_cofactor", "rhs_product", "verify_theorem",
+    "det_bareiss", "rhs_product", "verify_theorem",
     "BouquetOfMatroids", "Matroid", "bouquet_flat_poset",
-    "build_bouquet_of_matroids", "build_matroid", "flat_lattice", "simplify",
+    "build_bouquet_of_matroids", "build_matroid", "flat_lattice",
     "Polynomial", "power_product",
     "Poset", "build_poset", "poset_from_json",
 ]

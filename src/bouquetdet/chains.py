@@ -79,20 +79,6 @@ def min_labeling(P: Poset, atom_order: Sequence[str] | None = None) -> Labeling:
     return Labeling(labels)
 
 
-def is_convex(P: Poset, labeling: Labeling) -> bool:
-    """True iff whenever l(x) = a, every element strictly between a and x
-    also carries label a."""
-    for x in P.elements:
-        if x == P.bottom:
-            continue
-        a = labeling[x]
-        for z in P.down_set(x):
-            if z != x and z != a and z != P.bottom and P.leq(a, z):
-                if labeling[z] != a:
-                    return False
-    return True
-
-
 def enumerate_maximal_chains(P: Poset) -> list[Chain]:
     """All saturated chains atom -> maximal element, in lexicographic
     order of their element sequences."""
@@ -126,12 +112,6 @@ def is_neat(P: Poset, labeling: Labeling, chain: Chain) -> bool:
             return False
         prev = x
     return True
-
-
-def is_neat_distinct_labels(P: Poset, labeling: Labeling, chain: Chain) -> bool:
-    """Shortcut valid for convex labelings: neat iff all labels distinct."""
-    labels = [labeling[x] for x in chain.elements]
-    return len(set(labels)) == len(labels)
 
 
 def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
@@ -238,11 +218,6 @@ class ChainMatrix:
     @property
     def dim(self) -> int:
         return len(self.chains)
-
-    def entry(self, c: Chain, d: Chain) -> Polynomial:
-        i = self.chains.index(c)
-        j = self.chains.index(d)
-        return self.entries[i][j]
 
     def to_json(self) -> dict:
         return {

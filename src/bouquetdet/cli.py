@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -19,7 +18,7 @@ from . import matroid as matroid_mod
 from .chains import (InvalidLabeling, WeightAssignment, chain_matrix,
                      make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
-                          block_determinants, verify_theorem)
+                          block_determinants, format_once, verify_theorem)
 from .poset import NotABouquet, Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
@@ -164,11 +163,14 @@ def cmd_det(args) -> int:
     _require_bouquet(P)
     labeling, weights = _labeling_and_weights(P, args)
     product, blocks = block_determinants(P, labeling, weights)
-    det = product.to_string()
-    _emit(args, lambda: {"det": det,
-                         "blocks": [{"top": t, "dim": d, "det": p.to_string()}
-                                    for t, d, p in blocks]},
-          lambda: det)
+
+    def payload() -> dict:
+        det, *block_texts = format_once([product] + [p for _, _, p in blocks])
+        return {"det": det,
+                "blocks": [{"top": t, "dim": d, "det": text}
+                           for (t, d, _), text in zip(blocks, block_texts)]}
+
+    _emit(args, payload, product.to_string)
     return EXIT_OK
 
 
@@ -225,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Randomized verification evaluates modulo the fixed 62-bit "
                f"prime {VERIFICATION_PRIME}.")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("BOUQUETDET_SEED", "0"))
     for name, fn in [("check", cmd_check), ("matrix", cmd_matrix),
                      ("det", cmd_det), ("rho", cmd_rho),
                      ("verify", cmd_verify), ("dot", cmd_dot)]:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["symbolic", "randomized"],
                            default="symbolic")
             p.add_argument("--trials", type=int, default=20)
-            p.add_argument("--seed", type=int, default=default_seed)
+            p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
     return parser
 

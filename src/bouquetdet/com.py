@@ -1,6 +1,5 @@
 """Sign-vector systems: complexes of oriented matroids (COMs), oriented
-matroids, faces, and the zero-set poset feeding the chain-matrix
-pipeline.
+matroids, and the zero-set poset feeding the chain-matrix pipeline.
 
 Covectors are strings over {+, -, 0} in ground-set order (e.g. "+-0"),
 which keeps fixtures compact and diffable.
@@ -18,14 +17,6 @@ class ComError(Exception):
 
 
 class GroundMismatch(ComError):
-    pass
-
-
-class NotACovector(ComError):
-    pass
-
-
-class NotValidated(ComError):
     pass
 
 
@@ -64,30 +55,6 @@ def _sign_masks(x: str) -> tuple[int, int]:
     return plus, minus
 
 
-def negate(x: str) -> str:
-    return x.translate(str.maketrans("+-", "-+"))
-
-
-def composition(x: str, y: str) -> str:
-    """(X o Y)_e = X_e where nonzero, else Y_e."""
-    if len(x) != len(y):
-        raise GroundMismatch("covectors on different ground sets")
-    return "".join(a if a != "0" else b for a, b in zip(x, y))
-
-
-def separator(ground: Sequence[str], x: str, y: str) -> set[str]:
-    """Elements where X and Y carry opposite nonzero signs."""
-    _check_vector(ground, x)
-    _check_vector(ground, y)
-    return {e for e, a, b in zip(ground, x, y)
-            if a != "0" and b != "0" and a != b}
-
-
-def support(ground: Sequence[str], x: str) -> set[str]:
-    _check_vector(ground, x)
-    return {e for e, a in zip(ground, x) if a != "0"}
-
-
 def zero_set(ground: Sequence[str], x: str) -> set[str]:
     _check_vector(ground, x)
     return {e for e, a in zip(ground, x) if a == "0"}
@@ -105,12 +72,6 @@ class CovectorSet:
     def is_om(self) -> bool:
         """An OM is a COM containing the all-zero covector."""
         return "0" * len(self.ground) in self.covectors
-
-    def face(self, x: str) -> list[str]:
-        """F(X) = {X o Y : Y in L}."""
-        if x not in self.covectors:
-            raise NotACovector(x)
-        return sorted({composition(x, y) for y in self.covectors})
 
     def __repr__(self) -> str:
         return f"CovectorSet({len(self.ground)} elements, {len(self.covectors)} covectors)"
@@ -192,8 +153,6 @@ def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
     as weight support for ground-variable substitution.  Raises
     NotABouquet when the result is not a bouquet of geometric lattices.
     """
-    if not isinstance(c, CovectorSet):
-        raise NotValidated("zero_set_poset needs a validated CovectorSet")
     poset, mapping = inclusion_poset(
         frozenset(zero_set(c.ground, x)) for x in c.covectors)
     if not poset.is_bouquet():

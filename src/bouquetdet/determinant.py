@@ -3,16 +3,18 @@ its factorization det = +/- prod over elements x of w(x)^rho(x).
 
 The symbolic determinant is computed per family block with fraction-free
 (Bareiss) elimination, and each block is checked against its own
-factorization; a Laplace-expansion determinant serves as an independent
-cross-check oracle for small blocks.  Randomized mode evaluates both
-sides of the identity at random integer points modulo a fixed 62-bit
-prime instead of expanding anything symbolically.
+factorization.  Randomized mode evaluates both sides of the identity at
+random integer points modulo a fixed 62-bit prime instead of expanding
+anything symbolically.  The independent oracles these are tested
+against (a Laplace-expansion determinant among them) live in the tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
+from typing import Iterable
 
 from .chains import ChainMatrix, Labeling, WeightAssignment, chain_matrix, min_labeling, weight
 from .polyring import Polynomial, power_product
@@ -89,40 +91,15 @@ def det_bareiss(M: Matrix) -> Polynomial:
     return -det if sign < 0 else det
 
 
-def det_cofactor(M: Matrix) -> Polynomial:
-    """Laplace-expansion determinant; independent oracle, dimension <= 8."""
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise DeterminantError("matrix is not square")
-    if n > 8:
-        raise TooLarge(f"cofactor expansion limited to dimension 8, got {n}")
-
-    def expand(rows: list[int], cols: list[int]) -> Polynomial:
-        if not rows:
-            return Polynomial.one()
-        r = rows[0]
-        acc = Polynomial.zero()
-        for pos, c in enumerate(cols):
-            if M[r][c].is_zero():
-                continue
-            minor = expand(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = M[r][c] * minor
-            acc = acc + term if pos % 2 == 0 else acc - term
-        return acc
-
-    return expand(list(range(n)), list(range(n)))
-
-
 def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
                        ) -> tuple[Polynomial, list[tuple[str, int, Polynomial]]]:
     """Bareiss determinant of each family block of the chain matrix, as
-    (top, dim, det) triples, and their product."""
+    (top, dim, det) triples, and their product.  The product starts from
+    the first block, so a lone block's determinant is the product itself."""
     block_dets = [(top, len(B), det_bareiss(B))
                   for top, B in block_decompose(chain_matrix(P, labeling, weights))]
-    det = Polynomial.one()
-    for _, _, d in block_dets:
-        det = det * d
+    dets = [d for _, _, d in block_dets]
+    det = prod(dets[1:], start=dets[0]) if dets else Polynomial.one()
     return det, block_dets
 
 
@@ -178,6 +155,18 @@ def block_sign(P: Poset, weights: WeightAssignment,
     return sign
 
 
+def format_once(polys: Iterable[Polynomial | None]) -> list[str | None]:
+    """The text of each polynomial, None for None; a polynomial object
+    that occurs more than once is formatted once."""
+    texts: dict[int, str] = {}
+    out = []
+    for p in polys:
+        if p is not None and id(p) not in texts:
+            texts[id(p)] = p.to_string()
+        out.append(None if p is None else texts[id(p)])
+    return out
+
+
 @dataclass
 class VerificationReport:
     verdict: bool
@@ -189,27 +178,23 @@ class VerificationReport:
     mode: str
     trials: int = 0
     seed: int = 0
-    prime: int = 0
 
     def texts(self) -> tuple[str | None, str | None]:
-        """The texts of the determinant and the right-hand side; when the
-        right-hand side is the determinant itself, it is formatted once."""
-        if self.determinant is None:
-            return None, None
-        det = self.determinant.to_string()
-        return det, det if self.rhs is self.determinant else self.rhs.to_string()
+        """The texts of the determinant and the right-hand side."""
+        det, product = format_once([self.determinant, self.rhs])
+        return det, product
 
     def to_json(self) -> dict:
-        det, product = self.texts()
+        det, product, *block_texts = format_once(
+            [self.determinant, self.rhs] + [p for _, _, p in self.blocks])
         return {
             "verdict": self.verdict,
             "sign": self.sign,
             "det": det,
             "product": product,
             "exponents": dict(self.exponents),
-            "blocks": [{"top": t, "dim": d,
-                        "det": None if p is None else p.to_string()}
-                       for t, d, p in self.blocks],
+            "blocks": [{"top": t, "dim": d, "det": text}
+                       for (t, d, _), text in zip(self.blocks, block_texts)],
             "mode": self.mode,
             "trials": self.trials,
             "seed": self.seed,
@@ -319,4 +304,4 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
             break
     return VerificationReport(verdict, sign if verdict else None, None, None,
                               exponents, [(t, len(B), None) for t, B in blocks],
-                              "randomized", trials=trials, seed=seed, prime=p)
+                              "randomized", trials=trials, seed=seed)

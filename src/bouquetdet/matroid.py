@@ -146,28 +146,6 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
     return Matroid(ground, frozenset(family))
 
 
-def simplify(m: Matroid) -> tuple[Matroid, dict[str, str | None]]:
-    """Delete loops and keep one representative per parallel class.
-
-    Returns the simple matroid and the map element -> representative
-    (None for loops).
-    """
-    loops = {e for e in m.ground if frozenset([e]) not in m.independents}
-    rep: dict[str, str | None] = {e: None for e in loops}
-    classes: dict[frozenset, str] = {}
-    for e in m.ground:
-        if e in loops:
-            continue
-        cl = m.closure([e])
-        if cl not in classes:
-            classes[cl] = e
-        rep[e] = classes[cl]
-    keep = set(classes.values())
-    ground = tuple(e for e in m.ground if e in keep)
-    independents = frozenset(i for i in m.independents if i <= keep)
-    return Matroid(ground, independents), rep
-
-
 def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
     """Poset of flats ordered by inclusion; requires a simple matroid.
 
@@ -176,7 +154,7 @@ def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
     as the weight support for ground-variable substitution.
     """
     if not m.is_simple():
-        raise NotSimple("flat lattice requires a simple matroid; simplify first")
+        raise NotSimple("flat lattice requires a simple matroid")
     return inclusion_poset(m.flats())
 
 

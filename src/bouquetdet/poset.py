@@ -83,10 +83,6 @@ class Poset:
         self._check(x, y)
         return y in self._up[x]
 
-    def up_set(self, x: str) -> frozenset:
-        self._check(x)
-        return self._up[x]
-
     def down_set(self, x: str) -> frozenset:
         self._check(x)
         return self._down[x]
@@ -94,10 +90,6 @@ class Poset:
     def upper_covers(self, x: str) -> tuple[str, ...]:
         self._check(x)
         return self._upcov[x]
-
-    def lower_covers(self, x: str) -> tuple[str, ...]:
-        self._check(x)
-        return self._downcov[x]
 
     def meet(self, x: str, y: str) -> str | None:
         """Greatest lower bound, or None if it does not exist."""
@@ -253,10 +245,6 @@ class Poset:
         elements = tuple(z for z in self.elements if z in members)
         covers = [(a, b) for (a, b) in self.covers if a in members and b in members]
         return build_poset(elements, covers)
-
-    def to_json(self) -> dict:
-        return {"elements": list(self.elements),
-                "covers": [list(c) for c in sorted(self.covers)]}
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"

@@ -4,8 +4,7 @@ import pytest
 
 from bouquetdet.chains import (Chain, InvalidLabeling, WeightAssignment,
                                chain_matrix, enumerate_maximal_chains,
-                               generators, is_convex, is_neat,
-                               is_neat_distinct_labels, make_labeling,
+                               generators, is_neat, make_labeling,
                                min_labeling, neat_chain_families, weight)
 from bouquetdet.poset import build_poset
 from bouquetdet.polyring import Polynomial
@@ -26,6 +25,20 @@ def brute_generators(P, chain):
         if ok:
             out.append(tup)
     return sorted(out)
+
+
+def is_convex(P, labeling):
+    """True iff whenever l(x) = a, every element strictly between a and x
+    also carries label a."""
+    for x in P.elements:
+        if x == P.bottom:
+            continue
+        a = labeling[x]
+        for z in P.down_set(x):
+            if z != x and z != a and z != P.bottom and P.leq(a, z):
+                if labeling[z] != a:
+                    return False
+    return True
 
 
 class TestLabeling:
@@ -94,10 +107,12 @@ class TestNeatness:
         assert is_neat(one_atom, lab, Chain(("a",)))
 
     def test_definitions_agree_for_convex(self, bouquet_example):
+        # For a convex labeling, a chain is neat iff its labels are distinct.
         P = bouquet_example
         lab = min_labeling(P)
         for c in enumerate_maximal_chains(P):
-            assert is_neat(P, lab, c) == is_neat_distinct_labels(P, lab, c)
+            labels = [lab[x] for x in c.elements]
+            assert is_neat(P, lab, c) == (len(set(labels)) == len(labels))
 
     def test_families(self, bouquet_example, one_atom):
         fams = neat_chain_families(bouquet_example, min_labeling(bouquet_example))
@@ -144,15 +159,15 @@ class TestChainMatrix:
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
         v = {a: Polynomial.var(w.atom_vars[a]) for a in P.atoms}
-        c = lambda *els: Chain(tuple(els))
-        assert M.entry(c("a4", "r1"), c("a4", "r1")) == v["a1"] * v["a4"]
-        assert M.entry(c("a5", "r2"), c("a5", "r2")) == v["a1"] * v["a5"]
-        assert M.entry(c("a5", "r3"), c("a5", "r3")) == \
+        at = lambda *els: M.chains.index(Chain(tuple(els)))
+        assert M.entries[at("a4", "r1")][at("a4", "r1")] == v["a1"] * v["a4"]
+        assert M.entries[at("a5", "r2")][at("a5", "r2")] == v["a1"] * v["a5"]
+        assert M.entries[at("a5", "r3")][at("a5", "r3")] == \
             v["a2"] * v["a5"] + v["a3"] * v["a5"]
-        assert M.entry(c("a3", "r3"), c("a3", "r3")) == \
+        assert M.entries[at("a3", "r3")][at("a3", "r3")] == \
             v["a2"] * v["a3"] + v["a3"] * v["a5"]
-        assert M.entry(c("a5", "r3"), c("a3", "r3")) == -(v["a3"] * v["a5"])
-        assert M.entry(c("a5", "r4"), c("a5", "r4")) == v["a4"] * v["a5"]
+        assert M.entries[at("a5", "r3")][at("a3", "r3")] == -(v["a3"] * v["a5"])
+        assert M.entries[at("a5", "r4")][at("a5", "r4")] == v["a4"] * v["a5"]
         # every remaining pair is zero
         for i in range(M.dim):
             for j in range(M.dim):

@@ -240,24 +240,42 @@ class TestRunOnce:
         assert code == 0
         assert len(calls) == expansions
 
+    @staticmethod
+    def determinant_texts(monkeypatch, capsys, command, name, fmt):
+        """How many times `command` formats a polynomial equal to the
+        determinant.  On sign +1 the right-hand side is the determinant
+        itself, and so is the determinant of a lone block."""
+        from bouquetdet import cli
+        from bouquetdet.polyring import Polynomial
+        dets, formatted = [], []
+        recording = lambda fn: lambda *a, **k: dets.append(fn(*a, **k)) or dets[-1]
+        for attr in ("verify_theorem", "block_determinants"):
+            monkeypatch.setattr(cli, attr, recording(getattr(cli, attr)))
+        to_string = Polynomial.to_string
+        monkeypatch.setattr(Polynomial, "to_string",
+                            lambda self, *a: formatted.append(self) or to_string(self, *a))
+        code, _ = run(capsys, command, str(FIXTURES / name), "--kind",
+                      fixture_kind(name), "--format", fmt)
+        assert code == 0
+        result, = dets
+        det = result.determinant if command == "verify" else result[0]
+        return len([p for p in formatted if p == det])
+
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        # On sign +1 the right-hand side is the determinant itself, formatted once.
-        from bouquetdet import cli
-        from bouquetdet.polyring import Polynomial
-        reports, formatted = [], []
-        verify, to_string = cli.verify_theorem, Polynomial.to_string
-        monkeypatch.setattr(cli, "verify_theorem",
-                            lambda *a, **k: reports.append(verify(*a, **k)) or reports[-1])
-        monkeypatch.setattr(Polynomial, "to_string",
-                            lambda self, *a: formatted.append(self) or to_string(self, *a))
-        code, _ = run(capsys, "verify", str(FIXTURES / name), "--kind",
-                      fixture_kind(name), "--format", fmt)
+        assert self.determinant_texts(monkeypatch, capsys, "verify", name, fmt) == 1
+
+    @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_det_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
+        assert self.determinant_texts(monkeypatch, capsys, "det", name, fmt) == 1
+
+    def test_seed_not_read_from_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("BOUQUETDET_SEED", "5")
+        code, out = run(capsys, "verify", PEX, "--mode", "randomized")
         assert code == 0
-        report, = reports
-        assert len([p for p in formatted
-                    if p is report.determinant or p is report.rhs]) == 1
+        assert json.loads(out)["seed"] == 0
 
 
 def perturb_block(monkeypatch, change):

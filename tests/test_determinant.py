@@ -7,8 +7,7 @@ from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling, weig
 from bouquetdet.cli import KINDS
 from bouquetdet.determinant import (NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
-                                    det_bareiss, det_cofactor,
-                                    rhs_product, verify_theorem)
+                                    det_bareiss, rhs_product, verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, build_bouquet_of_matroids,
                                 flat_lattice)
 from bouquetdet.polyring import Polynomial
@@ -19,6 +18,28 @@ from test_matroid import graphic_complete, uniform
 
 def var(i):
     return Polynomial.var(i)
+
+
+def det_cofactor(M):
+    """Laplace-expansion determinant: the independent oracle for
+    det_bareiss, limited to dimension 8."""
+    n = len(M)
+    if n > 8:
+        raise TooLarge(f"cofactor expansion limited to dimension 8, got {n}")
+
+    def expand(rows, cols):
+        if not rows:
+            return Polynomial.one()
+        r = rows[0]
+        acc = Polynomial.zero()
+        for pos, c in enumerate(cols):
+            if M[r][c].is_zero():
+                continue
+            term = M[r][c] * expand(rows[1:], cols[:pos] + cols[pos + 1:])
+            acc = acc + term if pos % 2 == 0 else acc - term
+        return acc
+
+    return expand(list(range(n)), list(range(n)))
 
 
 class TestBlockDecompose:

@@ -4,13 +4,34 @@ import pytest
 
 from bouquetdet.chains import WeightAssignment, ground_substitution
 from bouquetdet.determinant import rhs_product, verify_theorem
-from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, NotAClutter,
-                                NotDownwardClosed, NotSimple,
+from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, Matroid,
+                                NotAClutter, NotDownwardClosed, NotSimple,
                                 bouquet_flat_poset, bouquet_from_json,
                                 build_bouquet_of_matroids, build_matroid,
-                                flat_lattice, matroid_from_json, set_id,
-                                simplify)
+                                flat_lattice, matroid_from_json, set_id)
 from conftest import load_fixture
+
+
+def simplify(m):
+    """Delete loops and keep one representative per parallel class.
+
+    Returns the simple matroid and the map element -> representative
+    (None for loops).
+    """
+    loops = {e for e in m.ground if frozenset([e]) not in m.independents}
+    rep = {e: None for e in loops}
+    classes = {}
+    for e in m.ground:
+        if e in loops:
+            continue
+        cl = m.closure([e])
+        if cl not in classes:
+            classes[cl] = e
+        rep[e] = classes[cl]
+    keep = set(classes.values())
+    ground = tuple(e for e in m.ground if e in keep)
+    independents = frozenset(i for i in m.independents if i <= keep)
+    return Matroid(ground, independents), rep
 
 
 class TestBuild:
