@@ -9,11 +9,10 @@ from .chains import (Chain, ChainMatrix, Labeling, WeightAssignment,
                      neat_chain_families, weight)
 from .com import CovectorSet, validate_com, zero_set_poset
 from .determinant import (VERIFICATION_PRIME, VerificationReport,
-                          block_decompose, det_bareiss, rhs_product,
-                          verify_theorem)
+                          block_decompose, det_bareiss, verify_theorem)
 from .matroid import (BouquetOfMatroids, Matroid, bouquet_flat_poset,
                       build_bouquet_of_matroids, build_matroid, flat_lattice)
-from .polyring import Polynomial, power_product
+from .polyring import Polynomial
 from .poset import Poset, build_poset, poset_from_json
 
 __all__ = [
@@ -23,10 +22,10 @@ __all__ = [
     "neat_chain_families", "weight",
     "CovectorSet", "validate_com", "zero_set_poset",
     "VERIFICATION_PRIME", "VerificationReport", "block_decompose",
-    "det_bareiss", "rhs_product", "verify_theorem",
+    "det_bareiss", "verify_theorem",
     "BouquetOfMatroids", "Matroid", "bouquet_flat_poset",
     "build_bouquet_of_matroids", "build_matroid", "flat_lattice",
-    "Polynomial", "power_product",
+    "Polynomial",
     "Poset", "build_poset", "poset_from_json",
 ]
 

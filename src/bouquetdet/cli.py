@@ -18,7 +18,7 @@ from . import matroid as matroid_mod
 from .chains import (InvalidLabeling, WeightAssignment, chain_matrix,
                      make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
-                          block_determinants, format_once, verify_theorem)
+                          block_determinants, det_texts, verify_theorem)
 from .poset import NotABouquet, Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
@@ -162,15 +162,12 @@ def cmd_det(args) -> int:
     P = _load_poset(args)
     _require_bouquet(P)
     labeling, weights = _labeling_and_weights(P, args)
-    product, blocks = block_determinants(P, labeling, weights)
-
-    def payload() -> dict:
-        det, *block_texts = format_once([product] + [p for _, _, p in blocks])
-        return {"det": det,
-                "blocks": [{"top": t, "dim": d, "det": text}
-                           for (t, d, _), text in zip(blocks, block_texts)]}
-
-    _emit(args, payload, product.to_string)
+    blocks = block_determinants(P, labeling, weights)
+    block_texts, det = det_texts(blocks)
+    payload = {"det": det,
+               "blocks": [{"top": t, "dim": d, "det": text}
+                          for (t, d, _), text in zip(blocks, block_texts)]}
+    _emit(args, lambda: payload, lambda: det)
     return EXIT_OK
 
 
@@ -198,7 +195,7 @@ def cmd_verify(args) -> int:
     def text() -> str:
         out = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
                f"mode: {report.mode}")
-        det, product = report.texts()
+        _, det, product = report.texts()
         if det is not None:
             out += f"\ndet: {det}\nproduct: {product}"
         return out

@@ -1,23 +1,21 @@
 """Exact symbolic determinant of the chain matrix and verification of
 its factorization det = +/- prod over elements x of w(x)^rho(x).
 
-The symbolic determinant is computed per family block with fraction-free
-(Bareiss) elimination, and each block is checked against its own
-factorization.  Randomized mode evaluates both sides of the identity at
-random integer points modulo a fixed 62-bit prime instead of expanding
-anything symbolically.  The independent oracles these are tested
-against (a Laplace-expansion determinant among them) live in the tests.
+Symbolic mode computes each family block's determinant by fraction-free
+(Bareiss) elimination and counts the weights w(x) among its factors; it
+never multiplies the blocks together or expands the right-hand side.
+Randomized mode evaluates both sides at random integer points modulo a
+fixed 62-bit prime.  The independent oracles these are tested against
+(a Laplace-expansion determinant, the expanded products) live in tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable
 
 from .chains import ChainMatrix, Labeling, WeightAssignment, chain_matrix, min_labeling, weight
-from .polyring import Polynomial, power_product
+from .polyring import NotDivisible, Polynomial
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
@@ -92,15 +90,11 @@ def det_bareiss(M: Matrix) -> Polynomial:
 
 
 def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
-                       ) -> tuple[Polynomial, list[tuple[str, int, Polynomial]]]:
+                       ) -> list[tuple[str, int, Polynomial]]:
     """Bareiss determinant of each family block of the chain matrix, as
-    (top, dim, det) triples, and their product.  The product starts from
-    the first block, so a lone block's determinant is the product itself."""
-    block_dets = [(top, len(B), det_bareiss(B))
-                  for top, B in block_decompose(chain_matrix(P, labeling, weights))]
-    dets = [d for _, _, d in block_dets]
-    det = prod(dets[1:], start=dets[0]) if dets else Polynomial.one()
-    return det, block_dets
+    (top, dim, det) triples; the matrix's determinant is their product."""
+    return [(top, len(B), det_bareiss(B))
+            for top, B in block_decompose(chain_matrix(P, labeling, weights))]
 
 
 def rho_exponents(P: Poset) -> dict[str, int]:
@@ -113,80 +107,111 @@ def rho_exponents(P: Poset) -> dict[str, int]:
     return exponents
 
 
-def rhs_product(P: Poset, weights: WeightAssignment) -> tuple[Polynomial, dict[str, int]]:
-    """The factorization's right-hand side: product over all elements x
-    of w(x)^rho(x), together with the exponent table."""
-    exponents = rho_exponents(P)
-    product = power_product(
-        (weight(P, x, weights), exponents[x]) for x in P.elements)
-    return product, exponents
+def rhs_factors(P: Poset, w: dict[str, Polynomial], exponents: dict[str, int]
+                ) -> list[tuple[Polynomial, int]]:
+    """The right-hand side prod w(x)^rho(x), unexpanded: each distinct
+    weight with its exponents summed over the elements of that weight,
+    in element order, zero exponents left out."""
+    totals: dict[Polynomial, int] = {}
+    for x in P.elements:
+        if exponents[x]:
+            totals[w[x]] = totals.get(w[x], 0) + exponents[x]
+    return list(totals.items())
 
 
-def block_sign(P: Poset, weights: WeightAssignment,
-               block_dets: list[tuple[str, int, Polynomial]]) -> int | None:
-    """The sign s = prod s_r when every block determinant D_r equals
-    s_r * prod over x <= r of w(x)^(beta(x) * |mu(x, r)|), else None.
-
-    `block_dets` is as `block_determinants` returns it, one block per
-    maximal element, and the exponents rho(x) are non-negative (as
-    `rho_exponents` checks).  Summed over the tops r >= x, the exponents
-    of w(x) add up to rho(x), so a match on every block gives
-    det = s * prod w(x)^rho(x) exactly.
-    """
-    element_weights: dict[str, Polynomial] = {}
+def factor_sign(block_dets: list[tuple[str, int, Polynomial]],
+                factors: list[tuple[Polynomial, int]]) -> int | None:
+    """The sign s with prod D_r = s * prod w^e over `factors`, D_r the
+    block determinants; None when there is none.  Each D_r is divided by
+    each w, more terms first, until NotDivisible (a w with a variable
+    D_r lacks cannot divide it).  The weights are distinct sums of
+    variables, so pairwise non-associate primes: the identity holds iff
+    every cofactor is +/-1 and the counts of each w, summed over the
+    blocks, equal its exponent.  The sign is the product of the cofactors."""
+    counts = dict.fromkeys((p for p, _ in factors), 0)
+    weights = sorted(((p, p.variables()) for p in counts), key=lambda pv: -len(pv[1]))
+    one = Polynomial.one()
     sign = 1
-    for top, _, det in block_dets:
-        factors = []
-        below = P.down_set(top)
-        for x in P.elements:
-            if x not in below:
-                continue
-            e = P.beta(x) * abs(P.mobius(x, top))
-            if e:
-                if x not in element_weights:
-                    element_weights[x] = weight(P, x, weights)
-                factors.append((element_weights[x], e))
-        product = power_product(factors)
-        if det == product:
-            continue
-        if det != -product:
+    for _, _, cofactor in block_dets:
+        if cofactor.is_zero():
             return None
-        sign = -sign
-    return sign
+        variables = cofactor.variables()
+        for p, p_variables in weights:
+            if p_variables <= variables:
+                try:
+                    while True:
+                        cofactor = cofactor.exact_div(p)
+                        counts[p] += 1
+                except NotDivisible:
+                    pass
+        if cofactor == -one:
+            sign = -sign
+        elif cofactor != one:
+            return None
+    return sign if all(counts[p] == e for p, e in factors) else None
 
 
-def format_once(polys: Iterable[Polynomial | None]) -> list[str | None]:
-    """The text of each polynomial, None for None; a polynomial object
-    that occurs more than once is formatted once."""
-    texts: dict[int, str] = {}
+def product_text(factors: list[tuple[str, int]]) -> str:
+    """The text of a product of (text, exponent) factors, joined by "*";
+    "1" for none.  A factor of several terms (its text has a space, as
+    `Polynomial.to_string` puts spaces only between terms) is put in
+    parentheses when there are two or more factors or its exponent is
+    above 1, and so is a negative factor after the first."""
+    if not factors:
+        return "1"
     out = []
-    for p in polys:
-        if p is not None and id(p) not in texts:
-            texts[id(p)] = p.to_string()
-        out.append(None if p is None else texts[id(p)])
-    return out
+    for i, (text, e) in enumerate(factors):
+        if (" " in text and (len(factors) > 1 or e > 1)) or (i and text[0] == "-"):
+            text = f"({text})"
+        out.append(text if e == 1 else f"{text}^{e}")
+    return "*".join(out)
+
+
+def det_texts(blocks: list[tuple[str, int, Polynomial]]) -> tuple[list[str], str]:
+    """The text of each block determinant, formatted once, and the text
+    of the determinant: the product of the blocks."""
+    texts = [p.to_string() for _, _, p in blocks]
+    return texts, product_text([(t, 1) for t in texts])
 
 
 @dataclass
 class VerificationReport:
     verdict: bool
     sign: int | None
-    determinant: Polynomial | None
-    rhs: Polynomial | None
     exponents: dict[str, int]
+    rhs: list[tuple[Polynomial, int]]  # prod w(x)^rho(x), as `rhs_factors` gives it
     blocks: list[tuple[str, int, Polynomial | None]]  # (top, dim, block det)
     mode: str
     trials: int = 0
     seed: int = 0
 
-    def texts(self) -> tuple[str | None, str | None]:
-        """The texts of the determinant and the right-hand side."""
-        det, product = format_once([self.determinant, self.rhs])
-        return det, product
+    @property
+    def determinant(self) -> Polynomial | None:
+        """The lone block's determinant; None for several blocks, whose
+        product is never formed.  (perfbench's tracer reads this.)"""
+        return self.blocks[0][2] if len(self.blocks) == 1 else None
+
+    def texts(self) -> tuple[list[str] | None, str | None, str | None]:
+        """The texts of the block determinants, of their product and of
+        the right-hand side, each block formatted once; None in
+        randomized mode.  On a true verdict the right-hand side is s * D_1
+        times the other blocks, on a false one prod w(x)^rho(x)."""
+        if self.mode != "symbolic":
+            return None, None, None
+        block_texts, det = det_texts(self.blocks)
+        if not self.verdict:
+            product = product_text([(p.to_string(), e) for p, e in self.rhs])
+        elif self.sign == 1:
+            product = det
+        else:
+            first = (-self.blocks[0][2]).to_string()
+            product = product_text([(t, 1) for t in [first] + block_texts[1:]])
+        return block_texts, det, product
 
     def to_json(self) -> dict:
-        det, product, *block_texts = format_once(
-            [self.determinant, self.rhs] + [p for _, _, p in self.blocks])
+        block_texts, det, product = self.texts()
+        if block_texts is None:
+            block_texts = [None] * len(self.blocks)
         return {
             "verdict": self.verdict,
             "sign": self.sign,
@@ -229,18 +254,11 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
                    seed: int = 0) -> VerificationReport:
     """Check det(chain matrix) = +/- prod w(x)^rho(x).
 
-    Symbolic mode decides block by block: each family block's exact
-    determinant is compared, up to sign, with its own product
-    prod over x <= r of w(x)^(beta(x) * |mu(x, r)|) (see `block_sign`).
-    When every block matches, the verdict is true, the sign is the
-    product of the block signs and the right-hand side is +/- det, with
-    no global expansion.  When a block misses, the global product
-    prod w(x)^rho(x) is expanded and compared with the determinant,
-    trying + then -; this decides the verdict, and its expansion is the
-    `product` a false verdict reports.  Randomized mode evaluates both
-    sides at `trials` random points in [1, 10^6] modulo a fixed 62-bit
-    prime and requires one consistent sign across all trials; it never
-    expands the right-hand side.
+    Symbolic mode counts the factors w(x) of each block determinant
+    exactly (see `factor_sign`).  Randomized mode evaluates both sides
+    at `trials` random points in [1, 10^6] modulo a fixed 62-bit prime
+    and requires one consistent sign across all trials.  Neither mode
+    multiplies the blocks together or expands the right-hand side.
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
@@ -248,33 +266,23 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
         labeling = min_labeling(P)
     if weights is None:
         weights = WeightAssignment.default(P)
+    w = {x: weight(P, x, weights) for x in P.elements}
+    exponents = rho_exponents(P)
+    rhs = rhs_factors(P, w, exponents)
 
     if mode == "symbolic":
-        det, block_dets = block_determinants(P, labeling, weights)
-        exponents = rho_exponents(P)
-        sign = block_sign(P, weights, block_dets)
-        if sign is not None:
-            return VerificationReport(True, sign, det, det if sign == 1 else -det,
-                                      exponents, block_dets, "symbolic")
-        rhs, _ = rhs_product(P, weights)
-        if det == rhs:
-            sign, verdict = 1, True
-        elif det == -rhs:
-            sign, verdict = -1, True
-        else:
-            sign, verdict = None, False
-        return VerificationReport(verdict, sign, det, rhs, exponents,
+        block_dets = block_determinants(P, labeling, weights)
+        sign = factor_sign(block_dets, rhs)
+        return VerificationReport(sign is not None, sign, exponents, rhs,
                                   block_dets, "symbolic")
 
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
 
     blocks = block_decompose(chain_matrix(P, labeling, weights))
-    exponents = rho_exponents(P)
     p = VERIFICATION_PRIME
     rng = random.Random(seed)
     variables = sorted(set(weights.atom_vars.values()))
-    element_weights = {x: weight(P, x, weights) for x in P.elements}
     sign: int | None = None
     verdict = True
     for _ in range(trials):
@@ -284,10 +292,8 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
             rows = [[e.eval_mod(assignment, p) for e in row] for row in B]
             det_val = det_val * _det_mod(rows, p) % p
         rhs_val = 1
-        for x in P.elements:
-            e = exponents[x]
-            if e:
-                rhs_val = rhs_val * pow(element_weights[x].eval_mod(assignment, p), e, p) % p
+        for q, e in rhs:
+            rhs_val = rhs_val * pow(q.eval_mod(assignment, p), e, p) % p
         if det_val == rhs_val:
             trial_sign = 1
         elif det_val == (-rhs_val) % p:
@@ -302,6 +308,6 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
             verdict = False
             sign = None
             break
-    return VerificationReport(verdict, sign if verdict else None, None, None,
-                              exponents, [(t, len(B), None) for t, B in blocks],
+    return VerificationReport(verdict, sign if verdict else None, exponents, rhs,
+                              [(t, len(B), None) for t, B in blocks],
                               "randomized", trials=trials, seed=seed)

@@ -137,12 +137,17 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
             if s - {e} not in family:
                 raise NotDownwardClosed(
                     f"{set_id(s)} is independent but {set_id(s - {e})} is not")
-    for i1 in family:
-        for i2 in family:
-            if len(i1) < len(i2):
-                if not any(i1 | {e} in family for e in i2 - i1):
-                    raise ExchangeFails(
-                        f"no element of {set_id(i2)} extends {set_id(i1)}")
+    # The family is downward-closed, so exchange between sizes k and
+    # k + 1 implies it for all |I| < |J|: any (|I| + 1)-subset of J is
+    # independent and offers J's candidates outside I.
+    by_size: dict[int, list[frozenset]] = {}
+    for s in family:
+        by_size.setdefault(len(s), []).append(s)
+    for s in family:
+        extends = {e for e in ground_set - s if s | {e} in family}
+        for j in by_size.get(len(s) + 1, ()):
+            if extends.isdisjoint(j):
+                raise ExchangeFails(f"no element of {set_id(j)} extends {set_id(s)}")
     return Matroid(ground, frozenset(family))
 
 

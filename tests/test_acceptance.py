@@ -15,14 +15,13 @@ from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
 from bouquetdet.chains import (Chain, WeightAssignment, chain_matrix,
                                min_labeling, neat_chain_families)
 from bouquetdet.com import validate_com, zero_set_poset
-from bouquetdet.determinant import (block_decompose, det_bareiss, rhs_product,
-                                    verify_theorem)
+from bouquetdet.determinant import block_decompose, det_bareiss, verify_theorem
 from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
                                 matroid_from_json)
 from bouquetdet.polyring import Polynomial
 from conftest import load_fixture
 from test_com import composition
-from test_determinant import det_cofactor
+from test_determinant import block_product, det_cofactor, global_verdict
 from test_matroid import simplify
 
 MATROID_FIXTURES = ["matroid_u23.json", "matroid_u24.json", "matroid_u34.json",
@@ -100,7 +99,8 @@ def test_criterion_1_worked_example_end_to_end(bouquet_example):
     rep = verify_theorem(P, lab, w)
     target = (v["a5"] ** 3 * v["a4"] ** 2 * v["a3"] * v["a2"] * v["a1"] ** 2
               * (v["a2"] + v["a3"] + v["a5"]))
-    ok &= rep.verdict and rep.determinant in (target, -target)
+    ok &= rep.verdict and block_product(rep.blocks) == (target if rep.sign == 1 else -target)
+    ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
     ok &= P.rho("a1") == 2 and P.rho("r1") == 0
     elapsed = time.monotonic() - start
     ok &= elapsed < 1.0
@@ -130,7 +130,8 @@ def test_criterion_2_flag_matrix_identity():
     rep = verify_theorem(P)
     w1, w2, w3 = (Polynomial.var(i) for i in range(3))
     closed = w1 * w2 * w3 * (w1 + w2 + w3)
-    ok &= rep.determinant in (closed, -closed)
+    ok &= block_product(rep.blocks) == (closed if rep.sign == 1 else -closed)
+    ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
     report(f"2 flag-matrix identity on matroid fixtures ({elapsed:.2f}s)", ok)

@@ -59,13 +59,18 @@ class TestCheck:
 
 class TestPipelineCommands:
     def test_det_example(self, capsys):
+        from test_determinant import text_value
         code, out = run(capsys, "det", PEX)
         payload = json.loads(out)
         assert code == 0
         # expanded form of w1^2*w2*w3*w4^2*w5^3*(w2+w3+w5)
-        assert payload["det"] == ("w1^2*w2^2*w3*w4^2*w5^3"
-                                  " + w1^2*w2*w3^2*w4^2*w5^3"
-                                  " + w1^2*w2*w3*w4^2*w5^4")
+        expanded = text_value("w1^2*w2^2*w3*w4^2*w5^3"
+                              " + w1^2*w2*w3^2*w4^2*w5^3"
+                              " + w1^2*w2*w3*w4^2*w5^4")
+        assert payload["det"] == ("w1*w4*w1*w5*(w2^2*w3*w5 + w2*w3^2*w5"
+                                  " + w2*w3*w5^2)*w4*w5")
+        assert text_value(payload["det"]) == expanded
+        assert text_value("*".join(f"({b['det']})" for b in payload["blocks"])) == expanded
 
     def test_rho_example(self, capsys):
         code, out = run(capsys, "rho", PEX)
@@ -133,7 +138,8 @@ class TestTextFormat:
     def test_det_text(self, capsys):
         code, out = run(capsys, "det", PEX, "--format", "text")
         assert code == 0
-        assert out.strip().startswith("w1^2")
+        _, payload = run(capsys, "det", PEX)
+        assert out == json.loads(payload)["det"] + "\n"
 
 
 COMMANDS = ["check", "matrix", "det", "rho", "verify", "dot"]
@@ -221,55 +227,60 @@ class TestRunOnce:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
-    @pytest.mark.parametrize("argv, expansions", [
-        pytest.param(("verify",), 0, id="verify-symbolic"),
-        pytest.param(("verify", "--mode", "randomized"), 0, id="verify-randomized"),
-        pytest.param(("det",), 0, id="det"),
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("verify",), id="verify-symbolic"),
+        pytest.param(("verify", "--mode", "randomized"), id="verify-randomized"),
+        pytest.param(("det",), id="det"),
     ])
-    def test_rhs_expansions(self, monkeypatch, capsys, name, argv, expansions):
-        # Expansions of the global prod w(x)^rho(x) by rhs_product.  A
-        # true symbolic verdict is decided block by block, each block
-        # against its own product, so it never expands the global one.
+    def test_rhs_expansions(self, monkeypatch, capsys, name, argv):
+        # The blocks are never multiplied together: no product takes two
+        # block determinants.  (Neither mode expands the global
+        # prod w(x)^rho(x); see TestBlockVerdict in test_determinant.)
         from bouquetdet import determinant
-        calls = []
-        original = determinant.rhs_product
-        monkeypatch.setattr(determinant, "rhs_product",
-                            lambda *a: calls.append(1) or original(*a))
+        from bouquetdet.polyring import Polynomial
+        blocks, pairs = set(), []
+        bareiss = determinant.det_bareiss
+        monkeypatch.setattr(determinant, "det_bareiss",
+                            lambda B: blocks.add(id(d := bareiss(B))) or d)
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: pairs.append((id(a), id(b))) or mul(a, b))
         code, _ = run(capsys, argv[0], str(FIXTURES / name), *argv[1:],
                       "--kind", fixture_kind(name))
         assert code == 0
-        assert len(calls) == expansions
+        assert not [p for p in pairs if p[0] in blocks and p[1] in blocks]
 
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):
-        """How many times `command` formats a polynomial equal to the
-        determinant.  On sign +1 the right-hand side is the determinant
-        itself, and so is the determinant of a lone block."""
-        from bouquetdet import cli
+        """Run `command`; return the block determinants, in the order
+        det_bareiss returned them, and the polynomials it formatted."""
+        from bouquetdet import determinant
         from bouquetdet.polyring import Polynomial
         dets, formatted = [], []
-        recording = lambda fn: lambda *a, **k: dets.append(fn(*a, **k)) or dets[-1]
-        for attr in ("verify_theorem", "block_determinants"):
-            monkeypatch.setattr(cli, attr, recording(getattr(cli, attr)))
+        bareiss = determinant.det_bareiss
+        monkeypatch.setattr(determinant, "det_bareiss",
+                            lambda B: dets.append(bareiss(B)) or dets[-1])
         to_string = Polynomial.to_string
         monkeypatch.setattr(Polynomial, "to_string",
                             lambda self, *a: formatted.append(self) or to_string(self, *a))
         code, _ = run(capsys, command, str(FIXTURES / name), "--kind",
                       fixture_kind(name), "--format", fmt)
         assert code == 0
-        result, = dets
-        det = result.determinant if command == "verify" else result[0]
-        return len([p for p in formatted if p == det])
+        return dets, formatted
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        assert self.determinant_texts(monkeypatch, capsys, "verify", name, fmt) == 1
+        # Every fixture verifies with sign +1: each block is formatted
+        # once, and nothing else is (no product, no right-hand side).
+        dets, formatted = self.determinant_texts(monkeypatch, capsys, "verify", name, fmt)
+        assert sorted(map(id, formatted)) == sorted(map(id, dets))
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_det_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        assert self.determinant_texts(monkeypatch, capsys, "det", name, fmt) == 1
+        dets, formatted = self.determinant_texts(monkeypatch, capsys, "det", name, fmt)
+        assert sorted(map(id, formatted)) == sorted(map(id, dets))
 
     def test_seed_not_read_from_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("BOUQUETDET_SEED", "5")
@@ -295,34 +306,44 @@ class TestPerturbedVerdict:
     """Block determinants altered by hand: the only inputs whose verdict
     is false or whose sign is -1."""
 
+    @staticmethod
+    def texts(out, fmt):
+        """(verdict, sign, det, product) from a `verify` output."""
+        if fmt == "json":
+            payload = json.loads(out)
+            return payload["verdict"], payload["sign"], payload["det"], payload["product"]
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        sign = None if lines["sign"] == "None" else int(lines["sign"])
+        return lines["verdict"] == "True", sign, lines["det"], lines["product"]
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_negated_block(self, monkeypatch, capsys, fmt):
-        from bouquetdet.chains import WeightAssignment, min_labeling
-        from bouquetdet.determinant import block_determinants
         from bouquetdet.poset import poset_from_json
+        from test_determinant import global_verdict, text_value
         P = poset_from_json(load_fixture("poset_bouquet_example.json"))
-        unperturbed, _ = block_determinants(P, min_labeling(P),
-                                            WeightAssignment.default(P))
-        det = -unperturbed
+        _, _, unperturbed, rhs = global_verdict(P)
+        _, plain = run(capsys, "det", PEX, "--format", "text")
         perturb_block(monkeypatch, lambda d: -d)
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         assert code == 0
-        if fmt == "json":
-            payload = json.loads(out)
-            texts = payload["sign"], payload["det"], payload["product"]
-        else:
-            lines = dict(line.split(": ", 1) for line in out.splitlines())
-            texts = int(lines["sign"]), lines["det"], lines["product"]
-        assert texts == (-1, det.to_string(), (-det).to_string())
+        verdict, sign, det, product = self.texts(out, fmt)
+        # The first block, w1*w4, is one term: negating it negates the text.
+        assert (verdict, sign, det, product) == (True, -1, "-" + plain.strip(), plain.strip())
+        assert text_value(det) == text_value((-unperturbed).to_string())
+        assert text_value(product) == text_value(rhs.to_string())
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_scaled_block(self, monkeypatch, capsys, fmt):
         from bouquetdet.polyring import Polynomial
+        from bouquetdet.poset import poset_from_json
+        from test_determinant import global_verdict, text_value
+        _, _, unperturbed, rhs = global_verdict(
+            poset_from_json(load_fixture("poset_bouquet_example.json")))
         perturb_block(monkeypatch, lambda d: d * Polynomial.const(2))
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         assert code == 1
-        if fmt == "json":
-            payload = json.loads(out)
-            assert payload["verdict"] is False and payload["sign"] is None
-        else:
-            assert out.startswith("verdict: False\nsign: None\n")
+        verdict, sign, det, product = self.texts(out, fmt)
+        assert (verdict, sign) == (False, None)
+        assert product == "w1^2*w2*w3*w4^2*w5^3*(w2 + w3 + w5)"
+        assert text_value(product) == text_value(rhs.to_string())
+        assert text_value(det) == 2 * text_value(unperturbed.to_string())

@@ -1,19 +1,21 @@
+import json
 from itertools import combinations
 
 import pytest
+import sympy
 
 from bouquetdet import determinant
 from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling, weight
-from bouquetdet.cli import KINDS
+from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
-                                    det_bareiss, rhs_product, verify_theorem)
-from bouquetdet.matroid import (bouquet_flat_poset, build_bouquet_of_matroids,
-                                flat_lattice)
+                                    det_bareiss, rho_exponents, verify_theorem)
+from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
 from bouquetdet.polyring import Polynomial
 from conftest import load_fixture
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
+from test_polyring import power_product
 
 
 def var(i):
@@ -40,6 +42,30 @@ def det_cofactor(M):
         return acc
 
     return expand(list(range(n)), list(range(n)))
+
+
+def rhs_product(P, weights):
+    """Oracle: the factorization's right-hand side prod over all
+    elements x of w(x)^rho(x), expanded, with the exponent table."""
+    exponents = rho_exponents(P)
+    product = power_product(
+        (weight(P, x, weights), exponents[x]) for x in P.elements)
+    return product, exponents
+
+
+def block_product(blocks):
+    """Oracle: the determinant, expanded, as the product of the
+    (top, dim, det) blocks a report or `block_determinants` gives."""
+    product = Polynomial.one()
+    for _, _, d in blocks:
+        product = product * d
+    return product
+
+
+def text_value(text):
+    """A printed polynomial or product of factors, parsed and expanded by
+    sympy, independently of the library's own arithmetic."""
+    return sympy.expand(sympy.sympify(text.replace("^", "**")))
 
 
 class TestBlockDecompose:
@@ -167,14 +193,16 @@ class TestVerify:
     def test_one_atom(self, one_atom):
         report = verify_theorem(one_atom)
         assert report.verdict and report.sign == 1
-        assert report.determinant == var(0)
+        assert block_product(report.blocks) == var(0)
+        assert (report.verdict, report.sign) == global_verdict(one_atom)[:2]
 
     def test_u23(self, u23_lattice):
         P, _ = u23_lattice
         report = verify_theorem(P)
         w1, w2, w3 = (var(i) for i in range(3))
         assert report.verdict
-        assert report.determinant == w1 * w2 * w3 * (w1 + w2 + w3)
+        assert block_product(report.blocks) == w1 * w2 * w3 * (w1 + w2 + w3)
+        assert (report.verdict, report.sign) == global_verdict(P)[:2]
 
     def test_not_a_bouquet(self, pentagon):
         with pytest.raises(NotABouquet):
@@ -197,20 +225,27 @@ def global_verdict(P):
     """Oracle: multiply the block determinants, expand the global
     prod w(x)^rho(x) and compare; (verdict, sign, det, rhs)."""
     weights = WeightAssignment.default(P)
-    det, _ = block_determinants(P, min_labeling(P), weights)
+    det = block_product(block_determinants(P, min_labeling(P), weights))
     rhs, _ = rhs_product(P, weights)
     sign = 1 if det == rhs else -1 if det == -rhs else None
     return sign is not None, sign, det, rhs
 
 
-def uniform_bouquet(roofs, r, n):
-    """`roofs` copies of U(r, n), each sharing r - 1 elements with the next."""
+def uniform_bouquet_json(roofs, r, n):
+    """`roofs` copies of U(r, n), each sharing r - 1 elements with the
+    next, as the bouquet-of-matroids input schema."""
     step = n - (r - 1)
     ground = [f"b{i:02d}" for i in range(roofs * step + r - 1)]
     members = [ground[i * step: i * step + n] for i in range(roofs)]
-    independents = {frozenset(s) for roof in members
-                    for k in range(r + 1) for s in combinations(roof, k)}
-    return bouquet_flat_poset(build_bouquet_of_matroids(ground, members, independents))[0]
+    independents = sorted({tuple(s) for roof in members
+                           for k in range(r + 1) for s in combinations(roof, k)})
+    return {"ground": ground, "roofs": members,
+            "independents": [list(s) for s in independents]}
+
+
+def uniform_bouquet(roofs, r, n):
+    """The flat poset of `uniform_bouquet_json(roofs, r, n)`."""
+    return bouquet_flat_poset(bouquet_from_json(uniform_bouquet_json(roofs, r, n)))[0]
 
 
 def fixture_poset(name):
@@ -230,21 +265,25 @@ INSTANCES = {
 
 
 class TestBlockVerdict:
-    """The per-block verdict against the global expand-and-compare."""
+    """The verdict from factor counts per block against the global
+    expand-and-compare."""
 
     @pytest.mark.parametrize("name", INSTANCES)
     def test_equals_global(self, name):
         P = INSTANCES[name]()
         report = verify_theorem(P)
-        assert (report.verdict, report.sign, report.determinant, report.rhs) == \
-            global_verdict(P)
+        verdict, sign, det, rhs = global_verdict(P)
+        assert (report.verdict, report.sign) == (verdict, sign)
+        assert block_product(report.blocks) == det
+        assert power_product(report.rhs) == rhs
 
     @staticmethod
     def perturbed(monkeypatch, P, change):
         """Symbolic verify of P with block i's determinant replaced by
         change(i, det, w), w the element weights; the global oracle sees
         the same block determinants.  Returns (report, oracle, number of
-        global right-hand-side expansions made by verify)."""
+        products verify forms of the whole determinant's total degree:
+        the product of the blocks or the global right-hand side)."""
         weights = WeightAssignment.default(P)
         w = {x: weight(P, x, weights) for x in P.elements}
         calls = []
@@ -255,37 +294,65 @@ class TestBlockVerdict:
             return change(len(calls) - 1, original(B), w)
 
         monkeypatch.setattr(determinant, "det_bareiss", patched)
-        expansions = []
-        rhs = determinant.rhs_product
-        monkeypatch.setattr(determinant, "rhs_product",
-                            lambda *a: expansions.append(1) or rhs(*a))
+        degree = sum(rho_exponents(P).values())
+        products = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: products.append(mul(a, b)) or products[-1])
         report = verify_theorem(P)
+        monkeypatch.setattr(Polynomial, "__mul__", mul)
         calls.clear()
         oracle = global_verdict(P)
-        return report, oracle, len(expansions)
+        return report, oracle, len([p for p in products if p.total_degree() == degree])
 
     # Blocks of the worked example, in order: r1, r2, r3, r4; the r3 block
     # is w2*w3*w5*(w2 + w3 + w5), the last factor being w(r3).
     @pytest.mark.parametrize("change, verdict, sign, expansions", [
         pytest.param(lambda i, d, w: d * Polynomial.const(2) if i == 0 else d,
-                     False, None, 1, id="scaled"),
+                     False, None, 0, id="scaled"),
         pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
-                     False, None, 1, id="extra-factor"),
+                     False, None, 0, id="extra-factor"),
         pytest.param(lambda i, d, w: d * w["r3"] if i == 0
                      else d.exact_div(w["r3"]) if i == 2 else d,
-                     True, 1, 1, id="moved-factor"),
+                     True, 1, 0, id="moved-factor"),
         pytest.param(lambda i, d, w: -d if i == 1 else d,
                      True, -1, 0, id="negated"),
         pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
                      else d.exact_div(w["r3"]) if i == 2 else d,
-                     True, -1, 1, id="moved-factor-negated"),
+                     True, -1, 0, id="moved-factor-negated"),
     ])
     def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,
                               verdict, sign, expansions):
         report, oracle, made = self.perturbed(monkeypatch, bouquet_example, change)
-        assert (report.verdict, report.sign, report.determinant, report.rhs) == oracle
+        oracle_verdict, oracle_sign, det, rhs = oracle
+        assert (report.verdict, report.sign) == (oracle_verdict, oracle_sign)
         assert (report.verdict, report.sign) == (verdict, sign)
+        assert block_product(report.blocks) == det
         assert made == expansions
-        det, product = report.texts()
-        assert det == report.determinant.to_string()
-        assert product == report.rhs.to_string()
+        block_texts, det_text, product_text = report.texts()
+        assert block_texts == [d.to_string() for _, _, d in report.blocks]
+        assert text_value(det_text) == text_value(det.to_string())
+        assert text_value(product_text) == text_value(rhs.to_string())
+
+
+# Multi-block inputs whose global product of blocks is too large to form
+# (4xU(2,5): 39 s and 2.6 GB; 3xU(2,6): out of memory under 3 GiB).
+LARGE_BOUQUETS = {"4xU(2,5)": ((4, 2, 5), [4, 4, 4, 4]),
+                  "3xU(2,6)": ((3, 2, 6), [5, 5, 5])}
+
+
+@pytest.mark.parametrize("command", ["verify", "det"])
+@pytest.mark.parametrize("name", LARGE_BOUQUETS)
+def test_large_bouquet_factored(tmp_path, capsys, name, command):
+    shape, dims = LARGE_BOUQUETS[name]
+    path = tmp_path / "bouquet.json"
+    path.write_text(json.dumps(uniform_bouquet_json(*shape)))
+    code = main([command, str(path), "--kind", "bouquet"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.encode()) < 64 * 1024
+    payload = json.loads(out)
+    assert [b["dim"] for b in payload["blocks"]] == dims
+    assert payload["det"] == "*".join(f"({b['det']})" for b in payload["blocks"])
+    if command == "verify":
+        assert payload["verdict"] is True and payload["sign"] == 1

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bouquetdet.determinant import det_bareiss
-from bouquetdet.polyring import (DivisionByZero, NotDivisible, Polynomial,
-                                 power_product)
+from bouquetdet.polyring import DivisionByZero, NotDivisible, Polynomial
 
 w = [Polynomial.var(i) for i in range(6)]
+
+
+def power_product(factors):
+    """Product of p_i^k_i; the empty product is 1."""
+    out = Polynomial.one()
+    for p, k in factors:
+        if k:
+            out = out * p**k
+    return out
 
 
 def poly_from_terms(terms):
