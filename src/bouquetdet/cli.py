@@ -97,6 +97,16 @@ def _load_poset(args) -> Poset:
         raise CliError(f"{args.kind}: {exc}", EXIT_STRUCTURAL) from exc
 
 
+def _load_labels(path: str) -> dict[str, str]:
+    """Read an explicit labeling: a JSON object of element -> atom name."""
+    labels = _load_json(path)
+    if not (isinstance(labels, dict)
+            and all(isinstance(a, str) for a in labels.values())):
+        raise CliError(f"malformed labeling: {path} is not an object of "
+                       f"element -> atom name", EXIT_PARSE)
+    return labels
+
+
 def _labeling_and_weights(P: Poset, args):
     atom_order = None
     if args.atom_order:
@@ -105,7 +115,7 @@ def _labeling_and_weights(P: Poset, args):
         if args.labeling == "min":
             labeling = min_labeling(P, atom_order)
         else:
-            labeling = make_labeling(P, _load_json(args.labeling))
+            labeling = make_labeling(P, _load_labels(args.labeling))
     except InvalidLabeling as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
     if atom_order is None:

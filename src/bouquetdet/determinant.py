@@ -4,9 +4,15 @@ its factorization det = +/- prod over elements x of w(x)^rho(x).
 Symbolic mode computes each family block's determinant by fraction-free
 (Bareiss) elimination and counts the weights w(x) among its factors; it
 never multiplies the blocks together or expands the right-hand side.
-Randomized mode evaluates both sides at random integer points modulo a
-fixed 62-bit prime.  The independent oracles these are tested against
-(a Laplace-expansion determinant, the expanded products) live in tests.
+The elimination packs each block once, in one monomial layout of degree
+bound 2D, D the sum over the rows of their largest entry degree: every
+intermediate is a minor of degree at most D, every numerator a product
+of two.  It runs every step on packed dicts with the `polyring` kernels,
+unpacks only the determinant, and at step k pivots on the entry of
+fewest terms in column k at or below row k.  Randomized mode evaluates
+both sides at random integer points modulo a fixed 62-bit prime.  The
+independent oracles these are tested against (a Laplace-expansion
+determinant, the expanded products) live in tests.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .chains import ChainMatrix, Labeling, WeightAssignment, chain_matrix, min_labeling, weight
-from .polyring import NotDivisible, Polynomial
+from .polyring import NotDivisible, Packing, Polynomial, div_exact, mul_into
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
@@ -56,10 +62,14 @@ def block_decompose(M: ChainMatrix) -> list[tuple[str, Matrix]]:
 
 
 def det_bareiss(M: Matrix) -> Polynomial:
-    """Exact determinant by single-step fraction-free elimination.
+    """Exact determinant by single-step fraction-free elimination on
+    packed entries (see the module docstring).
 
-    Every division is by the previous pivot and is exact over Z[w];
-    a nonzero remainder would mean a bug and raises NotDivisible.
+    Each numerator a_kk * a_ij - a_ik * a_kj is formed in one dict and
+    divided by the previous pivot.  Every such division is exact over
+    Z[w]; a nonzero remainder would mean a bug and raises NotDivisible.
+    The pivot at step k is the first of the entries of fewest terms in
+    column k at or below row k; the determinant is zero when there is none.
     """
     n = len(M)
     for row in M:
@@ -67,25 +77,30 @@ def det_bareiss(M: Matrix) -> Polynomial:
             raise DeterminantError("matrix is not square")
     if n == 0:
         return Polynomial.one()
-    a = [list(row) for row in M]
+    degree = sum(max(e.total_degree() for e in row) for row in M)
+    layout = Packing(set().union(*(e.variables() for row in M for e in row)),
+                     2 * degree)
+    guard = layout.guard()
+    a = [[layout.pack(e) for e in row] for row in M]
     sign = 1
-    prev = Polynomial.one()
+    prev = {0: 1}  # the constant 1, packed
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(k + 1, n):
+        pivot = min((i for i in range(k, n) if a[i][k]),
+                    key=lambda i: len(a[i][k]), default=None)
+        if pivot is None:
+            return Polynomial.zero()
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k = a[k]
+        a_kk = row_k[k]
+        for row in a[k + 1:]:
+            minus_a_ik = {t: -c for t, c in row[k].items()}
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
+                num = mul_into(mul_into({}, a_kk, row[j]), minus_a_ik, row_k[j])
+                row[j] = div_exact(num, prev, guard)
+        prev = a_kk
+    det = layout.unpack(a[n - 1][n - 1])
     return -det if sign < 0 else det
 
 

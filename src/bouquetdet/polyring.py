@@ -8,17 +8,23 @@ w1 > w2 > ... for printing and for leading-term division.
 
 Multiplication and exact division run on packed monomials (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  Each operation lays its monomials out in
-one int: the total degree in the top field, then one field per variable
-occurring in the operands, the smallest index highest.  A larger int is
-then exactly an earlier monomial in the graded-lex order, and multiplying
-monomials is adding ints.  The field width is chosen per operation from
-the operands' degree bound, plus one guard bit per exponent field: when
-one monomial does not divide another, their difference is negative or
-has a guard bit set.  Exact division keeps its remainder as a dict from
-packed monomial to coefficient together with a max-heap of its keys
-(after Johnson, 1974): it pops the leading monomial, forms one quotient
-term t and subtracts t * (q - LT(q)) in place.
+exponent vectors", CASC 2007).  A `Packing` lays monomials out in one
+int: the total degree in the top field, then one field per variable of
+the layout, the smallest index highest.  A larger int is then exactly an
+earlier monomial in the graded-lex order, and multiplying monomials is
+adding ints.  The field width comes from a degree bound, plus one guard
+bit per exponent field: when one monomial does not divide another, their
+difference is negative or has a guard bit set.  A packed polynomial is a
+dict from packed monomial to coefficient, and the two kernels work on
+those: `mul_into` adds a product into a dict, and `div_exact` keeps its
+remainder as such a dict together with a max-heap of its keys (after
+Johnson, 1974), pops the leading monomial, forms one quotient term t and
+subtracts t * (q - LT(q)) in place.  `Polynomial.__mul__` and
+`exact_div` pack their operands in a layout of their own, call a kernel
+and unpack the result.  Bareiss elimination (`determinant.det_bareiss`)
+packs each block in one layout, of degree bound 2D for D the sum of the
+rows' largest entry degrees, calls the same kernels at every step, with
+the entry of fewest terms as pivot, and unpacks only the determinant.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def _mono_degree(m: Monomial) -> int:
     return sum(map(_exponent, m))
 
 
-class _Packing:
+class Packing:
     """Packed-int layout of the monomials in `variables` up to total
     degree `degree` (see the module docstring)."""
 
@@ -89,6 +95,61 @@ class _Packing:
             tuple((v, e) for v, s in fields if (e := k >> s & mask)): c
             for k, c in packed.items() if c}
         return out
+
+
+def mul_into(out: dict[int, int], a: Mapping[int, int],
+             b: Mapping[int, int]) -> dict[int, int]:
+    """Add the product of the packed polynomials a and b to `out`, all in
+    one layout wide enough for the product, and return `out`.  Terms that
+    cancel are left in with coefficient 0."""
+    b_terms = list(b.items())
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b_terms:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def div_exact(p: Mapping[int, int], q: Mapping[int, int],
+              guard: int) -> dict[int, int]:
+    """The packed quotient s with p = q * s; raises NotDivisible when
+    there is none.  p and q share one layout wide enough for p, whose
+    guard bits are `guard`; zero coefficients of p are ignored and q must
+    be nonzero.
+
+    Leading-term division in graded-lex order: over an integral domain
+    the quotient's leading term is always LT(p)/LT(q), so the greedy loop
+    ends with zero remainder iff q divides p.
+    """
+    rem = {k: c for k, c in p.items() if c}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    tail = dict(q)
+    lt_q = max(tail)
+    lc_q = tail.pop(lt_q)
+    tail = list(tail.items())
+    quot: dict[int, int] = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        m = k - lt_q
+        s, r = divmod(c, lc_q)
+        if m < 0 or m & guard or r:
+            raise NotDivisible("nonzero remainder")
+        quot[m] = s
+        # Every key m + t below is smaller than k, so no key that has
+        # left the heap comes back and each key is pushed once.
+        for t, ct in tail:
+            key = m + t
+            if key in rem:
+                rem[key] -= s * ct
+            else:
+                rem[key] = -s * ct
+                heapq.heappush(heap, -key)
+    return quot
 
 
 class Polynomial:
@@ -170,16 +231,9 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self._terms or not other._terms:
             return Polynomial.zero()
-        layout = _Packing(self.variables() | other.variables(),
-                          self.total_degree() + other.total_degree())
-        b = list(layout.pack(other).items())
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in layout.pack(self).items():
-            for kb, cb in b:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return layout.unpack(out)
+        layout = Packing(self.variables() | other.variables(),
+                         self.total_degree() + other.total_degree())
+        return layout.unpack(mul_into({}, layout.pack(self), layout.pack(other)))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -204,12 +258,8 @@ class Polynomial:
         return self._hash
 
     def exact_div(self, q: "Polynomial") -> "Polynomial":
-        """Quotient s with self = q * s; raises NotDivisible otherwise.
-
-        Leading-term division in graded-lex order: over an integral
-        domain the quotient's leading term is always LT(p)/LT(q), so the
-        greedy loop terminates with zero remainder iff q divides p.
-        """
+        """Quotient s with self = q * s; raises NotDivisible otherwise
+        (see `div_exact`)."""
         if q.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
@@ -217,36 +267,9 @@ class Polynomial:
         degree = self.total_degree()
         if q.total_degree() > degree:
             raise NotDivisible("divisor of higher degree than the dividend")
-        layout = _Packing(self.variables() | q.variables(), degree)
-        guard = layout.guard()
-        rem = layout.pack(self)
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        tail = layout.pack(q)
-        lt_q = max(tail)
-        lc_q = tail.pop(lt_q)
-        tail = list(tail.items())
-        quot: dict[int, int] = {}
-        while heap:
-            k = -heapq.heappop(heap)
-            c = rem.pop(k)
-            if not c:
-                continue
-            m = k - lt_q
-            s, r = divmod(c, lc_q)
-            if m < 0 or m & guard or r:
-                raise NotDivisible("nonzero remainder")
-            quot[m] = s
-            # Every key m + t below is smaller than k, so no key that has
-            # left the heap comes back and each key is pushed once.
-            for t, ct in tail:
-                key = m + t
-                if key in rem:
-                    rem[key] -= s * ct
-                else:
-                    rem[key] = -s * ct
-                    heapq.heappush(heap, -key)
-        return layout.unpack(quot)
+        layout = Packing(self.variables() | q.variables(), degree)
+        return layout.unpack(div_exact(layout.pack(self), layout.pack(q),
+                                       layout.guard()))
 
     # -- homomorphisms ------------------------------------------------
 
@@ -287,7 +310,7 @@ class Polynomial:
         names = {v: name(v) for v, _ in factors}
         factor = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}"
                   for v, e in factors}.__getitem__
-        order = _Packing(set(names), self.total_degree()).key
+        order = Packing(set(names), self.total_degree()).key
         out = []
         for m in sorted(terms, key=order, reverse=True):
             c = terms[m]

@@ -178,6 +178,22 @@ class TestExitCodes:
         code, _ = run(capsys, command, str(path), "--kind", kind)
         assert code == expected
 
+    @pytest.mark.parametrize("command", ["verify", "det", "matrix"])
+    @pytest.mark.parametrize("labels, expected", [
+        pytest.param("[]", 3, id="list"),
+        pytest.param(json.dumps({"a1": ["x"]}), 3, id="list-label"),
+        pytest.param(json.dumps({"a1": 1}), 3, id="number-label"),
+        pytest.param('"a1"', 3, id="string"),
+        pytest.param(json.dumps({"a1": "a2"}), 2, id="wrong-atom"),
+    ])
+    def test_malformed_labeling(self, tmp_path, capsys, command, labels, expected):
+        path = tmp_path / "labeling.json"
+        path.write_text(labels)
+        code = main([command, PEX, "--labeling", str(path)])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("malformed labeling: ") == (expected == 3)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_simple_matroid(self, tmp_path, capsys, command):
         # 1 and 2 are parallel: valid as a matroid, but it has no flat lattice.

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,8 @@ import sympy
 from bouquetdet import determinant
 from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling, weight
 from bouquetdet.cli import KINDS, main
-from bouquetdet.determinant import (NonZeroOffBlock, NotABouquet, TooLarge,
+from bouquetdet.determinant import (VERIFICATION_PRIME, NonZeroOffBlock,
+                                    NotABouquet, TooLarge, _det_mod,
                                     block_decompose, block_determinants,
                                     det_bareiss, rho_exponents, verify_theorem)
 from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
@@ -157,6 +159,94 @@ class TestCofactor:
         for _, B in block_decompose(M):
             product = product * det_bareiss(B)
         assert det_cofactor([list(r) for r in M.entries]) == product
+
+
+def random_matrix(rng, n, shape):
+    """A seeded sparse n x n matrix over w1..w3: about a third of the
+    entries zero, the others up to three terms of degree at most 2 with
+    small coefficients, then reshaped:
+    - "zero-lead": the top left entry is zero;
+    - "swap": column 0 is zero but in the last row, whose entry has one
+      term, so the first pivot is a swap;
+    - "dense-top": row 0 has many terms in column 0 and row 1 one, so
+      the fewest-terms pivot swaps where a first-nonzero pivot would not;
+    - "singular": the last row is w1 * row 0 - 2 * row 1 (w1 * row 0
+      when n = 2);
+    - "zero-column": the middle column is zero."""
+    def entry():
+        if rng.random() < 0.35:
+            return Polynomial.zero()
+        return sum((Polynomial.monomial(rng.choices(range(3), k=rng.randint(0, 2)),
+                                        rng.choice([-3, -2, -1, 1, 2, 3]))
+                    for _ in range(rng.randint(1, 3))), Polynomial.zero())
+
+    M = [[entry() for _ in range(n)] for _ in range(n)]
+    zero = Polynomial.zero()
+    if shape == "zero-lead":
+        M[0][0] = zero
+    elif shape == "swap":
+        for row in M[:-1]:
+            row[0] = zero
+        M[-1][0] = var(rng.randrange(3))
+    elif shape == "dense-top":
+        M[0][0] = var(0) + var(1) + var(2) + Polynomial.const(5)
+        M[1][0] = var(rng.randrange(3))
+    elif shape == "singular":
+        M[-1] = [var(1) * a - Polynomial.const(2 if n > 2 else 0) * b
+                 for a, b in zip(M[0], M[1])]
+    elif shape == "zero-column":
+        for row in M:
+            row[n // 2] = zero
+    return M
+
+
+class TestBareissOracle:
+    """det_bareiss against independent determinants, sign included."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "dense-top",
+                                       "singular", "zero-column"])
+    def test_equals_cofactor(self, shape, n):
+        for seed in range(4):
+            M = random_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
+            det = det_bareiss(M)
+            assert det == det_cofactor(M)
+            if shape in ("singular", "zero-column"):
+                assert det.is_zero()
+
+    def test_above_cofactor_limit(self):
+        # U(3,6) has one family block, of dimension 10.
+        P = flat_lattice(uniform(3, 6))[0]
+        [(_, B)] = block_decompose(chain_matrix(P, min_labeling(P),
+                                                WeightAssignment.default(P)))
+        assert len(B) == 10
+        det = det_bareiss(B)
+        p = VERIFICATION_PRIME
+        rng = random.Random(36)
+        for _ in range(3):
+            point = {v: rng.randint(1, 10**6) for v in det.variables()}
+            rows = [[e.eval_mod(point, p) for e in row] for row in B]
+            assert det.eval_mod(point, p) == _det_mod(rows, p)
+        # Reversing the 10 rows is 5 transpositions.
+        assert det_bareiss(B[::-1]) == -det
+
+    def test_no_polynomial_arithmetic(self, monkeypatch):
+        # The elimination runs on packed dicts: no Polynomial product or
+        # quotient per step.
+        P = flat_lattice(graphic_complete(4))[0]
+        blocks = block_decompose(chain_matrix(P, min_labeling(P),
+                                              WeightAssignment.default(P)))
+        B = next(B for _, B in blocks if len(B) == 6)
+        expected = det_cofactor(B)
+        calls = []
+        for name in ("__mul__", "exact_div"):
+            original = getattr(Polynomial, name)
+            monkeypatch.setattr(Polynomial, name, lambda a, b, name=name, f=original:
+                                calls.append(name) or f(a, b))
+        det = det_bareiss(B)
+        assert calls == []
+        monkeypatch.undo()
+        assert det == expected
 
 
 class TestRhsProduct:

@@ -232,3 +232,36 @@ def test_det_bareiss_matches_sympy(seed):
     symbols = sympy.symbols("w1:4")
     expected = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in M]).det()
     assert sympy.expand(to_sympy(det_bareiss(M), symbols) - expected) == 0
+
+
+@pytest.mark.parametrize("name", ["degree-300", "zero-column"])
+def test_det_bareiss_packing_width(monkeypatch, name):
+    # High single-variable powers: numerators reach degree twice the sum
+    # of the rows' largest entry degrees, and the layout must hold them
+    # with every guard bit clear (a set guard bit marks a failed
+    # monomial division).
+    sympy = pytest.importorskip("sympy")
+    from bouquetdet import determinant
+    x, y, z = w[:3]
+    c = Polynomial.const
+    if name == "degree-300":
+        M = [[x**300 + y, x**299 * y, z**7],
+             [y**300 - x, x**300 + z**2, x**150 * y**150],
+             [z**300 + x, c(5) * x**200, x**300 - y**300]]
+    else:
+        M = [[x**300, c(0), y**2], [z, c(0), x * y], [c(3), c(0), x**150]]
+    dividends = []
+    div_exact = determinant.div_exact
+
+    def checked(p, q, guard):
+        dividends.append(p)
+        assert not any(k & guard for k in p)
+        return div_exact(p, q, guard)
+
+    monkeypatch.setattr(determinant, "div_exact", checked)
+    det = det_bareiss(M)
+    assert dividends
+    symbols = sympy.symbols("w1:4")
+    expected = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in M]).det()
+    assert sympy.expand(to_sympy(det, symbols) - expected) == 0
+    assert det.is_zero() == (name == "zero-column")
