@@ -83,12 +83,19 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     a witness on failure.
 
     Each covector is held as two bitmasks over the ground positions, the
-    positions signed + and the positions signed -.  FS: X o (-Y) is two
-    mask expressions and one set lookup.  SE: `at[s][f]` is the bitset of
-    covector indices with sign s at position f; the covectors that agree
-    with X o Y off the separator S(X, Y) are the AND of
-    `at[(X o Y)_f][f]` over f not in S, and SE fails at e in S exactly
-    when none of them is 0 at e.  Off S, X o Y = Y o X, so each unordered
+    positions signed + and the positions signed -.
+
+    FS: X o (-Y) is X off the zero set z(X) and -Y on it, so it depends
+    only on X and on Y restricted to z(X).  Topes (no zeros) pass at
+    once; every other X is checked against the distinct restrictions of
+    -Y to z(X), collected once per distinct zero set, each check two mask
+    expressions and one set lookup.  Only a failing X has its row
+    rescanned, in input order, for the witness.
+
+    SE: `at[s][f]` is the bitset of covector indices with sign s at
+    position f; the covectors that agree with X o Y off the separator
+    S(X, Y) are the AND of `at[(X o Y)_f][f]` over f not in S, and SE
+    fails at e in S exactly when none of them is 0 at e.  Off S, X o Y = Y o X, so each unordered
     pair is checked once, and the outcome is memoised on S and X o Y
     restricted to the complement of S.
 
@@ -108,11 +115,20 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
             vecs.append(x)
     masks = [_sign_masks(x) for x in vecs]
     pool = {plus | minus << n for plus, minus in masks}
+    # -Y restricted to each zero set z, as (plus, minus) pairs, deduplicated
+    flipped: dict[int, set[tuple[int, int]]] = {}
+    everywhere = (1 << n) - 1
     for x, (xp, xm) in zip(vecs, masks):
-        free = ~(xp | xm)
-        for y, (yp, ym) in zip(vecs, masks):
-            if (xp | ym & free) | (xm | yp & free) << n not in pool:
-                raise FSViolation(x, y)
+        zero = everywhere & ~(xp | xm)
+        if not zero:
+            continue  # a tope: X o (-Y) = X
+        rows = flipped.get(zero)
+        if rows is None:
+            rows = flipped[zero] = {(ym & zero, yp & zero) for yp, ym in masks}
+        if any((xp | plus) | (xm | minus) << n not in pool for plus, minus in rows):
+            y = next(y for y, (yp, ym) in zip(vecs, masks)
+                     if (xp | ym & zero) | (xm | yp & zero) << n not in pool)
+            raise FSViolation(x, y)
     at = {s: [0] * n for s in _SIGNS}
     for k, x in enumerate(vecs):
         for f, s in enumerate(x):

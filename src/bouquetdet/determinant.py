@@ -254,6 +254,8 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
             a[k], a[piv] = a[piv], a[k]
             det = -det % p
         det = det * a[k][k] % p
+        if k == n - 1:
+            break  # no row left to eliminate: skip the inverse
         inv = pow(a[k][k], p - 2, p)
         for i in range(k + 1, n):
             f = a[i][k] * inv % p

@@ -8,6 +8,7 @@ from bouquetdet.chains import (Chain, InvalidLabeling, WeightAssignment,
                                min_labeling, neat_chain_families, weight)
 from bouquetdet.poset import build_poset
 from bouquetdet.polyring import Polynomial
+from test_poset import join_all
 
 
 def brute_generators(P, chain):
@@ -141,7 +142,7 @@ class TestGenerators:
         for c in enumerate_maximal_chains(P):
             for t in generators(P, c):
                 assert len(set(t)) == len(t)
-                assert P.join_all(t) == c.top
+                assert join_all(P, t) == c.top
 
 
 class TestWeight:

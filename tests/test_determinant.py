@@ -249,6 +249,51 @@ class TestBareissOracle:
         assert det == expected
 
 
+def random_int_matrix(rng, n, shape):
+    """A seeded integer n x n matrix, about a third of the entries zero,
+    the others in [-9, 9] or near +-p, reshaped as in `random_matrix`:
+    "zero-lead", "swap" (column 0 nonzero only in the last row), and
+    "singular" (the last row is 3 * row 0 - row 1, or row 0 at n = 2)."""
+    p = VERIFICATION_PRIME
+    M = [[0 if rng.random() < 0.35 else rng.choice([rng.randint(-9, 9), p - 1, -p - 2])
+          for _ in range(n)] for _ in range(n)]
+    if shape == "zero-lead":
+        M[0][0] = 0
+    elif shape == "swap":
+        for row in M[:-1]:
+            row[0] = 0
+        M[-1][0] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    elif shape == "singular" and n > 1:
+        M[-1] = [3 * a - b if n > 2 else a for a, b in zip(M[0], M[1])]
+    return M
+
+
+class TestDetMod:
+    """_det_mod against the cofactor determinant reduced mod p."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "singular"])
+    def test_equals_cofactor(self, shape, n):
+        p = VERIFICATION_PRIME
+        for seed in range(4):
+            M = random_int_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
+            expected = det_cofactor([[Polynomial.const(c) for c in row] for row in M])
+            assert _det_mod(M, p) == expected.terms.get((), 0) % p
+            if shape == "singular" and n > 1 or shape == "zero-lead" and n == 1:
+                assert _det_mod(M, p) == 0
+
+    def test_last_pivot_takes_no_inverse(self, monkeypatch):
+        # a 1 x 1 block needs no inverse; an n x n one needs n - 1
+        calls = []
+        monkeypatch.setattr(determinant, "pow", lambda *a: calls.append(a) or pow(*a),
+                            raising=False)
+        p = VERIFICATION_PRIME
+        assert _det_mod([[-5]], p) == p - 5
+        assert calls == []
+        assert _det_mod([[2, 1, 0], [1, 2, 1], [0, 1, 2]], p) == 4
+        assert len(calls) == 2
+
+
 class TestRhsProduct:
     def test_example(self, labeled):
         P, lab, w = labeled

@@ -1,12 +1,75 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouquetdet.matroid import flat_lattice
-from bouquetdet.poset import (CycleDetected, NotComparable, RedundantCover,
-                              UnknownElement, build_poset, inclusion_poset,
-                              poset_from_json)
+from bouquetdet import poset as poset_mod
+from bouquetdet.com import com_from_json, zero_set
+from bouquetdet.matroid import bouquet_from_json, flat_lattice
+from bouquetdet.poset import (CycleDetected, RedundantCover, UnknownElement,
+                              build_poset, inclusion_poset, poset_from_json,
+                              set_id)
 from conftest import FIXTURES, load_fixture
 from test_matroid import graphic_complete, uniform
+
+
+# -- scan oracles ------------------------------------------------------
+#
+# The order comes from a search over P.covers, never from the poset's
+# own masks, so these check the kernel rather than restate it.
+
+@functools.lru_cache(maxsize=None)
+def closure(P):
+    """(above, below): x -> frozenset of y >= x, and of y <= x, from the
+    reflexive transitive closure of P.covers."""
+    succ = {x: [] for x in P.elements}
+    for a, b in P.covers:
+        succ[a].append(b)
+    above = {}
+    for x in P.elements:
+        seen = {x}
+        stack = [x]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        above[x] = frozenset(seen)
+    below = {x: frozenset(y for y in P.elements if x in above[y]) for x in P.elements}
+    return above, below
+
+
+def scan_leq(P, x, y):
+    return y in closure(P)[0][x]
+
+
+def scan_meet(P, x, y):
+    """The common lower bound above all the others, or None."""
+    below = closure(P)[1]
+    lower = below[x] & below[y]
+    return next((m for m in lower if lower <= below[m]), None)
+
+
+def join_all(P, xs):
+    """The common upper bound of `xs` below all the others, or None; for
+    the empty set, the least element."""
+    above = closure(P)[0]
+    upper = frozenset(P.elements).intersection(*(above[x] for x in xs))
+    return next((j for j in upper if upper <= above[j]), None)
+
+
+def scan_join(P, x, y):
+    return join_all(P, (x, y))
+
+
+def interval(P, x, y):
+    """Induced subposet on {z : x <= z <= y}."""
+    if not scan_leq(P, x, y):
+        raise ValueError(f"{x!r} is not below {y!r}")
+    above, below = closure(P)
+    members = above[x] & below[y]
+    return build_poset([z for z in P.elements if z in members],
+                       [(a, b) for a, b in P.covers if a in members and b in members])
 
 
 def brute_mobius(P, x, y):
@@ -33,6 +96,15 @@ class TestBuild:
         assert P.covers == {("{}", "{a}"), ("{}", "{b}"), ("{a}", "{a,b}"),
                             ("{b}", "{a,b}"), ("{a,b}", "{a,b,c}")}
         assert mapping["{a,b}"] == frozenset("ab")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=12))
+    def test_inclusion_covers_against_scan(self, sets):
+        P, mapping = inclusion_poset(sets)
+        distinct = set(sets)
+        assert P.covers == {(set_id(a), set_id(b)) for a in distinct for b in distinct
+                            if a < b and not any(a < c < b for c in distinct)}
+        assert mapping == {set_id(s): s for s in distinct}
 
     def test_example_shape(self, bouquet_example):
         P = bouquet_example
@@ -64,22 +136,16 @@ class TestMeetJoin:
         assert bouquet_example.join("a1", "a2") is None
 
     def test_meet_against_scan(self, bouquet_example, pentagon):
-        # exhaustive-scan oracle for the greatest lower bound
         for P in (bouquet_example, pentagon):
             for x in P.elements:
                 for y in P.elements:
-                    lb = [z for z in P.elements if P.leq(z, x) and P.leq(z, y)]
-                    greatest = [z for z in lb if all(P.leq(u, z) for u in lb)]
-                    assert P.meet(x, y) == (greatest[0] if greatest else None)
+                    assert P.meet(x, y) == scan_meet(P, x, y)
 
     def test_join_against_scan(self, bouquet_example):
-        # exhaustive-scan oracle for the least upper bound
         P = bouquet_example
         for x in P.elements:
             for y in P.elements:
-                ub = [z for z in P.elements if P.leq(x, z) and P.leq(y, z)]
-                least = [z for z in ub if all(P.leq(z, u) for u in ub)]
-                assert P.join(x, y) == (least[0] if least else None)
+                assert P.join(x, y) == scan_join(P, x, y)
 
 
 class TestStructure:
@@ -91,7 +157,7 @@ class TestStructure:
 
     def test_geometric_interval(self, bouquet_example):
         P = bouquet_example
-        assert P.interval("0", "r3").is_geometric_lattice()
+        assert interval(P, "0", "r3").is_geometric_lattice()
 
     def test_pentagon_not_geometric(self, pentagon):
         reason, witness = pentagon.geometric_failure()
@@ -107,6 +173,19 @@ class TestStructure:
         assert not pentagon.is_bouquet()
         assert one_atom.is_bouquet()
 
+    def test_bouquet_builds_no_poset(self, monkeypatch):
+        # the generic-lines COM's zero-set poset has three tops; the
+        # bouquet test runs on the poset itself, with no interval built
+        c = com_from_json(load_fixture("com_generic_lines.json"))
+        P, _ = inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)
+        assert len(P.maximal) == 3
+        calls = []
+        original = poset_mod.build_poset
+        monkeypatch.setattr(poset_mod, "build_poset",
+                            lambda *args: calls.append(args) or original(*args))
+        assert P.is_bouquet()
+        assert calls == []
+
     def test_bouquet_implies_meet_semilattice(self, bouquet_example, one_atom):
         for P in (bouquet_example, one_atom):
             assert not P.is_bouquet() or P.is_meet_semilattice()
@@ -115,7 +194,7 @@ class TestStructure:
         # on each geometric interval: x^y covered by x implies y covered by x v y
         P = bouquet_example
         for r in P.maximal:
-            I = P.interval("0", r)
+            I = interval(P, "0", r)
             for x in I.elements:
                 for y in I.elements:
                     m, j = I.meet(x, y), I.join(x, y)
@@ -124,24 +203,35 @@ class TestStructure:
 
 
 def brute_geometric_failure(P):
-    """Oracle: meet and join recomputed for every unordered pair, then for
-    every ordered pair in the semimodularity test."""
+    """Oracle: meet and join recomputed by the scans for every unordered
+    pair, then for every ordered pair in the semimodularity test."""
     els = P.elements
     for i, x in enumerate(els):
         for y in els[i + 1:]:
-            if P.meet(x, y) is None or P.join(x, y) is None:
+            if scan_meet(P, x, y) is None or scan_join(P, x, y) is None:
                 return ("not-lattice", (x, y))
     for x in els:
-        below = [a for a in P.atoms if P.leq(a, x)]
-        if P.join_all(below) != x:
+        below = [a for a in P.atoms if scan_leq(P, a, x)]
+        if join_all(P, below) != x:
             return ("not-atomic", (x,))
     for x in els:
         for y in els:
-            m = P.meet(x, y)
-            j = P.join(x, y)
+            m = scan_meet(P, x, y)
+            j = scan_join(P, x, y)
             if (m, x) in P.covers and (y, j) not in P.covers and y != j:
                 return ("not-semimodular", (x, y))
     return None
+
+
+def brute_is_bouquet(P):
+    """Oracle, by the definition: a meet semilattice with a bottom whose
+    interval below each maximal element is a geometric lattice."""
+    els = P.elements
+    return (P.bottom is not None
+            and all(scan_meet(P, x, y) is not None
+                    for i, x in enumerate(els) for y in els[i + 1:])
+            and all(brute_geometric_failure(interval(P, P.bottom, r)) is None
+                    for r in P.maximal))
 
 
 def lattice_intervals(P):
@@ -149,8 +239,21 @@ def lattice_intervals(P):
     top = P.maximal[0]
     yield P
     for x in P.elements:
-        yield P.interval(P.bottom, x)
-        yield P.interval(x, top)
+        yield interval(P, P.bottom, x)
+        yield interval(P, x, top)
+
+
+def drawn_relation(draw, n, max_size=14):
+    return {(i, j) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_size)) if i < j}
+
+
+def cover_pairs(n, less):
+    """The covers of the transitive closure of a relation i < j on range(n)."""
+    for k in range(n):
+        less |= {(i, j) for i, a in less if a == k for b, j in less if b == k}
+    return [(i, j) for i, j in less
+            if not any((i, k) in less and (k, j) in less for k in range(n))]
 
 
 @st.composite
@@ -159,16 +262,103 @@ def small_posets(draw):
     the transitive closure of a drawn relation i < j, half of the time
     with a bottom and a top added, so that lattices occur often."""
     n = draw(st.integers(1, 7))
-    less = {(i, j) for i, j in draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)) if i < j}
+    less = drawn_relation(draw, n)
     if draw(st.booleans()):
         less |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
-    for k in range(n):
-        less |= {(i, j) for i, a in less if a == k for b, j in less if b == k}
-    covers = [(f"e{i}", f"e{j}") for i, j in less
-              if not any((i, k) in less and (k, j) in less for k in range(n))]
+    covers = [(f"e{i}", f"e{j}") for i, j in cover_pairs(n, less)]
     order = draw(st.permutations([f"e{i}" for i in range(n)]))
     return build_poset(order, covers)
+
+
+@st.composite
+def many_top_posets(draw):
+    """Posets with a bottom e0 and mostly several maximal elements, in a
+    drawn element order: either two or three small bounded posets (often
+    lattices, often geometric ones) glued at their bottoms, or a drawn
+    relation with e0 put below everything."""
+    if draw(st.booleans()):
+        names, covers = ["e0"], []
+        for part in range(draw(st.integers(2, 3))):
+            n = draw(st.integers(2, 6))
+            less = (drawn_relation(draw, n, max_size=4) | {(0, j) for j in range(1, n)}
+                    | {(i, n - 1) for i in range(n - 1)})
+
+            def name(i, part=part):
+                return f"p{part}e{i}" if i else "e0"
+            names += [name(i) for i in range(1, n)]
+            covers += [(name(i), name(j)) for i, j in cover_pairs(n, less)]
+    else:
+        n = draw(st.integers(2, 7))
+        less = drawn_relation(draw, n) | {(0, j) for j in range(1, n)}
+        names = [f"e{i}" for i in range(n)]
+        covers = [(f"e{i}", f"e{j}") for i, j in cover_pairs(n, less)]
+    return build_poset(draw(st.permutations(names)), covers)
+
+
+def assert_order_matches_scan(P):
+    for x in P.elements:
+        assert P.down_set(x) == closure(P)[1][x]
+        for y in P.elements:
+            assert P.leq(x, y) == scan_leq(P, x, y)
+            assert P.meet(x, y) == scan_meet(P, x, y)
+            assert P.join(x, y) == scan_join(P, x, y)
+
+
+class TestOrderKernel:
+    """leq, meet, join and down_set against the scan oracles."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("poset_*.json")))
+    def test_poset_fixtures(self, name):
+        assert_order_matches_scan(poset_from_json(load_fixture(name)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, P):
+        assert_order_matches_scan(P)
+
+
+class TestBouquetOracle:
+    """is_bouquet against the definition: the semilattice check, then the
+    geometric-lattice oracle on the interval below each maximal element."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("poset_*.json")))
+    def test_poset_fixtures(self, name):
+        P = poset_from_json(load_fixture(name))
+        assert P.is_bouquet() == brute_is_bouquet(P)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("com_*.json")))
+    def test_com_zero_set_posets(self, name):
+        c = com_from_json(load_fixture(name))
+        P, _ = inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)
+        assert P.is_bouquet() is brute_is_bouquet(P) is True
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("bouquet_*.json")))
+    def test_matroid_bouquet_posets(self, name):
+        b = bouquet_from_json(load_fixture(name))
+        P, _ = inclusion_poset(set().union(*(m.flats() for m in b.roof_matroids)))
+        assert len(P.maximal) > 1
+        assert P.is_bouquet() is brute_is_bouquet(P) is True
+
+    def test_glued_lattices(self):
+        # U(2,3) and B2 glued at the bottom: a bouquet; with a chain
+        # 0 < c < cc added as a third top it is not (cc is not atomic)
+        covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "abc"), ("b", "abc"),
+                  ("c", "abc"), ("0", "d"), ("0", "e"), ("d", "de"), ("e", "de")]
+        P = build_poset(["0", "a", "b", "c", "abc", "d", "e", "de"], covers)
+        assert P.is_bouquet() is brute_is_bouquet(P) is True
+        Q = build_poset(list(P.elements) + ["f", "ff"],
+                        covers + [("0", "f"), ("f", "ff")])
+        assert Q.is_bouquet() is brute_is_bouquet(Q) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(many_top_posets())
+    def test_many_top_posets(self, P):
+        assert P.is_bouquet() == brute_is_bouquet(P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, P):
+        assert P.is_bouquet() == brute_is_bouquet(P)
 
 
 class TestGeometricFailureOracle:
@@ -176,7 +366,7 @@ class TestGeometricFailureOracle:
     def test_poset_fixtures(self, name):
         P = poset_from_json(load_fixture(name))
         for r in P.maximal:
-            I = P.interval(P.bottom, r)
+            I = interval(P, P.bottom, r)
             assert I.geometric_failure() == brute_geometric_failure(I)
         assert P.geometric_failure() == brute_geometric_failure(P)
 
@@ -272,13 +462,13 @@ class TestInvariants:
 
 class TestInterval:
     def test_diamond(self, bouquet_example):
-        I = bouquet_example.interval("0", "r1")
+        I = interval(bouquet_example, "0", "r1")
         assert set(I.elements) == {"0", "a1", "a4", "r1"}
 
     def test_single(self, bouquet_example):
-        I = bouquet_example.interval("a1", "a1")
+        I = interval(bouquet_example, "a1", "a1")
         assert I.elements == ("a1",)
 
     def test_not_comparable(self, bouquet_example):
-        with pytest.raises(NotComparable):
-            bouquet_example.interval("a1", "r3")
+        with pytest.raises(ValueError):
+            interval(bouquet_example, "a1", "r3")
