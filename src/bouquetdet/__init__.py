@@ -4,9 +4,8 @@ det = +/- prod w(x)^rho(x), with matroid, bouquet-of-matroids, and
 sign-vector (COM) front ends."""
 
 from .chains import (Chain, ChainMatrix, Labeling, WeightAssignment,
-                     chain_matrix, enumerate_maximal_chains, generators,
-                     ground_substitution, is_neat, make_labeling, min_labeling,
-                     neat_chain_families, weight)
+                     chain_matrix, generators, ground_substitution,
+                     make_labeling, min_labeling, neat_chain_families, weight)
 from .com import CovectorSet, validate_com, zero_set_poset
 from .determinant import (VERIFICATION_PRIME, VerificationReport,
                           block_decompose, det_bareiss, verify_theorem)
@@ -17,8 +16,7 @@ from .poset import Poset, build_poset, poset_from_json
 
 __all__ = [
     "Chain", "ChainMatrix", "Labeling", "WeightAssignment", "chain_matrix",
-    "enumerate_maximal_chains", "generators", "ground_substitution",
-    "is_neat", "make_labeling", "min_labeling",
+    "generators", "ground_substitution", "make_labeling", "min_labeling",
     "neat_chain_families", "weight",
     "CovectorSet", "validate_com", "zero_set_poset",
     "VERIFICATION_PRIME", "VerificationReport", "block_decompose",

@@ -2,15 +2,20 @@
 weights, and assembly of the symmetric chain matrix over Z[w].
 
 Chains follow the convention that the bottom element is excluded: a
-maximal chain runs from an atom up to a maximal element.
+maximal chain runs from an atom up to a maximal element.  Neat chains
+are grown cover by cover, as neatness is decided one cover at a time.
+The chain matrix is the Gram product G^T diag(w^S) G of one signed
+vector per chain over the atom sets S of its generator tuples (after
+Brylawski and Varchenko), so it is symmetric by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .polyring import Polynomial
+from .polyring import Monomial, Polynomial
 from .poset import Poset, PosetError
 
 
@@ -23,10 +28,6 @@ class Chain:
     """Saturated chain [x_1 < x_2 < ... < x_k] from an atom to a maximal
     element; consecutive entries are covers."""
     elements: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     @property
     def top(self) -> str:
@@ -79,48 +80,33 @@ def min_labeling(P: Poset, atom_order: Sequence[str] | None = None) -> Labeling:
     return Labeling(labels)
 
 
-def enumerate_maximal_chains(P: Poset) -> list[Chain]:
-    """All saturated chains atom -> maximal element, in lexicographic
-    order of their element sequences."""
-    chains: list[Chain] = []
+def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
+    """Neat chains partitioned by their top (maximal) element, each family
+    in lexicographic order of its element sequences.  Every maximal
+    element appears as a key, possibly with an empty family.
+
+    A maximal chain x_1 < ... < x_k is neat when l(x_i) is not below
+    x_{i-1} for every i > 1 (the first step always passes, as l(x_1) is
+    x_1).  Each step is decided by the cover (x_{i-1}, x_i) alone, so the
+    chains are grown depth-first from the sorted atoms along the sorted
+    neat upper covers, which reaches them in lexicographic order.
+    """
+    families: dict[str, list[Chain]] = {r: [] for r in P.maximal}
 
     def extend(prefix: list[str]) -> None:
-        ups = P.upper_covers(prefix[-1])
+        x = prefix[-1]
+        ups = P.upper_covers(x)
         if not ups:
-            chains.append(Chain(tuple(prefix)))
+            families[x].append(Chain(tuple(prefix)))
             return
         for y in sorted(ups):
-            prefix.append(y)
-            extend(prefix)
-            prefix.pop()
+            if not P.leq(labeling[y], x):
+                prefix.append(y)
+                extend(prefix)
+                prefix.pop()
 
     for a in sorted(P.atoms):
         extend([a])
-    chains.sort(key=lambda c: c.elements)
-    return chains
-
-
-def is_neat(P: Poset, labeling: Labeling, chain: Chain) -> bool:
-    """l(x_i) <= x_i but l(x_i) not below x_{i-1}, reading x_0 as the
-    bottom (so the first step always passes)."""
-    prev: str | None = None
-    for x in chain.elements:
-        a = labeling[x]
-        if not P.leq(a, x):
-            return False
-        if prev is not None and P.leq(a, prev):
-            return False
-        prev = x
-    return True
-
-
-def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
-    """Neat chains partitioned by their top (maximal) element.  Every
-    maximal element appears as a key, possibly with an empty family."""
-    families: dict[str, list[Chain]] = {r: [] for r in P.maximal}
-    for c in enumerate_maximal_chains(P):
-        if is_neat(P, labeling, c):
-            families[c.top].append(c)
     return families
 
 
@@ -186,26 +172,6 @@ def ground_substitution(P: Poset, weights: WeightAssignment,
     return mapping
 
 
-def _permutation_sign(src: tuple[str, ...], dst: tuple[str, ...]) -> int:
-    """Sign of the permutation carrying tuple src onto dst (same atoms)."""
-    pos = {a: i for i, a in enumerate(src)}
-    perm = [pos[a] for a in dst]
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @dataclass(frozen=True)
 class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
@@ -231,9 +197,11 @@ class ChainMatrix:
 def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> ChainMatrix:
     """Chain matrix: entry (C, C') sums sgn(sigma) * w_{i_1}...w_{i_k}
     over atom tuples A generating C whose reorderings sigma(A) generate
-    C'.  Entries with |C| != |C'| carry no terms; same-size entries are
-    computed from the generic formula even across families, so the
-    cross-family zeros are genuinely computed, not assumed.
+    C'.  sgn(sigma) is the product of the signs of A and sigma(A) against
+    increasing variable index, so entry (C, C') is the sum over atom sets
+    S of g_C(S) * g_C'(S) * w^S, with g_C(S) the summed signs of C's
+    generator tuples on S.  Entries across families are computed like all
+    others, so their zeros are genuinely computed, not assumed.
     """
     families = neat_chain_families(P, labeling)
     chains: list[Chain] = []
@@ -245,26 +213,18 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         tops.append(r)
         bounds.append((start, len(chains)))
 
-    gens = [generators(P, c) for c in chains]
-    by_set = [
-        {frozenset(t): [u for u in g if frozenset(u) == frozenset(t)] for t in g}
-        for g in gens
-    ]
-    n = len(chains)
-    rows = [[Polynomial.zero()] * n for _ in range(n)]
-    # Both triangles are computed independently; the symmetry of the
-    # result is asserted in tests rather than built in.
-    for i in range(n):
-        for j in range(n):
-            if chains[i].size != chains[j].size:
-                continue
-            acc = Polynomial.zero()
-            for a_tuple in gens[i]:
-                key = frozenset(a_tuple)
-                for b_tuple in by_set[j].get(key, ()):
-                    acc = acc + Polynomial.monomial(
-                        (weights.atom_vars[a] for a in a_tuple),
-                        _permutation_sign(a_tuple, b_tuple))
-            rows[i][j] = acc
-    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
-                       tuple(tuple(row) for row in rows))
+    var = weights.atom_vars
+    vectors: list[dict[Monomial, int]] = []
+    for c in chains:
+        g: dict[Monomial, int] = {}
+        for t in generators(P, c):
+            vs = [var[a] for a in t]
+            inversions = sum(u > v for u, v in combinations(vs, 2))
+            S = tuple((v, 1) for v in sorted(vs))
+            g[S] = g.get(S, 0) + (-1 if inversions & 1 else 1)
+        vectors.append(g)
+    entries = tuple(
+        tuple(Polynomial({S: c * h[S] for S, c in g.items() if S in h})
+              for h in vectors)
+        for g in vectors)
+    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), entries)

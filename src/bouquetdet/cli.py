@@ -19,7 +19,7 @@ from .chains import (InvalidLabeling, WeightAssignment, chain_matrix,
                      make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
                           block_determinants, det_texts, verify_theorem)
-from .poset import NotABouquet, Poset, PosetError, poset_from_json
+from .poset import Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -195,11 +195,12 @@ def cmd_rho(args) -> int:
 
 def cmd_verify(args) -> int:
     P = _load_poset(args)
+    _require_bouquet(P)
     labeling, weights = _labeling_and_weights(P, args)
     try:
         report = verify_theorem(P, labeling, weights, mode=args.mode,
                                 trials=args.trials, seed=args.seed)
-    except (NotABouquet, DeterminantError) as exc:
+    except DeterminantError as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
 
     def text() -> str:

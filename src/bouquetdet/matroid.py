@@ -86,22 +86,14 @@ class Matroid:
                     if e not in s and b | {e} not in self.independents}
 
     def flats(self) -> list[frozenset]:
-        """All flats, sorted by size then elements.  Grown from the
-        closure of the empty set: the flats covering a flat F are the
-        closures of F + e for e not in F, so every flat is reached."""
-        bottom = self.closure(())
-        out = {bottom}
-        layer = [bottom]
-        while layer:
-            above = set()
-            for f in layer:
-                for e in self.ground:
-                    if e not in f:
-                        above.add(self.closure(f | {e}))
-            above -= out
-            out |= above
-            layer = list(above)
-        return sorted(out, key=lambda f: (len(f), sorted(f)))
+        """All flats, sorted by size then elements: the closures of the
+        independent sets.  Every flat is the closure of a basis of it,
+        and an independent set is its own basis."""
+        ind = self.independents
+        flats = {i.union([e for e in self.ground
+                          if e not in i and i | {e} not in ind])
+                 for i in ind}
+        return sorted(flats, key=lambda f: (len(f), sorted(f)))
 
     def is_simple(self) -> bool:
         """No loops and no parallel pairs: every subset of size <= 2 is

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over arbitrary-precision integers.
 
-Variables are nonnegative integer indices; index i prints as "w{i+1}" by
-default.  Monomials are stored as sorted tuples of (variable, exponent)
-pairs with all exponents positive, so equal polynomials have identical
-internal form.  Terms are ordered graded-lexicographically with
+Variables are nonnegative integer indices; index i prints as "w{i+1}".
+Monomials are stored as sorted tuples of (variable, exponent) pairs with
+all exponents positive, so equal polynomials have identical internal
+form.  Terms are ordered graded-lexicographically with
 w1 > w2 > ... for printing and for leading-term division.
 
 Multiplication and exact division run on packed monomials (Monagan and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 Monomial = tuple[tuple[int, int], ...]
 _exponent = itemgetter(1)
@@ -186,17 +186,6 @@ class Polynomial:
             raise ValueError("variable index must be >= 0")
         return Polynomial({((index, 1),): 1})
 
-    @staticmethod
-    def monomial(variables: Iterable[int], coeff: int = 1) -> "Polynomial":
-        """coeff times the product of `variables`; a variable listed k
-        times gets exponent k."""
-        exponents: dict[int, int] = {}
-        for v in variables:
-            if v < 0:
-                raise ValueError("variable index must be >= 0")
-            exponents[v] = exponents.get(v, 0) + 1
-        return Polynomial({tuple(sorted(exponents.items())): coeff})
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -299,15 +288,13 @@ class Polynomial:
 
     # -- formatting ---------------------------------------------------
 
-    def to_string(self, name: Callable[[int], str] | None = None) -> str:
+    def to_string(self) -> str:
         """Canonical text form, e.g. "w1^2*w2 + 3*w5"."""
         terms = self._terms
         if not terms:
             return "0"
-        if name is None:
-            name = lambda i: f"w{i + 1}"
         factors = {f for m in terms for f in m}
-        names = {v: name(v) for v, _ in factors}
+        names = {v: f"w{v + 1}" for v, _ in factors}
         factor = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}"
                   for v, e in factors}.__getitem__
         order = Packing(set(names), self.total_degree()).key

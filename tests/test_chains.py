@@ -1,14 +1,118 @@
+import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from bouquetdet.chains import (Chain, InvalidLabeling, WeightAssignment,
-                               chain_matrix, enumerate_maximal_chains,
-                               generators, is_neat, make_labeling,
-                               min_labeling, neat_chain_families, weight)
+from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
+                                enumerate_covectors)
+from bouquetdet.chains import (Chain, ChainMatrix, InvalidLabeling,
+                               WeightAssignment, chain_matrix, generators,
+                               make_labeling, min_labeling,
+                               neat_chain_families, weight)
+from bouquetdet.cli import KINDS
+from bouquetdet.com import validate_com, zero_set_poset
+from bouquetdet.matroid import flat_lattice
 from bouquetdet.poset import build_poset
 from bouquetdet.polyring import Polynomial
+from conftest import load_fixture
+from test_cli import FIXTURE_FILES, fixture_kind
+from test_matroid import graphic_complete, uniform
 from test_poset import join_all
+
+
+def enumerate_maximal_chains(P):
+    """Oracle: all saturated chains atom -> maximal element, listed by
+    depth-first search and then sorted lexicographically."""
+    chains = []
+
+    def extend(prefix):
+        ups = P.upper_covers(prefix[-1])
+        if not ups:
+            chains.append(Chain(tuple(prefix)))
+            return
+        for y in sorted(ups):
+            prefix.append(y)
+            extend(prefix)
+            prefix.pop()
+
+    for a in sorted(P.atoms):
+        extend([a])
+    chains.sort(key=lambda c: c.elements)
+    return chains
+
+
+def is_neat(P, labeling, chain):
+    """Oracle: l(x_i) <= x_i but l(x_i) not below x_{i-1}, reading x_0 as
+    the bottom (so the first step always passes)."""
+    prev = None
+    for x in chain.elements:
+        a = labeling[x]
+        if not P.leq(a, x):
+            return False
+        if prev is not None and P.leq(a, prev):
+            return False
+        prev = x
+    return True
+
+
+def oracle_families(P, labeling):
+    """Oracle: the maximal chains filtered by `is_neat`, grouped by top."""
+    families = {r: [] for r in P.maximal}
+    for c in enumerate_maximal_chains(P):
+        if is_neat(P, labeling, c):
+            families[c.top].append(c)
+    return families
+
+
+def permutation_sign(src, dst):
+    """Sign of the permutation carrying tuple src onto dst (same atoms),
+    by walking its cycles."""
+    pos = {a: i for i, a in enumerate(src)}
+    perm = [pos[a] for a in dst]
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def pairwise_chain_matrix(P, labeling, weights):
+    """Oracle: entry (C, C') summed pair by pair, over each generator
+    tuple of C and each of its reorderings that generates C', with the
+    reordering's sign from its cycles.  Both triangles are computed."""
+    families = oracle_families(P, labeling)
+    chains, tops, bounds = [], [], []
+    for r in P.maximal:
+        start = len(chains)
+        chains.extend(families[r])
+        tops.append(r)
+        bounds.append((start, len(chains)))
+    gens = [generators(P, c) for c in chains]
+    n = len(chains)
+    rows = [[Polynomial.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if len(chains[i].elements) != len(chains[j].elements):
+                continue
+            for a_tuple in gens[i]:
+                exponents = Counter(weights.atom_vars[a] for a in a_tuple)
+                for b_tuple in gens[j]:
+                    if set(b_tuple) == set(a_tuple):
+                        rows[i][j] = rows[i][j] + Polynomial(
+                            {tuple(sorted(exponents.items())):
+                             permutation_sign(a_tuple, b_tuple)})
+    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
+                       tuple(tuple(row) for row in rows))
 
 
 def brute_generators(P, chain):
@@ -90,7 +194,7 @@ class TestChains:
 
     def test_lengths_match_rank(self, bouquet_example):
         for c in enumerate_maximal_chains(bouquet_example):
-            assert c.size == bouquet_example.rank(c.top)
+            assert len(c.elements) == bouquet_example.rank(c.top)
 
 
 class TestNeatness:
@@ -206,3 +310,71 @@ class TestChainMatrix:
         M = chain_matrix(P, lab, w)
         for i in range(M.dim):
             assert all(c > 0 for c in M.entries[i][i].terms.values())
+
+
+def _com_poset(lines):
+    return zero_set_poset(validate_com(["l1", "l2", "l3"],
+                                       enumerate_covectors(lines)))[0]
+
+
+def _fixture_poset(name):
+    kind = KINDS[fixture_kind(name)]
+    return kind.poset(kind.parse(load_fixture(name)))
+
+
+ORACLE_POSETS = {
+    **{name: lambda name=name: _fixture_poset(name)
+       for name in FIXTURE_FILES if name != "poset_pentagon.json"},
+    "generic lines": lambda: _com_poset(GENERIC_LINES),
+    "concurrent lines": lambda: _com_poset(CONCURRENT_LINES),
+    "U(2,4)": lambda: flat_lattice(uniform(2, 4))[0],
+    "U(3,6)": lambda: flat_lattice(uniform(3, 6))[0],
+    "U(2,7)": lambda: flat_lattice(uniform(2, 7))[0],
+    "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
+}
+
+
+def _atom_order(P, order):
+    """The atoms in the default order, reversed, or shuffled."""
+    atoms = list(P.atoms)
+    if order == "reversed":
+        atoms.reverse()
+    elif order == "shuffled":
+        random.Random(len(atoms)).shuffle(atoms)
+    return atoms
+
+
+class TestAgainstOracles:
+    """Neat chains grown cover by cover and the Gram-product chain
+    matrix, against the maximal-chain filter and the pairwise matrix."""
+
+    @staticmethod
+    def check(P, labeling, weights):
+        assert list(neat_chain_families(P, labeling).items()) == \
+            list(oracle_families(P, labeling).items())
+        assert chain_matrix(P, labeling, weights) == \
+            pairwise_chain_matrix(P, labeling, weights)
+
+    @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
+    @pytest.mark.parametrize("name", ORACLE_POSETS)
+    def test_min_labeling(self, name, order):
+        # The min-labeling and the variables follow one atom order, as in
+        # the CLI's --atom-order; away from the default order the variable
+        # order differs from the atom-name order.
+        P = ORACLE_POSETS[name]()
+        atoms = _atom_order(P, order)
+        self.check(P, min_labeling(P, atoms),
+                   WeightAssignment({a: i for i, a in enumerate(atoms)}))
+
+    @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
+    def test_explicit_labeling(self, bouquet_example, order):
+        # Each element labeled by the last atom below it in name order,
+        # which is not the min-labeling.
+        P = bouquet_example
+        labels = {x: max(a for a in P.atoms if P.leq(a, x))
+                  for x in P.elements if x != P.bottom}
+        labeling = make_labeling(P, labels)
+        assert labeling.labels != min_labeling(P).labels
+        atoms = _atom_order(P, order)
+        self.check(P, labeling,
+                   WeightAssignment({a: i for i, a in enumerate(atoms)}))

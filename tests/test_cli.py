@@ -194,6 +194,17 @@ class TestExitCodes:
         assert code == expected
         assert err.startswith("malformed labeling: ") == (expected == 3)
 
+    @pytest.mark.parametrize("command", ["verify", "det", "matrix", "rho"])
+    def test_not_a_bouquet_before_labeling(self, tmp_path, capsys, command):
+        # Two minimal elements and no atoms: the labeling would fail as
+        # well, but the bouquet check comes first in every command.
+        path = tmp_path / "two_minimal.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "covers": []}))
+        code = main([command, str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "input poset is not a bouquet of geometric lattices\n"
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_simple_matroid(self, tmp_path, capsys, command):
         # 1 and 2 are parallel: valid as a matroid, but it has no flat lattice.

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -173,12 +174,15 @@ def random_matrix(rng, n, shape):
     - "singular": the last row is w1 * row 0 - 2 * row 1 (w1 * row 0
       when n = 2);
     - "zero-column": the middle column is zero."""
+    def term():
+        exponents = Counter(rng.choices(range(3), k=rng.randint(0, 2)))
+        return Polynomial({tuple(sorted(exponents.items())):
+                           rng.choice([-3, -2, -1, 1, 2, 3])})
+
     def entry():
         if rng.random() < 0.35:
             return Polynomial.zero()
-        return sum((Polynomial.monomial(rng.choices(range(3), k=rng.randint(0, 2)),
-                                        rng.choice([-3, -2, -1, 1, 2, 3]))
-                    for _ in range(rng.randint(1, 3))), Polynomial.zero())
+        return sum((term() for _ in range(rng.randint(1, 3))), Polynomial.zero())
 
     M = [[entry() for _ in range(n)] for _ in range(n)]
     zero = Polynomial.zero()
