@@ -63,10 +63,9 @@ def make_labeling(P: Poset, labels: Mapping[str, str]) -> Labeling:
 
 def min_labeling(P: Poset, atom_order: Sequence[str] | None = None) -> Labeling:
     """Label each element by the smallest atom below it, in the given
-    atom order (default: the order atoms appear in the poset)."""
+    atom order (default: the order atoms appear in the poset), which
+    must list every atom once."""
     order = tuple(atom_order) if atom_order is not None else P.atoms
-    if sorted(order) != sorted(P.atoms):
-        raise InvalidLabeling("atom_order must be a permutation of the atoms")
     labels = {}
     for x in P.elements:
         if x == P.bottom:
@@ -144,32 +143,12 @@ class WeightAssignment:
 
 
 def weight(P: Poset, x: str, weights: WeightAssignment) -> Polynomial:
-    """Weight w(x) = sum of atom variables below x.  Ground-element
-    variables come in through ground_substitution."""
+    """Weight w(x) = sum of atom variables below x."""
     out = Polynomial.zero()
     for a in P.atoms:
         if P.leq(a, x):
             out = out + weights.var(a)
     return out
-
-
-def ground_substitution(P: Poset, weights: WeightAssignment,
-                        support: Mapping[str, frozenset],
-                        ground_vars: Mapping[str, int]) -> dict[int, Polynomial]:
-    """Substitution map expanding each atom variable into the sum of
-    ground-element variables in the atom's support.
-
-    Used by the matroid / covector adapters: applying it to both sides
-    of a verified determinant identity re-expresses the identity in
-    ground-element variables (ring homomorphisms preserve equality).
-    """
-    mapping: dict[int, Polynomial] = {}
-    for a in P.atoms:
-        total = Polynomial.zero()
-        for e in sorted(support[a]):
-            total = total + Polynomial.var(ground_vars[e])
-        mapping[weights.atom_vars[a]] = total
-    return mapping
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from typing import Any, Callable, NamedTuple
 
 from . import com as com_mod
 from . import matroid as matroid_mod
-from .chains import (InvalidLabeling, WeightAssignment, chain_matrix,
-                     make_labeling, min_labeling)
+from .chains import (InvalidLabeling, Labeling, WeightAssignment,
+                     chain_matrix, make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
                           block_determinants, det_texts, verify_theorem)
 from .poset import Poset, PosetError, poset_from_json
@@ -107,20 +107,30 @@ def _load_labels(path: str) -> dict[str, str]:
     return labels
 
 
-def _labeling_and_weights(P: Poset, args):
-    atom_order = None
+def _require_bouquet(P: Poset) -> None:
+    if not P.is_bouquet():
+        raise CliError("input poset is not a bouquet of geometric lattices",
+                       EXIT_STRUCTURAL)
+
+
+def _pipeline_input(args) -> tuple[Poset, Labeling, WeightAssignment]:
+    """The front half of `matrix`, `det` and `verify`: load the input,
+    require a bouquet, then build the labeling and the variables from one
+    atom order, --atom-order or else the poset's own."""
+    P = _load_poset(args)
+    _require_bouquet(P)
+    order = P.atoms
     if args.atom_order:
-        atom_order = [a.strip() for a in args.atom_order.split(",")]
+        order = tuple(a.strip() for a in args.atom_order.split(","))
+        if sorted(order) != sorted(P.atoms):
+            raise CliError("atom_order must be a permutation of the atoms",
+                           EXIT_STRUCTURAL)
     try:
-        if args.labeling == "min":
-            labeling = min_labeling(P, atom_order)
-        else:
-            labeling = make_labeling(P, _load_labels(args.labeling))
+        labeling = (min_labeling(P, order) if args.labeling == "min"
+                    else make_labeling(P, _load_labels(args.labeling)))
     except InvalidLabeling as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
-    if atom_order is None:
-        return labeling, WeightAssignment.default(P)
-    return labeling, WeightAssignment({a: i for i, a in enumerate(atom_order)})
+    return P, labeling, WeightAssignment({a: i for i, a in enumerate(order)})
 
 
 def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
@@ -147,16 +157,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_STRUCTURAL
 
 
-def _require_bouquet(P: Poset) -> None:
-    if not P.is_bouquet():
-        raise CliError("input poset is not a bouquet of geometric lattices",
-                       EXIT_STRUCTURAL)
-
-
 def cmd_matrix(args) -> int:
-    P = _load_poset(args)
-    _require_bouquet(P)
-    labeling, weights = _labeling_and_weights(P, args)
+    P, labeling, weights = _pipeline_input(args)
     M = chain_matrix(P, labeling, weights)
 
     def text() -> str:
@@ -169,9 +171,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_det(args) -> int:
-    P = _load_poset(args)
-    _require_bouquet(P)
-    labeling, weights = _labeling_and_weights(P, args)
+    P, labeling, weights = _pipeline_input(args)
     blocks = block_determinants(P, labeling, weights)
     block_texts, det = det_texts(blocks)
     payload = {"det": det,
@@ -194,9 +194,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    P = _load_poset(args)
-    _require_bouquet(P)
-    labeling, weights = _labeling_and_weights(P, args)
+    P, labeling, weights = _pipeline_input(args)
     try:
         report = verify_theorem(P, labeling, weights, mode=args.mode,
                                 trials=args.trials, seed=args.seed)
@@ -244,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labeling", default="min",
                        help='"min" or path to an explicit labeling JSON')
         p.add_argument("--atom-order", default=None,
-                       help="comma-separated atom order for the min-labeling")
+                       help="comma-separated atom order for the min-labeling "
+                            "and the variable numbering")
         p.add_argument("--format", choices=["json", "text"], default="json")
         if name == "verify":
             p.add_argument("--mode", choices=["symbolic", "randomized"],

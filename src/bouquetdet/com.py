@@ -105,6 +105,8 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     ground order.
     """
     ground = tuple(ground)
+    if len(set(ground)) != len(ground):
+        raise GroundMismatch("duplicate ground elements")
     n = len(ground)
     vecs = []
     seen = set()
@@ -165,9 +167,10 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
 def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
     """Distinct zero sets ordered by inclusion.
 
-    Element ids are canonical set strings; the returned mapping doubles
-    as weight support for ground-variable substitution.  Raises
-    NotABouquet when the result is not a bouquet of geometric lattices.
+    Element ids are canonical set strings; the returned id -> zero set
+    mapping is kept for perfbench and the tests until ROADMAP item 1.
+    Raises NotABouquet when the result is not a bouquet of geometric
+    lattices.
     """
     poset, mapping = inclusion_poset(
         frozenset(zero_set(c.ground, x)) for x in c.covectors)

@@ -2,9 +2,9 @@
 and bouquets of matroids glued along roof subsets.
 
 Flat posets produced here plug straight into the chain-matrix pipeline:
-elements are canonical set strings like "{a,b}" and each poset comes
-with a mapping back to the underlying flats, usable as adapter weight
-support.
+elements are canonical set strings like "{a,b}".  Each poset comes with
+its id -> flat mapping, kept for perfbench and the tests until ROADMAP
+item 1.
 """
 
 from __future__ import annotations
@@ -62,28 +62,6 @@ class Matroid:
     def __init__(self, ground: tuple[str, ...], independents: frozenset):
         self.ground = ground
         self.independents = independents
-
-    def _basis(self, subset: Iterable[str]) -> frozenset:
-        """A maximal independent subset of `subset`, grown greedily in
-        ground order.  All of them have the same size because the
-        exchange axiom holds (`build_matroid` checks it)."""
-        s = frozenset(subset)
-        b = frozenset()
-        for e in self.ground:
-            if e in s and b | {e} in self.independents:
-                b = b | {e}
-        return b
-
-    def rank(self, subset: Iterable[str]) -> int:
-        return len(self._basis(subset))
-
-    def closure(self, subset: Iterable[str]) -> frozenset:
-        """`subset` plus every element whose addition to a basis of it is
-        dependent."""
-        s = frozenset(subset)
-        b = self._basis(s)
-        return s | {e for e in self.ground
-                    if e not in s and b | {e} not in self.independents}
 
     def flats(self) -> list[frozenset]:
         """All flats, sorted by size then elements: the closures of the
@@ -147,8 +125,8 @@ def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
     """Poset of flats ordered by inclusion; requires a simple matroid.
 
     Returns the poset (element ids are canonical set strings, listed in
-    order of increasing rank) and the id -> flat mapping, which doubles
-    as the weight support for ground-variable substitution.
+    order of increasing rank) and the id -> flat mapping, kept for
+    perfbench and the tests until ROADMAP item 1.
     """
     if not m.is_simple():
         raise NotSimple("flat lattice requires a simple matroid")
@@ -176,9 +154,16 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
                               independents: Iterable[Iterable[str]]) -> BouquetOfMatroids:
     """Validate the three bouquet conditions: each roof restriction is a
     matroid, the family is the union of the restrictions, and exchange
-    holds across roofs."""
+    holds across roofs.  The ground elements are distinct and every roof
+    lies within them."""
     ground = tuple(ground)
+    ground_set = set(ground)
+    if len(ground_set) != len(ground):
+        raise MatroidError("duplicate ground elements")
     roofs = tuple(frozenset(r) for r in roofs)
+    for r in roofs:
+        if not r <= ground_set:
+            raise MatroidError(f"roof {set_id(r)} not within the ground set")
     family = frozenset(frozenset(i) for i in independents)
     for i, a in enumerate(roofs):
         for j, b in enumerate(roofs):

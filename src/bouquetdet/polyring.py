@@ -262,20 +262,6 @@ class Polynomial:
 
     # -- homomorphisms ------------------------------------------------
 
-    def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Ring homomorphism sending variable v to mapping[v] (identity
-        on variables not in the mapping)."""
-        out = Polynomial.zero()
-        for m, c in self._terms.items():
-            term = Polynomial.const(c)
-            for v, e in m:
-                img = mapping.get(v)
-                if img is None:
-                    img = Polynomial.var(v)
-                term = term * img**e
-            out = out + term
-        return out
-
     def eval_mod(self, assignment: Mapping[int, int], modulus: int) -> int:
         """Value at an integer point, reduced modulo a prime."""
         total = 0

@@ -353,8 +353,8 @@ def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozens
     """Distinct sets ordered by inclusion.
 
     Element ids are canonical set strings, listed by increasing size; the
-    returned id -> set mapping doubles as weight support for
-    ground-variable substitution.
+    returned id -> set mapping is kept for perfbench and the tests until
+    ROADMAP item 1.
 
     `inside[i]` masks the sets strictly inside set i (all listed before
     it); the sets that i covers are those minus everything strictly

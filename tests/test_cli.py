@@ -1,7 +1,9 @@
 import json
+from itertools import product
 
 import pytest
 
+from bouquetdet.chains import min_labeling
 from bouquetdet.cli import main
 from conftest import FIXTURES, load_fixture
 
@@ -216,6 +218,47 @@ class TestExitCodes:
             assert code == 0 and json.loads(out)["simple"] is False
         else:
             assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "det", "matrix"])
+    @pytest.mark.parametrize("labeling", ["min", "explicit"])
+    @pytest.mark.parametrize("order", [
+        pytest.param("a1,a2", id="missing"),
+        pytest.param("a1,a1,a2,a3,a4,a5", id="repeated"),
+        pytest.param("a1,zz,a2,a3,a4,a5", id="unknown"),
+    ])
+    def test_bad_atom_order(self, tmp_path, capsys, bouquet_example,
+                            command, labeling, order):
+        # The order is checked once, before either labeling is built.
+        if labeling == "explicit":
+            labeling = tmp_path / "labeling.json"
+            labeling.write_text(json.dumps(min_labeling(bouquet_example).labels))
+        code = main([command, PEX, "--labeling", str(labeling),
+                     "--atom-order", order])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == \
+            ("", "atom_order must be a permutation of the atoms\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kind, data", [
+        # two crossing lines under one name
+        pytest.param("com", {"ground": ["l1", "l1"],
+                             "covectors": ["".join(v) for v in
+                                           product("+-0", repeat=2)]},
+                     id="com"),
+        pytest.param("bouquet", {"ground": ["x", "x", "y"],
+                                 "roofs": [["x"], ["y"]],
+                                 "independents": [[], ["x"], ["y"]]},
+                     id="bouquet"),
+        pytest.param("bouquet", {"ground": ["x"], "roofs": [["x"], ["y"]],
+                                 "independents": [[], ["x"], ["y"]]},
+                     id="bouquet-roof-outside"),
+    ])
+    def test_bad_ground(self, tmp_path, capsys, command, kind, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, _ = run(capsys, command, str(path), "--kind", kind)
+        assert code == 2
 
 
 class TestRunOnce:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,14 @@ class TestValidation:
     def test_line_fixtures_are_coms(self, generic, concurrent):
         assert len(generic.covectors) == 19
         assert len(concurrent.covectors) == 13
+
+    def test_duplicate_ground_names(self):
+        # Two crossing lines: all nine sign vectors.  One name for both
+        # lines would merge their zero sets into a different poset.
+        crossing = ["".join(v) for v in product("+-0", repeat=2)]
+        assert validate_com(["l1", "l2"], crossing).is_om()
+        with pytest.raises(GroundMismatch, match="duplicate ground"):
+            validate_com(["l1", "l1"], crossing)
 
     def test_zero_vector_alone_is_om(self):
         c = validate_com(["e"], ["0"])

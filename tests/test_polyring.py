@@ -129,13 +129,6 @@ def test_pow_and_power_product():
     assert lhs == rhs
 
 
-def test_substitute():
-    u1, u2 = Polynomial.var(10), Polynomial.var(11)
-    assert (w[0] * w[1]).substitute({0: u1 + u2}) == u1 * w[1] + u2 * w[1]
-    p = w[0] ** 2 * w[1] + w[2]
-    assert p.substitute({}) == p
-
-
 PRIME = 2305843009213693967
 
 
