@@ -12,6 +12,7 @@ Brylawski and Varchenko), so it is symmetric by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -138,31 +139,44 @@ class WeightAssignment:
     def default(P: Poset) -> "WeightAssignment":
         return WeightAssignment({a: i for i, a in enumerate(P.atoms)})
 
-    def var(self, atom: str) -> Polynomial:
-        return Polynomial.var(self.atom_vars[atom])
-
 
 def weight(P: Poset, x: str, weights: WeightAssignment) -> Polynomial:
     """Weight w(x) = sum of atom variables below x."""
-    out = Polynomial.zero()
-    for a in P.atoms:
-        if P.leq(a, x):
-            out = out + weights.var(a)
-    return out
+    var = weights.atom_vars
+    return Polynomial({((var[a], 1),): 1 for a in P.atoms if P.leq(a, x)})
+
+
+GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> g_C(S)
+
+
+def gram_entry(g: GramVector, h: GramVector) -> Polynomial:
+    """The sum over the atom sets S of both g and h of g(S) * h(S) * w^S."""
+    return Polynomial({S: c * h[S] for S, c in g.items() if S in h})
+
+
+def gram_entries(vectors: Sequence[GramVector]) -> list[list[Polynomial]]:
+    """The Gram matrix of the vectors over Z[w]."""
+    return [[gram_entry(g, h) for h in vectors] for g in vectors]
 
 
 @dataclass(frozen=True)
 class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
-    grouped into neat chain families (family = common top element)."""
+    grouped into neat chain families (family = common top element), held
+    as its Gram factor: one signed vector g_C per chain, nonzero
+    coefficients only.  The polynomial entries are built on first use."""
     chains: tuple[Chain, ...]
     family_tops: tuple[str, ...]
     family_bounds: tuple[tuple[int, int], ...]  # [start, stop) per family
-    entries: tuple[tuple[Polynomial, ...], ...]
+    vectors: tuple[GramVector, ...]
 
     @property
     def dim(self) -> int:
         return len(self.chains)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return tuple(map(tuple, gram_entries(self.vectors)))
 
     def to_json(self) -> dict:
         return {
@@ -179,8 +193,10 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     C'.  sgn(sigma) is the product of the signs of A and sigma(A) against
     increasing variable index, so entry (C, C') is the sum over atom sets
     S of g_C(S) * g_C'(S) * w^S, with g_C(S) the summed signs of C's
-    generator tuples on S.  Entries across families are computed like all
-    others, so their zeros are genuinely computed, not assumed.
+    generator tuples on S.  The matrix keeps the vectors g_C, zero
+    coefficients dropped; `determinant.block_decompose` checks that no
+    atom set is shared across families, which is exactly the vanishing of
+    every cross-family entry.
     """
     families = neat_chain_families(P, labeling)
     chains: list[Chain] = []
@@ -193,17 +209,13 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         bounds.append((start, len(chains)))
 
     var = weights.atom_vars
-    vectors: list[dict[Monomial, int]] = []
+    vectors: list[GramVector] = []
     for c in chains:
-        g: dict[Monomial, int] = {}
+        g: GramVector = {}
         for t in generators(P, c):
             vs = [var[a] for a in t]
             inversions = sum(u > v for u, v in combinations(vs, 2))
             S = tuple((v, 1) for v in sorted(vs))
             g[S] = g.get(S, 0) + (-1 if inversions & 1 else 1)
-        vectors.append(g)
-    entries = tuple(
-        tuple(Polynomial({S: c * h[S] for S, c in g.items() if S in h})
-              for h in vectors)
-        for g in vectors)
-    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), entries)
+        vectors.append({S: c for S, c in g.items() if c})
+    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), tuple(vectors))

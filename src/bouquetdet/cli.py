@@ -231,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chain matrices of bouquets of geometric lattices and "
                     "their determinant factorization.",
         epilog=f"Randomized verification evaluates modulo the fixed 62-bit "
-               f"prime {VERIFICATION_PRIME}.")
+               f"prime p = {VERIFICATION_PRIME}, at points drawn uniformly "
+               f"from [1, p - 1].  A false identity passes one trial with "
+               f"probability at most deg/(p - 1), deg <= max(sum over blocks "
+               f"of dim * rank, sum of rho); not covered: det - sign * "
+               f"product nonzero over Z with every coefficient divisible by p.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("check", cmd_check), ("matrix", cmd_matrix),
                      ("det", cmd_det), ("rho", cmd_rho),

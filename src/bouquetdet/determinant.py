@@ -9,10 +9,23 @@ bound 2D, D the sum over the rows of their largest entry degree: every
 intermediate is a minor of degree at most D, every numerator a product
 of two.  It runs every step on packed dicts with the `polyring` kernels,
 unpacks only the determinant, and at step k pivots on the entry of
-fewest terms in column k at or below row k.  Randomized mode evaluates
-both sides at random integer points modulo a fixed 62-bit prime.  The
-independent oracles these are tested against (a Laplace-expansion
-determinant, the expanded products) live in tests.
+fewest terms in column k at or below row k.
+
+Both modes take the chain matrix as its Gram factor, one signed vector
+g_C per chain over atom sets S, and `block_decompose` checks once that
+no atom set is shared across families, which is the vanishing of every
+off-block entry.  Symbolic mode expands only the diagonal blocks into
+polynomials.  Randomized mode never builds a polynomial entry: per
+trial it draws each variable uniformly from [1, p - 1], p a fixed 62-bit
+prime, computes w^S mod p once per atom set, packs each block row into
+one int from the Gram vectors and eliminates the packed rows mod p
+(`det_mod`).  A trial of a false identity passes with probability at
+most deg / (p - 1), deg <= max(sum over blocks r of dim_r * rank(r),
+sum over x of rho(x)) (Schwartz 1980; Zippel 1979); the bound does not
+cover det - s * prod w(x)^rho(x) nonzero over Z with every coefficient
+divisible by p.  The independent oracles these are tested against (a
+Laplace-expansion determinant, a dense mod-p elimination, the expanded
+products) live in tests.
 """
 
 from __future__ import annotations
@@ -20,8 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chains import ChainMatrix, Labeling, WeightAssignment, chain_matrix, min_labeling, weight
-from .polyring import NotDivisible, Packing, Polynomial, div_exact, mul_into
+from .chains import (ChainMatrix, GramVector, Labeling, WeightAssignment,
+                     chain_matrix, gram_entries, gram_entry, weight)
+from .polyring import Monomial, NotDivisible, Packing, Polynomial, div_exact, mul_into
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
@@ -44,20 +58,25 @@ class TooLarge(DeterminantError):
 Matrix = list[list[Polynomial]]
 
 
-def block_decompose(M: ChainMatrix) -> list[tuple[str, Matrix]]:
+def block_decompose(M: ChainMatrix) -> list[tuple[str, tuple[GramVector, ...]]]:
     """Split the family-grouped chain matrix into its diagonal blocks,
-    one per neat chain family, after asserting every off-block entry is
-    the zero polynomial."""
+    one per neat chain family, each as the Gram vectors of its chains,
+    after checking that every off-block entry is zero.  Entry (C, C') is
+    the sum over the atom sets S of both of g_C(S) * g_C'(S) * w^S, no
+    stored coefficient zero, so it vanishes iff C and C' share no atom
+    set; a set shared across two families raises NonZeroOffBlock naming
+    the two chains and their entry."""
+    owner: dict[Monomial, int] = {}  # atom set -> first chain having it
     blocks = []
     for top, (start, stop) in zip(M.family_tops, M.family_bounds):
-        for i in range(start, stop):
-            for j in range(M.dim):
-                if (j < start or j >= stop) and not M.entries[i][j].is_zero():
+        for j in range(start, stop):
+            for S in M.vectors[j]:
+                i = owner.setdefault(S, j)
+                if i < start:
                     raise NonZeroOffBlock(
                         f"entry ({M.chains[i]}, {M.chains[j]}) = "
-                        f"{M.entries[i][j].to_string()}")
-        blocks.append((top, [list(M.entries[i][start:stop])
-                             for i in range(start, stop)]))
+                        f"{gram_entry(M.vectors[i], M.vectors[j]).to_string()}")
+        blocks.append((top, M.vectors[start:stop]))
     return blocks
 
 
@@ -107,9 +126,10 @@ def det_bareiss(M: Matrix) -> Polynomial:
 def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
                        ) -> list[tuple[str, int, Polynomial]]:
     """Bareiss determinant of each family block of the chain matrix, as
-    (top, dim, det) triples; the matrix's determinant is their product."""
-    return [(top, len(B), det_bareiss(B))
-            for top, B in block_decompose(chain_matrix(P, labeling, weights))]
+    (top, dim, det) triples; the matrix's determinant is their product.
+    Only the diagonal blocks are expanded into polynomials."""
+    return [(top, len(G), det_bareiss(gram_entries(G)))
+            for top, G in block_decompose(chain_matrix(P, labeling, weights))]
 
 
 def rho_exponents(P: Poset) -> dict[str, int]:
@@ -241,48 +261,104 @@ class VerificationReport:
         }
 
 
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant of an integer matrix modulo a prime."""
+def det_mod(rows: list[int], width: int, p: int) -> int:
+    """Determinant modulo the prime p of the n x n matrix, n = len(rows),
+    whose row i is packed in rows[i]: column j in bits [j * width,
+    (j + 1) * width), entries nonnegative and not necessarily below p.
+    Each field must stay below 2^width after n - 1 further additions of
+    at most (p - 1)^2.
+
+    Gaussian elimination mod p, one row per big int: at step k the first
+    row whose column-k entry is nonzero mod p is the pivot, only its
+    fields are reduced below p, its entry is inverted once (none at the
+    last step), and each lower row i takes R_i += (p - f) * R_k with
+    f = a_ik / a_kk, then drops column k with a shift.  No carry crosses
+    a field, so that is O(n^2) Python-level operations.
+    """
     n = len(rows)
-    a = [[x % p for x in row] for row in rows]
+    rows = list(rows)
+    mask = (1 << width) - 1
     det = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
+        for i in range(k, n):
+            if (rows[i] & mask) % p:
+                break
+        else:
             return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det % p
-        det = det * a[k][k] % p
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            det = -det
+        row = rows[k]
+        a = (row & mask) % p
+        det = det * a % p
         if k == n - 1:
             break  # no row left to eliminate: skip the inverse
-        inv = pow(a[k][k], p - 2, p)
+        inv = pow(a, -1, p)
+        pivot_row = 0  # columns k + 1 .. n - 1 of row k, reduced, from bit 0
+        for shift in range((n - k - 1) * width, 0, -width):
+            pivot_row = pivot_row << width | (row >> shift & mask) % p
         for i in range(k + 1, n):
-            f = a[i][k] * inv % p
+            row = rows[i]
+            f = (row & mask) * inv % p
+            row >>= width
             if f:
-                for j in range(k, n):
-                    a[i][j] = (a[i][j] - f * a[k][j]) % p
+                row += (p - f) * pivot_row
+            rows[i] = row
     return det % p
 
 
-def verify_theorem(P: Poset, labeling: Labeling | None = None,
-                   weights: WeightAssignment | None = None,
+class GramBlockMod:
+    """A family block evaluated modulo p from its Gram vectors, as packed
+    rows for `det_mod`.  Column pattern S holds g_C'(S) mod p in the field
+    of each chain C' of the block; at a point with w^S = powers[S], row C
+    is the sum over the atom sets S of g_C of (g_C(S) * w^S mod p) times
+    pattern S.  A field then holds at most |g_C| products below p^2, and
+    `width` leaves room for the n - 1 elimination steps on top."""
+
+    def __init__(self, vectors: tuple[GramVector, ...], p: int):
+        self.vectors, self.p = vectors, p
+        n = len(vectors)
+        bound = (max(map(len, vectors), default=0) + n) * (p - 1) ** 2
+        self.width = width = bound.bit_length()
+        columns: dict[Monomial, int] = {}
+        for j, g in enumerate(vectors):
+            for S, c in g.items():
+                columns[S] = columns.get(S, 0) + (c % p << j * width)
+        self.columns = columns
+
+    def rows(self, powers: dict[Monomial, int]) -> list[int]:
+        p, columns = self.p, self.columns
+        return [sum(c * powers[S] % p * columns[S] for S, c in g.items())
+                for g in self.vectors]
+
+    def det(self, powers: dict[Monomial, int]) -> int:
+        return det_mod(self.rows(powers), self.width, self.p)
+
+
+def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
                    mode: str = "symbolic", trials: int = 20,
                    seed: int = 0) -> VerificationReport:
     """Check det(chain matrix) = +/- prod w(x)^rho(x).
 
     Symbolic mode counts the factors w(x) of each block determinant
-    exactly (see `factor_sign`).  Randomized mode evaluates both sides
-    at `trials` random points in [1, 10^6] modulo a fixed 62-bit prime
-    and requires one consistent sign across all trials.  Neither mode
-    multiplies the blocks together or expands the right-hand side.
+    exactly (see `factor_sign`).  Randomized mode draws each variable
+    uniformly from [1, p - 1], p the fixed 62-bit prime, in each of
+    `trials` trials; evaluates w^S once per atom set S of the Gram
+    factor, each block from it (`GramBlockMod`) and its determinant with
+    `det_mod`; and requires one consistent sign across all trials.
+    Neither mode multiplies the blocks together or expands the
+    right-hand side.
+
+    The randomized error bound (Schwartz 1980; Zippel 1979): for a sign
+    s, if det - s * R is nonzero modulo p, R = prod w(x)^rho(x), a trial
+    passes with probability at most deg / (p - 1), where deg <=
+    max(sum over blocks r of dim_r * rank(r), sum over x of rho(x)); a
+    false identity passes every trial with probability at most
+    2 * (deg / (p - 1))^trials.  Not covered: det - s * R nonzero over Z
+    with every coefficient divisible by p.
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
-    if labeling is None:
-        labeling = min_labeling(P)
-    if weights is None:
-        weights = WeightAssignment.default(P)
     w = {x: weight(P, x, weights) for x in P.elements}
     exponents = rho_exponents(P)
     rhs = rhs_factors(P, w, exponents)
@@ -298,19 +374,26 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
 
     blocks = block_decompose(chain_matrix(P, labeling, weights))
     p = VERIFICATION_PRIME
+    mod_blocks = [GramBlockMod(G, p) for _, G in blocks]
+    atom_sets = {S for _, G in blocks for g in G for S in g}
     rng = random.Random(seed)
     variables = sorted(set(weights.atom_vars.values()))
     sign: int | None = None
     verdict = True
     for _ in range(trials):
-        assignment = {v: rng.randint(1, 10**6) for v in variables}
+        point = {v: rng.randrange(1, p) for v in variables}
+        powers = {}
+        for S in atom_sets:
+            value = 1
+            for v, _ in S:
+                value = value * point[v] % p
+            powers[S] = value
         det_val = 1
-        for _, B in blocks:
-            rows = [[e.eval_mod(assignment, p) for e in row] for row in B]
-            det_val = det_val * _det_mod(rows, p) % p
+        for B in mod_blocks:
+            det_val = det_val * B.det(powers) % p
         rhs_val = 1
         for q, e in rhs:
-            rhs_val = rhs_val * pow(q.eval_mod(assignment, p), e, p) % p
+            rhs_val = rhs_val * pow(q.eval_mod(point, p), e, p) % p
         if det_val == rhs_val:
             trial_sign = 1
         elif det_val == (-rhs_val) % p:
@@ -326,5 +409,5 @@ def verify_theorem(P: Poset, labeling: Labeling | None = None,
             sign = None
             break
     return VerificationReport(verdict, sign if verdict else None, exponents, rhs,
-                              [(t, len(B), None) for t, B in blocks],
+                              [(t, len(G), None) for t, G in blocks],
                               "randomized", trials=trials, seed=seed)

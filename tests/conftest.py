@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from bouquetdet import (WeightAssignment, build_poset, matroid, min_labeling,
-                        poset_from_json)
+                        poset_from_json, verify_theorem)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -12,6 +12,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def load_fixture(name: str) -> dict:
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def verify_default(P, **kwargs):
+    """`verify_theorem` with the min-labeling and the variables in the
+    poset's atom order, as the CLI runs it without --atom-order."""
+    return verify_theorem(P, min_labeling(P), WeightAssignment.default(P), **kwargs)
 
 
 @pytest.fixture(scope="session")

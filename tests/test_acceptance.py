@@ -13,13 +13,13 @@ import pytest
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
                                 enumerate_covectors)
 from bouquetdet.chains import (Chain, WeightAssignment, chain_matrix,
-                               min_labeling, neat_chain_families)
+                               gram_entries, min_labeling, neat_chain_families)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.determinant import block_decompose, det_bareiss, verify_theorem
 from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
                                 matroid_from_json)
 from bouquetdet.polyring import Polynomial
-from conftest import load_fixture
+from conftest import load_fixture, verify_default
 from test_com import composition
 from test_determinant import block_product, det_cofactor, global_verdict
 from test_matroid import brute_rank, simplify
@@ -113,7 +113,7 @@ def test_criterion_2_flag_matrix_identity():
     for name in MATROID_FIXTURES:
         m = matroid_from_json(load_fixture(name))
         P, mapping = flat_lattice(m)
-        rep = verify_theorem(P)
+        rep = verify_default(P)
         ok &= rep.verdict
         # independent exponent oracle on the raw flats, by inclusion
         flats = sorted(mapping.values(), key=lambda f: (len(f), sorted(f)))
@@ -127,7 +127,7 @@ def test_criterion_2_flag_matrix_identity():
             ok &= rep.exponents[x] == beta * abs(brute_mobius(leq, flat, top))
     # closed form for the three-point line
     P, _ = flat_lattice(matroid_from_json(load_fixture("matroid_u23.json")))
-    rep = verify_theorem(P)
+    rep = verify_default(P)
     w1, w2, w3 = (Polynomial.var(i) for i in range(3))
     closed = w1 * w2 * w3 * (w1 + w2 + w3)
     ok &= block_product(rep.blocks) == (closed if rep.sign == 1 else -closed)
@@ -159,7 +159,8 @@ def test_criterion_4_determinant_oracle_equivalence():
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
         blocks = block_decompose(M)
         product = Polynomial.one()
-        for _, B in blocks:
+        for _, G in blocks:
+            B = gram_entries(G)
             d = det_bareiss(B)
             if len(B) <= 6:
                 ok &= d == det_cofactor(B)
@@ -175,11 +176,11 @@ def test_criterion_5_com_corollary():
     P, _ = zero_set_poset(conc)
     Q, _ = flat_lattice(matroid_from_json(load_fixture("matroid_u23.json")))
     ok = nx.is_isomorphic(nx.DiGraph(list(P.covers)), nx.DiGraph(list(Q.covers)))
-    ok &= verify_theorem(P).verdict
+    ok &= verify_default(P).verdict
     gen = validate_com(["l1", "l2", "l3"], enumerate_covectors(GENERIC_LINES))
     ok &= load_fixture("com_generic_lines.json")["covectors"] == list(gen.covectors)
     G, _ = zero_set_poset(gen)
-    ok &= verify_theorem(G).verdict
+    ok &= verify_default(G).verdict
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
     report(f"5 sign-vector corollary ({elapsed:.2f}s)", ok)
@@ -188,8 +189,8 @@ def test_criterion_5_com_corollary():
 def test_criterion_6_randomized_symbolic_agreement():
     ok = True
     for name, P in all_fixture_posets():
-        sym = verify_theorem(P, mode="symbolic")
-        rand = verify_theorem(P, mode="randomized", trials=20, seed=2024)
+        sym = verify_default(P, mode="symbolic")
+        rand = verify_default(P, mode="randomized", trials=20, seed=2024)
         ok &= sym.verdict == rand.verdict and sym.sign == rand.sign
     report("6 randomized/symbolic agreement", ok)
 

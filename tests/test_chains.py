@@ -6,7 +6,7 @@ import pytest
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
                                 enumerate_covectors)
-from bouquetdet.chains import (Chain, ChainMatrix, InvalidLabeling,
+from bouquetdet.chains import (Chain, InvalidLabeling,
                                WeightAssignment, chain_matrix, generators,
                                make_labeling, min_labeling,
                                neat_chain_families, weight)
@@ -89,7 +89,8 @@ def permutation_sign(src, dst):
 def pairwise_chain_matrix(P, labeling, weights):
     """Oracle: entry (C, C') summed pair by pair, over each generator
     tuple of C and each of its reorderings that generates C', with the
-    reordering's sign from its cycles.  Both triangles are computed."""
+    reordering's sign from its cycles.  Both triangles are computed.
+    Returns (chains, family tops, family bounds, entries)."""
     families = oracle_families(P, labeling)
     chains, tops, bounds = [], [], []
     for r in P.maximal:
@@ -111,8 +112,8 @@ def pairwise_chain_matrix(P, labeling, weights):
                         rows[i][j] = rows[i][j] + Polynomial(
                             {tuple(sorted(exponents.items())):
                              permutation_sign(a_tuple, b_tuple)})
-    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
-                       tuple(tuple(row) for row in rows))
+    return (tuple(chains), tuple(tops), tuple(bounds),
+            tuple(tuple(row) for row in rows))
 
 
 def brute_generators(P, chain):
@@ -255,7 +256,7 @@ class TestWeight:
         w2, w3, w5 = (Polynomial.var(w.atom_vars[a]) for a in ("a2", "a3", "a5"))
         assert weight(P, "r3", w) == w2 + w3 + w5
         for a in P.atoms:
-            assert weight(P, a, w) == w.var(a)
+            assert weight(P, a, w) == Polynomial.var(w.atom_vars[a])
         assert weight(P, "0", w) == Polynomial.zero()
 
 
@@ -352,8 +353,10 @@ class TestAgainstOracles:
     def check(P, labeling, weights):
         assert list(neat_chain_families(P, labeling).items()) == \
             list(oracle_families(P, labeling).items())
-        assert chain_matrix(P, labeling, weights) == \
+        M = chain_matrix(P, labeling, weights)
+        assert (M.chains, M.family_tops, M.family_bounds, M.entries) == \
             pairwise_chain_matrix(P, labeling, weights)
+        assert all(all(g.values()) for g in M.vectors)
 
     @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
     @pytest.mark.parametrize("name", ORACLE_POSETS)

@@ -9,9 +9,8 @@ from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
 from bouquetdet.com import (FSViolation, GroundMismatch, SEViolation,
                             com_from_json, validate_com, zero_set,
                             zero_set_poset)
-from bouquetdet.determinant import verify_theorem
 from bouquetdet.matroid import flat_lattice, matroid_from_json
-from conftest import load_fixture
+from conftest import load_fixture, verify_default
 
 E3 = ("l1", "l2", "l3")
 
@@ -253,4 +252,4 @@ class TestZeroSetPoset:
     def test_theorem_holds(self, generic, concurrent):
         for c in (generic, concurrent):
             P, _ = zero_set_poset(c)
-            assert verify_theorem(P).verdict
+            assert verify_default(P).verdict

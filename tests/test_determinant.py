@@ -6,16 +6,18 @@ from itertools import combinations
 import pytest
 import sympy
 
-from bouquetdet import determinant
-from bouquetdet.chains import WeightAssignment, chain_matrix, min_labeling, weight
+from bouquetdet import chains, determinant
+from bouquetdet.chains import (WeightAssignment, chain_matrix, gram_entries,
+                               min_labeling, weight)
 from bouquetdet.cli import KINDS, main
-from bouquetdet.determinant import (VERIFICATION_PRIME, NonZeroOffBlock,
-                                    NotABouquet, TooLarge, _det_mod,
+from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
+                                    NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
-                                    det_bareiss, rho_exponents, verify_theorem)
+                                    det_bareiss, det_mod, rho_exponents,
+                                    verify_theorem)
 from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
 from bouquetdet.polyring import Polynomial
-from conftest import load_fixture
+from conftest import load_fixture, verify_default
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
 from test_polyring import power_product
@@ -45,6 +47,46 @@ def det_cofactor(M):
         return acc
 
     return expand(list(range(n)), list(range(n)))
+
+
+def det_mod_dense(rows, p):
+    """Determinant of an integer matrix modulo a prime by dense Gaussian
+    elimination, one entry at a time: the oracle for the packed `det_mod`."""
+    n = len(rows)
+    a = [[x % p for x in row] for row in rows]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det % p
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], p - 2, p)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % p
+            if f:
+                for j in range(k, n):
+                    a[i][j] = (a[i][j] - f * a[k][j]) % p
+    return det % p
+
+
+def packed_rows(M, p):
+    """The integer matrix M as `det_mod` reads it: each row one int, each
+    negative entry raised by a multiple of p to lie in [p, 2p), entries
+    of M at or above p kept as they are.  Returns (rows, width)."""
+    M = [[x % p + p if x < 0 else x for x in row] for row in M]
+    top = max((x for row in M for x in row), default=0)
+    bound = top + len(M) * (p - 1) ** 2
+    width = bound.bit_length()
+    return [sum(x << j * width for j, x in enumerate(row)) for row in M], width
+
+
+def unpacked(rows, width):
+    """Packed rows of a square matrix back as lists of their fields."""
+    n, mask = len(rows), (1 << width) - 1
+    return [[r >> j * width & mask for j in range(n)] for r in rows]
 
 
 def rhs_product(P, weights):
@@ -89,15 +131,27 @@ class TestBlockDecompose:
         blocks = block_decompose(M)
         assert len(blocks) == 1 and len(blocks[0][1]) == 2
 
-    def test_nonzero_off_block_detected(self, labeled):
+    def test_nonzero_off_block_detected(self, labeled, monkeypatch):
+        # Chain [a4 < r1] is given an atom set of chain [a5 < r4], of
+        # another family, so entry (0, 4) is nonzero.
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
-        rows = [list(r) for r in M.entries]
-        rows[0][4] = var(0)
+        vectors = [dict(g) for g in M.vectors]
+        [S] = vectors[4]
+        vectors[0][S] = 3
         corrupted = type(M)(M.chains, M.family_tops, M.family_bounds,
-                            tuple(tuple(r) for r in rows))
-        with pytest.raises(NonZeroOffBlock):
+                            tuple(vectors))
+        assert not corrupted.entries[0][4].is_zero()
+        names = (str(M.chains[0]), str(M.chains[4]))
+        assert names == ("[a4 < r1]", "[a5 < r4]")
+        with pytest.raises(NonZeroOffBlock) as caught:
             block_decompose(corrupted)
+        assert str(caught.value) == (f"entry ({names[0]}, {names[1]}) = "
+                                     f"{corrupted.entries[0][4].to_string()}")
+        monkeypatch.setattr(determinant, "chain_matrix", lambda *args: corrupted)
+        for mode in ("symbolic", "randomized"):
+            with pytest.raises(NonZeroOffBlock, match=r"\[a4 < r1\], \[a5 < r4\]"):
+                verify_theorem(P, lab, w, mode=mode)
 
 
 class TestBareiss:
@@ -110,7 +164,7 @@ class TestBareiss:
     def test_r3_block(self, labeled):
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
-        block = next(B for top, B in block_decompose(M) if top == "r3")
+        block = next(gram_entries(G) for top, G in block_decompose(M) if top == "r3")
         w2, w3, w5 = (var(w.atom_vars[a]) for a in ("a2", "a3", "a5"))
         # cofactor-expansion oracle, frozen:
         # (w2w5 + w3w5)(w2w3 + w3w5) - (w3w5)^2
@@ -137,7 +191,8 @@ class TestCofactor:
         for M in (chain_matrix(P, lab, w),
                   chain_matrix(u23_lattice[0], min_labeling(u23_lattice[0]),
                                WeightAssignment.default(u23_lattice[0]))):
-            for _, B in block_decompose(M):
+            for _, G in block_decompose(M):
+                B = gram_entries(G)
                 assert det_cofactor(B) == det_bareiss(B)
 
     def test_1x1(self):
@@ -157,8 +212,8 @@ class TestCofactor:
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
         product = Polynomial.one()
-        for _, B in block_decompose(M):
-            product = product * det_bareiss(B)
+        for _, G in block_decompose(M):
+            product = product * det_bareiss(gram_entries(G))
         assert det_cofactor([list(r) for r in M.entries]) == product
 
 
@@ -221,8 +276,9 @@ class TestBareissOracle:
     def test_above_cofactor_limit(self):
         # U(3,6) has one family block, of dimension 10.
         P = flat_lattice(uniform(3, 6))[0]
-        [(_, B)] = block_decompose(chain_matrix(P, min_labeling(P),
+        [(_, G)] = block_decompose(chain_matrix(P, min_labeling(P),
                                                 WeightAssignment.default(P)))
+        B = gram_entries(G)
         assert len(B) == 10
         det = det_bareiss(B)
         p = VERIFICATION_PRIME
@@ -230,7 +286,7 @@ class TestBareissOracle:
         for _ in range(3):
             point = {v: rng.randint(1, 10**6) for v in det.variables()}
             rows = [[e.eval_mod(point, p) for e in row] for row in B]
-            assert det.eval_mod(point, p) == _det_mod(rows, p)
+            assert det.eval_mod(point, p) == det_mod_dense(rows, p)
         # Reversing the 10 rows is 5 transpositions.
         assert det_bareiss(B[::-1]) == -det
 
@@ -240,7 +296,7 @@ class TestBareissOracle:
         P = flat_lattice(graphic_complete(4))[0]
         blocks = block_decompose(chain_matrix(P, min_labeling(P),
                                               WeightAssignment.default(P)))
-        B = next(B for _, B in blocks if len(B) == 6)
+        B = next(gram_entries(G) for _, G in blocks if len(G) == 6)
         expected = det_cofactor(B)
         calls = []
         for name in ("__mul__", "exact_div"):
@@ -255,11 +311,13 @@ class TestBareissOracle:
 
 def random_int_matrix(rng, n, shape):
     """A seeded integer n x n matrix, about a third of the entries zero,
-    the others in [-9, 9] or near +-p, reshaped as in `random_matrix`:
-    "zero-lead", "swap" (column 0 nonzero only in the last row), and
-    "singular" (the last row is 3 * row 0 - row 1, or row 0 at n = 2)."""
+    the others in [-9, 9], near +-p or in [p, 3p), reshaped as in
+    `random_matrix`: "zero-lead", "swap" (column 0 nonzero only in the
+    last row), and "singular" (the last row is 3 * row 0 - row 1, or
+    row 0 at n = 2)."""
     p = VERIFICATION_PRIME
-    M = [[0 if rng.random() < 0.35 else rng.choice([rng.randint(-9, 9), p - 1, -p - 2])
+    M = [[0 if rng.random() < 0.35 else
+          rng.choice([rng.randint(-9, 9), p - 1, -p - 2, rng.randrange(p, 3 * p)])
           for _ in range(n)] for _ in range(n)]
     if shape == "zero-lead":
         M[0][0] = 0
@@ -273,7 +331,8 @@ def random_int_matrix(rng, n, shape):
 
 
 class TestDetMod:
-    """_det_mod against the cofactor determinant reduced mod p."""
+    """The packed-row det_mod against the cofactor determinant reduced
+    mod p, and against the dense elimination `det_mod_dense`."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "singular"])
@@ -282,9 +341,20 @@ class TestDetMod:
         for seed in range(4):
             M = random_int_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
             expected = det_cofactor([[Polynomial.const(c) for c in row] for row in M])
-            assert _det_mod(M, p) == expected.terms.get((), 0) % p
+            assert det_mod(*packed_rows(M, p), p) == expected.terms.get((), 0) % p
             if shape == "singular" and n > 1 or shape == "zero-lead" and n == 1:
-                assert _det_mod(M, p) == 0
+                assert det_mod(*packed_rows(M, p), p) == 0
+
+    @pytest.mark.parametrize("n", [7, 12, 25, 40])
+    @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "singular"])
+    def test_equals_dense(self, shape, n):
+        p = VERIFICATION_PRIME
+        for seed in range(2):
+            M = random_int_matrix(random.Random(f"dense {shape} {n} {seed}"), n, shape)
+            det = det_mod(*packed_rows(M, p), p)
+            assert det == det_mod_dense(M, p)
+            if shape == "singular":
+                assert det == 0
 
     def test_last_pivot_takes_no_inverse(self, monkeypatch):
         # a 1 x 1 block needs no inverse; an n x n one needs n - 1
@@ -292,9 +362,9 @@ class TestDetMod:
         monkeypatch.setattr(determinant, "pow", lambda *a: calls.append(a) or pow(*a),
                             raising=False)
         p = VERIFICATION_PRIME
-        assert _det_mod([[-5]], p) == p - 5
+        assert det_mod(*packed_rows([[-5]], p), p) == p - 5
         assert calls == []
-        assert _det_mod([[2, 1, 0], [1, 2, 1], [0, 1, 2]], p) == 4
+        assert det_mod(*packed_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]], p), p) == 4
         assert len(calls) == 2
 
 
@@ -325,19 +395,19 @@ class TestRhsProduct:
 
 class TestVerify:
     def test_example(self, bouquet_example):
-        report = verify_theorem(bouquet_example)
+        report = verify_default(bouquet_example)
         assert report.verdict
         assert report.sign in (1, -1)
 
     def test_one_atom(self, one_atom):
-        report = verify_theorem(one_atom)
+        report = verify_default(one_atom)
         assert report.verdict and report.sign == 1
         assert block_product(report.blocks) == var(0)
         assert (report.verdict, report.sign) == global_verdict(one_atom)[:2]
 
     def test_u23(self, u23_lattice):
         P, _ = u23_lattice
-        report = verify_theorem(P)
+        report = verify_default(P)
         w1, w2, w3 = (var(i) for i in range(3))
         assert report.verdict
         assert block_product(report.blocks) == w1 * w2 * w3 * (w1 + w2 + w3)
@@ -345,17 +415,17 @@ class TestVerify:
 
     def test_not_a_bouquet(self, pentagon):
         with pytest.raises(NotABouquet):
-            verify_theorem(pentagon)
+            verify_default(pentagon)
 
     def test_randomized_agrees(self, bouquet_example, one_atom, u23_lattice):
         for P in (bouquet_example, one_atom, u23_lattice[0]):
-            sym = verify_theorem(P, mode="symbolic")
-            rand = verify_theorem(P, mode="randomized", trials=20, seed=7)
+            sym = verify_default(P, mode="symbolic")
+            rand = verify_default(P, mode="randomized", trials=20, seed=7)
             assert sym.verdict == rand.verdict
             assert sym.sign == rand.sign
 
     def test_report_json_shape(self, bouquet_example):
-        payload = verify_theorem(bouquet_example).to_json()
+        payload = verify_default(bouquet_example).to_json()
         assert set(payload) >= {"verdict", "sign", "det", "product",
                                 "exponents", "blocks", "mode", "trials", "seed"}
 
@@ -410,7 +480,7 @@ class TestBlockVerdict:
     @pytest.mark.parametrize("name", INSTANCES)
     def test_equals_global(self, name):
         P = INSTANCES[name]()
-        report = verify_theorem(P)
+        report = verify_default(P)
         verdict, sign, det, rhs = global_verdict(P)
         assert (report.verdict, report.sign) == (verdict, sign)
         assert block_product(report.blocks) == det
@@ -438,7 +508,7 @@ class TestBlockVerdict:
         mul = Polynomial.__mul__
         monkeypatch.setattr(Polynomial, "__mul__",
                             lambda a, b: products.append(mul(a, b)) or products[-1])
-        report = verify_theorem(P)
+        report = verify_default(P)
         monkeypatch.setattr(Polynomial, "__mul__", mul)
         calls.clear()
         oracle = global_verdict(P)
@@ -472,6 +542,61 @@ class TestBlockVerdict:
         assert block_texts == [d.to_string() for _, _, d in report.blocks]
         assert text_value(det_text) == text_value(det.to_string())
         assert text_value(product_text) == text_value(rhs.to_string())
+
+
+GRAM_INSTANCES = {
+    "U(3,6)": lambda: flat_lattice(uniform(3, 6))[0],
+    **{name: INSTANCES[name] for name in ("M(K4)", "3xU(2,5)",
+                                          "com_generic_lines.json",
+                                          "com_concurrent_lines.json",
+                                          "bouquet_example.json")},
+}
+
+
+class TestGramEvaluation:
+    """The blocks randomized mode evaluates from the Gram factor against
+    `eval_mod` of each entry of the polynomial block."""
+
+    @pytest.mark.parametrize("name", GRAM_INSTANCES)
+    def test_blocks_equal_eval_mod(self, name):
+        P = GRAM_INSTANCES[name]()
+        weights = WeightAssignment.default(P)
+        p = VERIFICATION_PRIME
+        rng = random.Random(name)
+        point = {v: rng.randrange(1, p) for v in weights.atom_vars.values()}
+        for _, G in block_decompose(chain_matrix(P, min_labeling(P), weights)):
+            B = gram_entries(G)
+            powers = {S: Polynomial({S: 1}).eval_mod(point, p)
+                      for g in G for S in g}
+            block = GramBlockMod(G, p)
+            expected = [[e.eval_mod(point, p) for e in row] for row in B]
+            fields = unpacked(block.rows(powers), block.width)
+            assert [[x % p for x in row] for row in fields] == expected
+            # det_mod's room: n - 1 additions below (p - 1)^2 on top
+            top = max((x for row in fields for x in row), default=0)
+            assert top + (len(B) - 1) * (p - 1) ** 2 < 1 << block.width
+            assert block.det(powers) == det_mod_dense(expected, p)
+
+    def test_no_entry_expanded(self, monkeypatch):
+        # Randomized mode builds no polynomial entry and evaluates only
+        # the right-hand side's weights, once per trial each.
+        P = INSTANCES["M(K4)"]()
+        evaluated = []
+        eval_mod = Polynomial.eval_mod
+        monkeypatch.setattr(Polynomial, "eval_mod", lambda q, point, p:
+                            evaluated.append(q) or eval_mod(q, point, p))
+        monkeypatch.setattr(chains, "gram_entry", None)
+        monkeypatch.setattr(determinant, "gram_entry", None)
+        report = verify_default(P, mode="randomized", trials=4)
+        assert report.verdict
+        assert evaluated == [q for q, _ in report.rhs] * 4
+
+    def test_randomized_k5(self):
+        # M(K5): one block of dimension 4! = 24, past the cofactor limit.
+        P = flat_lattice(graphic_complete(5))[0]
+        report = verify_default(P, mode="randomized", trials=3, seed=5)
+        assert [d for _, d, _ in report.blocks] == [24]
+        assert report.verdict and report.sign in (1, -1)
 
 
 # Multi-block inputs whose global product of blocks is too large to form

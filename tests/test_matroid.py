@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bouquetdet.chains import WeightAssignment
+from bouquetdet.chains import WeightAssignment, min_labeling
 from bouquetdet.determinant import rho_exponents, verify_theorem
 from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, Matroid,
                                 MatroidError, NotAClutter, NotDownwardClosed,
@@ -13,7 +13,7 @@ from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, Matroid,
                                 build_matroid, flat_lattice, matroid_from_json,
                                 set_id)
 from bouquetdet.polyring import Polynomial
-from conftest import load_fixture
+from conftest import load_fixture, verify_default
 
 
 def brute_rank(m, subset):
@@ -312,13 +312,13 @@ class TestFlagMatrixIdentity:
     def test_verifies(self, name):
         m = matroid_from_json(load_fixture(name))
         P, _ = flat_lattice(m)
-        assert verify_theorem(P).verdict
+        assert verify_default(P).verdict
 
     def test_ground_substitution_preserves_identity(self, u23_lattice):
         from test_determinant import block_product, global_verdict
         P, mapping = u23_lattice
         weights = WeightAssignment.default(P)
-        report = verify_theorem(P, weights=weights)
+        report = verify_theorem(P, min_labeling(P), weights)
         verdict, sign, _, rhs = global_verdict(P)
         assert report.verdict
         assert (report.verdict, report.sign) == (verdict, sign)
