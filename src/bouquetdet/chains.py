@@ -114,19 +114,16 @@ def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
     """All ordered atom tuples (a_1, ..., a_k) whose partial joins trace
     the chain: a_1 v ... v a_i = x_i.
 
-    The choice at level i only depends on (x_{i-1}, x_i), so the tuples
-    are the cartesian product of per-level candidate sets.  a_1 must be
-    x_1 itself, and repeats cannot occur (a repeated atom would stall the
-    join).
+    Level i holds the atoms below x_i and not below x_{i-1} (x_0 = 0̂),
+    and the tuples are the product of the levels.  This needs a meet
+    semilattice with 0̂, as every checked bouquet is: there such an atom
+    a has x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.
+    The levels are disjoint, so each tuple has its own atom set.
     """
-    levels: list[list[str]] = [[chain.elements[0]]]
-    for prev, cur in zip(chain.elements, chain.elements[1:]):
-        cands = [a for a in P.atoms if P.leq(a, cur) and not P.leq(a, prev)
-                 and P.join(prev, a) == cur]
-        levels.append(sorted(cands))
+    below = [set()] + [{a for a in P.atoms if P.leq(a, x)} for x in chain.elements]
     tuples: list[tuple[str, ...]] = [()]
-    for cands in levels:
-        tuples = [t + (a,) for t in tuples for a in cands]
+    for prev, cur in zip(below, below[1:]):
+        tuples = [t + (a,) for t in tuples for a in sorted(cur - prev)]
     return tuples
 
 
@@ -146,7 +143,7 @@ def weight(P: Poset, x: str, weights: WeightAssignment) -> Polynomial:
     return Polynomial({((var[a], 1),): 1 for a in P.atoms if P.leq(a, x)})
 
 
-GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> g_C(S)
+GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> ±1
 
 
 def gram_entry(g: GramVector, h: GramVector) -> Polynomial:
@@ -163,8 +160,8 @@ def gram_entries(vectors: Sequence[GramVector]) -> list[list[Polynomial]]:
 class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
     grouped into neat chain families (family = common top element), held
-    as its Gram factor: one signed vector g_C per chain, nonzero
-    coefficients only.  The polynomial entries are built on first use."""
+    as its Gram factor: one vector g_C of ±1 coefficients per chain.  The
+    polynomial entries are built on first use."""
     chains: tuple[Chain, ...]
     family_tops: tuple[str, ...]
     family_bounds: tuple[tuple[int, int], ...]  # [start, stop) per family
@@ -192,11 +189,11 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     over atom tuples A generating C whose reorderings sigma(A) generate
     C'.  sgn(sigma) is the product of the signs of A and sigma(A) against
     increasing variable index, so entry (C, C') is the sum over atom sets
-    S of g_C(S) * g_C'(S) * w^S, with g_C(S) the summed signs of C's
-    generator tuples on S.  The matrix keeps the vectors g_C, zero
-    coefficients dropped; `determinant.block_decompose` checks that no
-    atom set is shared across families, which is exactly the vanishing of
-    every cross-family entry.
+    S of g_C(S) * g_C'(S) * w^S, with g_C(S) = ±1 the sign of C's one
+    generator tuple on S (see `generators`).  The matrix keeps the
+    vectors g_C; `determinant.block_decompose` checks that no atom set is
+    shared across families, which is exactly the vanishing of every
+    cross-family entry.
     """
     families = neat_chain_families(P, labeling)
     chains: list[Chain] = []
@@ -215,7 +212,6 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         for t in generators(P, c):
             vs = [var[a] for a in t]
             inversions = sum(u > v for u, v in combinations(vs, 2))
-            S = tuple((v, 1) for v in sorted(vs))
-            g[S] = g.get(S, 0) + (-1 if inversions & 1 else 1)
-        vectors.append({S: c for S, c in g.items() if c})
+            g[tuple((v, 1) for v in sorted(vs))] = -1 if inversions & 1 else 1
+        vectors.append(g)
     return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), tuple(vectors))

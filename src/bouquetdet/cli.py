@@ -9,6 +9,7 @@ invalidity, 3 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable, NamedTuple
@@ -225,6 +226,7 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bouquetdet",

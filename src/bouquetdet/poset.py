@@ -1,16 +1,19 @@
-"""Finite posets given by cover relations, with the order-theoretic
-invariants used by the chain-matrix pipeline: meet/join, rank, Möbius
-function, Crapo beta, and the cumulated rho exponent.
+"""Finite posets, with the order-theoretic invariants used by the
+chain-matrix pipeline: meet/join, rank, Möbius function, Crapo beta, and
+the cumulated rho exponent.
 
-The order is held as int bitmasks over element positions, bit i standing
-for `elements[i]`: the up-mask of x has a bit for every y >= x, the
-down-mask one for every y <= x, so x <= y is one bit test.  The common
-lower bounds of x and y are the down-set `down[x] & down[y]`, which has a
-greatest element m exactly when it is the principal ideal `down[m]`; so
-the meet is a dict lookup of that mask (None when it is not a key), and
-the join is the same lookup on up-masks.  The bouquet test runs on these
-masks in one pass over the poset, without building any interval (see
-`Poset.is_bouquet`).
+The order is held once, as int bitmasks over element positions, bit i
+standing for `elements[i]`: the down-mask of x has a bit for every
+y <= x.  The `Poset` constructor derives the rest from the down-masks:
+up-masks (so x <= y is one bit test), covers, bottom, atoms and maximal
+elements.  `build_poset` validates outside input and closes its covers
+into down-masks; `inclusion_poset` passes its masks straight on.  The
+common lower bounds of x and y are the down-set `down[x] & down[y]`,
+which has a greatest element m exactly when it is the principal ideal
+`down[m]`; so the meet is a dict lookup of that mask (None when it is
+not a key), and the join is the same lookup on up-masks.  The bouquet
+test runs on these masks in one pass over the poset, without building
+any interval (see `Poset.is_bouquet`).
 
 All relations are materialized at build time (desk-scale instances), and
 a Poset is immutable afterwards, so queries are safe to run concurrently.
@@ -54,37 +57,45 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Poset:
-    """Immutable finite poset.  Use build_poset() to construct."""
+    """Immutable finite poset, held as down-masks.  Use build_poset() for
+    cover pairs, inclusion_poset() for sets ordered by inclusion."""
 
     __slots__ = (
         "elements", "covers", "_index", "_up", "_down", "_by_up", "_by_down",
-        "_upcov", "_downcov", "bottom", "atoms", "maximal", "_order", "_rank",
+        "_upcov", "_downcov", "bottom", "atoms", "maximal", "_rank",
         "_semilattice", "_bouquet", "_mobius_cache",
     )
 
-    def __init__(self, elements: tuple[str, ...], covers: frozenset[tuple[str, str]],
-                 up: list[int], down: list[int],
-                 upcov: dict[str, tuple[str, ...]], downcov: dict[str, tuple[str, ...]],
-                 order: tuple[str, ...]):
-        """`up`/`down` are the masks by element position; `order` is a
-        topological order of `elements` (bottom-up)."""
-        self.elements = elements
-        self.covers = covers
+    def __init__(self, elements: Sequence[str], down: list[int]):
+        """`down[i]` masks the elements at or below `elements[i]` in a
+        partial order.  y covers x when x is strictly below y and below
+        nothing else strictly below y; covers are listed by name."""
+        self.elements = elements = tuple(elements)
         self._index = {x: i for i, x in enumerate(elements)}
+        if len(self._index) != len(elements):
+            raise UnknownElement("duplicate element identifiers")
+        up = [1 << j for j in range(len(elements))]
+        self._downcov = downcov = {}
+        for j, d in enumerate(down):
+            below, implied = d & ~(1 << j), 0
+            for i in _bits(below):
+                up[i] |= 1 << j
+                implied |= down[i] & ~(1 << i)
+            covered = _bits(below & ~implied)
+            downcov[elements[j]] = tuple(sorted(elements[i] for i in covered))
+        self.covers = frozenset((x, y) for y, xs in downcov.items() for x in xs)
+        upcov: dict[str, list[str]] = {x: [] for x in elements}
+        for x, y in sorted(self.covers):
+            upcov[x].append(y)
+        self._upcov = {x: tuple(v) for x, v in upcov.items()}
         self._up = up
         self._down = down
         self._by_up = {m: i for i, m in enumerate(up)}
         self._by_down = {m: i for i, m in enumerate(down)}
-        self._upcov = upcov
-        self._downcov = downcov
         minimal = [x for x in elements if not downcov[x]]
         self.bottom = minimal[0] if len(minimal) == 1 else None
-        if self.bottom is not None:
-            self.atoms = tuple(self._upcov[self.bottom])
-        else:
-            self.atoms = ()
+        self.atoms = self._upcov[self.bottom] if self.bottom is not None else ()
         self.maximal = tuple(x for x in elements if not upcov[x])
-        self._order = order
         self._rank: dict[str, int] | None = None
         self._semilattice: bool | None = None
         self._bouquet: bool | None = None
@@ -217,10 +228,12 @@ class Poset:
             return self._rank
         if self.bottom is None:
             raise NotRanked("no unique bottom element")
+        # Down-sets grow along the order: by their size, the bottom comes
+        # first and every element after all those below it.
         rank = {self.bottom: 0}
-        for x in self._order:
-            if x == self.bottom:
-                continue
+        els, down = self.elements, self._down
+        for i in sorted(range(len(els)), key=lambda i: down[i].bit_count())[1:]:
+            x = els[i]
             parents = {rank[p] for p in self._downcov[x]}
             if len(parents) != 1:
                 raise NotRanked(f"unequal saturated chain lengths at {x!r}")
@@ -280,7 +293,9 @@ def build_poset(elements: Sequence[str], covers: Iterable[Sequence[str]]) -> Pos
 
     Rejects cycles, unknown endpoints, duplicate identifiers, and covers
     already implied by transitivity (RedundantCover) -- redundant pairs
-    in hand-written fixtures are almost always input mistakes.
+    in hand-written fixtures are almost always input mistakes.  The first
+    redundant pair by name is reported, via its lower end's first given
+    upper cover by name below its upper end.
     """
     elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
@@ -294,54 +309,38 @@ def build_poset(elements: Sequence[str], covers: Iterable[Sequence[str]]) -> Pos
         if x == y:
             raise CycleDetected(f"self-cover {x!r}")
         cover_set.add((x, y))
+    ups: list[list[int]] = [[] for _ in elements]
+    pending = [0] * len(elements)
+    for x, y in cover_set:
+        ups[index[x]].append(index[y])
+        pending[index[y]] += 1
 
-    upcov: dict[str, list[str]] = {x: [] for x in elements}
-    downcov: dict[str, list[str]] = {x: [] for x in elements}
-    for x, y in sorted(cover_set):
-        upcov[x].append(y)
-        downcov[y].append(x)
-
-    # Kahn topological sort doubles as the cycle check.
-    pending = {x: len(downcov[x]) for x in elements}
-    stack = [x for x in elements if pending[x] == 0]
-    order = []
+    # Kahn's topological sort closes the down-masks along the covers and
+    # doubles as the cycle check: a popped element's mask is final.
+    down = [1 << i for i in range(len(elements))]
+    stack = [i for i, n in enumerate(pending) if n == 0]
+    done = 0
     while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in upcov[x]:
-            pending[y] -= 1
-            if pending[y] == 0:
-                stack.append(y)
-    if len(order) != len(elements):
-        cyclic = [x for x in elements if pending[x] > 0]
+        i = stack.pop()
+        done += 1
+        for j in ups[i]:
+            down[j] |= down[i]
+            pending[j] -= 1
+            if pending[j] == 0:
+                stack.append(j)
+    if done != len(elements):
+        cyclic = [x for x, n in zip(elements, pending) if n > 0]
         raise CycleDetected(f"cover relation has a cycle through {cyclic!r}")
 
-    # Up-masks top-down, down-masks bottom-up, each from the covers.
-    up = [0] * len(elements)
-    for x in reversed(order):
-        mask = 1 << index[x]
-        for y in upcov[x]:
-            mask |= up[index[y]]
-        up[index[x]] = mask
-
-    for x, y in cover_set:
-        for z in upcov[x]:
-            if z != y and up[index[z]] >> index[y] & 1:
-                raise RedundantCover(f"cover {(x, y)!r} implied via {z!r}")
-
-    down = [0] * len(elements)
-    for y in order:
-        mask = 1 << index[y]
-        for x in downcov[y]:
-            mask |= down[index[x]]
-        down[index[y]] = mask
-
-    return Poset(
-        elements, frozenset(cover_set), up, down,
-        {x: tuple(v) for x, v in upcov.items()},
-        {x: tuple(v) for x, v in downcov.items()},
-        tuple(order),
-    )
+    # Every cover of the closed order is a given pair, so the given pairs
+    # that are not covers are exactly the redundant ones.
+    P = Poset(elements, down)
+    redundant = sorted(cover_set - P.covers)
+    if redundant:
+        x, y = redundant[0]
+        z = min(z for a, z in cover_set if a == x and z != y and P.leq(z, y))
+        raise RedundantCover(f"cover {(x, y)!r} implied via {z!r}")
+    return P
 
 
 def set_id(s: Iterable[str]) -> str:
@@ -354,26 +353,14 @@ def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozens
 
     Element ids are canonical set strings, listed by increasing size; the
     returned id -> set mapping is kept for perfbench and the tests until
-    ROADMAP item 1.
-
-    `inside[i]` masks the sets strictly inside set i (all listed before
-    it); the sets that i covers are those minus everything strictly
-    inside one of them.
+    ROADMAP item 1.  The down-mask of each set comes from subset tests
+    against the sets listed up to it, and goes straight to `Poset`.
     """
     sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
     ids = [set_id(s) for s in sets]
-    inside: list[int] = []
-    covers = []
-    for i, b in enumerate(sets):
-        strict = [k for k, a in enumerate(sets[:i]) if a < b]
-        mask = implied = 0
-        for k in strict:
-            mask |= 1 << k
-            implied |= inside[k]
-        inside.append(mask)
-        covers += [(ids[k], ids[i]) for k in strict if not implied >> k & 1]
-    poset = build_poset(ids, covers)
-    return poset, dict(zip(ids, sets))
+    down = [sum(1 << k for k, a in enumerate(sets[:i + 1]) if a <= b)
+            for i, b in enumerate(sets)]
+    return Poset(ids, down), dict(zip(ids, sets))
 
 
 def poset_from_json(data: dict) -> Poset:

@@ -17,6 +17,7 @@ from bouquetdet.poset import build_poset
 from bouquetdet.polyring import Polynomial
 from conftest import load_fixture
 from test_cli import FIXTURE_FILES, fixture_kind
+from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
 from test_poset import join_all
 
@@ -248,6 +249,24 @@ class TestGenerators:
             for t in generators(P, c):
                 assert len(set(t)) == len(t)
                 assert join_all(P, t) == c.top
+
+    @pytest.mark.parametrize("name", [
+        *(n for n in FIXTURE_FILES if n != "poset_pentagon.json"),
+        "U(3,6)", "M(K4)", "3xU(2,5)"])
+    def test_levels(self, name):
+        """The levels against the exhaustive scan; they are disjoint, so
+        no two tuples of a chain share an atom set and every stored Gram
+        coefficient is +-1."""
+        P = {"U(3,6)": lambda: flat_lattice(uniform(3, 6))[0],
+             "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
+             "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5)}.get(
+                 name, lambda: _fixture_poset(name))()
+        for c in enumerate_maximal_chains(P):
+            tuples = generators(P, c)
+            assert sorted(tuples) == brute_generators(P, c)
+            assert len({frozenset(t) for t in tuples}) == len(tuples)
+        M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
+        assert all(c in (1, -1) for g in M.vectors for c in g.values())
 
 
 class TestWeight:

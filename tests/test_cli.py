@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from bouquetdet.chains import min_labeling
-from bouquetdet.cli import main
+from bouquetdet.cli import build_parser, main
 from conftest import FIXTURES, load_fixture
 
 PEX = str(FIXTURES / "poset_bouquet_example.json")
@@ -351,6 +351,20 @@ class TestRunOnce:
     def test_det_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
         dets, formatted = self.determinant_texts(monkeypatch, capsys, "det", name, fmt)
         assert sorted(map(id, formatted)) == sorted(map(id, dets))
+
+    def test_parser_built_once(self, capsys):
+        """The argparse tree is built once per process, and an argparse
+        error leaves it fit for the next call."""
+        argv = ["verify", PEX, "--format", "text"]
+        build_parser.cache_clear()
+        alone = run(capsys, *argv)
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", PEX, "--mode", "exact"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == alone
+        assert build_parser.cache_info().misses == 1
 
     def test_seed_not_read_from_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("BOUQUETDET_SEED", "5")

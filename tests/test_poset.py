@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from bouquetdet import poset as poset_mod
 from bouquetdet.com import com_from_json, zero_set
 from bouquetdet.matroid import bouquet_from_json, flat_lattice
-from bouquetdet.poset import (CycleDetected, RedundantCover, UnknownElement,
-                              build_poset, inclusion_poset, poset_from_json,
-                              set_id)
+from bouquetdet.poset import (CycleDetected, NotRanked, RedundantCover,
+                              UnknownElement, build_poset, inclusion_poset,
+                              poset_from_json, set_id)
 from conftest import FIXTURES, load_fixture
 from test_matroid import graphic_complete, uniform
 
@@ -72,6 +76,14 @@ def interval(P, x, y):
                        [(a, b) for a, b in P.covers if a in members and b in members])
 
 
+def ranks(P):
+    """x -> rank, or None when P is not ranked."""
+    try:
+        return {x: P.rank(x) for x in P.elements}
+    except NotRanked:
+        return None
+
+
 def brute_mobius(P, x, y):
     """Independent recursion straight from the defining sum."""
     if not P.leq(x, y):
@@ -106,6 +118,27 @@ class TestBuild:
                             if a < b and not any(a < c < b for c in distinct)}
         assert mapping == {set_id(s): s for s in distinct}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=12))
+    def test_inclusion_poset_equals_built(self, sets):
+        """The masks inclusion_poset passes to the constructor give the
+        poset build_poset makes from the covers of a pairwise scan."""
+        distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
+        covers = [(set_id(a), set_id(b)) for a in distinct for b in distinct
+                  if a < b and not any(a < c < b for c in distinct)]
+        P = inclusion_poset(sets)[0]
+        Q = build_poset([set_id(s) for s in distinct], covers)
+        assert (P.elements, P.covers, P.bottom, P.atoms, P.maximal) == \
+            (Q.elements, Q.covers, Q.bottom, Q.atoms, Q.maximal)
+        assert all(P.upper_covers(x) == Q.upper_covers(x) for x in P.elements)
+        assert (P._up, P._down) == (Q._up, Q._down)
+        assert ranks(P) == ranks(Q)
+
+    def test_inclusion_duplicate_ids(self):
+        # {"a,b"} and {"a", "b"} both print {a,b}.
+        with pytest.raises(UnknownElement, match="duplicate element identifiers"):
+            inclusion_poset([frozenset(), frozenset({"a,b"}), frozenset({"a", "b"})])
+
     def test_example_shape(self, bouquet_example):
         P = bouquet_example
         assert P.bottom == "0"
@@ -119,6 +152,24 @@ class TestBuild:
     def test_redundant_cover(self):
         with pytest.raises(RedundantCover):
             build_poset(["0", "a", "b"], [("0", "a"), ("a", "b"), ("0", "b")])
+
+    @pytest.mark.parametrize("seed", ["1", "3"])
+    def test_redundant_witness_independent_of_hash_seed(self, seed):
+        """With two redundant covers, the first by name is reported under
+        every string hash seed (1 and 3 iterate a set of the pairs in
+        different orders)."""
+        script = ("from bouquetdet.poset import RedundantCover, build_poset\n"
+                  "try:\n"
+                  "    build_poset(['0', 'a', 'b', 'c'], [('0', 'a'), ('a', 'b'),"
+                  " ('b', 'c'), ('0', 'b'), ('a', 'c')])\n"
+                  "except RedundantCover as exc:\n"
+                  "    print(exc)\n")
+        path = [str(Path(poset_mod.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "cover ('0', 'b') implied via 'a'\n"
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownElement):
@@ -409,6 +460,23 @@ class TestRank:
     def test_atoms_have_rank_one(self, bouquet_example, one_atom):
         for P in (bouquet_example, one_atom):
             assert all(P.rank(a) == 1 for a in P.atoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, P):
+        """Ranks against the lengths of all saturated chains from the
+        bottom, on posets listed in drawn element orders."""
+        lengths = {x: set() for x in P.elements}
+        if P.bottom is not None:
+            stack = [(P.bottom, 0)]
+            while stack:
+                x, n = stack.pop()
+                lengths[x].add(n)
+                stack += [(y, n + 1) for y in P.upper_covers(x)]
+        if all(len(v) == 1 for v in lengths.values()):
+            assert ranks(P) == {x: v.pop() for x, v in lengths.items()}
+        else:
+            assert ranks(P) is None
 
 
 class TestInvariants:
