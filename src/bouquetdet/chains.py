@@ -206,12 +206,19 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         bounds.append((start, len(chains)))
 
     var = weights.atom_vars
+    # the sign of each permutation that sorts a tuple's variables; a chain
+    # of length k has at most k! of them, however many tuples it has
+    signs: dict[tuple[int, ...], int] = {}
     vectors: list[GramVector] = []
     for c in chains:
         g: GramVector = {}
         for t in generators(P, c):
             vs = [var[a] for a in t]
-            inversions = sum(u > v for u, v in combinations(vs, 2))
-            g[tuple((v, 1) for v in sorted(vs))] = -1 if inversions & 1 else 1
+            order = tuple(sorted(range(len(vs)), key=vs.__getitem__))
+            sign = signs.get(order)
+            if sign is None:
+                inversions = sum(u > v for u, v in combinations(order, 2))
+                sign = signs[order] = -1 if inversions & 1 else 1
+            g[tuple((vs[i], 1) for i in order)] = sign
         vectors.append(g)
     return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), tuple(vectors))

@@ -7,9 +7,11 @@ which keeps fixtures compact and diffable.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import NotABouquet, Poset, inclusion_poset
+from .poset import NotABouquet, Poset, _bits, inclusion_poset
 
 
 class ComError(Exception):
@@ -80,7 +82,8 @@ class CovectorSet:
 def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet:
     """Check face symmetry (FS) and strong elimination (SE) on every pair
     of covectors, with no sampling; raises FSViolation / SEViolation with
-    a witness on failure.
+    a witness on failure.  The axioms are those of Bandelt, Chepoi and
+    Knauer, "COMs: complexes of oriented matroids" (JCTA 2018).
 
     Each covector is held as two bitmasks over the ground positions, the
     positions signed + and the positions signed -.
@@ -93,11 +96,24 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     rescanned, in input order, for the witness.
 
     SE: `at[s][f]` is the bitset of covector indices with sign s at
-    position f; the covectors that agree with X o Y off the separator
-    S(X, Y) are the AND of `at[(X o Y)_f][f]` over f not in S, and SE
-    fails at e in S exactly when none of them is 0 at e.  Off S, X o Y = Y o X, so each unordered
-    pair is checked once, and the outcome is memoised on S and X o Y
-    restricted to the complement of S.
+    position f.  The outcome for a pair (X, Y) depends only on the
+    separator S = S(X, Y) and on X o Y off S, where X o Y = Y o X, so
+    each unordered pair needs one test.  SE asks for a Z that is 0 at e
+    and equals X o Y off S, for each e in S: the covectors that equal
+    X o Y off S are those that are 0 off the support of X o Y (a bitset
+    kept per support) AND-ed with `at[(X o Y)_f][f]` over the rest of
+    the support outside S, and the pair fails at the first e in S, in
+    ground order, where none of them is 0.
+
+    Only pairs of equal support need the test.  FS holds by now, and FS
+    gives composition: X o Y = X o (-(X o (-Y))).  So X o Y and Y o X
+    are in L; both have support supp(X) u supp(Y); they differ exactly
+    on S, so S(X o Y, Y o X) = S; and (X o Y) o (Y o X) = X o Y.  The
+    pair (X o Y, Y o X) therefore asks SE for the same Z at the same e
+    as (X, Y), and some pair fails iff some equal-support pair fails.
+    The covectors are grouped by support and each class is tested pair
+    by pair; only on a failure are all pairs rescanned, with the same
+    test, for the witness.
 
     Witnesses follow input order with duplicates dropped: FSViolation
     names the first failing (X, Y), X in the outer loop; SEViolation the
@@ -135,30 +151,42 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     for k, x in enumerate(vecs):
         for f, s in enumerate(x):
             at[s][f] |= 1 << k
+    # covector indices by support, and per support U the covectors that
+    # are 0 everywhere off U
+    classes: dict[int, list[int]] = {}
+    for k, (xp, xm) in enumerate(masks):
+        classes.setdefault(xp | xm, []).append(k)
+    plus_at, minus_at, zero_at = at["+"], at["-"], at["0"]
     everyone = (1 << len(vecs)) - 1
-    memo: dict[tuple[int, int, int], int | None] = {}
-    for i, (xp, xm) in enumerate(masks):
-        for j in range(i + 1, len(vecs)):
-            yp, ym = masks[j]
-            sep = xp & ym | xm & yp
-            if not sep:
-                continue
-            # X o Y off S, where it equals Y o X
-            plus, minus = (xp | yp) & ~sep, (xm | ym) & ~sep
-            key = (sep, plus, minus)
-            if key not in memo:
-                agree = everyone
-                for f in range(n):
-                    bit = 1 << f
-                    if plus & bit:
-                        agree &= at["+"][f]
-                    elif minus & bit:
-                        agree &= at["-"][f]
-                    elif not sep & bit:
-                        agree &= at["0"][f]
-                memo[key] = next((e for e in range(n)
-                                  if sep >> e & 1 and not agree & at["0"][e]), None)
-            failing = memo[key]
+    candidates = {}
+    for support in classes:
+        agree = everyone
+        for f in _bits(everywhere & ~support):
+            agree &= zero_at[f]
+        candidates[support] = agree
+    positions = lru_cache(maxsize=None)(lambda mask: tuple(_bits(mask)))
+
+    def se_failure(i: int, j: int) -> int | None:
+        """The first e in S(X, Y), in ground order, with no covector Z
+        that is 0 at e and equals X o Y off S; None if there is none."""
+        (xp, xm), (yp, ym) = masks[i], masks[j]
+        sep = xp & ym | xm & yp
+        # supp(X o Y) is a support class: X o Y is in L, as FS holds
+        agree = candidates[xp | xm | yp | ym]
+        for f in positions((xp | yp) & ~sep):
+            agree &= plus_at[f]
+        for f in positions((xm | ym) & ~sep):
+            agree &= minus_at[f]
+        for e in positions(sep):
+            if not agree & zero_at[e]:
+                return e
+        return None
+
+    if any(se_failure(i, j) is not None
+           for members in classes.values()
+           for i, j in combinations(members, 2)):
+        for i, j in combinations(range(len(vecs)), 2):
+            failing = se_failure(i, j)
             if failing is not None:
                 raise SEViolation(vecs[i], vecs[j], ground[failing])
     return CovectorSet(ground, tuple(vecs))

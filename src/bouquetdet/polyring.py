@@ -224,18 +224,6 @@ class Polynomial:
                          self.total_degree() + other.total_degree())
         return layout.unpack(mul_into({}, layout.pack(self), layout.pack(other)))
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -112,9 +112,6 @@ class Poset:
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._pos(x)] >> self._pos(y) & 1)
 
-    def down_set(self, x: str) -> frozenset:
-        return frozenset(self.elements[k] for k in _bits(self._down[self._pos(x)]))
-
     def upper_covers(self, x: str) -> tuple[str, ...]:
         self._pos(x)
         return self._upcov[x]

@@ -29,6 +29,18 @@ CONCURRENT_LINES: list[Line] = [
     (Fraction(1), Fraction(1), Fraction(0)),    # x + y = 0
 ]
 
+# x = -1, 0, 1, y = -1, 0, 1 and x + y = 0: triple points at (0, 0),
+# (-1, 1) and (1, -1), six double points.
+SEVEN_LINES: list[Line] = [
+    (Fraction(1), Fraction(0), Fraction(1)),
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0), Fraction(-1)),
+    (Fraction(0), Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1), Fraction(-1)),
+    (Fraction(1), Fraction(1), Fraction(0)),
+]
+
 
 def _sign(v: Fraction) -> str:
     if v > 0:

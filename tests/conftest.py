@@ -5,6 +5,7 @@ import pytest
 
 from bouquetdet import (WeightAssignment, build_poset, matroid, min_labeling,
                         poset_from_json, verify_theorem)
+from bouquetdet.polyring import Polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -12,6 +13,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def load_fixture(name: str) -> dict:
     with open(FIXTURES / name) as fh:
         return json.load(fh)
+
+
+def power(p: Polynomial, k: int) -> Polynomial:
+    """p^k for k >= 0, by repeated multiplication."""
+    out = Polynomial.one()
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def verify_default(P, **kwargs):

@@ -19,7 +19,7 @@ from bouquetdet.determinant import block_decompose, det_bareiss, verify_theorem
 from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
                                 matroid_from_json)
 from bouquetdet.polyring import Polynomial
-from conftest import load_fixture, verify_default
+from conftest import load_fixture, power, verify_default
 from test_com import composition
 from test_determinant import block_product, det_cofactor, global_verdict
 from test_matroid import brute_rank, simplify
@@ -97,8 +97,8 @@ def test_criterion_1_worked_example_end_to_end(bouquet_example):
                 ok &= M.entries[i][j].is_zero()
 
     rep = verify_theorem(P, lab, w)
-    target = (v["a5"] ** 3 * v["a4"] ** 2 * v["a3"] * v["a2"] * v["a1"] ** 2
-              * (v["a2"] + v["a3"] + v["a5"]))
+    target = (power(v["a5"], 3) * power(v["a4"], 2) * v["a3"] * v["a2"]
+              * power(v["a1"], 2) * (v["a2"] + v["a3"] + v["a5"]))
     ok &= rep.verdict and block_product(rep.blocks) == (target if rep.sign == 1 else -target)
     ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
     ok &= P.rho("a1") == 2 and P.rho("r1") == 0

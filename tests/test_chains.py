@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,7 +19,7 @@ from conftest import load_fixture
 from test_cli import FIXTURE_FILES, fixture_kind
 from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
-from test_poset import join_all
+from test_poset import down_set, join_all
 
 
 def enumerate_maximal_chains(P):
@@ -117,6 +117,21 @@ def pairwise_chain_matrix(P, labeling, weights):
             tuple(tuple(row) for row in rows))
 
 
+def inversion_gram_vectors(P, chains, weights):
+    """Oracle for `ChainMatrix.vectors`: each generator tuple's sign from
+    the inversions of its variables, counted pair by pair."""
+    var = weights.atom_vars
+    vectors = []
+    for c in chains:
+        g = {}
+        for t in generators(P, c):
+            vs = [var[a] for a in t]
+            inversions = sum(u > v for u, v in combinations(vs, 2))
+            g[tuple((v, 1) for v in sorted(vs))] = -1 if inversions & 1 else 1
+        vectors.append(g)
+    return tuple(vectors)
+
+
 def brute_generators(P, chain):
     """Exhaustive scan over all ordered atom tuples."""
     k = len(chain.elements)
@@ -141,7 +156,7 @@ def is_convex(P, labeling):
         if x == P.bottom:
             continue
         a = labeling[x]
-        for z in P.down_set(x):
+        for z in down_set(P, x):
             if z != x and z != a and z != P.bottom and P.leq(a, z):
                 if labeling[z] != a:
                     return False
@@ -353,6 +368,13 @@ ORACLE_POSETS = {
     "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
 }
 
+# the oracle posets and two larger ones, for the generator-sign oracle
+GRAM_POSETS = {
+    **ORACLE_POSETS,
+    "M(K5)": lambda: flat_lattice(graphic_complete(5))[0],
+    "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5),
+}
+
 
 def _atom_order(P, order):
     """The atoms in the default order, reversed, or shuffled."""
@@ -387,6 +409,15 @@ class TestAgainstOracles:
         atoms = _atom_order(P, order)
         self.check(P, min_labeling(P, atoms),
                    WeightAssignment({a: i for i, a in enumerate(atoms)}))
+
+    @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
+    @pytest.mark.parametrize("name", GRAM_POSETS)
+    def test_gram_signs(self, name, order):
+        P = GRAM_POSETS[name]()
+        atoms = _atom_order(P, order)
+        weights = WeightAssignment({a: i for i, a in enumerate(atoms)})
+        M = chain_matrix(P, min_labeling(P, atoms), weights)
+        assert M.vectors == inversion_gram_vectors(P, M.chains, weights)
 
     @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
     def test_explicit_labeling(self, bouquet_example, order):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
-                                enumerate_covectors)
+                                SEVEN_LINES, enumerate_covectors)
 from bouquetdet.com import (FSViolation, GroundMismatch, SEViolation,
                             com_from_json, validate_com, zero_set,
                             zero_set_poset)
@@ -93,6 +93,13 @@ class TestValidation:
         with pytest.raises(SEViolation) as info:
             validate_com(["l1", "l2"], ["+-", "-+", "++", "--"])
         assert info.value.witness == ("+-", "-+", "l1")
+
+    def test_se_witness_from_unequal_supports(self):
+        # (++, --) is the first failing pair of equal support, but the
+        # first failing pair in input order is (++, -0): no 0+ at e0
+        with pytest.raises(SEViolation) as info:
+            validate_com(["e0", "e1"], ["++", "-0", "--", "-+"])
+        assert info.value.witness == ("++", "-0", "e0")
 
     def test_om_flags(self, generic, concurrent):
         assert concurrent.is_om()
@@ -198,6 +205,56 @@ class TestAgainstBruteForce:
                 assert outcome(validate_com, ground, vecs) == expected
                 seen.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert seen == {"ok", FSViolation, SEViolation}
+
+    def test_perturbed_seven_lines(self):
+        base = enumerate_covectors(SEVEN_LINES)
+        # every face is sampled: 1 + 7 + sum(m_v - 1) = 20 regions and
+        # 7 + sum(m_v) = 28 edges over the 9 vertices
+        assert [sum(x.count("0") == k for x in base) for k in (0, 1)] == [20, 28]
+        assert len(base) == 20 + 28 + 9
+        ground = [f"l{i + 1}" for i in range(len(SEVEN_LINES))]
+        rng = random.Random(4)
+        cases = [base] + [perturb(rng, base) for _ in range(40)]
+        # without a vertex, SE fails first on two edges of one line
+        cases += [[x for x in base if x != v] for v in base if v.count("0") > 1]
+        seen = set()
+        for vecs in cases:
+            expected = outcome(brute_force_com, ground, vecs)
+            assert outcome(validate_com, ground, vecs) == expected
+            if expected[0] is SEViolation:
+                x, y, _ = expected[1]
+                seen.add("tope pair" if "0" not in x + y else "face pair")
+            else:
+                seen.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert {"ok", FSViolation, "face pair"} <= seen
+
+
+def separator(x, y):
+    return {i for i, (a, b) in enumerate(zip(x, y)) if {a, b} == {"+", "-"}}
+
+
+def support(x):
+    return {i for i, a in enumerate(x) if a != "0"}
+
+
+class TestEqualSupportLemma:
+    """SE needs checking on equal-support pairs only: for X, Y in an
+    FS-closed set, (X o Y, Y o X) is a pair of equal support with the
+    same separator whose composition is X o Y again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.text("+-0", min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_composed_pair(self, vecs):
+        closed = fs_closure(vecs)
+        pool = set(closed)
+        for x in closed:
+            for y in closed:
+                xy, yx = composition(x, y), composition(y, x)
+                assert xy in pool and yx in pool
+                assert support(xy) == support(yx)
+                assert separator(xy, yx) == separator(x, y)
+                assert composition(xy, yx) == xy
 
 
 class TestFace:

@@ -17,7 +17,7 @@ from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
                                     verify_theorem)
 from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
 from bouquetdet.polyring import Polynomial
-from conftest import load_fixture, verify_default
+from conftest import load_fixture, power, verify_default
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
 from test_polyring import power_product
@@ -373,8 +373,8 @@ class TestRhsProduct:
         P, lab, w = labeled
         product, exps = rhs_product(P, w)
         v = {a: var(w.atom_vars[a]) for a in P.atoms}
-        expected = (v["a5"] ** 3 * v["a4"] ** 2 * v["a3"] * v["a2"]
-                    * v["a1"] ** 2 * (v["a2"] + v["a3"] + v["a5"]))
+        expected = (power(v["a5"], 3) * power(v["a4"], 2) * v["a3"] * v["a2"]
+                    * power(v["a1"], 2) * (v["a2"] + v["a3"] + v["a5"]))
         assert product == expected
         assert exps == {"0": 0, "a1": 2, "a2": 1, "a3": 1, "a4": 2, "a5": 3,
                         "r1": 0, "r2": 0, "r3": 1, "r4": 0}

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from bouquetdet.determinant import det_bareiss
 from bouquetdet.polyring import DivisionByZero, NotDivisible, Polynomial
+from conftest import power
 
 w = [Polynomial.var(i) for i in range(6)]
 
@@ -14,7 +15,7 @@ def power_product(factors):
     out = Polynomial.one()
     for p, k in factors:
         if k:
-            out = out * p**k
+            out = out * power(p, k)
     return out
 
 
@@ -23,7 +24,7 @@ def poly_from_terms(terms):
     for coeff, exps in terms:
         mono = Polynomial.const(coeff)
         for v, e in enumerate(exps):
-            mono = mono * Polynomial.var(v) ** e
+            mono = mono * power(Polynomial.var(v), e)
         out = out + mono
     return out
 
@@ -93,25 +94,27 @@ def test_exact_div_examples():
 
 def test_exact_div_large_exponents():
     # exponents far wider than a small fixed field
-    assert (w[0] ** 300 * w[1]).exact_div(w[0] ** 299) == w[0] * w[1]
-    p = (w[0] ** 1000 + w[2] ** 999 * w[1]) * (w[0] ** 3 - w[1] ** 500)
-    assert p.exact_div(w[0] ** 3 - w[1] ** 500) == w[0] ** 1000 + w[2] ** 999 * w[1]
+    assert (power(w[0], 300) * w[1]).exact_div(power(w[0], 299)) == w[0] * w[1]
+    p = ((power(w[0], 1000) + power(w[2], 999) * w[1])
+         * (power(w[0], 3) - power(w[1], 500)))
+    assert p.exact_div(power(w[0], 3) - power(w[1], 500)) == \
+        power(w[0], 1000) + power(w[2], 999) * w[1]
 
 
 def test_large_variable_index():
     v = Polynomial.var(10_000)
-    p = (v + w[0]) * (v ** 2 - w[5])
-    assert p.exact_div(v + w[0]) == v ** 2 - w[5]
+    p = (v + w[0]) * (power(v, 2) - w[5])
+    assert p.exact_div(v + w[0]) == power(v, 2) - w[5]
     assert v.variables() == {10_000}
     assert (v * w[0]).to_string() == "w1*w10001"
 
 
 @pytest.mark.parametrize("p, q", [
-    (w[0] ** 2 + w[1], w[0]),               # leading terms divide, a later one does not
+    (power(w[0], 2) + w[1], w[0]),          # leading terms divide, a later one does not
     (Polynomial.const(3) * w[0], Polynomial.const(2) * w[0]),  # coefficient
-    (w[0] ** 2, w[0] * w[1]),               # same degree, monomial does not divide
+    (power(w[0], 2), w[0] * w[1]),          # same degree, monomial does not divide
     (w[0], w[0] * w[1]),                    # divisor of higher degree
-    (w[1] ** 3, w[0]),                      # variable absent from the dividend
+    (power(w[1], 3), w[0]),                 # variable absent from the dividend
     (w[0] * w[1] + Polynomial.one(), w[0] + w[1]),  # nonzero remainder
 ])
 def test_not_divisible(p, q):
@@ -120,11 +123,11 @@ def test_not_divisible(p, q):
 
 
 def test_pow_and_power_product():
-    assert (w[0] + w[1]) ** 0 == Polynomial.one()
+    assert power(w[0] + w[1], 0) == Polynomial.one()
     assert power_product([]) == Polynomial.one()
     lhs = power_product([(w[4], 3), (w[3], 2), (w[2], 1), (w[1], 1),
                          (w[0], 2), (w[1] + w[2] + w[4], 1)])
-    rhs = (w[4] ** 3 * w[3] ** 2 * w[2] * w[1] * w[0] ** 2
+    rhs = (power(w[4], 3) * power(w[3], 2) * w[2] * w[1] * power(w[0], 2)
            * (w[1] + w[2] + w[4]))
     assert lhs == rhs
 
@@ -154,7 +157,7 @@ def test_canonical_form(p, q):
 
 
 def test_to_string():
-    p = w[0] ** 2 * w[1] + Polynomial.const(3) * w[4]
+    p = power(w[0], 2) * w[1] + Polynomial.const(3) * w[4]
     assert p.to_string() == "w1^2*w2 + 3*w5"
     assert (-w[0] + w[1]).to_string() in ("w2 - w1", "-w1 + w2")
     assert Polynomial.zero().to_string() == "0"
@@ -163,8 +166,9 @@ def test_to_string():
 def test_to_string_graded_lex_order():
     # higher total degree first; within a degree, the higher power of
     # the lower-indexed variable first
-    p = (w[1] + Polynomial.const(3) + w[0] * w[2] + w[1] ** 2 + w[0]
-         + w[0] ** 2 * w[1] - Polynomial.const(2) * w[2] ** 3 - w[0] * w[1] * w[5])
+    p = (w[1] + Polynomial.const(3) + w[0] * w[2] + power(w[1], 2) + w[0]
+         + power(w[0], 2) * w[1] - Polynomial.const(2) * power(w[2], 3)
+         - w[0] * w[1] * w[5])
     assert p.to_string() == ("w1^2*w2 - w1*w2*w6 - 2*w3^3 + w1*w3 + w2^2"
                              " + w1 + w2 + 3")
 
@@ -228,11 +232,13 @@ def test_det_bareiss_packing_width(monkeypatch, name):
     x, y, z = w[:3]
     c = Polynomial.const
     if name == "degree-300":
-        M = [[x**300 + y, x**299 * y, z**7],
-             [y**300 - x, x**300 + z**2, x**150 * y**150],
-             [z**300 + x, c(5) * x**200, x**300 - y**300]]
+        M = [[power(x, 300) + y, power(x, 299) * y, power(z, 7)],
+             [power(y, 300) - x, power(x, 300) + power(z, 2),
+              power(x, 150) * power(y, 150)],
+             [power(z, 300) + x, c(5) * power(x, 200), power(x, 300) - power(y, 300)]]
     else:
-        M = [[x**300, c(0), y**2], [z, c(0), x * y], [c(3), c(0), x**150]]
+        M = [[power(x, 300), c(0), power(y, 2)], [z, c(0), x * y],
+             [c(3), c(0), power(x, 150)]]
     dividends = []
     div_exact = determinant.div_exact
 
