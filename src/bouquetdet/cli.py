@@ -185,7 +185,7 @@ def cmd_det(args) -> int:
 def cmd_rho(args) -> int:
     P = _load_poset(args)
     _require_bouquet(P)
-    table = {x: {"rank": P.rank(x), "mobius": P.mobius(P.bottom, x),
+    table = {x: {"rank": P.rank(x), "mobius": P.mobius(x),
                  "beta": P.beta(x), "rho": P.rho(x)}
              for x in P.elements}
     _emit(args, lambda: table, lambda: "\n".join(
@@ -216,11 +216,12 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     P = _load_poset(args)
+    quoted = {x: '"' + x.replace('"', '\\"') + '"' for x in P.elements}
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in P.elements:
-        lines.append(f'  "{x}";')
+        lines.append(f"  {quoted[x]};")
     for x, y in sorted(P.covers):
-        lines.append(f'  "{x}" -> "{y}";')
+        lines.append(f"  {quoted[x]} -> {quoted[y]};")
     lines.append("}")
     print("\n".join(lines))
     return EXIT_OK

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import NotABouquet, Poset, _bits, inclusion_poset
+from .poset import NotABouquet, Poset, _bits, inclusion_poset, json_strings
 
 
 class ComError(Exception):
@@ -208,4 +208,5 @@ def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
 
 
 def com_from_json(data: dict) -> CovectorSet:
-    return validate_com(data["ground"], data["covectors"])
+    return validate_com(json_strings(data["ground"], "ground"),
+                        json_strings(data["covectors"], "covectors"))

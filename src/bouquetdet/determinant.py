@@ -142,18 +142,6 @@ def rho_exponents(P: Poset) -> dict[str, int]:
     return exponents
 
 
-def rhs_factors(P: Poset, w: dict[str, Polynomial], exponents: dict[str, int]
-                ) -> list[tuple[Polynomial, int]]:
-    """The right-hand side prod w(x)^rho(x), unexpanded: each distinct
-    weight with its exponents summed over the elements of that weight,
-    in element order, zero exponents left out."""
-    totals: dict[Polynomial, int] = {}
-    for x in P.elements:
-        if exponents[x]:
-            totals[w[x]] = totals.get(w[x], 0) + exponents[x]
-    return list(totals.items())
-
-
 def factor_sign(block_dets: list[tuple[str, int, Polynomial]],
                 factors: list[tuple[Polynomial, int]]) -> int | None:
     """The sign s with prod D_r = s * prod w^e over `factors`, D_r the
@@ -214,7 +202,7 @@ class VerificationReport:
     verdict: bool
     sign: int | None
     exponents: dict[str, int]
-    rhs: list[tuple[Polynomial, int]]  # prod w(x)^rho(x), as `rhs_factors` gives it
+    rhs: list[tuple[Polynomial, int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
     blocks: list[tuple[str, int, Polynomial | None]]  # (top, dim, block det)
     mode: str
     trials: int = 0
@@ -359,9 +347,10 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
-    w = {x: weight(P, x, weights) for x in P.elements}
     exponents = rho_exponents(P)
-    rhs = rhs_factors(P, w, exponents)
+    # Distinct elements of a bouquet have distinct atom sets, so each
+    # weight belongs to one element.
+    rhs = [(weight(P, x, weights), e) for x, e in exponents.items() if e]
 
     if mode == "symbolic":
         block_dets = block_determinants(P, labeling, weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import NotABouquet, Poset, inclusion_poset, set_id
+from .poset import NotABouquet, Poset, inclusion_poset, json_strings, set_id
 
 
 class MatroidError(Exception):
@@ -214,8 +214,11 @@ def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset
 
 
 def matroid_from_json(data: dict) -> Matroid:
-    return build_matroid(data["ground"], data["independents"])
+    return build_matroid(json_strings(data["ground"], "ground"),
+                         json_strings(data["independents"], "independents", 2))
 
 
 def bouquet_from_json(data: dict) -> BouquetOfMatroids:
-    return build_bouquet_of_matroids(data["ground"], data["roofs"], data["independents"])
+    return build_bouquet_of_matroids(json_strings(data["ground"], "ground"),
+                                     json_strings(data["roofs"], "roofs", 2),
+                                     json_strings(data["independents"], "independents", 2))

@@ -1,6 +1,6 @@
 """Finite posets, with the order-theoretic invariants used by the
-chain-matrix pipeline: meet/join, rank, Möbius function, Crapo beta, and
-the cumulated rho exponent.
+chain-matrix pipeline: meet/join, rank, mu(0̂, x), Crapo beta, and the
+cumulated rho exponent.
 
 The order is held once, as int bitmasks over element positions, bit i
 standing for `elements[i]`: the down-mask of x has a bit for every
@@ -13,7 +13,9 @@ which has a greatest element m exactly when it is the principal ideal
 `down[m]`; so the meet is a dict lookup of that mask (None when it is
 not a key), and the join is the same lookup on up-masks.  The bouquet
 test runs on these masks in one pass over the poset, without building
-any interval (see `Poset.is_bouquet`).
+any interval (see `Poset.is_bouquet`).  Rank, mu(0̂, x), beta and rho
+come from one table, built on first use in one pass up the poset and one
+pass down each [0̂, r], r maximal (see `Poset._invariants`).
 
 All relations are materialized at build time (desk-scale instances), and
 a Poset is immutable afterwards, so queries are safe to run concurrently.
@@ -62,8 +64,8 @@ class Poset:
 
     __slots__ = (
         "elements", "covers", "_index", "_up", "_down", "_by_up", "_by_down",
-        "_upcov", "_downcov", "bottom", "atoms", "maximal", "_rank",
-        "_semilattice", "_bouquet", "_mobius_cache",
+        "_upcov", "_downcov", "bottom", "atoms", "maximal", "_semilattice",
+        "_bouquet", "_table",
     )
 
     def __init__(self, elements: Sequence[str], down: list[int]):
@@ -96,10 +98,9 @@ class Poset:
         self.bottom = minimal[0] if len(minimal) == 1 else None
         self.atoms = self._upcov[self.bottom] if self.bottom is not None else ()
         self.maximal = tuple(x for x in elements if not upcov[x])
-        self._rank: dict[str, int] | None = None
         self._semilattice: bool | None = None
         self._bouquet: bool | None = None
-        self._mobius_cache: dict[tuple[int, int], int] = {}
+        self._table: list[tuple[int, int, int, int]] | None = None
 
     # -- order queries ------------------------------------------------
 
@@ -220,66 +221,57 @@ class Poset:
 
     # -- rank and invariants ------------------------------------------
 
-    def _ranks(self) -> dict[str, int]:
-        if self._rank is not None:
-            return self._rank
-        if self.bottom is None:
-            raise NotRanked("no unique bottom element")
-        # Down-sets grow along the order: by their size, the bottom comes
-        # first and every element after all those below it.
-        rank = {self.bottom: 0}
-        els, down = self.elements, self._down
-        for i in sorted(range(len(els)), key=lambda i: down[i].bit_count())[1:]:
-            x = els[i]
-            parents = {rank[p] for p in self._downcov[x]}
-            if len(parents) != 1:
-                raise NotRanked(f"unequal saturated chain lengths at {x!r}")
-            rank[x] = parents.pop() + 1
-        self._rank = rank
-        return rank
+    def _invariants(self, x: str) -> tuple[int, int, int, int]:
+        """(rank, mu(0̂, x), beta, rho) of x, read from a table built on
+        first use.  By down-set size the bottom comes first and every
+        element after all those below it; one pass in that order gives the
+        rank (NotRanked when the lower covers' ranks differ), mu(0̂, x) =
+        -sum_{y<x} mu(0̂, y) and beta.  One pass down each [0̂, r], r
+        maximal, by falling rank gives mu(x, r) = -sum_{x<z<=r} mu(z, r),
+        of which the table keeps the sum over r of |mu(x, r)|; rho(x) is
+        beta(x) times that sum."""
+        i = self._pos(x)
+        if self._table is None:
+            if self.bottom is None:
+                raise NotRanked("no unique bottom element")
+            els, index, up, down = self.elements, self._index, self._up, self._down
+            n = len(els)
+            rank, mu, beta, total = [0] * n, [0] * n, [0] * n, [0] * n
+            order = sorted(range(n), key=lambda j: down[j].bit_count())
+            mu[order[0]] = 1
+            for j in order[1:]:
+                ranks = {rank[index[c]] for c in self._downcov[els[j]]}
+                if len(ranks) != 1:
+                    raise NotRanked(f"unequal saturated chain lengths at {els[j]!r}")
+                rank[j] = k = ranks.pop() + 1
+                m = s = 0
+                for y in _bits(down[j] ^ 1 << j):
+                    m -= mu[y]
+                    s += mu[y] * rank[y]
+                mu[j], beta[j] = m, (-1) ** k * (s + m * k)
+            for r in map(index.get, self.maximal):
+                mu_r = {r: 1}  # z -> mu(z, r)
+                total[r] += 1
+                for z in sorted(_bits(down[r]), key=rank.__getitem__, reverse=True)[1:]:
+                    mu_r[z] = m = -sum(mu_r[u] for u in _bits(up[z] & down[r] ^ 1 << z))
+                    total[z] += abs(m)
+            self._table = list(zip(rank, mu, beta, (b * t for b, t in zip(beta, total))))
+        return self._table[i]
 
     def rank(self, x: str) -> int:
-        self._pos(x)
-        return self._ranks()[x]
+        return self._invariants(x)[0]
 
-    def _mu(self, i: int, j: int) -> int:
-        """mu on element positions; see `mobius`."""
-        up_i = self._up[i]
-        if not up_i >> j & 1:
-            return 0
-        cached = self._mobius_cache.get((i, j))
-        if cached is not None:
-            return cached
-        # Iterate the interval bottom-up (by the size of [x, z]) so
-        # recursion depth stays flat.
-        down = self._down
-        values: dict[int, int] = {}
-        for z in sorted(_bits(up_i & down[j]), key=lambda z: (up_i & down[z]).bit_count()):
-            if z == i:
-                values[z] = 1
-            else:
-                values[z] = -sum(values[u] for u in _bits(up_i & down[z] & ~(1 << z)))
-            self._mobius_cache[(i, z)] = values[z]
-        return values[j]
-
-    def mobius(self, x: str, y: str) -> int:
-        """Möbius value mu(x, y); zero when x is not below y."""
-        return self._mu(self._pos(x), self._pos(y))
+    def mobius(self, x: str) -> int:
+        """Möbius value mu(0̂, x)."""
+        return self._invariants(x)[1]
 
     def beta(self, x: str) -> int:
         """Crapo beta: (-1)^r(x) * sum_{y <= x} mu(0̂, y) r(y)."""
-        i = self._pos(x)
-        ranks = self._ranks()
-        b = self._index[self.bottom]
-        els = self.elements
-        total = sum(self._mu(b, k) * ranks[els[k]] for k in _bits(self._down[i]))
-        return (-1) ** ranks[x] * total
+        return self._invariants(x)[2]
 
     def rho(self, x: str) -> int:
         """Cumulated rho: beta(x) * sum over maximal r >= x of |mu(x, r)|."""
-        i = self._pos(x)
-        tops = [self._index[r] for r in self.maximal]
-        return self.beta(x) * sum(abs(self._mu(i, r)) for r in tops)
+        return self._invariants(x)[3]
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
@@ -360,5 +352,16 @@ def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozens
     return Poset(ids, down), dict(zip(ids, sets))
 
 
+def json_strings(value, field: str, depth: int = 1) -> list:
+    """`value`, checked to be a JSON array of strings, or for depth 2 an
+    array of such arrays, so that no string is read as its characters;
+    TypeError naming `field` otherwise."""
+    kind, name = (list, "an array") if depth else (str, "a string")
+    if not isinstance(value, kind):
+        raise TypeError(f"{field}: expected {name}, got {type(value).__name__}")
+    return [json_strings(v, field, depth - 1) for v in value] if depth else value
+
+
 def poset_from_json(data: dict) -> Poset:
-    return build_poset(data["elements"], [tuple(c) for c in data["covers"]])
+    return build_poset(json_strings(data["elements"], "elements"),
+                       json_strings(data["covers"], "covers", 2))

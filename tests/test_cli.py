@@ -135,6 +135,14 @@ class TestDot:
         assert code == 0
         assert out.count("->") == 14
 
+    def test_quote_in_name(self, tmp_path, capsys):
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps({"elements": ["0", 'a"b'], "covers": [["0", 'a"b']]}))
+        code, out = run(capsys, "dot", str(path))
+        assert code == 0
+        assert '  "a\\"b";\n' in out
+        assert '  "0" -> "a\\"b";\n' in out
+
 
 class TestTextFormat:
     def test_det_text(self, capsys):
@@ -157,6 +165,26 @@ def fixture_kind(name: str) -> str:
     return name.split("_")[0]
 
 
+# Inputs whose names are not strings, or that give a string where an
+# array belongs; each is one parse error.
+U23 = {"ground": ["a", "b", "c"],
+       "independents": [[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"]]}
+CROSSING = ["++", "+-", "+0", "-+", "--", "-0", "0+", "0-", "00"]
+WRONG_SHAPES = [pytest.param(kind, json.dumps(data), 3, id=name) for name, kind, data in [
+    ("number-in-ground", "matroid",
+     {"ground": ["a", 1], "independents": [[], ["a"], [1], ["a", 1]]}),
+    ("number-elements", "poset", {"elements": ["0", 1, 2], "covers": [["0", 1], ["0", 2]]}),
+    ("number-in-com-ground", "com", {"ground": ["l1", 2], "covectors": CROSSING}),
+    ("string-covers", "poset",
+     {"elements": ["0", "a", "b", "t"], "covers": ["0a", "0b", "at", "bt"]}),
+    ("string-ground", "matroid", {**U23, "ground": "abc"}),
+    ("string-independents", "matroid",
+     {**U23, "independents": ["", "a", "b", "c", "ab", "ac", "bc"]}),
+    ("string-roofs", "bouquet", {**U23, "roofs": "ab"}),
+    ("string-covectors", "com", {"ground": ["l1", "l2"], "covectors": "++"}),
+]]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("name", FIXTURE_FILES)
     @pytest.mark.parametrize("command", COMMANDS)
@@ -173,7 +201,7 @@ class TestExitCodes:
         ("com", json.dumps({"ground": ["e"]}), 3),
         ("poset", "[]", 3),
         ("poset", json.dumps({"elements": ["0", "a"], "covers": [["0"]]}), 3),
-    ])
+    ] + WRONG_SHAPES)
     def test_unparseable(self, tmp_path, capsys, command, kind, text, expected):
         path = tmp_path / "input.json"
         path.write_text(text)

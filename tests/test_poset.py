@@ -2,18 +2,21 @@ import functools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrangement_oracle import enumerate_covectors
 from bouquetdet import poset as poset_mod
-from bouquetdet.com import com_from_json, zero_set
+from bouquetdet.com import com_from_json, validate_com, zero_set, zero_set_poset
 from bouquetdet.matroid import bouquet_from_json, flat_lattice
 from bouquetdet.poset import (CycleDetected, NotRanked, RedundantCover,
                               UnknownElement, build_poset, inclusion_poset,
                               poset_from_json, set_id)
 from conftest import FIXTURES, load_fixture
+from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
 
 
@@ -84,14 +87,52 @@ def ranks(P):
         return None
 
 
+@functools.lru_cache(maxsize=None)
 def brute_mobius(P, x, y):
-    """Independent recursion straight from the defining sum."""
-    if not P.leq(x, y):
+    """Independent recursion straight from the defining sum, on the
+    scanned order."""
+    above, below = closure(P)
+    if y not in above[x]:
         return 0
     if x == y:
         return 1
-    return -sum(brute_mobius(P, x, z) for z in P.elements
-                if P.leq(x, z) and P.leq(z, y) and z != y)
+    return -sum(brute_mobius(P, x, z) for z in above[x] & below[y] if z != y)
+
+
+def chain_lengths(P):
+    """x -> the lengths of the saturated chains from the bottom up to x;
+    all empty when there is no bottom."""
+    lengths = {x: set() for x in P.elements}
+    if P.bottom is not None:
+        stack = [(P.bottom, 0)]
+        while stack:
+            x, n = stack.pop()
+            lengths[x].add(n)
+            stack += [(y, n + 1) for y in P.upper_covers(x)]
+    return lengths
+
+
+def brute_invariants(P):
+    """x -> (rank, mu(0̂, x), beta, rho) from the chain lengths and
+    `brute_mobius`, or None when P has no bottom or is not ranked."""
+    lengths = chain_lengths(P)
+    if any(len(v) != 1 for v in lengths.values()):
+        return None
+    rank = {x: min(v) for x, v in lengths.items()}
+    above, below = closure(P)
+    tops = [r for r in P.elements if above[r] == {r}]
+    out = {}
+    for x in P.elements:
+        beta = (-1) ** rank[x] * sum(brute_mobius(P, P.bottom, y) * rank[y]
+                                     for y in below[x])
+        rho = beta * sum(abs(brute_mobius(P, x, r)) for r in tops)
+        out[x] = (rank[x], brute_mobius(P, P.bottom, x), beta, rho)
+    return out
+
+
+def invariants(P):
+    """x -> (rank, mu(0̂, x), beta, rho) as the poset gives them."""
+    return {x: (P.rank(x), P.mobius(x), P.beta(x), P.rho(x)) for x in P.elements}
 
 
 class TestBuild:
@@ -472,40 +513,56 @@ class TestRank:
     def test_small_posets(self, P):
         """Ranks against the lengths of all saturated chains from the
         bottom, on posets listed in drawn element orders."""
-        lengths = {x: set() for x in P.elements}
-        if P.bottom is not None:
-            stack = [(P.bottom, 0)]
-            while stack:
-                x, n = stack.pop()
-                lengths[x].add(n)
-                stack += [(y, n + 1) for y in P.upper_covers(x)]
+        lengths = chain_lengths(P)
         if all(len(v) == 1 for v in lengths.values()):
             assert ranks(P) == {x: v.pop() for x, v in lengths.items()}
         else:
             assert ranks(P) is None
 
 
+# x = 0, y = 0, x + y = 0 and x - y = 0 meet in a 4-fold point, and x = 1
+# crosses the other three in double points.
+FOUR_FOLD_LINES = [tuple(map(Fraction, line)) for line in
+                   [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 0, -1)]]
+
+TABLE_POSETS = {
+    "U(2,9)": lambda: flat_lattice(uniform(2, 9))[0],
+    "U(4,9)": lambda: flat_lattice(uniform(4, 9))[0],
+    "M(K5)": lambda: flat_lattice(graphic_complete(5))[0],
+    "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5),
+    "2xU(3,5)": lambda: uniform_bouquet(2, 3, 5),
+    "4-fold point": lambda: zero_set_poset(validate_com(
+        [f"l{i}" for i in range(1, 6)], enumerate_covectors(FOUR_FOLD_LINES)))[0],
+}
+
+
 class TestInvariants:
     def test_mobius_values(self, bouquet_example):
         P = bouquet_example
-        assert P.mobius("a1", "a1") == 1
-        assert P.mobius("0", "a1") == -1
-        assert P.mobius("0", "r3") == 2
+        assert brute_mobius(P, "a1", "a1") == 1
+        assert P.mobius("a1") == -1
+        assert P.mobius("r3") == 2
 
     def test_mobius_against_brute_force(self, bouquet_example, pentagon):
-        for P in (bouquet_example, pentagon):
-            for x in P.elements:
-                for y in P.elements:
-                    assert P.mobius(x, y) == brute_mobius(P, x, y)
+        P = bouquet_example
+        for x in P.elements:
+            assert P.mobius(x) == brute_mobius(P, "0", x)
+        with pytest.raises(NotRanked, match="unequal saturated chain lengths"):
+            pentagon.mobius(pentagon.bottom)
 
     def test_mobius_row_sum(self, bouquet_example):
+        """sum_{x<=z<=y} mu(x, z) = 0 for x < y: from the table for x = 0̂,
+        and for every x from the recursion, which also passes the column
+        sums sum_{x<=z<=y} mu(z, y) = 0."""
         P = bouquet_example
         for x in P.elements:
             for y in P.elements:
                 if P.leq(x, y) and x != y:
-                    total = sum(P.mobius(x, z) for z in P.elements
-                                if P.leq(x, z) and P.leq(z, y))
-                    assert total == 0
+                    between = [z for z in P.elements if P.leq(x, z) and P.leq(z, y)]
+                    assert sum(brute_mobius(P, x, z) for z in between) == 0
+                    assert sum(brute_mobius(P, z, y) for z in between) == 0
+                    if x == P.bottom:
+                        assert sum(P.mobius(z) for z in between) == 0
 
     def test_beta(self, bouquet_example, one_atom):
         P = bouquet_example
@@ -532,6 +589,25 @@ class TestInvariants:
             rho = beta * sum(abs(brute_mobius(P, x, r))
                              for r in P.maximal if P.leq(x, r))
             assert P.rho(x) == rho
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_posets(), many_top_posets()))
+    def test_table_small_posets(self, P):
+        """The table against the brute-force recursions, and NotRanked
+        from every accessor exactly where TestRank expects it; the posets
+        with several tops sum |mu(x, r)| over more than one r."""
+        expected = brute_invariants(P)
+        if expected is None:
+            for accessor in (P.rank, P.mobius, P.beta, P.rho):
+                with pytest.raises(NotRanked):
+                    accessor(P.elements[0])
+        else:
+            assert invariants(P) == expected
+
+    @pytest.mark.parametrize("name", TABLE_POSETS)
+    def test_table_generated(self, name):
+        P = TABLE_POSETS[name]()
+        assert invariants(P) == brute_invariants(P)
 
 
 class TestInterval:
