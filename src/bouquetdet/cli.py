@@ -216,6 +216,12 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     P = _load_poset(args)
+    # DOT reads \" inside a quoted ID as a quote and has no escape for
+    # a backslash, so a name ending in one would leave its string open.
+    trailing = next((x for x in P.elements if x.endswith("\\")), None)
+    if trailing is not None:
+        raise CliError(f"dot: element {trailing!r} ends in a backslash, "
+                       f"which DOT cannot quote", EXIT_PARSE)
     quoted = {x: '"' + x.replace('"', '\\"') + '"' for x in P.elements}
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in P.elements:

@@ -46,15 +46,15 @@ def _check_vector(ground: Sequence[str], x: str) -> None:
         raise GroundMismatch(f"covector {x!r} does not fit ground of size {len(ground)}")
 
 
-def _sign_masks(x: str) -> tuple[int, int]:
-    """(plus, minus) bitmasks of a covector; bit i is ground position i."""
-    plus = minus = 0
-    for i, s in enumerate(x):
-        if s == "+":
-            plus |= 1 << i
-        elif s == "-":
-            minus |= 1 << i
-    return plus, minus
+# sign s -> the translation of a sign string into the digits of s's mask
+_DIGITS = {"+": str.maketrans("+-0", "100"), "-": str.maketrans("+-0", "010"),
+           "0": str.maketrans("+-0", "001")}
+
+
+def _mask(signs: str, s: str) -> int:
+    """Bitmask of the positions of `signs` holding the sign `s`; bit i is
+    position i."""
+    return int("0" + signs[::-1].translate(_DIGITS[s]), 2)
 
 
 def zero_set(ground: Sequence[str], x: str) -> set[str]:
@@ -86,39 +86,58 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     Knauer, "COMs: complexes of oriented matroids" (JCTA 2018).
 
     Each covector is held as two bitmasks over the ground positions, the
-    positions signed + and the positions signed -.
+    positions signed + and the positions signed -, and packed into one
+    int, the + mask in the low n bits and the - mask above it.
 
     FS: X o (-Y) is X off the zero set z(X) and -Y on it, so it depends
-    only on X and on Y restricted to z(X).  Topes (no zeros) pass at
-    once; every other X is checked against the distinct restrictions of
-    -Y to z(X), collected once per distinct zero set, each check two mask
-    expressions and one set lookup.  Only a failing X has its row
-    rescanned, in input order, for the witness.
+    only on X and on -Y restricted to z(X).  The covectors are negated
+    once, by swapping the halves of their packed ints.  For each distinct
+    zero set z the restrictions of -Y to z are one AND each, collected in
+    a set r(z); then X o (-Y) is X | r for r in r(z(X)), and each check is
+    one OR and one set lookup.  Topes (no zeros) pass at once.  Only a
+    failing X has its row rescanned, in input order, for the witness.
 
-    SE: `at[s][f]` is the bitset of covector indices with sign s at
-    position f.  The outcome for a pair (X, Y) depends only on the
-    separator S = S(X, Y) and on X o Y off S, where X o Y = Y o X, so
-    each unordered pair needs one test.  SE asks for a Z that is 0 at e
-    and equals X o Y off S, for each e in S: the covectors that equal
-    X o Y off S are those that are 0 off the support of X o Y (a bitset
-    kept per support) AND-ed with `at[(X o Y)_f][f]` over the rest of
-    the support outside S, and the pair fails at the first e in S, in
-    ground order, where none of them is 0.
+    SE, by faces.  Call Z a proper face of X when Z is in L, Z != X and
+    Z_f is 0 or X_f for every f.  The certificate: for every X, and every
+    Y != X with supp Y = supp X, some proper face Z of X has
+    D = supp X minus supp Z inside the separator S(X, Y).
 
-    Only pairs of equal support need the test.  FS holds by now, and FS
-    gives composition: X o Y = X o (-(X o (-Y))).  So X o Y and Y o X
-    are in L; both have support supp(X) u supp(Y); they differ exactly
-    on S, so S(X o Y, Y o X) = S; and (X o Y) o (Y o X) = X o Y.  The
-    pair (X o Y, Y o X) therefore asks SE for the same Z at the same e
-    as (X, Y), and some pair fails iff some equal-support pair fails.
-    The covectors are grouped by support and each class is tested pair
-    by pair; only on a failure are all pairs rescanned, with the same
-    test, for the witness.
+    Lemma: given FS, the certificate implies SE on every pair.  First the
+    equal-support pairs, by induction on |S(X, Y)|.  Here X o Y = X, so SE
+    asks, at each e in S, for a covector that is 0 at e and equals X off
+    S.  Take Z as in the certificate and W = Z o (-X), in L by FS: W is X
+    off D and -X on D, so supp W = supp X and S(X, W) = D.  For e in D,
+    Z itself will do: it is 0 on D and equals X elsewhere.  For e in
+    S - D, W and Y agree on D and differ exactly on S - D, a smaller
+    separator, so by induction some covector is 0 at e and equals
+    W o Y = W off S - D, hence X off S.  Then any pair: FS gives
+    composition, X o Y = X o (-(X o (-Y))), so X o Y and Y o X are in L;
+    both have support supp X u supp Y, they differ exactly on S, so
+    S(X o Y, Y o X) = S, and (X o Y) o (Y o X) = X o Y.  That pair of
+    equal support asks SE for the same covector at the same e as (X, Y).
+
+    `at[s][f]` is the bitset of covector indices with sign s at position
+    f.  The faces of X are the covectors that are 0 off supp X (a bitset
+    kept per support) AND-ed, for each f in supp X, with those whose sign
+    at f is 0 or X_f.  The Y not yet separated start as X's support
+    class without X; each face keeps only those that agree with X
+    somewhere on its D, the OR over f in D of `at[X_f][f]`, and the
+    certificate holds at X when none is left.  A COM passes: its
+    covectors of support U = supp X, restricted to U, are the topes of a
+    contraction of L, itself a COM, and a COM's tope graph is a partial
+    cube (BCK 2018).  So a shortest path from X to Y first steps to a
+    tope differing from X only at some e in S(X, Y), and SE on that pair
+    at e gives a proper face of X with D = {e}.
+
+    Only when the certificate fails are all pairs rescanned, in input
+    order, for a witness (`_se_witness`); an input on which the rescan
+    finds none is accepted.  So no verdict rests on the converse of the
+    lemma.
 
     Witnesses follow input order with duplicates dropped: FSViolation
     names the first failing (X, Y), X in the outer loop; SEViolation the
-    first failing pair in the same order, then the first failing e in
-    ground order.
+    first failing unordered pair in the same order, then the first
+    failing e in ground order.
     """
     ground = tuple(ground)
     if len(set(ground)) != len(ground):
@@ -131,47 +150,85 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
         if x not in seen:
             seen.add(x)
             vecs.append(x)
-    masks = [_sign_masks(x) for x in vecs]
-    pool = {plus | minus << n for plus, minus in masks}
-    # -Y restricted to each zero set z, as (plus, minus) pairs, deduplicated
-    flipped: dict[int, set[tuple[int, int]]] = {}
+    masks = [(_mask(x, "+"), _mask(x, "-")) for x in vecs]
     everywhere = (1 << n) - 1
-    for x, (xp, xm) in zip(vecs, masks):
+    packed = [plus | minus << n for plus, minus in masks]
+    pool = set(packed)
+    negated = [m >> n | (m & everywhere) << n for m in packed]
+    restricted: dict[int, set[int]] = {}  # zero set z -> r(z)
+    for x, (xp, xm), xk in zip(vecs, masks, packed):
         zero = everywhere & ~(xp | xm)
         if not zero:
             continue  # a tope: X o (-Y) = X
-        rows = flipped.get(zero)
+        on_zero = zero | zero << n
+        rows = restricted.get(zero)
         if rows is None:
-            rows = flipped[zero] = {(ym & zero, yp & zero) for yp, ym in masks}
-        if any((xp | plus) | (xm | minus) << n not in pool for plus, minus in rows):
-            y = next(y for y, (yp, ym) in zip(vecs, masks)
-                     if (xp | ym & zero) | (xm | yp & zero) << n not in pool)
+            rows = restricted[zero] = {m & on_zero for m in negated}
+        if any(xk | r not in pool for r in rows):
+            y = next(y for y, m in zip(vecs, negated) if xk | m & on_zero not in pool)
             raise FSViolation(x, y)
-    at = {s: [0] * n for s in _SIGNS}
-    for k, x in enumerate(vecs):
-        for f, s in enumerate(x):
-            at[s][f] |= 1 << k
-    # covector indices by support, and per support U the covectors that
-    # are 0 everywhere off U
-    classes: dict[int, list[int]] = {}
-    for k, (xp, xm) in enumerate(masks):
-        classes.setdefault(xp | xm, []).append(k)
+    columns = ["".join(column) for column in zip(*vecs)] or [""] * n
+    at = {s: [_mask(column, s) for column in columns] for s in _SIGNS}
     plus_at, minus_at, zero_at = at["+"], at["-"], at["0"]
+    supports = [xp | xm for xp, xm in masks]
+    classes: dict[int, int] = {}  # support -> bitset of its covectors
+    for k, support in enumerate(supports):
+        classes[support] = classes.get(support, 0) | 1 << k
     everyone = (1 << len(vecs)) - 1
-    candidates = {}
+    candidates = {}  # support U -> the covectors that are 0 off U
     for support in classes:
         agree = everyone
         for f in _bits(everywhere & ~support):
             agree &= zero_at[f]
         candidates[support] = agree
-    positions = lru_cache(maxsize=None)(lambda mask: tuple(_bits(mask)))
+    plus_or_zero = [p | z for p, z in zip(plus_at, zero_at)]
+    minus_or_zero = [m | z for m, z in zip(minus_at, zero_at)]
 
-    def se_failure(i: int, j: int) -> int | None:
-        """The first e in S(X, Y), in ground order, with no covector Z
-        that is 0 at e and equals X o Y off S; None if there is none."""
+    def certified(k: int) -> bool:
+        xp, xm = masks[k]
+        support = supports[k]
+        unseparated = classes[support] & ~(1 << k)
+        if not unseparated:
+            return True
+        faces = candidates[support] & ~(1 << k)
+        for f in _bits(xp):
+            faces &= plus_or_zero[f]
+        for f in _bits(xm):
+            faces &= minus_or_zero[f]
+        for z in _bits(faces):
+            agree = 0
+            for f in _bits(support & ~supports[z]):
+                agree |= plus_at[f] if xp >> f & 1 else minus_at[f]
+            unseparated &= agree
+            if not unseparated:
+                return True
+        return False
+
+    if not all(map(certified, range(len(vecs)))):
+        witness = _se_witness(masks, at, candidates)
+        if witness is not None:
+            i, j, e = witness
+            raise SEViolation(vecs[i], vecs[j], ground[e])
+    return CovectorSet(ground, tuple(vecs))
+
+
+def _se_witness(masks: list[tuple[int, int]], at: dict[str, list[int]],
+                candidates: dict[int, int]) -> tuple[int, int, int] | None:
+    """The pair-by-pair SE test of `validate_com`: the first pair of
+    covector indices i < j, in input order, and the first e in
+    S = S(X, Y), in ground order, such that no covector is 0 at e and
+    equals X o Y off S; None when there is none.
+
+    The outcome depends only on S and on X o Y off S, and X o Y = Y o X
+    there, so each unordered pair needs one test.  The covectors that
+    equal X o Y off S are those that are 0 off the support of X o Y
+    (`candidates`, which has that support as a key once FS holds) AND-ed
+    with `at[(X o Y)_f][f]` over the rest of that support outside S."""
+    plus_at, minus_at, zero_at = at["+"], at["-"], at["0"]
+    positions = lru_cache(maxsize=None)(lambda mask: tuple(_bits(mask)))
+    for i, j in combinations(range(len(masks)), 2):
         (xp, xm), (yp, ym) = masks[i], masks[j]
         sep = xp & ym | xm & yp
-        # supp(X o Y) is a support class: X o Y is in L, as FS holds
         agree = candidates[xp | xm | yp | ym]
         for f in positions((xp | yp) & ~sep):
             agree &= plus_at[f]
@@ -179,17 +236,8 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
             agree &= minus_at[f]
         for e in positions(sep):
             if not agree & zero_at[e]:
-                return e
-        return None
-
-    if any(se_failure(i, j) is not None
-           for members in classes.values()
-           for i, j in combinations(members, 2)):
-        for i, j in combinations(range(len(vecs)), 2):
-            failing = se_failure(i, j)
-            if failing is not None:
-                raise SEViolation(vecs[i], vecs[j], ground[failing])
-    return CovectorSet(ground, tuple(vecs))
+                return i, j, e
+    return None
 
 
 def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:

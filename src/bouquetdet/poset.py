@@ -13,7 +13,9 @@ which has a greatest element m exactly when it is the principal ideal
 `down[m]`; so the meet is a dict lookup of that mask (None when it is
 not a key), and the join is the same lookup on up-masks.  The bouquet
 test runs on these masks in one pass over the poset, without building
-any interval (see `Poset.is_bouquet`).  Rank, mu(0̂, x), beta and rho
+any interval, and tests semimodularity on atoms only: an atomistic
+lattice is semimodular iff x v a covers x for every x and every atom a
+not below x (proved at `Poset.is_bouquet`).  Rank, mu(0̂, x), beta and rho
 come from one table, built on first use in one pass up the poset and one
 pass down each [0̂, r], r maximal (see `Poset._invariants`).
 
@@ -156,6 +158,28 @@ class Poset:
                 return i
         return None
 
+    def _semimodular_at_atoms(self) -> bool:
+        """x v a covers x for every x and every atom a not below x that
+        has a common upper bound with x.  One join lookup per such pair,
+        n * |atoms| in all; a missing join (which a meet semilattice does
+        not have) counts as a failure.  j covers x when the interval
+        [x, j], the mask up[x] & down[j], holds x and j only.
+
+        On an atomistic lattice this is semimodularity (see `is_bouquet`),
+        whose pairwise test `_semimodular_failure` is kept for the
+        witness."""
+        up, down, by_up = self._up, self._down, self._by_up
+        atoms = [up[self._index[a]] for a in self.atoms]
+        for ux in up:
+            for ua in atoms:
+                common = ux & ua
+                # common is ux exactly when a <= x
+                if common and common != ux:
+                    j = by_up.get(common)
+                    if j is None or (ux & down[j]).bit_count() != 2:
+                        return False
+        return True
+
     def _semimodular_failure(self) -> tuple[int, int] | None:
         """First ordered pair (x, y) of positions, x outer, that has a
         meet and a join, where x covers x ^ y but x v y neither equals
@@ -186,7 +210,7 @@ class Poset:
         x = self._atomic_failure()
         if x is not None:
             return ("not-atomic", (els[x],))
-        pair = self._semimodular_failure()
+        pair = None if self._semimodular_at_atoms() else self._semimodular_failure()
         if pair is not None:
             return ("not-semimodular", (els[pair[0]], els[pair[1]]))
         return None
@@ -211,12 +235,24 @@ class Poset:
         (2) semimodularity holds on every pair with a common upper bound,
         these being the pairs that lie together in some [0̂, r].
 
+        Semimodularity is tested on atoms only.  Lemma: an atomistic
+        lattice is semimodular iff x v a covers x for every x and every
+        atom a not below x.  (=>) a ^ x = 0̂ is covered by a, so by
+        semimodularity x is covered by a v x.  (<=) Let x ^ y be covered
+        by x.  Some atom a <= x is not below y, or x would be the join of
+        atoms below y and x ^ y = x.  Then x ^ y < (x ^ y) v a <= x, so
+        x = (x ^ y) v a and x v y = y v a, which covers y.  Applied to
+        each [0̂, r], (2) becomes: x v a covers x for every x and every
+        atom a not below x with a common upper bound
+        (`_semimodular_at_atoms`), one join lookup per element and atom
+        instead of one per pair.
+
         Evaluated once; later calls return the stored verdict."""
         if self._bouquet is None:
             self._bouquet = (
                 self.bottom is not None and self.is_meet_semilattice()
                 and self._atomic_failure() is None
-                and self._semimodular_failure() is None)
+                and self._semimodular_at_atoms())
         return self._bouquet
 
     # -- rank and invariants ------------------------------------------

@@ -6,11 +6,14 @@ are read off at exact rational sample points -- a dense grid, every
 pairwise intersection of the lines, and grid-parametrized points on each
 line -- so every cell, edge, and vertex of the arrangement is hit.  The
 resulting sets are what the fixture JSON files were generated from, and
-the tests regenerate them here and compare.
+the tests regenerate them here and compare.  `exact_covectors` reads the
+covectors of arrangements of any extent off their vertices and edges,
+for the seeded arrangements of `random_lines`.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -90,3 +93,43 @@ def enumerate_covectors(lines: list[Line]) -> list[str]:
     for line in lines:
         points.update(_points_on_line(line, grid))
     return sorted({sign_vector(lines, x, y) for x, y in points})
+
+
+def random_lines(rng: random.Random, n: int, concurrent: int = 0) -> list[Line]:
+    """n pairwise non-parallel lines with small integer coefficients; the
+    first `concurrent` pass through the origin, the others miss it."""
+    lines: list[Line] = []
+    slopes = set()
+    while len(lines) < n:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        slope = Fraction(a, b) if b else None
+        if (a or b) and slope not in slopes:
+            slopes.add(slope)
+            c = 0 if len(lines) < concurrent else rng.choice([-1, 1]) * rng.randint(1, 20)
+            lines.append((Fraction(a), Fraction(b), Fraction(c)))
+    return lines
+
+
+def exact_covectors(lines: list[Line]) -> list[str]:
+    """All sign vectors of an arrangement of at least one line, no two of
+    them equal: every vertex; on each line, a point between each two
+    consecutive vertices and one past each end, or any point when the
+    line meets no other; and, since every region borders an edge and a
+    point of an edge lies on one line only, each edge's sign vector with
+    its 0 made + and made -."""
+    on: list[set[tuple[Fraction, Fraction]]] = [set() for _ in lines]
+    for i, j in combinations(range(len(lines)), 2):
+        p = _intersection(lines[i], lines[j])
+        if p is not None:
+            on[i].add(p)
+            on[j].add(p)
+    vectors = {sign_vector(lines, x, y) for points in on for x, y in points}
+    for i, (line, points) in enumerate(zip(lines, on)):
+        # _points_on_line's parameter: x, or y on a vertical line
+        ts = sorted(p[0] if line[1] != 0 else p[1] for p in points)
+        params = [(s + t) / 2 for s, t in zip(ts, ts[1:])] + [ts[0] - 1, ts[-1] + 1] \
+            if ts else [Fraction(0)]
+        for x, y in _points_on_line(line, params):
+            v = sign_vector(lines, x, y)
+            vectors.update(v[:i] + s + v[i + 1:] for s in "0+-")
+    return sorted(vectors)

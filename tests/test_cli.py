@@ -143,6 +143,20 @@ class TestDot:
         assert '  "a\\"b";\n' in out
         assert '  "0" -> "a\\"b";\n' in out
 
+    def test_trailing_backslash(self, tmp_path, capsys):
+        # the name a\ would print as "a\";, whose \" escapes the closing
+        # quote; a backslash elsewhere in a name is kept as it is
+        path = tmp_path / "backslash.json"
+        path.write_text(json.dumps({"elements": ["0", "a\\"], "covers": [["0", "a\\"]]}))
+        assert main(["dot", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'a\\\\' ends in a backslash" in captured.err
+        path.write_text(json.dumps({"elements": ["0", "a\\b"], "covers": [["0", "a\\b"]]}))
+        code, out = run(capsys, "dot", str(path))
+        assert code == 0
+        assert '  "0" -> "a\\b";\n' in out
+
 
 class TestTextFormat:
     def test_det_text(self, capsys):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
-                                SEVEN_LINES, enumerate_covectors)
+                                SEVEN_LINES, enumerate_covectors,
+                                exact_covectors, random_lines)
+from bouquetdet import com as com_mod
 from bouquetdet.com import (FSViolation, GroundMismatch, SEViolation,
                             com_from_json, validate_com, zero_set,
                             zero_set_poset)
 from bouquetdet.matroid import flat_lattice, matroid_from_json
-from conftest import load_fixture, verify_default
+from conftest import FIXTURES, load_fixture, verify_default
 
 E3 = ("l1", "l2", "l3")
 
@@ -146,6 +148,27 @@ def outcome(validate, ground, covectors):
     return getattr(result, "covectors", result)
 
 
+def validated(ground, covectors):
+    """validate_com's outcome, and the number of times it ran the
+    pair-by-pair SE rescan."""
+    calls = []
+    original = com_mod._se_witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(com_mod, "_se_witness", lambda *args: calls.append(args) or original(*args))
+        return outcome(validate_com, ground, covectors), len(calls)
+
+
+def assert_matches_brute_force(ground, covectors):
+    """validate_com gives the oracle's outcome, which is returned; an SE
+    failure is found by the rescan, and a COM passes SE on the face
+    certificate alone."""
+    expected = outcome(brute_force_com, ground, covectors)
+    got, rescans = validated(ground, covectors)
+    assert got == expected
+    assert rescans >= 1 if expected[:1] == (SEViolation,) else rescans == 0
+    return expected
+
+
 def fs_closure(vecs):
     closed = set(vecs)
     while True:
@@ -192,7 +215,7 @@ class TestAgainstBruteForce:
     @given(sign_vector_sets())
     def test_sign_vector_sets(self, case):
         ground, vecs = case
-        assert outcome(validate_com, ground, vecs) == outcome(brute_force_com, ground, vecs)
+        assert_matches_brute_force(ground, vecs)
 
     def test_perturbed_line_coms(self):
         rng = random.Random(4)
@@ -201,8 +224,7 @@ class TestAgainstBruteForce:
             base = enumerate_covectors(lines)
             ground = [f"l{i + 1}" for i in range(len(lines))]
             for vecs in [base] + [perturb(rng, base) for _ in range(150)]:
-                expected = outcome(brute_force_com, ground, vecs)
-                assert outcome(validate_com, ground, vecs) == expected
+                expected = assert_matches_brute_force(ground, vecs)
                 seen.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert seen == {"ok", FSViolation, SEViolation}
 
@@ -219,14 +241,44 @@ class TestAgainstBruteForce:
         cases += [[x for x in base if x != v] for v in base if v.count("0") > 1]
         seen = set()
         for vecs in cases:
-            expected = outcome(brute_force_com, ground, vecs)
-            assert outcome(validate_com, ground, vecs) == expected
+            expected = assert_matches_brute_force(ground, vecs)
             if expected[0] is SEViolation:
                 x, y, _ = expected[1]
                 seen.add("tope pair" if "0" not in x + y else "face pair")
             else:
                 seen.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert {"ok", FSViolation, "face pair"} <= seen
+
+
+class TestFaceCertificate:
+    """Valid COMs pass strong elimination on the face certificate alone:
+    the pair-by-pair rescan never runs."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("com_*.json")))
+    def test_fixtures(self, name):
+        data = load_fixture(name)
+        assert validated(data["ground"], data["covectors"]) == (tuple(data["covectors"]), 0)
+
+    @pytest.mark.parametrize("lines", [GENERIC_LINES, CONCURRENT_LINES, SEVEN_LINES],
+                             ids=["generic", "concurrent", "seven"])
+    def test_oracle_bases(self, lines):
+        vecs = enumerate_covectors(lines)
+        assert exact_covectors(lines) == vecs
+        ground = [f"l{i + 1}" for i in range(len(lines))]
+        assert validated(ground, vecs) == (tuple(vecs), 0)
+
+    @pytest.mark.parametrize("n, concurrent", [(10, 0), (10, 4), (20, 4), (30, 0), (30, 4)])
+    def test_seeded_line_coms(self, n, concurrent):
+        vecs = exact_covectors(random_lines(random.Random(n + concurrent), n, concurrent))
+        # complete: 1 + n + sum(m_v - 1) regions and n + sum(m_v) edges
+        # over the vertices v, m_v of the lines meeting at v
+        folds = [x.count("0") for x in vecs if x.count("0") > 1]
+        assert [sum(x.count("0") == k for x in vecs) for k in (0, 1)] == \
+            [1 + n + sum(m - 1 for m in folds), n + sum(folds)]
+        if concurrent:
+            assert max(folds) == concurrent
+        ground = [f"l{i + 1}" for i in range(n)]
+        assert validated(ground, vecs) == (tuple(vecs), 0)
 
 
 def separator(x, y):

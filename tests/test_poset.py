@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from arrangement_oracle import enumerate_covectors
 from bouquetdet import poset as poset_mod
@@ -387,6 +387,25 @@ def many_top_posets(draw):
     return build_poset(draw(st.permutations(names)), covers)
 
 
+@st.composite
+def atomic_lattices(draw):
+    """Atomistic lattices in a drawn element order: a drawn family of
+    subsets of up to five points, with the empty set, the points and the
+    whole set added and closed under intersection, ordered by inclusion.
+    The meet is the intersection, the join the least member above the
+    union, and each member is the join of its points."""
+    points = "abcde"[:draw(st.integers(2, 5))]
+    family = {frozenset(), frozenset(points)} | {frozenset(a) for a in points}
+    family |= set(draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=8)))
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            break
+        family |= meets
+    P = inclusion_poset(family)[0]
+    return build_poset(draw(st.permutations(P.elements)), P.covers)
+
+
 def down_set(P, x):
     """The elements at or below x, read off the poset's down-mask of x."""
     mask = P._down[P.elements.index(x)]
@@ -495,6 +514,28 @@ class TestGeometricFailureOracle:
     @given(small_posets())
     def test_small_posets(self, P):
         assert P.geometric_failure() == brute_geometric_failure(P)
+
+
+class TestSemimodularAtAtoms:
+    """The atom test (x v a covers x for every atom a not below x) against
+    the pairwise semimodularity scan, on atomistic lattices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(atomic_lattices())
+    def test_atomic_lattices(self, P):
+        assert P._atomic_failure() is None
+        assert P._semimodular_at_atoms() is (P._semimodular_failure() is None)
+
+    def test_draws_include_non_semimodular(self):
+        P = find(atomic_lattices(), lambda P: P._semimodular_failure() is not None)
+        assert P._atomic_failure() is None
+        assert not P._semimodular_at_atoms()
+
+    @pytest.mark.parametrize("make", [lambda: uniform(4, 9), lambda: graphic_complete(5)],
+                             ids=["U(4,9)", "M(K5)"])
+    def test_matroid_intervals(self, make):
+        for I in lattice_intervals(flat_lattice(make())[0]):
+            assert I._semimodular_at_atoms() and I._semimodular_failure() is None
 
 
 class TestRank:
