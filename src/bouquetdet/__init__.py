@@ -8,7 +8,7 @@ from .chains import (Chain, ChainMatrix, Labeling, WeightAssignment,
                      neat_chain_families, weight)
 from .com import CovectorSet, validate_com, zero_set_poset
 from .determinant import (VERIFICATION_PRIME, VerificationReport,
-                          block_decompose, det_bareiss, verify_theorem)
+                          block_decompose, det_minors, verify_theorem)
 from .matroid import (BouquetOfMatroids, Matroid, bouquet_flat_poset,
                       build_bouquet_of_matroids, build_matroid, flat_lattice)
 from .polyring import Polynomial
@@ -20,7 +20,7 @@ __all__ = [
     "neat_chain_families", "weight",
     "CovectorSet", "validate_com", "zero_set_poset",
     "VERIFICATION_PRIME", "VerificationReport", "block_decompose",
-    "det_bareiss", "verify_theorem",
+    "det_minors", "verify_theorem",
     "BouquetOfMatroids", "Matroid", "bouquet_flat_poset",
     "build_bouquet_of_matroids", "build_matroid", "flat_lattice",
     "Polynomial",

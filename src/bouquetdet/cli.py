@@ -3,7 +3,7 @@ determinants and invariant tables, verify the factorization, and emit
 Hasse diagrams.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 structural
-invalidity, 3 parse error.
+invalidity or a block too large for symbolic mode, 3 parse error.
 """
 
 from __future__ import annotations
@@ -173,7 +173,10 @@ def cmd_matrix(args) -> int:
 
 def cmd_det(args) -> int:
     P, labeling, weights = _pipeline_input(args)
-    blocks = block_determinants(P, labeling, weights)
+    try:
+        blocks = block_determinants(P, labeling, weights)
+    except DeterminantError as exc:
+        raise CliError(str(exc), EXIT_STRUCTURAL) from exc
     block_texts, det = det_texts(blocks)
     payload = {"det": det,
                "blocks": [{"top": t, "dim": d, "det": text}

@@ -1,15 +1,19 @@
 """Exact symbolic determinant of the chain matrix and verification of
 its factorization det = +/- prod over elements x of w(x)^rho(x).
 
-Symbolic mode computes each family block's determinant by fraction-free
-(Bareiss) elimination and counts the weights w(x) among its factors; it
-never multiplies the blocks together or expands the right-hand side.
-The elimination packs each block once, in one monomial layout of degree
-bound 2D, D the sum over the rows of their largest entry degree: every
-intermediate is a minor of degree at most D, every numerator a product
-of two.  It runs every step on packed dicts with the `polyring` kernels,
-unpacks only the determinant, and at step k pivots on the entry of
-fewest terms in column k at or below row k.
+Symbolic mode computes each family block's determinant by division-free
+expansion over column subsets (`det_minors`) and counts the weights
+w(x) among its factors; it never multiplies the blocks together or
+expands the right-hand side.  The expansion keeps one table from each
+set S of columns to the minor of the first |S| rows on S and extends it
+a row at a time, each step adding one entry times one minor into a
+minor one column larger.  Every entry of the table is a minor, of
+degree at most D, the sum over the rows of their largest entry degree,
+so each block is packed once in one monomial layout of degree bound D;
+every step runs on packed dicts with `polyring.mul_into`, and only the
+determinant is unpacked.  The table of an n x n block peaks at
+C(n, n // 2) minors, so a block of dimension above MAX_SYMBOLIC_DIM
+raises TooLarge before any block is expanded.
 
 Both modes take the chain matrix as its Gram factor, one signed vector
 g_C per chain over atom sets S, and `block_decompose` checks once that
@@ -35,12 +39,17 @@ from dataclasses import dataclass
 
 from .chains import (ChainMatrix, GramVector, Labeling, WeightAssignment,
                      chain_matrix, gram_entries, gram_entry, weight)
-from .polyring import Monomial, NotDivisible, Packing, Polynomial, div_exact, mul_into
+from .polyring import Monomial, NotDivisible, Packing, Polynomial, mul_into
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
 # above 2^61 (62 bits).
 VERIFICATION_PRIME = 2305843009213693967
+
+# The largest family block symbolic mode expands.  The minor table of an
+# n x n block peaks at C(n, n // 2) minors: at n = 15 (U(3,7)) that is
+# 6435 minors and about 0.35 GiB; at n = 20 (U(4,7)) it is 29 times as many.
+MAX_SYMBOLIC_DIM = 15
 
 
 class DeterminantError(Exception):
@@ -80,15 +89,16 @@ def block_decompose(M: ChainMatrix) -> list[tuple[str, tuple[GramVector, ...]]]:
     return blocks
 
 
-def det_bareiss(M: Matrix) -> Polynomial:
-    """Exact determinant by single-step fraction-free elimination on
-    packed entries (see the module docstring).
+def det_minors(M: Matrix) -> Polynomial:
+    """Exact determinant by division-free expansion over column subsets
+    (see the module docstring).
 
-    Each numerator a_kk * a_ij - a_ik * a_kj is formed in one dict and
-    divided by the previous pivot.  Every such division is exact over
-    Z[w]; a nonzero remainder would mean a bug and raises NotDivisible.
-    The pivot at step k is the first of the entries of fewest terms in
-    column k at or below row k; the determinant is zero when there is none.
+    After k rows the table maps each k-subset S of the columns, as a
+    bitmask, to the packed minor of those rows on S; a subset whose
+    minor is zero is absent.  Row k adds +/- a_kj * D(S) into
+    D(S + {j}) for each nonzero a_kj with j not in S, negated when an
+    odd number of the columns of S lie above j (the inversions that
+    placing column j after them adds).
     """
     n = len(M)
     for row in M:
@@ -97,39 +107,44 @@ def det_bareiss(M: Matrix) -> Polynomial:
     if n == 0:
         return Polynomial.one()
     degree = sum(max(e.total_degree() for e in row) for row in M)
-    layout = Packing(set().union(*(e.variables() for row in M for e in row)),
-                     2 * degree)
-    guard = layout.guard()
-    a = [[layout.pack(e) for e in row] for row in M]
-    sign = 1
-    prev = {0: 1}  # the constant 1, packed
-    for k in range(n - 1):
-        pivot = min((i for i in range(k, n) if a[i][k]),
-                    key=lambda i: len(a[i][k]), default=None)
-        if pivot is None:
-            return Polynomial.zero()
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k = a[k]
-        a_kk = row_k[k]
-        for row in a[k + 1:]:
-            minus_a_ik = {t: -c for t, c in row[k].items()}
-            for j in range(k + 1, n):
-                num = mul_into(mul_into({}, a_kk, row[j]), minus_a_ik, row_k[j])
-                row[j] = div_exact(num, prev, guard)
-        prev = a_kk
-    det = layout.unpack(a[n - 1][n - 1])
-    return -det if sign < 0 else det
+    layout = Packing(set().union(*(e.variables() for row in M for e in row)), degree)
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}  # the empty minor is 1
+    for row in M:
+        entries = []
+        for j, e in enumerate(row):
+            if not e.is_zero():
+                a = layout.pack(e)
+                entries.append((j, 1 << j, a, {t: -c for t, c in a.items()}))
+        extended: dict[int, dict[int, int]] = {}
+        while minors:
+            S, D = minors.popitem()
+            for j, bit, a, minus_a in entries:
+                if not S & bit:
+                    odd = (S >> j).bit_count() & 1
+                    mul_into(extended.setdefault(S | bit, {}),
+                             minus_a if odd else a, D)
+        for S, D in extended.items():
+            D = {t: c for t, c in D.items() if c}
+            if D:
+                minors[S] = D
+    return layout.unpack(minors.get((1 << n) - 1, {}))
 
 
 def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
                        ) -> list[tuple[str, int, Polynomial]]:
-    """Bareiss determinant of each family block of the chain matrix, as
+    """The determinant of each family block of the chain matrix, as
     (top, dim, det) triples; the matrix's determinant is their product.
-    Only the diagonal blocks are expanded into polynomials."""
-    return [(top, len(G), det_bareiss(gram_entries(G)))
-            for top, G in block_decompose(chain_matrix(P, labeling, weights))]
+    Only the diagonal blocks are expanded into polynomials, and none is
+    when a block's dimension is above MAX_SYMBOLIC_DIM: that raises
+    TooLarge first."""
+    blocks = block_decompose(chain_matrix(P, labeling, weights))
+    for top, G in blocks:
+        if len(G) > MAX_SYMBOLIC_DIM:
+            raise TooLarge(
+                f"the block with top {top} has dimension {len(G)}, above "
+                f"{MAX_SYMBOLIC_DIM}, the largest that symbolic mode expands; "
+                f"verify it with --mode randomized")
+    return [(top, len(G), det_minors(gram_entries(G))) for top, G in blocks]
 
 
 def rho_exponents(P: Poset) -> dict[str, int]:

@@ -21,10 +21,11 @@ remainder as such a dict together with a max-heap of its keys (after
 Johnson, 1974), pops the leading monomial, forms one quotient term t and
 subtracts t * (q - LT(q)) in place.  `Polynomial.__mul__` and
 `exact_div` pack their operands in a layout of their own, call a kernel
-and unpack the result.  Bareiss elimination (`determinant.det_bareiss`)
-packs each block in one layout, of degree bound 2D for D the sum of the
-rows' largest entry degrees, calls the same kernels at every step, with
-the entry of fewest terms as pivot, and unpacks only the determinant.
+and unpack the result.  The symbolic determinant
+(`determinant.det_minors`) packs each block in one layout, of degree
+bound D for D the sum of the rows' largest entry degrees, adds every
+entry-times-minor product with `mul_into` and unpacks only the
+determinant.
 """
 
 from __future__ import annotations

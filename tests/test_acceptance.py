@@ -15,7 +15,7 @@ from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
 from bouquetdet.chains import (Chain, WeightAssignment, chain_matrix,
                                gram_entries, min_labeling, neat_chain_families)
 from bouquetdet.com import validate_com, zero_set_poset
-from bouquetdet.determinant import block_decompose, det_bareiss, verify_theorem
+from bouquetdet.determinant import block_decompose, det_minors, verify_theorem
 from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
                                 matroid_from_json)
 from bouquetdet.polyring import Polynomial
@@ -161,13 +161,13 @@ def test_criterion_4_determinant_oracle_equivalence():
         product = Polynomial.one()
         for _, G in blocks:
             B = gram_entries(G)
-            d = det_bareiss(B)
+            d = det_minors(B)
             if len(B) <= 6:
                 ok &= d == det_cofactor(B)
             product = product * d
         if M.dim <= 6:
             ok &= product == det_cofactor([list(r) for r in M.entries])
-    report("4 Bareiss vs cofactor equivalence", ok)
+    report("4 minor expansion vs cofactor equivalence", ok)
 
 
 def test_criterion_5_com_corollary():

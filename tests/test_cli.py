@@ -1,5 +1,6 @@
 import json
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +11,10 @@ from conftest import FIXTURES, load_fixture
 PEX = str(FIXTURES / "poset_bouquet_example.json")
 PENTAGON = str(FIXTURES / "poset_pentagon.json")
 ONE_ATOM = str(FIXTURES / "poset_one_atom.json")
+# M(K5): one family block, of dimension 4! = 24.  Kept out of FIXTURES'
+# top level, whose files must run under every command and are pinned in
+# golden_outputs.json.
+K5 = FIXTURES / "oversized" / "matroid_k5.json"
 
 
 def run(capsys, *argv):
@@ -302,6 +307,50 @@ class TestExitCodes:
         code, _ = run(capsys, command, str(path), "--kind", kind)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "det"])
+    @pytest.mark.parametrize("name, top, dim", [
+        pytest.param("M(K5)", "{12,13,14,15,23,24,25,34,35,45}", 24, id="K5"),
+        pytest.param("U(4,7)", "{0,1,2,3,4,5,6}", 20, id="U47"),
+    ])
+    def test_block_too_large(self, tmp_path, capsys, command, name, top, dim):
+        # Symbolic mode refuses a block above dimension 15 before it
+        # expands any block.
+        if name == "M(K5)":
+            path = K5
+        else:
+            path = tmp_path / "u47.json"
+            ground = list("0123456")
+            path.write_text(json.dumps({"ground": ground, "independents": [
+                list(s) for k in range(5) for s in combinations(ground, k)]}))
+        start = time.monotonic()
+        code = main([command, str(path), "--kind", "matroid"])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"the block with top {top} has dimension {dim}, "
+                                f"above 15, the largest that symbolic mode "
+                                f"expands; verify it with --mode randomized\n")
+        assert elapsed < 5
+
+    def test_k5_verifies_randomized(self, capsys):
+        # The oversized fixture is a bouquet: exit 2 above comes from the cap.
+        assert len(load_fixture("oversized/matroid_k5.json")["independents"]) == 291
+        code, out = run(capsys, "verify", str(K5), "--kind", "matroid",
+                        "--mode", "randomized", "--trials", "2")
+        assert code == 0
+        assert [b["dim"] for b in json.loads(out)["blocks"]] == [24]
+
+    def test_det_off_block_entry(self, monkeypatch, capsys):
+        from bouquetdet import determinant
+
+        def nonzero(M):
+            raise determinant.NonZeroOffBlock("entry (C, D) = w1")
+
+        monkeypatch.setattr(determinant, "block_decompose", nonzero)
+        code = main(["det", PEX])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "entry (C, D) = w1\n")
+
 
 class TestRunOnce:
     """Each pipeline step runs once per CLI call."""
@@ -351,9 +400,9 @@ class TestRunOnce:
         from bouquetdet import determinant
         from bouquetdet.polyring import Polynomial
         blocks, pairs = set(), []
-        bareiss = determinant.det_bareiss
-        monkeypatch.setattr(determinant, "det_bareiss",
-                            lambda B: blocks.add(id(d := bareiss(B))) or d)
+        det_minors = determinant.det_minors
+        monkeypatch.setattr(determinant, "det_minors",
+                            lambda B: blocks.add(id(d := det_minors(B))) or d)
         mul = Polynomial.__mul__
         monkeypatch.setattr(Polynomial, "__mul__",
                             lambda a, b: pairs.append((id(a), id(b))) or mul(a, b))
@@ -365,13 +414,13 @@ class TestRunOnce:
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):
         """Run `command`; return the block determinants, in the order
-        det_bareiss returned them, and the polynomials it formatted."""
+        det_minors returned them, and the polynomials it formatted."""
         from bouquetdet import determinant
         from bouquetdet.polyring import Polynomial
         dets, formatted = [], []
-        bareiss = determinant.det_bareiss
-        monkeypatch.setattr(determinant, "det_bareiss",
-                            lambda B: dets.append(bareiss(B)) or dets[-1])
+        det_minors = determinant.det_minors
+        monkeypatch.setattr(determinant, "det_minors",
+                            lambda B: dets.append(det_minors(B)) or dets[-1])
         to_string = Polynomial.to_string
         monkeypatch.setattr(Polynomial, "to_string",
                             lambda self, *a: formatted.append(self) or to_string(self, *a))
@@ -416,16 +465,16 @@ class TestRunOnce:
 
 
 def perturb_block(monkeypatch, change):
-    """Make det_bareiss return change(det) for the first block it sees."""
+    """Make det_minors return change(det) for the first block it sees."""
     from bouquetdet import determinant
-    original = determinant.det_bareiss
+    original = determinant.det_minors
     seen = []
 
     def patched(B):
         seen.append(1)
         return change(original(B)) if len(seen) == 1 else original(B)
 
-    monkeypatch.setattr(determinant, "det_bareiss", patched)
+    monkeypatch.setattr(determinant, "det_minors", patched)
 
 
 class TestPerturbedVerdict:

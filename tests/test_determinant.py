@@ -13,7 +13,7 @@ from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
                                     NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
-                                    det_bareiss, det_mod, rho_exponents,
+                                    det_minors, det_mod, rho_exponents,
                                     verify_theorem)
 from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
 from bouquetdet.polyring import Polynomial
@@ -29,7 +29,7 @@ def var(i):
 
 def det_cofactor(M):
     """Laplace-expansion determinant: the independent oracle for
-    det_bareiss, limited to dimension 8."""
+    det_minors, limited to dimension 8."""
     n = len(M)
     if n > 8:
         raise TooLarge(f"cofactor expansion limited to dimension 8, got {n}")
@@ -155,11 +155,15 @@ class TestBlockDecompose:
 
 
 class TestBareiss:
+    """det_minors on small cases.  This class and TestBareissOracle keep
+    the names they had when they tested the Bareiss elimination that
+    det_minors replaced, so that their results compare across that change."""
+
     def test_1x1(self):
-        assert det_bareiss([[var(0) * var(3)]]) == var(0) * var(3)
+        assert det_minors([[var(0) * var(3)]]) == var(0) * var(3)
 
     def test_empty(self):
-        assert det_bareiss([]) == Polynomial.one()
+        assert det_minors([]) == Polynomial.one()
 
     def test_r3_block(self, labeled):
         P, lab, w = labeled
@@ -169,31 +173,32 @@ class TestBareiss:
         # cofactor-expansion oracle, frozen:
         # (w2w5 + w3w5)(w2w3 + w3w5) - (w3w5)^2
         expected = w2 * w3 * w5 * (w2 + w3 + w5)
-        assert det_bareiss(block) == expected
+        assert det_minors(block) == expected
 
     def test_diag(self):
-        assert det_bareiss([[var(0), Polynomial.zero()],
+        assert det_minors([[var(0), Polynomial.zero()],
                             [Polynomial.zero(), var(1)]]) == var(0) * var(1)
 
     def test_singular(self):
-        assert det_bareiss([[var(0), var(0)], [var(0), var(0)]]) == \
+        assert det_minors([[var(0), var(0)], [var(0), var(0)]]) == \
             Polynomial.zero()
 
     def test_row_swap_sign(self):
         z = Polynomial.zero()
         m = [[z, var(0)], [var(1), z]]
-        assert det_bareiss(m) == -(var(0) * var(1))
+        assert det_minors(m) == -(var(0) * var(1))
 
 
 class TestCofactor:
     def test_agrees_with_bareiss(self, labeled, u23_lattice):
+        # Named for the elimination det_minors replaced (see TestBareiss).
         P, lab, w = labeled
         for M in (chain_matrix(P, lab, w),
                   chain_matrix(u23_lattice[0], min_labeling(u23_lattice[0]),
                                WeightAssignment.default(u23_lattice[0]))):
             for _, G in block_decompose(M):
                 B = gram_entries(G)
-                assert det_cofactor(B) == det_bareiss(B)
+                assert det_cofactor(B) == det_minors(B)
 
     def test_1x1(self):
         p = var(0) + var(1)
@@ -213,7 +218,7 @@ class TestCofactor:
         M = chain_matrix(P, lab, w)
         product = Polynomial.one()
         for _, G in block_decompose(M):
-            product = product * det_bareiss(gram_entries(G))
+            product = product * det_minors(gram_entries(G))
         assert det_cofactor([list(r) for r in M.entries]) == product
 
 
@@ -223,9 +228,8 @@ def random_matrix(rng, n, shape):
     small coefficients, then reshaped:
     - "zero-lead": the top left entry is zero;
     - "swap": column 0 is zero but in the last row, whose entry has one
-      term, so the first pivot is a swap;
-    - "dense-top": row 0 has many terms in column 0 and row 1 one, so
-      the fewest-terms pivot swaps where a first-nonzero pivot would not;
+      term, so every nonzero term pairs row n - 1 with column 0;
+    - "dense-top": row 0 has many terms in column 0 and row 1 one;
     - "singular": the last row is w1 * row 0 - 2 * row 1 (w1 * row 0
       when n = 2);
     - "zero-column": the middle column is zero."""
@@ -260,7 +264,7 @@ def random_matrix(rng, n, shape):
 
 
 class TestBareissOracle:
-    """det_bareiss against independent determinants, sign included."""
+    """det_minors against independent determinants, sign included."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "dense-top",
@@ -268,30 +272,33 @@ class TestBareissOracle:
     def test_equals_cofactor(self, shape, n):
         for seed in range(4):
             M = random_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
-            det = det_bareiss(M)
+            det = det_minors(M)
             assert det == det_cofactor(M)
             if shape in ("singular", "zero-column"):
                 assert det.is_zero()
 
     def test_above_cofactor_limit(self):
-        # U(3,6) has one family block, of dimension 10.
-        P = flat_lattice(uniform(3, 6))[0]
-        [(_, G)] = block_decompose(chain_matrix(P, min_labeling(P),
-                                                WeightAssignment.default(P)))
-        B = gram_entries(G)
-        assert len(B) == 10
-        det = det_bareiss(B)
+        # U(3,6) and U(2,9) have one family block each, of dimension 10
+        # and 8: det_minors against the dense mod-p elimination.
         p = VERIFICATION_PRIME
-        rng = random.Random(36)
-        for _ in range(3):
-            point = {v: rng.randint(1, 10**6) for v in det.variables()}
-            rows = [[e.eval_mod(point, p) for e in row] for row in B]
-            assert det.eval_mod(point, p) == det_mod_dense(rows, p)
-        # Reversing the 10 rows is 5 transpositions.
-        assert det_bareiss(B[::-1]) == -det
+        for r, n, dim in [(3, 6, 10), (2, 9, 8)]:
+            P = flat_lattice(uniform(r, n))[0]
+            [(_, G)] = block_decompose(chain_matrix(P, min_labeling(P),
+                                                    WeightAssignment.default(P)))
+            B = gram_entries(G)
+            assert len(B) == dim
+            det = det_minors(B)
+            rng = random.Random(10 * r + n)
+            for _ in range(3):
+                point = {v: rng.randint(1, 10**6) for v in det.variables()}
+                rows = [[e.eval_mod(point, p) for e in row] for row in B]
+                assert det.eval_mod(point, p) == det_mod_dense(rows, p)
+            if dim == 10:
+                # Reversing the 10 rows is 5 transpositions.
+                assert det_minors(B[::-1]) == -det
 
     def test_no_polynomial_arithmetic(self, monkeypatch):
-        # The elimination runs on packed dicts: no Polynomial product or
+        # The expansion runs on packed dicts: no Polynomial product or
         # quotient per step.
         P = flat_lattice(graphic_complete(4))[0]
         blocks = block_decompose(chain_matrix(P, min_labeling(P),
@@ -303,7 +310,7 @@ class TestBareissOracle:
             original = getattr(Polynomial, name)
             monkeypatch.setattr(Polynomial, name, lambda a, b, name=name, f=original:
                                 calls.append(name) or f(a, b))
-        det = det_bareiss(B)
+        det = det_minors(B)
         assert calls == []
         monkeypatch.undo()
         assert det == expected
@@ -497,13 +504,13 @@ class TestBlockVerdict:
         weights = WeightAssignment.default(P)
         w = {x: weight(P, x, weights) for x in P.elements}
         calls = []
-        original = determinant.det_bareiss
+        original = determinant.det_minors
 
         def patched(B):
             calls.append(1)
             return change(len(calls) - 1, original(B), w)
 
-        monkeypatch.setattr(determinant, "det_bareiss", patched)
+        monkeypatch.setattr(determinant, "det_minors", patched)
         degree = sum(rho_exponents(P).values())
         products = []
         mul = Polynomial.__mul__
