@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for bouquets of geometric lattices: chain
 matrices over Z[w] and verification of their determinant factorization
-det = +/- prod w(x)^rho(x), with matroid, bouquet-of-matroids, and
+det = prod w(x)^rho(x), with matroid, bouquet-of-matroids, and
 sign-vector (COM) front ends."""
 
 from .chains import (Chain, ChainMatrix, Labeling, WeightAssignment,

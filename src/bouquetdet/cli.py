@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                f"prime p = {VERIFICATION_PRIME}, at points drawn uniformly "
                f"from [1, p - 1].  A false identity passes one trial with "
                f"probability at most deg/(p - 1), deg <= max(sum over blocks "
-               f"of dim * rank, sum of rho); not covered: det - sign * "
-               f"product nonzero over Z with every coefficient divisible by p.")
+               f"of dim * rank, sum of rho); not covered: det - product "
+               f"nonzero over Z with every coefficient divisible by p.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in [("check", cmd_check), ("matrix", cmd_matrix),
                      ("det", cmd_det), ("rho", cmd_rho),

@@ -1,5 +1,15 @@
 """Exact symbolic determinant of the chain matrix and verification of
-its factorization det = +/- prod over elements x of w(x)^rho(x).
+its factorization det = prod over elements x of w(x)^rho(x).
+
+The sign is +1, proved once here.  Each family block is
+G^T * diag(w^S) * G, G the matrix of its Gram vectors (a row per atom set
+S, a column per chain), so by Cauchy-Binet its determinant D_r is the sum
+over the dim_r-sets T of atom sets of det(G_T)^2 * prod over S in T of
+w^S: every coefficient of D_r is >= 0.  R = prod w(x)^rho(x) is a product
+of sums of variables, nonzero with every coefficient >= 0, so -R has a
+negative coefficient and D = -R never holds; the same goes for each block
+and its own product of weights.  So the identity checked is D = R, and a
+cofactor of -1 is a miss like any other.
 
 Symbolic mode computes each family block's determinant by division-free
 expansion over column subsets (`det_minors`) and counts the weights
@@ -26,7 +36,7 @@ one int from the Gram vectors and eliminates the packed rows mod p
 (`det_mod`).  A trial of a false identity passes with probability at
 most deg / (p - 1), deg <= max(sum over blocks r of dim_r * rank(r),
 sum over x of rho(x)) (Schwartz 1980; Zippel 1979); the bound does not
-cover det - s * prod w(x)^rho(x) nonzero over Z with every coefficient
+cover det - prod w(x)^rho(x) nonzero over Z with every coefficient
 divisible by p.  The independent oracles these are tested against (a
 Laplace-expansion determinant, a dense mod-p elimination, the expanded
 products) live in tests.
@@ -157,22 +167,20 @@ def rho_exponents(P: Poset) -> dict[str, int]:
     return exponents
 
 
-def factor_sign(block_dets: list[tuple[str, int, Polynomial]],
-                factors: list[tuple[Polynomial, int]]) -> int | None:
-    """The sign s with prod D_r = s * prod w^e over `factors`, D_r the
-    block determinants; None when there is none.  Each D_r is divided by
-    each w, more terms first, until NotDivisible (a w with a variable
-    D_r lacks cannot divide it).  The weights are distinct sums of
-    variables, so pairwise non-associate primes: the identity holds iff
-    every cofactor is +/-1 and the counts of each w, summed over the
-    blocks, equal its exponent.  The sign is the product of the cofactors."""
+def factors_match(block_dets: list[tuple[str, int, Polynomial]],
+                  factors: list[tuple[Polynomial, int]]) -> bool:
+    """Whether prod D_r = prod w^e over `factors`, D_r the block
+    determinants.  Each D_r is divided by each w, more terms first, until
+    NotDivisible (a w with a variable D_r lacks cannot divide it).  The
+    weights are distinct sums of variables, so pairwise non-associate
+    primes, and no D_r has a negative coefficient (module docstring): the
+    identity holds iff every cofactor is 1 and the counts of each w,
+    summed over the blocks, equal its exponent."""
     counts = dict.fromkeys((p for p, _ in factors), 0)
     weights = sorted(((p, p.variables()) for p in counts), key=lambda pv: -len(pv[1]))
-    one = Polynomial.one()
-    sign = 1
     for _, _, cofactor in block_dets:
         if cofactor.is_zero():
-            return None
+            return False
         variables = cofactor.variables()
         for p, p_variables in weights:
             if p_variables <= variables:
@@ -182,11 +190,9 @@ def factor_sign(block_dets: list[tuple[str, int, Polynomial]],
                         counts[p] += 1
                 except NotDivisible:
                     pass
-        if cofactor == -one:
-            sign = -sign
-        elif cofactor != one:
-            return None
-    return sign if all(counts[p] == e for p, e in factors) else None
+        if cofactor != Polynomial.one():
+            return False
+    return all(counts[p] == e for p, e in factors)
 
 
 def product_text(factors: list[tuple[str, int]]) -> str:
@@ -194,12 +200,12 @@ def product_text(factors: list[tuple[str, int]]) -> str:
     "1" for none.  A factor of several terms (its text has a space, as
     `Polynomial.to_string` puts spaces only between terms) is put in
     parentheses when there are two or more factors or its exponent is
-    above 1, and so is a negative factor after the first."""
+    above 1."""
     if not factors:
         return "1"
     out = []
-    for i, (text, e) in enumerate(factors):
-        if (" " in text and (len(factors) > 1 or e > 1)) or (i and text[0] == "-"):
+    for text, e in factors:
+        if " " in text and (len(factors) > 1 or e > 1):
             text = f"({text})"
         out.append(text if e == 1 else f"{text}^{e}")
     return "*".join(out)
@@ -215,13 +221,18 @@ def det_texts(blocks: list[tuple[str, int, Polynomial]]) -> tuple[list[str], str
 @dataclass
 class VerificationReport:
     verdict: bool
-    sign: int | None
     exponents: dict[str, int]
     rhs: list[tuple[Polynomial, int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
     blocks: list[tuple[str, int, Polynomial | None]]  # (top, dim, block det)
     mode: str
     trials: int = 0
     seed: int = 0
+
+    @property
+    def sign(self) -> int | None:
+        """1 on a true verdict, None on a false one: the sign is never -1
+        (module docstring)."""
+        return 1 if self.verdict else None
 
     @property
     def determinant(self) -> Polynomial | None:
@@ -232,19 +243,14 @@ class VerificationReport:
     def texts(self) -> tuple[list[str] | None, str | None, str | None]:
         """The texts of the block determinants, of their product and of
         the right-hand side, each block formatted once; None in
-        randomized mode.  On a true verdict the right-hand side is s * D_1
-        times the other blocks, on a false one prod w(x)^rho(x)."""
+        randomized mode.  On a true verdict the right-hand side is the
+        product of the blocks, on a false one prod w(x)^rho(x)."""
         if self.mode != "symbolic":
             return None, None, None
         block_texts, det = det_texts(self.blocks)
-        if not self.verdict:
-            product = product_text([(p.to_string(), e) for p, e in self.rhs])
-        elif self.sign == 1:
-            product = det
-        else:
-            first = (-self.blocks[0][2]).to_string()
-            product = product_text([(t, 1) for t in [first] + block_texts[1:]])
-        return block_texts, det, product
+        if self.verdict:
+            return block_texts, det, det
+        return block_texts, det, product_text([(p.to_string(), e) for p, e in self.rhs])
 
     def to_json(self) -> dict:
         block_texts, det, product = self.texts()
@@ -341,24 +347,23 @@ class GramBlockMod:
 def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
                    mode: str = "symbolic", trials: int = 20,
                    seed: int = 0) -> VerificationReport:
-    """Check det(chain matrix) = +/- prod w(x)^rho(x).
+    """Check det(chain matrix) = prod w(x)^rho(x).
 
     Symbolic mode counts the factors w(x) of each block determinant
-    exactly (see `factor_sign`).  Randomized mode draws each variable
+    exactly (see `factors_match`).  Randomized mode draws each variable
     uniformly from [1, p - 1], p the fixed 62-bit prime, in each of
     `trials` trials; evaluates w^S once per atom set S of the Gram
     factor, each block from it (`GramBlockMod`) and its determinant with
-    `det_mod`; and requires one consistent sign across all trials.
-    Neither mode multiplies the blocks together or expands the
-    right-hand side.
+    `det_mod`; and requires both sides to agree in every trial.  Neither
+    mode multiplies the blocks together or expands the right-hand side.
 
-    The randomized error bound (Schwartz 1980; Zippel 1979): for a sign
-    s, if det - s * R is nonzero modulo p, R = prod w(x)^rho(x), a trial
-    passes with probability at most deg / (p - 1), where deg <=
-    max(sum over blocks r of dim_r * rank(r), sum over x of rho(x)); a
-    false identity passes every trial with probability at most
-    2 * (deg / (p - 1))^trials.  Not covered: det - s * R nonzero over Z
-    with every coefficient divisible by p.
+    The randomized error bound (Schwartz 1980; Zippel 1979): if det - R
+    is nonzero modulo p, R = prod w(x)^rho(x), a trial passes with
+    probability at most deg / (p - 1), where deg <= max(sum over blocks
+    r of dim_r * rank(r), sum over x of rho(x)); a false identity passes
+    every trial with probability at most (deg / (p - 1))^trials.  Not
+    covered: det - R nonzero over Z with every coefficient divisible
+    by p.
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
@@ -369,8 +374,7 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
 
     if mode == "symbolic":
         block_dets = block_determinants(P, labeling, weights)
-        sign = factor_sign(block_dets, rhs)
-        return VerificationReport(sign is not None, sign, exponents, rhs,
+        return VerificationReport(factors_match(block_dets, rhs), exponents, rhs,
                                   block_dets, "symbolic")
 
     if mode != "randomized":
@@ -382,7 +386,6 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     atom_sets = {S for _, G in blocks for g in G for S in g}
     rng = random.Random(seed)
     variables = sorted(set(weights.atom_vars.values()))
-    sign: int | None = None
     verdict = True
     for _ in range(trials):
         point = {v: rng.randrange(1, p) for v in variables}
@@ -398,20 +401,9 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
         rhs_val = 1
         for q, e in rhs:
             rhs_val = rhs_val * pow(q.eval_mod(point, p), e, p) % p
-        if det_val == rhs_val:
-            trial_sign = 1
-        elif det_val == (-rhs_val) % p:
-            trial_sign = -1
-        else:
+        if det_val != rhs_val:
             verdict = False
-            sign = None
             break
-        if sign is None:
-            sign = trial_sign
-        elif sign != trial_sign:
-            verdict = False
-            sign = None
-            break
-    return VerificationReport(verdict, sign if verdict else None, exponents, rhs,
+    return VerificationReport(verdict, exponents, rhs,
                               [(t, len(G), None) for t, G in blocks],
                               "randomized", trials=trials, seed=seed)

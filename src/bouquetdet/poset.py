@@ -200,8 +200,11 @@ class Poset:
         """None if this poset is a geometric lattice, otherwise a
         (reason, witness) pair: reason in {"not-lattice", "not-atomic",
         "not-semimodular"}.  The witness is the first failing unordered
-        pair, element or ordered pair in element order."""
+        pair, element or ordered pair in element order; the empty poset,
+        which has no bottom, is not a lattice, with an empty witness."""
         els = self.elements
+        if not els:
+            return ("not-lattice", ())
         up, down, by_up, by_down = self._up, self._down, self._by_up, self._by_down
         for i, (ui, di) in enumerate(zip(up, down)):
             for k in range(i + 1, len(els)):
@@ -214,9 +217,6 @@ class Poset:
         if pair is not None:
             return ("not-semimodular", (els[pair[0]], els[pair[1]]))
         return None
-
-    def is_geometric_lattice(self) -> bool:
-        return self.geometric_failure() is None
 
     def is_bouquet(self) -> bool:
         """Meet semilattice with a bottom 0̂ whose interval [0̂, r] below

@@ -99,7 +99,7 @@ def test_criterion_1_worked_example_end_to_end(bouquet_example):
     rep = verify_theorem(P, lab, w)
     target = (power(v["a5"], 3) * power(v["a4"], 2) * v["a3"] * v["a2"]
               * power(v["a1"], 2) * (v["a2"] + v["a3"] + v["a5"]))
-    ok &= rep.verdict and block_product(rep.blocks) == (target if rep.sign == 1 else -target)
+    ok &= rep.verdict and rep.sign == 1 and block_product(rep.blocks) == target
     ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
     ok &= P.rho("a1") == 2 and P.rho("r1") == 0
     elapsed = time.monotonic() - start
@@ -130,7 +130,7 @@ def test_criterion_2_flag_matrix_identity():
     rep = verify_default(P)
     w1, w2, w3 = (Polynomial.var(i) for i in range(3))
     closed = w1 * w2 * w3 * (w1 + w2 + w3)
-    ok &= block_product(rep.blocks) == (closed if rep.sign == 1 else -closed)
+    ok &= rep.sign == 1 and block_product(rep.blocks) == closed
     ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
@@ -191,7 +191,7 @@ def test_criterion_6_randomized_symbolic_agreement():
     for name, P in all_fixture_posets():
         sym = verify_default(P, mode="symbolic")
         rand = verify_default(P, mode="randomized", trials=20, seed=2024)
-        ok &= sym.verdict == rand.verdict and sym.sign == rand.sign
+        ok &= sym.verdict == rand.verdict and sym.sign == rand.sign == 1
     report("6 randomized/symbolic agreement", ok)
 
 
@@ -252,6 +252,6 @@ def test_criterion_7_structural_property_suite():
         if not simple.ground:
             continue
         P, _ = flat_lattice(simple)
-        ok &= P.is_geometric_lattice()
+        ok &= P.geometric_failure() is None
         ok &= P.is_bouquet() and P.is_meet_semilattice()
     report("7 structural property suite", ok)

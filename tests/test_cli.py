@@ -37,6 +37,15 @@ class TestCheck:
         assert payload["geometric"] is False
         assert "witness" in payload["geometric_failure"]
 
+    def test_empty_poset_not_geometric(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"elements": [], "covers": []}))
+        code, out = run(capsys, "check", str(empty))
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["geometric"] is False
+        assert payload["geometric_failure"] == {"reason": "not-lattice", "witness": []}
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -432,8 +441,8 @@ class TestRunOnce:
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        # Every fixture verifies with sign +1: each block is formatted
-        # once, and nothing else is (no product, no right-hand side).
+        # Every fixture verifies: each block is formatted once, and
+        # nothing else is (no product, no right-hand side).
         dets, formatted = self.determinant_texts(monkeypatch, capsys, "verify", name, fmt)
         assert sorted(map(id, formatted)) == sorted(map(id, dets))
 
@@ -479,7 +488,7 @@ def perturb_block(monkeypatch, change):
 
 class TestPerturbedVerdict:
     """Block determinants altered by hand: the only inputs whose verdict
-    is false or whose sign is -1."""
+    is false."""
 
     @staticmethod
     def texts(out, fmt):
@@ -500,10 +509,13 @@ class TestPerturbedVerdict:
         _, plain = run(capsys, "det", PEX, "--format", "text")
         perturb_block(monkeypatch, lambda d: -d)
         code, out = run(capsys, "verify", PEX, "--format", fmt)
-        assert code == 0
+        # No block determinant has a negative coefficient (Cauchy-Binet),
+        # so a negated block is a miss.
+        assert code == 1
         verdict, sign, det, product = self.texts(out, fmt)
         # The first block, w1*w4, is one term: negating it negates the text.
-        assert (verdict, sign, det, product) == (True, -1, "-" + plain.strip(), plain.strip())
+        assert (verdict, sign, det) == (False, None, "-" + plain.strip())
+        assert product == "w1^2*w2*w3*w4^2*w5^3*(w2 + w3 + w5)"
         assert text_value(det) == text_value((-unperturbed).to_string())
         assert text_value(product) == text_value(rhs.to_string())
 

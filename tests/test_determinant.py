@@ -5,17 +5,21 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from arrangement_oracle import exact_covectors, random_lines
 from bouquetdet import chains, determinant
 from bouquetdet.chains import (WeightAssignment, chain_matrix, gram_entries,
-                               min_labeling, weight)
+                               make_labeling, min_labeling, weight)
+from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
                                     NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
                                     det_minors, det_mod, rho_exponents,
                                     verify_theorem)
-from bouquetdet.matroid import bouquet_flat_poset, bouquet_from_json, flat_lattice
+from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
+                                build_matroid, flat_lattice)
 from bouquetdet.polyring import Polynomial
 from conftest import load_fixture, power, verify_default
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
@@ -405,7 +409,7 @@ class TestVerify:
     def test_example(self, bouquet_example):
         report = verify_default(bouquet_example)
         assert report.verdict
-        assert report.sign in (1, -1)
+        assert report.sign == 1
 
     def test_one_atom(self, one_atom):
         report = verify_default(one_atom)
@@ -432,6 +436,23 @@ class TestVerify:
             assert sym.verdict == rand.verdict
             assert sym.sign == rand.sign
 
+    def test_randomized_negated_block(self, monkeypatch, bouquet_example):
+        # One block's determinant negated mod p in every trial: the sign
+        # is never -1, so both sides differ and the verdict is false.
+        det = GramBlockMod.det
+        first = []
+
+        def patched(block, powers):
+            if not first:
+                first.append(block)
+            d = det(block, powers)
+            return -d % block.p if block is first[0] else d
+
+        monkeypatch.setattr(GramBlockMod, "det", patched)
+        report = verify_default(bouquet_example, mode="randomized", trials=5, seed=3)
+        assert first
+        assert (report.verdict, report.sign) == (False, None)
+
     def test_report_json_shape(self, bouquet_example):
         payload = verify_default(bouquet_example).to_json()
         assert set(payload) >= {"verdict", "sign", "det", "product",
@@ -444,8 +465,8 @@ def global_verdict(P):
     weights = WeightAssignment.default(P)
     det = block_product(block_determinants(P, min_labeling(P), weights))
     rhs, _ = rhs_product(P, weights)
-    sign = 1 if det == rhs else -1 if det == -rhs else None
-    return sign is not None, sign, det, rhs
+    verdict = det == rhs
+    return verdict, 1 if verdict else None, det, rhs
 
 
 def uniform_bouquet_json(roofs, r, n):
@@ -532,11 +553,13 @@ class TestBlockVerdict:
         pytest.param(lambda i, d, w: d * w["r3"] if i == 0
                      else d.exact_div(w["r3"]) if i == 2 else d,
                      True, 1, 0, id="moved-factor"),
+        # Every block determinant has nonnegative coefficients
+        # (Cauchy-Binet), so a negated block is a miss.
         pytest.param(lambda i, d, w: -d if i == 1 else d,
-                     True, -1, 0, id="negated"),
+                     False, None, 0, id="negated"),
         pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
                      else d.exact_div(w["r3"]) if i == 2 else d,
-                     True, -1, 0, id="moved-factor-negated"),
+                     False, None, 0, id="moved-factor-negated"),
     ])
     def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,
                               verdict, sign, expansions):
@@ -550,6 +573,47 @@ class TestBlockVerdict:
         assert block_texts == [d.to_string() for _, _, d in report.blocks]
         assert text_value(det_text) == text_value(det.to_string())
         assert text_value(product_text) == text_value(rhs.to_string())
+
+
+K4 = graphic_complete(4)
+
+
+@st.composite
+def small_bouquets(draw):
+    """The flat lattice of U(r, n) or of a graph on four vertices, or the
+    zero-set poset of an arrangement of up to five lines."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "lines"]))
+    if kind == "uniform":
+        r = draw(st.integers(2, 3))
+        return flat_lattice(uniform(r, draw(st.integers(r, 6 if r == 2 else 5))))[0]
+    if kind == "graphic":
+        edges = draw(st.sets(st.sampled_from(K4.ground), min_size=1))
+        return flat_lattice(build_matroid(
+            sorted(edges), [sorted(s) for s in K4.independents if s <= edges]))[0]
+    n = draw(st.integers(1, 5))
+    lines = random_lines(random.Random(draw(st.integers(0, 2 ** 16))), n,
+                         draw(st.integers(0, n)))
+    return zero_set_poset(validate_com([f"l{i}" for i in range(n)],
+                                       exact_covectors(lines)))[0]
+
+
+class TestSignIsPlusOne:
+    """Every block is G^T * diag(w^S) * G, so by Cauchy-Binet no block
+    determinant has a negative coefficient and the sign is +1, under any
+    labeling and variable order, not only the min-labeling."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_bouquets(), st.data())
+    def test_block_coefficients_nonnegative(self, P, data):
+        labeling = make_labeling(P, {
+            x: data.draw(st.sampled_from([a for a in P.atoms if P.leq(a, x)]))
+            for x in P.elements if x != P.bottom})
+        atoms = data.draw(st.permutations(P.atoms))
+        weights = WeightAssignment({a: i for i, a in enumerate(atoms)})
+        for _, _, d in block_determinants(P, labeling, weights):
+            assert all(c >= 0 for c in d.terms.values())
+        report = verify_theorem(P, labeling, weights)
+        assert (report.verdict, report.sign) == (True, 1)
 
 
 GRAM_INSTANCES = {
@@ -604,7 +668,7 @@ class TestGramEvaluation:
         P = flat_lattice(graphic_complete(5))[0]
         report = verify_default(P, mode="randomized", trials=3, seed=5)
         assert [d for _, d, _ in report.blocks] == [24]
-        assert report.verdict and report.sign in (1, -1)
+        assert report.verdict and report.sign == 1
 
 
 # Multi-block inputs whose global product of blocks is too large to form

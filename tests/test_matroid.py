@@ -243,7 +243,7 @@ class TestFlatLattice:
         P, mapping = u23_lattice
         assert len(P.elements) == 5
         assert P.rank("{1,2,3}") == 2
-        assert P.is_geometric_lattice()
+        assert P.geometric_failure() is None
         assert mapping["{1,2}"] if "{1,2}" in mapping else True
 
     def test_free_single_element(self):
@@ -266,7 +266,7 @@ class TestFlatLattice:
     def test_fixture_lattices_geometric(self, name):
         m = matroid_from_json(load_fixture(name))
         P, _ = flat_lattice(m)
-        assert P.is_geometric_lattice()
+        assert P.geometric_failure() is None
 
 
 class TestBouquet:
@@ -320,12 +320,11 @@ class TestFlagMatrixIdentity:
         weights = WeightAssignment.default(P)
         report = verify_theorem(P, min_labeling(P), weights)
         verdict, sign, _, rhs = global_verdict(P)
-        assert report.verdict
+        assert report.verdict and report.sign == 1
         assert (report.verdict, report.sign) == (verdict, sign)
         ground_vars = {e: 100 + i for i, e in enumerate(sorted("123"))}
         sub = ground_substitution(P, weights, mapping, ground_vars)
-        assert substitute(block_product(report.blocks), sub) == \
-            substitute(rhs if report.sign == 1 else -rhs, sub)
+        assert substitute(block_product(report.blocks), sub) == substitute(rhs, sub)
 
     def test_exponents_match_rho(self, u23_lattice):
         P, _ = u23_lattice

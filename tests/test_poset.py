@@ -249,12 +249,15 @@ class TestStructure:
 
     def test_geometric_interval(self, bouquet_example):
         P = bouquet_example
-        assert interval(P, "0", "r3").is_geometric_lattice()
+        assert interval(P, "0", "r3").geometric_failure() is None
 
     def test_pentagon_not_geometric(self, pentagon):
         reason, witness = pentagon.geometric_failure()
         assert reason in ("not-atomic", "not-semimodular")
-        assert not pentagon.is_geometric_lattice()
+
+    def test_empty_not_geometric(self):
+        # A lattice has a bottom, which the empty poset lacks.
+        assert build_poset([], []).geometric_failure() == ("not-lattice", ())
 
     def test_single_chain_not_atomic(self):
         P = build_poset(["0", "a", "b"], [("0", "a"), ("a", "b")])
