@@ -121,8 +121,10 @@ def _pipeline_input(args) -> tuple[Poset, Labeling, WeightAssignment]:
     P = _load_poset(args)
     _require_bouquet(P)
     order = P.atoms
-    if args.atom_order:
-        order = tuple(a.strip() for a in args.atom_order.split(","))
+    if args.atom_order is not None:
+        # "" is the empty order, a permutation of no atoms only.
+        names = args.atom_order.split(",") if args.atom_order else []
+        order = tuple(a.strip() for a in names)
         if sorted(order) != sorted(P.atoms):
             raise CliError("atom_order must be a permutation of the atoms",
                            EXIT_STRUCTURAL)

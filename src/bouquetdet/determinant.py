@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .chains import (ChainMatrix, GramVector, Labeling, WeightAssignment,
                      chain_matrix, gram_entries, gram_entry, weight)
-from .polyring import Monomial, NotDivisible, Packing, Polynomial, mul_into
+from .polyring import Monomial, Packing, Polynomial, div_exact, mul_into
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
@@ -157,40 +157,36 @@ def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
     return [(top, len(G), det_minors(gram_entries(G))) for top, G in blocks]
 
 
-def rho_exponents(P: Poset) -> dict[str, int]:
-    """The exponent table x -> rho(x) of the right-hand side; a negative
-    exponent raises DeterminantError."""
-    exponents = {x: P.rho(x) for x in P.elements}
-    for x, e in exponents.items():
-        if e < 0:
-            raise DeterminantError(f"negative exponent rho({x!r}) = {e}")
-    return exponents
-
-
 def factors_match(block_dets: list[tuple[str, int, Polynomial]],
                   factors: list[tuple[Polynomial, int]]) -> bool:
     """Whether prod D_r = prod w^e over `factors`, D_r the block
-    determinants.  Each D_r is divided by each w, more terms first, until
-    NotDivisible (a w with a variable D_r lacks cannot divide it).  The
-    weights are distinct sums of variables, so pairwise non-associate
-    primes, and no D_r has a negative coefficient (module docstring): the
-    identity holds iff every cofactor is 1 and the counts of each w,
-    summed over the blocks, equal its exponent."""
+    determinants.  Each D_r is packed once, in `Packing(D_r.variables(),
+    D_r.total_degree())`, with each w whose variables it has (a w with a
+    variable D_r lacks cannot divide it), and the packed cofactor is
+    divided by each w, more terms first, until `div_exact` returns None.
+    The layout is sound: every quotient and remainder has degree at most
+    deg D_r, so the guard bits still detect a failed division, and a w of
+    higher degree than the cofactor lands in the top (degree) field, so
+    the first monomial difference is negative.  The weights are distinct
+    sums of variables, so pairwise non-associate primes, and no D_r has a
+    negative coefficient (module docstring): the identity holds iff every
+    cofactor is the packed 1, {0: 1}, and the counts of each w, summed
+    over the blocks, equal its exponent.  A zero D_r packs to {} with no
+    variables, so it meets no w and is a miss."""
     counts = dict.fromkeys((p for p, _ in factors), 0)
     weights = sorted(((p, p.variables()) for p in counts), key=lambda pv: -len(pv[1]))
-    for _, _, cofactor in block_dets:
-        if cofactor.is_zero():
-            return False
-        variables = cofactor.variables()
+    for _, _, det in block_dets:
+        variables = det.variables()
+        layout = Packing(variables, det.total_degree())
+        guard = layout.guard()
+        cofactor = layout.pack(det)
         for p, p_variables in weights:
             if p_variables <= variables:
-                try:
-                    while True:
-                        cofactor = cofactor.exact_div(p)
-                        counts[p] += 1
-                except NotDivisible:
-                    pass
-        if cofactor != Polynomial.one():
+                q = layout.pack(p)
+                while (quotient := div_exact(cofactor, q, guard)) is not None:
+                    cofactor = quotient
+                    counts[p] += 1
+        if cofactor != {0: 1}:
             return False
     return all(counts[p] == e for p, e in factors)
 
@@ -367,7 +363,7 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     """
     if not P.is_bouquet():
         raise NotABouquet("input poset is not a bouquet of geometric lattices")
-    exponents = rho_exponents(P)
+    exponents = {x: P.rho(x) for x in P.elements}  # >= 0 on a bouquet (Poset.rho)
     # Distinct elements of a bouquet have distinct atom sets, so each
     # weight belongs to one element.
     rhs = [(weight(P, x, weights), e) for x, e in exponents.items() if e]

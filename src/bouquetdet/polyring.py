@@ -19,13 +19,14 @@ dict from packed monomial to coefficient, and the two kernels work on
 those: `mul_into` adds a product into a dict, and `div_exact` keeps its
 remainder as such a dict together with a max-heap of its keys (after
 Johnson, 1974), pops the leading monomial, forms one quotient term t and
-subtracts t * (q - LT(q)) in place.  `Polynomial.__mul__` and
-`exact_div` pack their operands in a layout of their own, call a kernel
-and unpack the result.  The symbolic determinant
-(`determinant.det_minors`) packs each block in one layout, of degree
-bound D for D the sum of the rows' largest entry degrees, adds every
-entry-times-minor product with `mul_into` and unpacks only the
-determinant.
+subtracts t * (q - LT(q)) in place.  `Polynomial.__mul__` packs its
+operands in a layout of its own, calls `mul_into` and unpacks the
+result.  The symbolic determinant (`determinant.det_minors`) packs each
+block in one layout, of degree bound D for D the sum of the rows'
+largest entry degrees, adds every entry-times-minor product with
+`mul_into` and unpacks only the determinant.  Division has one caller,
+the factor count (`determinant.factors_match`), which packs each block
+determinant and its weights in one layout and never unpacks a quotient.
 """
 
 from __future__ import annotations
@@ -36,19 +37,6 @@ from typing import Mapping
 
 Monomial = tuple[tuple[int, int], ...]
 _exponent = itemgetter(1)
-
-
-class PolyError(Exception):
-    pass
-
-
-class DivisionByZero(PolyError):
-    pass
-
-
-class NotDivisible(PolyError):
-    """Exact division was requested but the remainder is nonzero.  The
-    message omits the operands: factor counting expects this error."""
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -113,9 +101,9 @@ def mul_into(out: dict[int, int], a: Mapping[int, int],
 
 
 def div_exact(p: Mapping[int, int], q: Mapping[int, int],
-              guard: int) -> dict[int, int]:
-    """The packed quotient s with p = q * s; raises NotDivisible when
-    there is none.  p and q share one layout wide enough for p, whose
+              guard: int) -> dict[int, int] | None:
+    """The packed quotient s with p = q * s, or None when there is
+    none.  p and q share one layout wide enough for p, whose
     guard bits are `guard`; zero coefficients of p are ignored and q must
     be nonzero.
 
@@ -139,7 +127,7 @@ def div_exact(p: Mapping[int, int], q: Mapping[int, int],
         m = k - lt_q
         s, r = divmod(c, lc_q)
         if m < 0 or m & guard or r:
-            raise NotDivisible("nonzero remainder")
+            return None
         quot[m] = s
         # Every key m + t below is smaller than k, so no key that has
         # left the heap comes back and each key is pushed once.
@@ -234,20 +222,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
-
-    def exact_div(self, q: "Polynomial") -> "Polynomial":
-        """Quotient s with self = q * s; raises NotDivisible otherwise
-        (see `div_exact`)."""
-        if q.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero()
-        degree = self.total_degree()
-        if q.total_degree() > degree:
-            raise NotDivisible("divisor of higher degree than the dividend")
-        layout = Packing(self.variables() | q.variables(), degree)
-        return layout.unpack(div_exact(layout.pack(self), layout.pack(q),
-                                       layout.guard()))
 
     # -- homomorphisms ------------------------------------------------
 

@@ -306,7 +306,12 @@ class Poset:
         return self._invariants(x)[2]
 
     def rho(self, x: str) -> int:
-        """Cumulated rho: beta(x) * sum over maximal r >= x of |mu(x, r)|."""
+        """Cumulated rho: beta(x) * sum over maximal r >= x of |mu(x, r)|.
+
+        Never negative on a bouquet: each [0̂, x] is a geometric lattice,
+        the flats of a simple matroid, whose beta is >= 0 (Crapo, "A
+        higher invariant for matroids", 1967), and the sum is of absolute
+        values."""
         return self._invariants(x)[3]
 
     def __repr__(self) -> str:

@@ -137,6 +137,19 @@ class TestPipelineCommands:
         assert code == 0
         assert json.loads(out)["det"]  # pipeline works under reordering
 
+    @pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+    def test_empty_atom_order_one_element(self, tmp_path, capsys, mode):
+        # "" is the empty order: a permutation of the atoms of a poset
+        # that has none.  The one block is empty, with determinant 1.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"elements": ["0"], "covers": []}))
+        code, out = run(capsys, "verify", str(path), "--mode", mode,
+                        "--atom-order", "")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["verdict"], report["sign"], report["exponents"]) == \
+            (True, 1, {"0": 0})
+
 
 class TestDot:
     def test_one_atom(self, capsys):
@@ -281,6 +294,7 @@ class TestExitCodes:
         pytest.param("a1,a2", id="missing"),
         pytest.param("a1,a1,a2,a3,a4,a5", id="repeated"),
         pytest.param("a1,zz,a2,a3,a4,a5", id="unknown"),
+        pytest.param("", id="empty"),
     ])
     def test_bad_atom_order(self, tmp_path, capsys, bouquet_example,
                             command, labeling, order):

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import exact_covectors, random_lines
-from bouquetdet import chains, determinant
+from bouquetdet import chains, determinant, polyring
 from bouquetdet.chains import (WeightAssignment, chain_matrix, gram_entries,
                                make_labeling, min_labeling, weight)
 from bouquetdet.com import validate_com, zero_set_poset
@@ -16,7 +16,7 @@ from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
                                     NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
-                                    det_minors, det_mod, rho_exponents,
+                                    det_minors, det_mod, factors_match,
                                     verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
@@ -24,7 +24,7 @@ from bouquetdet.polyring import Polynomial
 from conftest import load_fixture, power, verify_default
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
-from test_polyring import power_product
+from test_polyring import exact_div, power_product
 
 
 def var(i):
@@ -96,7 +96,7 @@ def unpacked(rows, width):
 def rhs_product(P, weights):
     """Oracle: the factorization's right-hand side prod over all
     elements x of w(x)^rho(x), expanded, with the exponent table."""
-    exponents = rho_exponents(P)
+    exponents = {x: P.rho(x) for x in P.elements}
     product = power_product(
         (weight(P, x, weights), exponents[x]) for x in P.elements)
     return product, exponents
@@ -302,18 +302,17 @@ class TestBareissOracle:
                 assert det_minors(B[::-1]) == -det
 
     def test_no_polynomial_arithmetic(self, monkeypatch):
-        # The expansion runs on packed dicts: no Polynomial product or
-        # quotient per step.
+        # The expansion runs on packed dicts: no Polynomial product per
+        # step.
         P = flat_lattice(graphic_complete(4))[0]
         blocks = block_decompose(chain_matrix(P, min_labeling(P),
                                               WeightAssignment.default(P)))
         B = next(gram_entries(G) for _, G in blocks if len(G) == 6)
         expected = det_cofactor(B)
         calls = []
-        for name in ("__mul__", "exact_div"):
-            original = getattr(Polynomial, name)
-            monkeypatch.setattr(Polynomial, name, lambda a, b, name=name, f=original:
-                                calls.append(name) or f(a, b))
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
         det = det_minors(B)
         assert calls == []
         monkeypatch.undo()
@@ -532,7 +531,7 @@ class TestBlockVerdict:
             return change(len(calls) - 1, original(B), w)
 
         monkeypatch.setattr(determinant, "det_minors", patched)
-        degree = sum(rho_exponents(P).values())
+        degree = sum(map(P.rho, P.elements))
         products = []
         mul = Polynomial.__mul__
         monkeypatch.setattr(Polynomial, "__mul__",
@@ -551,14 +550,14 @@ class TestBlockVerdict:
         pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
                      False, None, 0, id="extra-factor"),
         pytest.param(lambda i, d, w: d * w["r3"] if i == 0
-                     else d.exact_div(w["r3"]) if i == 2 else d,
+                     else exact_div(d, w["r3"]) if i == 2 else d,
                      True, 1, 0, id="moved-factor"),
         # Every block determinant has nonnegative coefficients
         # (Cauchy-Binet), so a negated block is a miss.
         pytest.param(lambda i, d, w: -d if i == 1 else d,
                      False, None, 0, id="negated"),
         pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
-                     else d.exact_div(w["r3"]) if i == 2 else d,
+                     else exact_div(d, w["r3"]) if i == 2 else d,
                      False, None, 0, id="moved-factor-negated"),
     ])
     def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,
@@ -573,6 +572,40 @@ class TestBlockVerdict:
         assert block_texts == [d.to_string() for _, _, d in report.blocks]
         assert text_value(det_text) == text_value(det.to_string())
         assert text_value(product_text) == text_value(rhs.to_string())
+
+
+class TestFactorsMatch:
+    """The factor count on packed block determinants."""
+
+    def test_one_packing_per_block(self, monkeypatch, bouquet_example):
+        P = bouquet_example
+        weights = WeightAssignment.default(P)
+        blocks = block_determinants(P, min_labeling(P), weights)
+        rhs = [(weight(P, x, weights), P.rho(x)) for x in P.elements if P.rho(x)]
+        layouts = []
+        init = polyring.Packing.__init__
+        monkeypatch.setattr(polyring.Packing, "__init__",
+                            lambda self, *a: layouts.append(a) or init(self, *a))
+        assert factors_match(blocks, rhs)
+        assert layouts == [(d.variables(), d.total_degree()) for _, _, d in blocks]
+
+    w0, w1 = var(0), var(1)
+
+    @pytest.mark.parametrize("dets, factors, match", [
+        pytest.param([Polynomial.one()], [], True, id="constant-1"),
+        pytest.param([Polynomial.const(2)], [], False, id="constant-2"),
+        pytest.param([Polynomial.zero()], [], False, id="zero"),
+        pytest.param([Polynomial.zero()], [(w0, 1)], False, id="zero-with-factor"),
+        pytest.param([w0 * (w0 + w1), w1, Polynomial.one()],
+                     [(w0, 1), (w1, 1), (w0 + w1, 1)], True, id="factors"),
+        pytest.param([w0, w1 * (w0 + w1), Polynomial.one()],
+                     [(w0, 1), (w1, 1), (w0 + w1, 1)], True, id="moved-factor"),
+        pytest.param([w0 * w0], [(w0, 1)], False, id="square-for-one"),
+        pytest.param([w0], [(w0, 2)], False, id="one-for-square"),
+    ])
+    def test_degenerate_layouts(self, dets, factors, match):
+        blocks = [(f"r{i}", 1, d) for i, d in enumerate(dets)]
+        assert factors_match(blocks, factors) is match
 
 
 K4 = graphic_complete(4)
@@ -614,6 +647,7 @@ class TestSignIsPlusOne:
             assert all(c >= 0 for c in d.terms.values())
         report = verify_theorem(P, labeling, weights)
         assert (report.verdict, report.sign) == (True, 1)
+        assert all(e >= 0 for e in report.exponents.values())
 
 
 GRAM_INSTANCES = {
