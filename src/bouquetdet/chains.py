@@ -120,7 +120,7 @@ def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
     a has x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.
     The levels are disjoint, so each tuple has its own atom set.
     """
-    below = [set()] + [{a for a in P.atoms if P.leq(a, x)} for x in chain.elements]
+    below = [set()] + [set(P.atoms_below(x)) for x in chain.elements]
     tuples: list[tuple[str, ...]] = [()]
     for prev, cur in zip(below, below[1:]):
         tuples = [t + (a,) for t in tuples for a in sorted(cur - prev)]
@@ -137,10 +137,11 @@ class WeightAssignment:
         return WeightAssignment({a: i for i, a in enumerate(P.atoms)})
 
 
-def weight(P: Poset, x: str, weights: WeightAssignment) -> Polynomial:
-    """Weight w(x) = sum of atom variables below x."""
+def weight(P: Poset, x: str, weights: WeightAssignment) -> frozenset[int]:
+    """Weight w(x), the sum of the atom variables below x, as the set of
+    those variables."""
     var = weights.atom_vars
-    return Polynomial({((var[a], 1),): 1 for a in P.atoms if P.leq(a, x)})
+    return frozenset(var[a] for a in P.atoms_below(x))
 
 
 GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> ±1
@@ -194,6 +195,13 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     vectors g_C; `determinant.block_decompose` checks that no atom set is
     shared across families, which is exactly the vanishing of every
     cross-family entry.
+
+    Each family r has |mu(0̂, r)| neat chains, its block's dimension, with
+    one exemption: the one-element poset, whose only element is both 0̂
+    and the top of its one family.  Chains start at an atom and it has
+    none, so that family has no chain and its block has dimension 0,
+    while |mu(0̂, 0̂)| = 1.  Its determinant, the empty one, is 1, the
+    empty product on the right-hand side, so the verdict is true.
     """
     families = neat_chain_families(P, labeling)
     chains: list[Chain] = []

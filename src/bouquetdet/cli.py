@@ -19,7 +19,8 @@ from . import matroid as matroid_mod
 from .chains import (InvalidLabeling, Labeling, WeightAssignment,
                      chain_matrix, make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
-                          block_determinants, det_texts, verify_theorem)
+                          block_determinants, det_texts, unpack_blocks,
+                          verify_theorem)
 from .poset import Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
@@ -176,7 +177,7 @@ def cmd_matrix(args) -> int:
 def cmd_det(args) -> int:
     P, labeling, weights = _pipeline_input(args)
     try:
-        blocks = block_determinants(P, labeling, weights)
+        blocks = unpack_blocks(block_determinants(P, labeling, weights))
     except DeterminantError as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
     block_texts, det = det_texts(blocks)

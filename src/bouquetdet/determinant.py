@@ -17,23 +17,26 @@ w(x) among its factors; it never multiplies the blocks together or
 expands the right-hand side.  The expansion keeps one table from each
 set S of columns to the minor of the first |S| rows on S and extends it
 a row at a time, each step adding one entry times one minor into a
-minor one column larger.  Every entry of the table is a minor, of
-degree at most D, the sum over the rows of their largest entry degree,
-so each block is packed once in one monomial layout of degree bound D;
-every step runs on packed dicts with `polyring.mul_into`, and only the
-determinant is unpacked.  The table of an n x n block peaks at
-C(n, n // 2) minors, so a block of dimension above MAX_SYMBOLIC_DIM
-raises TooLarge before any block is expanded.
+minor one column larger.  Each block is packed once, straight from its
+Gram vectors, in `Packing(atom variables of the block, dim_r * rank(r))`
+(`packed_block`): every entry of family r is homogeneous of degree
+rank(r), so every minor has degree at most dim_r * rank(r).  The
+expansion, the packed D_r it returns and the factor count all stay in
+that layout; D_r is unpacked once, after the verdict, for output.  The
+table of an n x n block peaks at C(n, n // 2) minors, so a block of
+dimension above MAX_SYMBOLIC_DIM raises TooLarge before any block is
+expanded.
 
 Both modes take the chain matrix as its Gram factor, one signed vector
 g_C per chain over atom sets S, and `block_decompose` checks once that
 no atom set is shared across families, which is the vanishing of every
-off-block entry.  Symbolic mode expands only the diagonal blocks into
-polynomials.  Randomized mode never builds a polynomial entry: per
-trial it draws each variable uniformly from [1, p - 1], p a fixed 62-bit
-prime, computes w^S mod p once per atom set, packs each block row into
-one int from the Gram vectors and eliminates the packed rows mod p
-(`det_mod`).  A trial of a false identity passes with probability at
+off-block entry.  Symbolic mode expands only the diagonal blocks.
+Randomized mode never builds a polynomial entry: per trial it draws each
+variable uniformly from [1, p - 1], p a fixed 62-bit prime, computes w^S
+mod p once per atom set, packs each block row into one int from the Gram
+vectors and eliminates the packed rows mod p (`det_mod`); a weight w(x),
+a set of variables, is the sum of their values.  A trial of a false
+identity passes with probability at
 most deg / (p - 1), deg <= max(sum over blocks r of dim_r * rank(r),
 sum over x of rho(x)) (Schwartz 1980; Zippel 1979); the bound does not
 cover det - prod w(x)^rho(x) nonzero over Z with every coefficient
@@ -48,8 +51,9 @@ import random
 from dataclasses import dataclass
 
 from .chains import (ChainMatrix, GramVector, Labeling, WeightAssignment,
-                     chain_matrix, gram_entries, gram_entry, weight)
-from .polyring import Monomial, Packing, Polynomial, div_exact, mul_into
+                     chain_matrix, gram_entry, weight)
+from .polyring import (Monomial, Packing, Polynomial, div_exact, mul_into,
+                       sum_text)
 from .poset import NotABouquet, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
@@ -74,7 +78,8 @@ class TooLarge(DeterminantError):
     pass
 
 
-Matrix = list[list[Polynomial]]
+Packed = dict[int, int]  # packed monomial -> coefficient (see polyring)
+PackedBlock = tuple[str, int, Packing, Packed]  # (top, dim, layout, D_r)
 
 
 def block_decompose(M: ChainMatrix) -> list[tuple[str, tuple[GramVector, ...]]]:
@@ -99,9 +104,28 @@ def block_decompose(M: ChainMatrix) -> list[tuple[str, tuple[GramVector, ...]]]:
     return blocks
 
 
-def det_minors(M: Matrix) -> Polynomial:
-    """Exact determinant by division-free expansion over column subsets
-    (see the module docstring).
+def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]]:
+    """The layout of a family block and its entries packed in it, straight
+    from its Gram vectors: the layout is `Packing(atom variables of the
+    block, dim * rank)`, rank the size of its atom sets (all of family r
+    have rank(r) atoms), and entry (C, C') is the sum over the atom sets
+    S of both of g_C(S) * g_C'(S) * key(S)."""
+    atom_sets = {S for g in G for S in g}
+    rank = len(next(iter(atom_sets), ()))
+    layout = Packing({v for S in atom_sets for v, _ in S}, len(G) * rank)
+    key = {S: layout.key(S) for S in atom_sets}
+    rows = [{key[S]: c for S, c in g.items()} for g in G]
+    return layout, [[{k: c * h[k] for k, c in g.items() if k in h} for h in rows]
+                    for g in rows]
+
+
+def det_minors(M: list[list[Packed]]) -> Packed:
+    """Exact determinant of a square matrix of packed entries, all in one
+    layout wide enough for every minor, by division-free expansion over
+    column subsets (see the module docstring); returned packed in that
+    layout, {} when it is zero.  For a family block the layout of
+    `packed_block` is wide enough: each entry has degree rank(r), so a
+    minor of k rows has degree k * rank(r) <= dim * rank(r) = deg D_r.
 
     After k rows the table maps each k-subset S of the columns, as a
     bitmask, to the packed minor of those rows on S; a subset whose
@@ -114,18 +138,11 @@ def det_minors(M: Matrix) -> Polynomial:
     for row in M:
         if len(row) != n:
             raise DeterminantError("matrix is not square")
-    if n == 0:
-        return Polynomial.one()
-    degree = sum(max(e.total_degree() for e in row) for row in M)
-    layout = Packing(set().union(*(e.variables() for row in M for e in row)), degree)
-    minors: dict[int, dict[int, int]] = {0: {0: 1}}  # the empty minor is 1
+    minors: dict[int, Packed] = {0: {0: 1}}  # the empty minor is 1
     for row in M:
-        entries = []
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                a = layout.pack(e)
-                entries.append((j, 1 << j, a, {t: -c for t, c in a.items()}))
-        extended: dict[int, dict[int, int]] = {}
+        entries = [(j, 1 << j, a, {t: -c for t, c in a.items()})
+                   for j, a in enumerate(row) if a]
+        extended: dict[int, Packed] = {}
         while minors:
             S, D = minors.popitem()
             for j, bit, a, minus_a in entries:
@@ -137,16 +154,16 @@ def det_minors(M: Matrix) -> Polynomial:
             D = {t: c for t, c in D.items() if c}
             if D:
                 minors[S] = D
-    return layout.unpack(minors.get((1 << n) - 1, {}))
+    return minors.get((1 << n) - 1, {})
 
 
 def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
-                       ) -> list[tuple[str, int, Polynomial]]:
-    """The determinant of each family block of the chain matrix, as
-    (top, dim, det) triples; the matrix's determinant is their product.
-    Only the diagonal blocks are expanded into polynomials, and none is
-    when a block's dimension is above MAX_SYMBOLIC_DIM: that raises
-    TooLarge first."""
+                       ) -> list[PackedBlock]:
+    """The determinant D_r of each family block of the chain matrix, as
+    (top, dim, layout, D_r) with D_r packed in the block's layout (see
+    `packed_block`); the matrix's determinant is their product.  Only the
+    diagonal blocks are expanded, and none is when a block's dimension is
+    above MAX_SYMBOLIC_DIM: that raises TooLarge first."""
     blocks = block_decompose(chain_matrix(P, labeling, weights))
     for top, G in blocks:
         if len(G) > MAX_SYMBOLIC_DIM:
@@ -154,41 +171,60 @@ def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
                 f"the block with top {top} has dimension {len(G)}, above "
                 f"{MAX_SYMBOLIC_DIM}, the largest that symbolic mode expands; "
                 f"verify it with --mode randomized")
-    return [(top, len(G), det_minors(gram_entries(G))) for top, G in blocks]
+    out = []
+    for top, G in blocks:
+        layout, entries = packed_block(G)
+        out.append((top, len(G), layout, det_minors(entries)))
+    return out
 
 
-def factors_match(block_dets: list[tuple[str, int, Polynomial]],
-                  factors: list[tuple[Polynomial, int]]) -> bool:
-    """Whether prod D_r = prod w^e over `factors`, D_r the block
-    determinants.  Each D_r is packed once, in `Packing(D_r.variables(),
-    D_r.total_degree())`, with each w whose variables it has (a w with a
-    variable D_r lacks cannot divide it), and the packed cofactor is
-    divided by each w, more terms first, until `div_exact` returns None.
-    The layout is sound: every quotient and remainder has degree at most
-    deg D_r, so the guard bits still detect a failed division, and a w of
-    higher degree than the cofactor lands in the top (degree) field, so
-    the first monomial difference is negative.  The weights are distinct
-    sums of variables, so pairwise non-associate primes, and no D_r has a
-    negative coefficient (module docstring): the identity holds iff every
-    cofactor is the packed 1, {0: 1}, and the counts of each w, summed
-    over the blocks, equal its exponent.  A zero D_r packs to {} with no
-    variables, so it meets no w and is a miss."""
-    counts = dict.fromkeys((p for p, _ in factors), 0)
-    weights = sorted(((p, p.variables()) for p in counts), key=lambda pv: -len(pv[1]))
-    for _, _, det in block_dets:
-        variables = det.variables()
-        layout = Packing(variables, det.total_degree())
-        guard = layout.guard()
-        cofactor = layout.pack(det)
-        for p, p_variables in weights:
-            if p_variables <= variables:
-                q = layout.pack(p)
+def unpack_blocks(blocks: list[PackedBlock]) -> list[tuple[str, int, Polynomial]]:
+    """The block determinants as (top, dim, D_r) with D_r a polynomial,
+    for output."""
+    return [(top, dim, layout.unpack(det)) for top, dim, layout, det in blocks]
+
+
+def factors_match(blocks: list[PackedBlock],
+                  factors: list[tuple[frozenset[int], int]]) -> bool:
+    """Whether prod D_r = prod w^e over `factors`, D_r the packed block
+    determinants and each w a weight, a sum of variables given as their
+    set.  Each D_r is divided in its own layout: each w whose variables
+    the layout has is packed there as the keys of its variables (a w with
+    a variable outside it, which D_r lacks, cannot divide it), and the
+    cofactor is divided by each w, more variables first, until
+    `div_exact` returns None.
+
+    For a family block this is the layout `Packing(D_r.variables(),
+    deg D_r)` whenever D_r != 0.  Every entry is homogeneous of degree
+    rank(r), as every atom set of family r has rank(r) atoms, so
+    dim * rank(r) = deg D_r.  And every variable of the entries occurs in
+    D_r: by Cauchy-Binet D_r is the sum over the dim-sets T of atom sets
+    of det(G_T)^2 * w^T, with no cancellation, and every nonzero row S of
+    G lies in some row basis T.  The layout is sound: every quotient and
+    remainder has degree at most deg D_r, so the guard bits still detect
+    a failed division, and a w of higher degree than the cofactor lands
+    in the top (degree) field, so the first monomial difference is
+    negative.  The weights are distinct sums of variables, so pairwise
+    non-associate primes, and no D_r has a negative coefficient (module
+    docstring): the identity holds iff every cofactor is the packed 1,
+    {0: 1}, and the counts of each w, summed over the blocks, equal its
+    exponent.  A zero D_r is a miss."""
+    counts = dict.fromkeys((w for w, _ in factors), 0)
+    weights = sorted(counts, key=len, reverse=True)
+    for _, _, layout, det in blocks:
+        if not det:
+            return False
+        guard, key = layout.guard(), layout.key
+        cofactor = det
+        for w in weights:
+            if w.issubset(layout.shift):
+                q = {key(((v, 1),)): 1 for v in w}
                 while (quotient := div_exact(cofactor, q, guard)) is not None:
                     cofactor = quotient
-                    counts[p] += 1
+                    counts[w] += 1
         if cofactor != {0: 1}:
             return False
-    return all(counts[p] == e for p, e in factors)
+    return all(counts[w] == e for w, e in factors)
 
 
 def product_text(factors: list[tuple[str, int]]) -> str:
@@ -218,7 +254,7 @@ def det_texts(blocks: list[tuple[str, int, Polynomial]]) -> tuple[list[str], str
 class VerificationReport:
     verdict: bool
     exponents: dict[str, int]
-    rhs: list[tuple[Polynomial, int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
+    rhs: list[tuple[frozenset[int], int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
     blocks: list[tuple[str, int, Polynomial | None]]  # (top, dim, block det)
     mode: str
     trials: int = 0
@@ -246,7 +282,7 @@ class VerificationReport:
         block_texts, det = det_texts(self.blocks)
         if self.verdict:
             return block_texts, det, det
-        return block_texts, det, product_text([(p.to_string(), e) for p, e in self.rhs])
+        return block_texts, det, product_text([(sum_text(w), e) for w, e in self.rhs])
 
     def to_json(self) -> dict:
         block_texts, det, product = self.texts()
@@ -340,6 +376,11 @@ class GramBlockMod:
         return det_mod(self.rows(powers), self.width, self.p)
 
 
+def weight_mod(w: frozenset[int], point: dict[int, int], p: int) -> int:
+    """The weight w, a sum of variables, at the point modulo p."""
+    return sum(map(point.__getitem__, w)) % p
+
+
 def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
                    mode: str = "symbolic", trials: int = 20,
                    seed: int = 0) -> VerificationReport:
@@ -369,9 +410,9 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     rhs = [(weight(P, x, weights), e) for x, e in exponents.items() if e]
 
     if mode == "symbolic":
-        block_dets = block_determinants(P, labeling, weights)
-        return VerificationReport(factors_match(block_dets, rhs), exponents, rhs,
-                                  block_dets, "symbolic")
+        blocks = block_determinants(P, labeling, weights)
+        return VerificationReport(factors_match(blocks, rhs), exponents, rhs,
+                                  unpack_blocks(blocks), "symbolic")
 
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
@@ -395,8 +436,8 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
         for B in mod_blocks:
             det_val = det_val * B.det(powers) % p
         rhs_val = 1
-        for q, e in rhs:
-            rhs_val = rhs_val * pow(q.eval_mod(point, p), e, p) % p
+        for w, e in rhs:
+            rhs_val = rhs_val * pow(weight_mod(w, point, p), e, p) % p
         if det_val != rhs_val:
             verdict = False
             break

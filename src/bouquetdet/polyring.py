@@ -19,21 +19,20 @@ dict from packed monomial to coefficient, and the two kernels work on
 those: `mul_into` adds a product into a dict, and `div_exact` keeps its
 remainder as such a dict together with a max-heap of its keys (after
 Johnson, 1974), pops the leading monomial, forms one quotient term t and
-subtracts t * (q - LT(q)) in place.  `Polynomial.__mul__` packs its
-operands in a layout of its own, calls `mul_into` and unpacks the
-result.  The symbolic determinant (`determinant.det_minors`) packs each
-block in one layout, of degree bound D for D the sum of the rows'
-largest entry degrees, adds every entry-times-minor product with
-`mul_into` and unpacks only the determinant.  Division has one caller,
-the factor count (`determinant.factors_match`), which packs each block
-determinant and its weights in one layout and never unpacks a quotient.
+subtracts t * (q - LT(q)) in place.
+
+The symbolic determinant keeps one layout per family block, from its
+Gram vectors to the verdict (see `determinant`); division has one
+caller, the factor count (`determinant.factors_match`).  A `Polynomial`
+is built only to be printed: a chain matrix entry or a block
+determinant, unpacked once after the verdict.
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[int, int], ...]
 _exponent = itemgetter(1)
@@ -72,10 +71,6 @@ class Packing:
             deg += e
             key += e << shift[v]
         return key + (deg << self.top)
-
-    def pack(self, p: "Polynomial") -> dict[int, int]:
-        key = self.key
-        return {key(m): c for m, c in p._terms.items()}
 
     def unpack(self, packed: Mapping[int, int]) -> "Polynomial":
         fields, mask = self.fields, self.mask
@@ -142,38 +137,14 @@ def div_exact(p: Mapping[int, int], q: Mapping[int, int],
 
 
 class Polynomial:
-    """Immutable element of Z[w_1, w_2, ...]."""
+    """Immutable element of Z[w_1, w_2, ...], built to be printed (see
+    the module docstring)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = c
-        self._terms: dict[Monomial, int] = clean
-        self._hash: int | None = None
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
-    def const(c: int) -> "Polynomial":
-        return Polynomial({(): c})
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial.const(1)
-
-    @staticmethod
-    def var(index: int) -> "Polynomial":
-        if index < 0:
-            raise ValueError("variable index must be >= 0")
-        return Polynomial({((index, 1),): 1})
+        self._terms: dict[Monomial, int] = {
+            m: c for m, c in (terms or {}).items() if c}
 
     # -- inspection ---------------------------------------------------
 
@@ -192,48 +163,10 @@ class Polynomial:
             return 0
         return max(map(_mono_degree, self._terms))
 
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self._terms or not other._terms:
-            return Polynomial.zero()
-        layout = Packing(self.variables() | other.variables(),
-                         self.total_degree() + other.total_degree())
-        return layout.unpack(mul_into({}, layout.pack(self), layout.pack(other)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    # -- homomorphisms ------------------------------------------------
-
-    def eval_mod(self, assignment: Mapping[int, int], modulus: int) -> int:
-        """Value at an integer point, reduced modulo a prime."""
-        total = 0
-        for m, c in self._terms.items():
-            val = c % modulus
-            for v, e in m:
-                val = val * pow(assignment[v] % modulus, e, modulus) % modulus
-            total = (total + val) % modulus
-        return total
 
     # -- formatting ---------------------------------------------------
 
@@ -262,3 +195,9 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
+
+
+def sum_text(variables: Iterable[int]) -> str:
+    """The text of the sum of the variables, as `Polynomial.to_string`
+    prints it, e.g. "w2 + w3 + w5"."""
+    return " + ".join(f"w{v + 1}" for v in sorted(variables))

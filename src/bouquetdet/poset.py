@@ -66,8 +66,8 @@ class Poset:
 
     __slots__ = (
         "elements", "covers", "_index", "_up", "_down", "_by_up", "_by_down",
-        "_upcov", "_downcov", "bottom", "atoms", "maximal", "_semilattice",
-        "_bouquet", "_table",
+        "_upcov", "_downcov", "bottom", "atoms", "_atom_mask", "maximal",
+        "_semilattice", "_bouquet", "_table",
     )
 
     def __init__(self, elements: Sequence[str], down: list[int]):
@@ -99,6 +99,7 @@ class Poset:
         minimal = [x for x in elements if not downcov[x]]
         self.bottom = minimal[0] if len(minimal) == 1 else None
         self.atoms = self._upcov[self.bottom] if self.bottom is not None else ()
+        self._atom_mask = sum(1 << self._index[a] for a in self.atoms)
         self.maximal = tuple(x for x in elements if not upcov[x])
         self._semilattice: bool | None = None
         self._bouquet: bool | None = None
@@ -114,6 +115,11 @@ class Poset:
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._pos(x)] >> self._pos(y) & 1)
+
+    def atoms_below(self, x: str) -> list[str]:
+        """The atoms at or below x, in element order."""
+        els = self.elements
+        return [els[i] for i in _bits(self._down[self._pos(x)] & self._atom_mask)]
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
         self._pos(x)
@@ -145,10 +151,7 @@ class Poset:
         atoms below it: the common up-mask of those atoms is not its own
         up-mask.  (For the bottom there are no atoms below, and the
         empty join is the whole poset, the bottom's up-mask.)"""
-        up = self._up
-        atoms = 0
-        for a in self.atoms:
-            atoms |= 1 << self._index[a]
+        up, atoms = self._up, self._atom_mask
         everything = (1 << len(up)) - 1
         for i, (u, d) in enumerate(zip(up, self._down)):
             upper = everything

@@ -6,6 +6,7 @@ import pytest
 from bouquetdet import (WeightAssignment, build_poset, matroid, min_labeling,
                         poset_from_json, verify_theorem)
 from bouquetdet.polyring import Polynomial
+from ring_ops import Poly, one
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -15,9 +16,9 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def power(p: Polynomial, k: int) -> Polynomial:
+def power(p: Polynomial, k: int) -> Poly:
     """p^k for k >= 0, by repeated multiplication."""
-    out = Polynomial.one()
+    out = one()
     for _ in range(k):
         out = out * p
     return out

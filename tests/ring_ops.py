@@ -1,0 +1,109 @@
+"""Ring operations on `Polynomial` for the test oracles.
+
+The library builds polynomials only to print them and keeps the symbolic
+path packed.  The oracles (the Laplace expansion, the expanded products
+of the blocks and of the right-hand side, substitution, the sympy and
+mod-p comparisons) add, negate, multiply and evaluate polynomials, so
+those operations live here: `Poly` is a `Polynomial` with them, and a
+plain `Polynomial` on the other side of a binary operation is read as a
+`Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
+from the packed kernel `det_minors`.
+"""
+
+from bouquetdet.determinant import det_minors
+from bouquetdet.polyring import Packing, Polynomial, mul_into
+
+
+class Poly(Polynomial):
+    __slots__ = ()
+
+    def __add__(self, other: Polynomial) -> "Poly":
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other: Polynomial) -> "Poly":
+        return self + -lift(other)
+
+    def __rsub__(self, other: Polynomial) -> "Poly":
+        return lift(other) + -self
+
+    def __mul__(self, other: Polynomial) -> "Poly":
+        if self.is_zero() or other.is_zero():
+            return Poly()
+        layout = Packing(self.variables() | other.variables(),
+                         self.total_degree() + other.total_degree())
+        return lift(layout.unpack(mul_into({}, pack(layout, self), pack(layout, other))))
+
+    __rmul__ = __mul__
+
+
+def lift(p: Polynomial) -> Poly:
+    """p with the ring operations."""
+    return p if isinstance(p, Poly) else Poly(p.terms)
+
+
+def zero() -> Poly:
+    return Poly()
+
+
+def const(c: int) -> Poly:
+    return Poly({(): c})
+
+
+def one() -> Poly:
+    return const(1)
+
+
+def var(index: int) -> Poly:
+    if index < 0:
+        raise ValueError("variable index must be >= 0")
+    return Poly({((index, 1),): 1})
+
+
+def weight_poly(w) -> Poly:
+    """The weight given as a set of variables, as their sum."""
+    return Poly({((v, 1),): 1 for v in w})
+
+
+def eval_mod(p: Polynomial, assignment, modulus: int) -> int:
+    """Value of p at an integer point, reduced modulo a prime."""
+    total = 0
+    for m, c in p.terms.items():
+        val = c % modulus
+        for v, e in m:
+            val = val * pow(assignment[v] % modulus, e, modulus) % modulus
+        total = (total + val) % modulus
+    return total
+
+
+def pack(layout: Packing, p: Polynomial) -> dict[int, int]:
+    """p packed in the layout, which must hold its variables and degree."""
+    return {layout.key(m): c for m, c in p.terms.items()}
+
+
+def det_via_minors(M: list[list[Polynomial]]) -> Poly:
+    """`det_minors` on a square matrix of polynomials: the entries packed
+    in one layout over their variables of degree bound D, the sum over
+    the rows of their largest entry degree (every minor has degree at
+    most D), and the determinant unpacked."""
+    degree = sum(max((e.total_degree() for e in row), default=0) for row in M)
+    layout = Packing(set().union(*(e.variables() for row in M for e in row)), degree)
+    return lift(layout.unpack(det_minors([[pack(layout, e) for e in row] for row in M])))
+
+
+def packed_blocks(blocks) -> list[tuple]:
+    """(top, dim, det) blocks as `factors_match` takes them, (top, dim,
+    layout, packed det), each det in `Packing(det.variables(), deg det)`;
+    the inverse of `determinant.unpack_blocks`."""
+    out = []
+    for top, dim, d in blocks:
+        layout = Packing(d.variables(), d.total_degree())
+        out.append((top, dim, layout, pack(layout, d)))
+    return out

@@ -15,11 +15,12 @@ from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
 from bouquetdet.chains import (Chain, WeightAssignment, chain_matrix,
                                gram_entries, min_labeling, neat_chain_families)
 from bouquetdet.com import validate_com, zero_set_poset
-from bouquetdet.determinant import block_decompose, det_minors, verify_theorem
+from bouquetdet.determinant import (block_decompose, det_minors, packed_block,
+                                    verify_theorem)
 from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
                                 matroid_from_json)
-from bouquetdet.polyring import Polynomial
 from conftest import load_fixture, power, verify_default
+from ring_ops import lift, one, var, zero
 from test_com import composition
 from test_determinant import block_product, det_cofactor, global_verdict
 from test_matroid import brute_rank, simplify
@@ -75,7 +76,7 @@ def test_criterion_1_worked_example_end_to_end(bouquet_example):
         "r3": {("a3", "r3"), ("a5", "r3")}, "r4": {("a5", "r4")}}
 
     w = WeightAssignment.default(P)
-    v = {a: Polynomial.var(w.atom_vars[a]) for a in P.atoms}
+    v = {a: var(w.atom_vars[a]) for a in P.atoms}
     M = chain_matrix(P, lab, w)
     c = lambda *e: Chain(tuple(e))
     entry = lambda ci, cj: M.entries[M.chains.index(ci)][M.chains.index(cj)]
@@ -128,7 +129,7 @@ def test_criterion_2_flag_matrix_identity():
     # closed form for the three-point line
     P, _ = flat_lattice(matroid_from_json(load_fixture("matroid_u23.json")))
     rep = verify_default(P)
-    w1, w2, w3 = (Polynomial.var(i) for i in range(3))
+    w1, w2, w3 = (var(i) for i in range(3))
     closed = w1 * w2 * w3 * (w1 + w2 + w3)
     ok &= rep.sign == 1 and block_product(rep.blocks) == closed
     ok &= (rep.verdict, rep.sign) == global_verdict(P)[:2]
@@ -147,7 +148,7 @@ def test_criterion_3_cross_family_entries_zero():
         for i in range(M.dim):
             for j in range(M.dim):
                 if M.chains[i].top != M.chains[j].top:
-                    ok &= M.entries[i][j] == Polynomial.zero()
+                    ok &= M.entries[i][j] == zero()
                     checked += 1
     ok &= checked > 0
     report(f"3 zero cross-family entries ({checked} pairs)", ok)
@@ -158,10 +159,11 @@ def test_criterion_4_determinant_oracle_equivalence():
     for name, P in all_fixture_posets():
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
         blocks = block_decompose(M)
-        product = Polynomial.one()
+        product = one()
         for _, G in blocks:
             B = gram_entries(G)
-            d = det_minors(B)
+            layout, entries = packed_block(G)
+            d = lift(layout.unpack(det_minors(entries)))
             if len(B) <= 6:
                 ok &= d == det_cofactor(B)
             product = product * d

@@ -150,6 +150,39 @@ class TestPipelineCommands:
         assert (report["verdict"], report["sign"], report["exponents"]) == \
             (True, 1, {"0": 0})
 
+    def test_one_element_poset(self, tmp_path, capsys):
+        # The one exemption from dim_r = |mu(0̂, r)| (`chain_matrix`): the
+        # family with top 0 has no chain, so its block has dimension 0,
+        # while |mu(0̂, 0̂)| = 1.  Its determinant is the empty one, 1.
+        from bouquetdet.chains import WeightAssignment
+        from bouquetdet.determinant import block_determinants
+        from bouquetdet.poset import poset_from_json
+        data = {"elements": ["0"], "covers": []}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "matrix", str(path))
+        assert code == 0
+        assert json.loads(out) == {"chains": [], "entries": [],
+                                   "families": [{"top": "0", "start": 0, "stop": 0}]}
+        code, out = run(capsys, "verify", str(path))
+        report = json.loads(out)
+        assert code == 0
+        assert (report["verdict"], report["det"], report["blocks"]) == \
+            (True, "1", [{"top": "0", "dim": 0, "det": "1"}])
+        code, out = run(capsys, "verify", str(path), "--mode", "randomized")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["verdict"], report["blocks"]) == \
+            (True, [{"top": "0", "dim": 0, "det": None}])
+        # Packed, the block has the empty layout: no variable and degree
+        # bound 0 (a one-bit field), holding the packed 1.
+        P = poset_from_json(data)
+        assert P.mobius("0") == 1
+        [(top, dim, layout, det)] = block_determinants(
+            P, min_labeling(P), WeightAssignment.default(P))
+        assert (top, dim, det) == ("0", 0, {0: 1})
+        assert (layout.fields, layout.top, layout.mask) == ([], 0, 1)
+
 
 class TestDot:
     def test_one_atom(self, capsys):
@@ -420,36 +453,42 @@ class TestRunOnce:
         # The blocks are never multiplied together: no product takes two
         # block determinants.  (Neither mode expands the global
         # prod w(x)^rho(x); see TestBlockVerdict in test_determinant.)
+        # Every product goes through `mul_into` on packed dicts, which
+        # are held here so that no id is reused.
         from bouquetdet import determinant
-        from bouquetdet.polyring import Polynomial
-        blocks, pairs = set(), []
-        det_minors = determinant.det_minors
+        blocks, pairs = [], []
+        det_minors, mul_into = determinant.det_minors, determinant.mul_into
         monkeypatch.setattr(determinant, "det_minors",
-                            lambda B: blocks.add(id(d := det_minors(B))) or d)
-        mul = Polynomial.__mul__
-        monkeypatch.setattr(Polynomial, "__mul__",
-                            lambda a, b: pairs.append((id(a), id(b))) or mul(a, b))
+                            lambda B: blocks.append(det_minors(B)) or blocks[-1])
+        monkeypatch.setattr(determinant, "mul_into", lambda out, a, b: pairs.append(
+            (a, b)) or mul_into(out, a, b))
         code, _ = run(capsys, argv[0], str(FIXTURES / name), *argv[1:],
                       "--kind", fixture_kind(name))
         assert code == 0
-        assert not [p for p in pairs if p[0] in blocks and p[1] in blocks]
+        ids = set(map(id, blocks))
+        assert not [p for p in pairs if id(p[0]) in ids and id(p[1]) in ids]
 
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):
-        """Run `command`; return the block determinants, in the order
-        det_minors returned them, and the polynomials it formatted."""
+        """Run `command`; return the block determinants, unpacked once
+        each from what det_minors returned and in that order, and the
+        polynomials it formatted."""
         from bouquetdet import determinant
-        from bouquetdet.polyring import Polynomial
-        dets, formatted = [], []
+        from bouquetdet.polyring import Packing, Polynomial
+        packed, unpacked, dets, formatted = [], [], [], []
         det_minors = determinant.det_minors
         monkeypatch.setattr(determinant, "det_minors",
-                            lambda B: dets.append(det_minors(B)) or dets[-1])
+                            lambda B: packed.append(det_minors(B)) or packed[-1])
+        unpack = Packing.unpack
+        monkeypatch.setattr(Packing, "unpack", lambda self, d: unpacked.append(d)
+                            or dets.append(unpack(self, d)) or dets[-1])
         to_string = Polynomial.to_string
         monkeypatch.setattr(Polynomial, "to_string",
                             lambda self, *a: formatted.append(self) or to_string(self, *a))
         code, _ = run(capsys, command, str(FIXTURES / name), "--kind",
                       fixture_kind(name), "--format", fmt)
         assert code == 0
+        assert list(map(id, unpacked)) == list(map(id, packed))
         return dets, formatted
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
@@ -488,7 +527,8 @@ class TestRunOnce:
 
 
 def perturb_block(monkeypatch, change):
-    """Make det_minors return change(det) for the first block it sees."""
+    """Make det_minors return change(det) for the first block it sees;
+    det and change(det) are packed in the block's layout."""
     from bouquetdet import determinant
     original = determinant.det_minors
     seen = []
@@ -521,7 +561,7 @@ class TestPerturbedVerdict:
         P = poset_from_json(load_fixture("poset_bouquet_example.json"))
         _, _, unperturbed, rhs = global_verdict(P)
         _, plain = run(capsys, "det", PEX, "--format", "text")
-        perturb_block(monkeypatch, lambda d: -d)
+        perturb_block(monkeypatch, lambda d: {k: -c for k, c in d.items()})
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         # No block determinant has a negative coefficient (Cauchy-Binet),
         # so a negated block is a miss.
@@ -535,12 +575,11 @@ class TestPerturbedVerdict:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_scaled_block(self, monkeypatch, capsys, fmt):
-        from bouquetdet.polyring import Polynomial
         from bouquetdet.poset import poset_from_json
         from test_determinant import global_verdict, text_value
         _, _, unperturbed, rhs = global_verdict(
             poset_from_json(load_fixture("poset_bouquet_example.json")))
-        perturb_block(monkeypatch, lambda d: d * Polynomial.const(2))
+        perturb_block(monkeypatch, lambda d: {k: 2 * c for k, c in d.items()})
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         assert code == 1
         verdict, sign, det, product = self.texts(out, fmt)

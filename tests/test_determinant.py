@@ -17,18 +17,16 @@ from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
                                     NonZeroOffBlock, NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
                                     det_minors, det_mod, factors_match,
-                                    verify_theorem)
+                                    unpack_blocks, verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
-from bouquetdet.polyring import Polynomial
+from bouquetdet.polyring import Packing, Polynomial
 from conftest import load_fixture, power, verify_default
+from ring_ops import (Poly, const, det_via_minors, eval_mod, lift, one,
+                      packed_blocks, var, weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
 from test_polyring import exact_div, power_product
-
-
-def var(i):
-    return Polynomial.var(i)
 
 
 def det_cofactor(M):
@@ -40,9 +38,9 @@ def det_cofactor(M):
 
     def expand(rows, cols):
         if not rows:
-            return Polynomial.one()
+            return one()
         r = rows[0]
-        acc = Polynomial.zero()
+        acc = zero()
         for pos, c in enumerate(cols):
             if M[r][c].is_zero():
                 continue
@@ -98,14 +96,14 @@ def rhs_product(P, weights):
     elements x of w(x)^rho(x), expanded, with the exponent table."""
     exponents = {x: P.rho(x) for x in P.elements}
     product = power_product(
-        (weight(P, x, weights), exponents[x]) for x in P.elements)
+        (weight_poly(weight(P, x, weights)), exponents[x]) for x in P.elements)
     return product, exponents
 
 
 def block_product(blocks):
     """Oracle: the determinant, expanded, as the product of the
     (top, dim, det) blocks a report or `block_determinants` gives."""
-    product = Polynomial.one()
+    product = one()
     for _, _, d in blocks:
         product = product * d
     return product
@@ -164,10 +162,11 @@ class TestBareiss:
     det_minors replaced, so that their results compare across that change."""
 
     def test_1x1(self):
-        assert det_minors([[var(0) * var(3)]]) == var(0) * var(3)
+        assert det_via_minors([[var(0) * var(3)]]) == var(0) * var(3)
 
     def test_empty(self):
-        assert det_minors([]) == Polynomial.one()
+        assert det_minors([]) == {0: 1}  # the packed 1, in any layout
+        assert det_via_minors([]) == one()
 
     def test_r3_block(self, labeled):
         P, lab, w = labeled
@@ -177,20 +176,19 @@ class TestBareiss:
         # cofactor-expansion oracle, frozen:
         # (w2w5 + w3w5)(w2w3 + w3w5) - (w3w5)^2
         expected = w2 * w3 * w5 * (w2 + w3 + w5)
-        assert det_minors(block) == expected
+        assert det_via_minors(block) == expected
 
     def test_diag(self):
-        assert det_minors([[var(0), Polynomial.zero()],
-                            [Polynomial.zero(), var(1)]]) == var(0) * var(1)
+        assert det_via_minors([[var(0), zero()],
+                               [zero(), var(1)]]) == var(0) * var(1)
 
     def test_singular(self):
-        assert det_minors([[var(0), var(0)], [var(0), var(0)]]) == \
-            Polynomial.zero()
+        assert det_via_minors([[var(0), var(0)], [var(0), var(0)]]) == zero()
 
     def test_row_swap_sign(self):
-        z = Polynomial.zero()
+        z = zero()
         m = [[z, var(0)], [var(1), z]]
-        assert det_minors(m) == -(var(0) * var(1))
+        assert det_via_minors(m) == -(var(0) * var(1))
 
 
 class TestCofactor:
@@ -202,27 +200,27 @@ class TestCofactor:
                                WeightAssignment.default(u23_lattice[0]))):
             for _, G in block_decompose(M):
                 B = gram_entries(G)
-                assert det_cofactor(B) == det_minors(B)
+                assert det_cofactor(B) == det_via_minors(B)
 
     def test_1x1(self):
         p = var(0) + var(1)
         assert det_cofactor([[p]]) == p
 
     def test_diag(self):
-        assert det_cofactor([[var(0), Polynomial.zero()],
-                             [Polynomial.zero(), var(1)]]) == var(0) * var(1)
+        assert det_cofactor([[var(0), zero()],
+                             [zero(), var(1)]]) == var(0) * var(1)
 
     def test_too_large(self):
-        m = [[Polynomial.one()] * 9 for _ in range(9)]
+        m = [[one()] * 9 for _ in range(9)]
         with pytest.raises(TooLarge):
             det_cofactor(m)
 
     def test_full_matrix_equals_block_product(self, labeled):
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
-        product = Polynomial.one()
+        product = one()
         for _, G in block_decompose(M):
-            product = product * det_minors(gram_entries(G))
+            product = product * det_via_minors(gram_entries(G))
         assert det_cofactor([list(r) for r in M.entries]) == product
 
 
@@ -239,31 +237,30 @@ def random_matrix(rng, n, shape):
     - "zero-column": the middle column is zero."""
     def term():
         exponents = Counter(rng.choices(range(3), k=rng.randint(0, 2)))
-        return Polynomial({tuple(sorted(exponents.items())):
-                           rng.choice([-3, -2, -1, 1, 2, 3])})
+        return Poly({tuple(sorted(exponents.items())):
+                     rng.choice([-3, -2, -1, 1, 2, 3])})
 
     def entry():
         if rng.random() < 0.35:
-            return Polynomial.zero()
-        return sum((term() for _ in range(rng.randint(1, 3))), Polynomial.zero())
+            return zero()
+        return sum((term() for _ in range(rng.randint(1, 3))), zero())
 
     M = [[entry() for _ in range(n)] for _ in range(n)]
-    zero = Polynomial.zero()
     if shape == "zero-lead":
-        M[0][0] = zero
+        M[0][0] = zero()
     elif shape == "swap":
         for row in M[:-1]:
-            row[0] = zero
+            row[0] = zero()
         M[-1][0] = var(rng.randrange(3))
     elif shape == "dense-top":
-        M[0][0] = var(0) + var(1) + var(2) + Polynomial.const(5)
+        M[0][0] = var(0) + var(1) + var(2) + const(5)
         M[1][0] = var(rng.randrange(3))
     elif shape == "singular":
-        M[-1] = [var(1) * a - Polynomial.const(2 if n > 2 else 0) * b
+        M[-1] = [var(1) * a - const(2 if n > 2 else 0) * b
                  for a, b in zip(M[0], M[1])]
     elif shape == "zero-column":
         for row in M:
-            row[n // 2] = zero
+            row[n // 2] = zero()
     return M
 
 
@@ -276,7 +273,7 @@ class TestBareissOracle:
     def test_equals_cofactor(self, shape, n):
         for seed in range(4):
             M = random_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
-            det = det_minors(M)
+            det = det_via_minors(M)
             assert det == det_cofactor(M)
             if shape in ("singular", "zero-column"):
                 assert det.is_zero()
@@ -291,32 +288,32 @@ class TestBareissOracle:
                                                     WeightAssignment.default(P)))
             B = gram_entries(G)
             assert len(B) == dim
-            det = det_minors(B)
+            det = det_via_minors(B)
             rng = random.Random(10 * r + n)
             for _ in range(3):
                 point = {v: rng.randint(1, 10**6) for v in det.variables()}
-                rows = [[e.eval_mod(point, p) for e in row] for row in B]
-                assert det.eval_mod(point, p) == det_mod_dense(rows, p)
+                rows = [[eval_mod(e, point, p) for e in row] for row in B]
+                assert eval_mod(det, point, p) == det_mod_dense(rows, p)
             if dim == 10:
                 # Reversing the 10 rows is 5 transpositions.
-                assert det_minors(B[::-1]) == -det
+                assert det_via_minors(B[::-1]) == -det
 
     def test_no_polynomial_arithmetic(self, monkeypatch):
-        # The expansion runs on packed dicts: no Polynomial product per
-        # step.
+        # The blocks are packed from the Gram vectors and expanded on
+        # packed dicts: no polynomial is built, so none is multiplied.
         P = flat_lattice(graphic_complete(4))[0]
-        blocks = block_decompose(chain_matrix(P, min_labeling(P),
-                                              WeightAssignment.default(P)))
+        weights = WeightAssignment.default(P)
+        blocks = block_decompose(chain_matrix(P, min_labeling(P), weights))
         B = next(gram_entries(G) for _, G in blocks if len(G) == 6)
         expected = det_cofactor(B)
         calls = []
-        mul = Polynomial.__mul__
-        monkeypatch.setattr(Polynomial, "__mul__",
-                            lambda a, b: calls.append(1) or mul(a, b))
-        det = det_minors(B)
+        init = Polynomial.__init__
+        monkeypatch.setattr(Polynomial, "__init__",
+                            lambda self, *a: calls.append(1) or init(self, *a))
+        packed = block_determinants(P, min_labeling(P), weights)
         assert calls == []
         monkeypatch.undo()
-        assert det == expected
+        assert next(d for _, dim, d in unpack_blocks(packed) if dim == 6) == expected
 
 
 def random_int_matrix(rng, n, shape):
@@ -350,7 +347,7 @@ class TestDetMod:
         p = VERIFICATION_PRIME
         for seed in range(4):
             M = random_int_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
-            expected = det_cofactor([[Polynomial.const(c) for c in row] for row in M])
+            expected = det_cofactor([[const(c) for c in row] for row in M])
             assert det_mod(*packed_rows(M, p), p) == expected.terms.get((), 0) % p
             if shape == "singular" and n > 1 or shape == "zero-lead" and n == 1:
                 assert det_mod(*packed_rows(M, p), p) == 0
@@ -462,7 +459,8 @@ def global_verdict(P):
     """Oracle: multiply the block determinants, expand the global
     prod w(x)^rho(x) and compare; (verdict, sign, det, rhs)."""
     weights = WeightAssignment.default(P)
-    det = block_product(block_determinants(P, min_labeling(P), weights))
+    det = block_product(unpack_blocks(determinant.block_determinants(
+        P, min_labeling(P), weights)))
     rhs, _ = rhs_product(P, weights)
     verdict = det == rhs
     return verdict, 1 if verdict else None, det, rhs
@@ -512,40 +510,49 @@ class TestBlockVerdict:
         verdict, sign, det, rhs = global_verdict(P)
         assert (report.verdict, report.sign) == (verdict, sign)
         assert block_product(report.blocks) == det
-        assert power_product(report.rhs) == rhs
+        assert power_product((weight_poly(w), e) for w, e in report.rhs) == rhs
 
     @staticmethod
     def perturbed(monkeypatch, P, change):
         """Symbolic verify of P with block i's determinant replaced by
-        change(i, det, w), w the element weights; the global oracle sees
-        the same block determinants.  Returns (report, oracle, number of
-        products verify forms of the whole determinant's total degree:
-        the product of the blocks or the global right-hand side)."""
+        change(i, det, w), w the element weights, and packed in a layout
+        of its own variables and degree; the global oracle sees the same
+        block determinants.  Returns (report, oracle, number of products
+        verify forms outside the block expansions, where a product of the
+        blocks or the global right-hand side would be formed: every
+        product goes through `mul_into`, and one inside `det_minors` has
+        at most one block's degree)."""
         weights = WeightAssignment.default(P)
-        w = {x: weight(P, x, weights) for x in P.elements}
-        calls = []
-        original = determinant.det_minors
+        w = {x: weight_poly(weight(P, x, weights)) for x in P.elements}
+        original = determinant.block_determinants
+        monkeypatch.setattr(determinant, "block_determinants", lambda *args: packed_blocks(
+            [(top, dim, change(i, lift(d), w))
+             for i, (top, dim, d) in enumerate(unpack_blocks(original(*args)))]))
+        expanding, products = [], []
+        det_minors, mul_into = determinant.det_minors, determinant.mul_into
 
-        def patched(B):
-            calls.append(1)
-            return change(len(calls) - 1, original(B), w)
+        def expand(M):
+            expanding.append(1)
+            try:
+                return det_minors(M)
+            finally:
+                expanding.pop()
 
-        monkeypatch.setattr(determinant, "det_minors", patched)
-        degree = sum(map(P.rho, P.elements))
-        products = []
-        mul = Polynomial.__mul__
-        monkeypatch.setattr(Polynomial, "__mul__",
-                            lambda a, b: products.append(mul(a, b)) or products[-1])
+        def multiply(out, a, b):
+            if not expanding:
+                products.append(1)
+            return mul_into(out, a, b)
+
+        monkeypatch.setattr(determinant, "det_minors", expand)
+        monkeypatch.setattr(determinant, "mul_into", multiply)
         report = verify_default(P)
-        monkeypatch.setattr(Polynomial, "__mul__", mul)
-        calls.clear()
-        oracle = global_verdict(P)
-        return report, oracle, len([p for p in products if p.total_degree() == degree])
+        made = len(products)
+        return report, global_verdict(P), made
 
     # Blocks of the worked example, in order: r1, r2, r3, r4; the r3 block
     # is w2*w3*w5*(w2 + w3 + w5), the last factor being w(r3).
     @pytest.mark.parametrize("change, verdict, sign, expansions", [
-        pytest.param(lambda i, d, w: d * Polynomial.const(2) if i == 0 else d,
+        pytest.param(lambda i, d, w: d * const(2) if i == 0 else d,
                      False, None, 0, id="scaled"),
         pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
                      False, None, 0, id="extra-factor"),
@@ -578,34 +585,46 @@ class TestFactorsMatch:
     """The factor count on packed block determinants."""
 
     def test_one_packing_per_block(self, monkeypatch, bouquet_example):
-        P = bouquet_example
-        weights = WeightAssignment.default(P)
-        blocks = block_determinants(P, min_labeling(P), weights)
-        rhs = [(weight(P, x, weights), P.rho(x)) for x in P.elements if P.rho(x)]
-        layouts = []
-        init = polyring.Packing.__init__
-        monkeypatch.setattr(polyring.Packing, "__init__",
-                            lambda self, *a: layouts.append(a) or init(self, *a))
-        assert factors_match(blocks, rhs)
-        assert layouts == [(d.variables(), d.total_degree()) for _, _, d in blocks]
+        # From the Gram vectors to the verdict, the symbolic path builds
+        # one layout per block (formatting, which orders terms in a
+        # layout of its own, is not run here).
+        for P in (bouquet_example, uniform_bouquet(3, 2, 5)):
+            weights = WeightAssignment.default(P)
+            rhs = [(weight(P, x, weights), P.rho(x)) for x in P.elements if P.rho(x)]
+            layouts = []
+            init = polyring.Packing.__init__
+            monkeypatch.setattr(polyring.Packing, "__init__",
+                                lambda self, *a: layouts.append(self) or init(self, *a))
+            blocks = block_determinants(P, min_labeling(P), weights)
+            assert factors_match(blocks, rhs)
+            monkeypatch.undo()
+            assert len(blocks) > 1
+            assert layouts == [layout for _, _, layout, _ in blocks]
 
-    w0, w1 = var(0), var(1)
+    x0, x1 = var(0), var(1)
+    w0, w1, w01 = frozenset({0}), frozenset({1}), frozenset({0, 1})
 
     @pytest.mark.parametrize("dets, factors, match", [
-        pytest.param([Polynomial.one()], [], True, id="constant-1"),
-        pytest.param([Polynomial.const(2)], [], False, id="constant-2"),
-        pytest.param([Polynomial.zero()], [], False, id="zero"),
-        pytest.param([Polynomial.zero()], [(w0, 1)], False, id="zero-with-factor"),
-        pytest.param([w0 * (w0 + w1), w1, Polynomial.one()],
-                     [(w0, 1), (w1, 1), (w0 + w1, 1)], True, id="factors"),
-        pytest.param([w0, w1 * (w0 + w1), Polynomial.one()],
-                     [(w0, 1), (w1, 1), (w0 + w1, 1)], True, id="moved-factor"),
-        pytest.param([w0 * w0], [(w0, 1)], False, id="square-for-one"),
-        pytest.param([w0], [(w0, 2)], False, id="one-for-square"),
+        pytest.param([one()], [], True, id="constant-1"),
+        pytest.param([const(2)], [], False, id="constant-2"),
+        pytest.param([zero()], [], False, id="zero"),
+        pytest.param([zero()], [(w0, 1)], False, id="zero-with-factor"),
+        pytest.param([x0 * (x0 + x1), x1, one()],
+                     [(w0, 1), (w1, 1), (w01, 1)], True, id="factors"),
+        pytest.param([x0, x1 * (x0 + x1), one()],
+                     [(w0, 1), (w1, 1), (w01, 1)], True, id="moved-factor"),
+        pytest.param([x0 * x0], [(w0, 1)], False, id="square-for-one"),
+        pytest.param([x0], [(w0, 2)], False, id="one-for-square"),
     ])
     def test_degenerate_layouts(self, dets, factors, match):
-        blocks = [(f"r{i}", 1, d) for i, d in enumerate(dets)]
+        blocks = packed_blocks([(f"r{i}", 1, d) for i, d in enumerate(dets)])
         assert factors_match(blocks, factors) is match
+
+    def test_zero_in_block_layout(self):
+        # A zero D_r in a layout with variables, which every weight fits:
+        # a miss, not a division of zero by w.
+        w = frozenset({0, 1})
+        assert factors_match([("r", 2, Packing({0, 1}, 2), {})], [(w, 2)]) is False
 
 
 K4 = graphic_complete(4)
@@ -643,8 +662,15 @@ class TestSignIsPlusOne:
             for x in P.elements if x != P.bottom})
         atoms = data.draw(st.permutations(P.atoms))
         weights = WeightAssignment({a: i for i, a in enumerate(atoms)})
-        for _, _, d in block_determinants(P, labeling, weights):
+        gram = block_decompose(chain_matrix(P, labeling, weights))
+        dets = unpack_blocks(block_determinants(P, labeling, weights))
+        for (top, G), (_, dim, d) in zip(gram, dets):
             assert all(c >= 0 for c in d.terms.values())
+            if not d.is_zero():
+                # The layout lemma (`factors_match`): D_r has every
+                # variable of its atom sets and degree dim * rank(r).
+                assert d.variables() == {v for g in G for S in g for v, _ in S}
+                assert {sum(e for _, e in m) for m in d.terms} == {dim * P.rank(top)}
         report = verify_theorem(P, labeling, weights)
         assert (report.verdict, report.sign) == (True, 1)
         assert all(e >= 0 for e in report.exponents.values())
@@ -672,10 +698,10 @@ class TestGramEvaluation:
         point = {v: rng.randrange(1, p) for v in weights.atom_vars.values()}
         for _, G in block_decompose(chain_matrix(P, min_labeling(P), weights)):
             B = gram_entries(G)
-            powers = {S: Polynomial({S: 1}).eval_mod(point, p)
+            powers = {S: eval_mod(Polynomial({S: 1}), point, p)
                       for g in G for S in g}
             block = GramBlockMod(G, p)
-            expected = [[e.eval_mod(point, p) for e in row] for row in B]
+            expected = [[eval_mod(e, point, p) for e in row] for row in B]
             fields = unpacked(block.rows(powers), block.width)
             assert [[x % p for x in row] for row in fields] == expected
             # det_mod's room: n - 1 additions below (p - 1)^2 on top
@@ -688,9 +714,9 @@ class TestGramEvaluation:
         # the right-hand side's weights, once per trial each.
         P = INSTANCES["M(K4)"]()
         evaluated = []
-        eval_mod = Polynomial.eval_mod
-        monkeypatch.setattr(Polynomial, "eval_mod", lambda q, point, p:
-                            evaluated.append(q) or eval_mod(q, point, p))
+        weight_mod = determinant.weight_mod
+        monkeypatch.setattr(determinant, "weight_mod", lambda w, point, p:
+                            evaluated.append(w) or weight_mod(w, point, p))
         monkeypatch.setattr(chains, "gram_entry", None)
         monkeypatch.setattr(determinant, "gram_entry", None)
         report = verify_default(P, mode="randomized", trials=4)

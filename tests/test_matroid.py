@@ -12,8 +12,8 @@ from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, Matroid,
                                 bouquet_from_json, build_bouquet_of_matroids,
                                 build_matroid, flat_lattice, matroid_from_json,
                                 set_id)
-from bouquetdet.polyring import Polynomial
 from conftest import load_fixture, power, verify_default
+from ring_ops import const, var, zero
 
 
 def brute_rank(m, subset):
@@ -32,11 +32,11 @@ def brute_closure(m, subset):
 def substitute(p, mapping):
     """Ring homomorphism sending variable v to mapping[v] (identity on
     variables not in the mapping)."""
-    out = Polynomial.zero()
+    out = zero()
     for m, c in p.terms.items():
-        term = Polynomial.const(c)
+        term = const(c)
         for v, e in m:
-            term = term * power(mapping.get(v, Polynomial.var(v)), e)
+            term = term * power(mapping.get(v, var(v)), e)
         out = out + term
     return out
 
@@ -46,14 +46,13 @@ def ground_substitution(P, weights, support, ground_vars):
     in the atom's support.  Applied to both sides of a verified identity,
     it re-expresses the identity in ground-element variables (ring
     homomorphisms preserve equality)."""
-    return {weights.atom_vars[a]: sum((Polynomial.var(ground_vars[e])
-                                       for e in sorted(support[a])),
-                                      Polynomial.zero())
+    return {weights.atom_vars[a]: sum((var(ground_vars[e])
+                                       for e in sorted(support[a])), zero())
             for a in P.atoms}
 
 
 def test_substitute():
-    w0, w1, w2, u1, u2 = (Polynomial.var(i) for i in (0, 1, 2, 10, 11))
+    w0, w1, w2, u1, u2 = (var(i) for i in (0, 1, 2, 10, 11))
     assert substitute(w0 * w1, {0: u1 + u2}) == u1 * w1 + u2 * w1
     p = power(w0, 2) * w1 + w2
     assert substitute(p, {}) == p

@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bouquetdet.determinant import det_minors
-from bouquetdet.polyring import Packing, Polynomial, div_exact
+from bouquetdet.polyring import Packing, div_exact, sum_text
 from conftest import power
+from ring_ops import const, det_via_minors, eval_mod, one, pack, var, zero
 
-w = [Polynomial.var(i) for i in range(6)]
+w = [var(i) for i in range(6)]
 
 
 def exact_div(p, q):
@@ -16,13 +16,13 @@ def exact_div(p, q):
     quotient unpacked.  q must be nonzero."""
     layout = Packing(p.variables() | q.variables(),
                      max(p.total_degree(), q.total_degree()))
-    s = div_exact(layout.pack(p), layout.pack(q), layout.guard())
+    s = div_exact(pack(layout, p), pack(layout, q), layout.guard())
     return None if s is None else layout.unpack(s)
 
 
 def power_product(factors):
     """Product of p_i^k_i; the empty product is 1."""
-    out = Polynomial.one()
+    out = one()
     for p, k in factors:
         if k:
             out = out * power(p, k)
@@ -30,11 +30,11 @@ def power_product(factors):
 
 
 def poly_from_terms(terms):
-    out = Polynomial.zero()
+    out = zero()
     for coeff, exps in terms:
-        mono = Polynomial.const(coeff)
+        mono = const(coeff)
         for v, e in enumerate(exps):
-            mono = mono * power(Polynomial.var(v), e)
+            mono = mono * power(var(v), e)
         out = out + mono
     return out
 
@@ -48,7 +48,7 @@ polys = st.lists(
 
 
 def test_add_inverse():
-    assert w[0] + (-w[0]) == Polynomial.zero()
+    assert w[0] + (-w[0]) == zero()
 
 
 def test_mul_distributes_example():
@@ -57,8 +57,8 @@ def test_mul_distributes_example():
 
 
 def test_mul_by_one():
-    p = w[0] * w[1] + Polynomial.const(3) * w[4]
-    assert p * Polynomial.one() == p
+    p = w[0] * w[1] + const(3) * w[4]
+    assert p * one() == p
 
 
 @given(polys, polys, polys)
@@ -94,7 +94,7 @@ def test_exact_div_roundtrip_six_variables(p, q):
 def test_exact_div_examples():
     p = w[0] * w[1] * w[2] * (w[0] + w[1] + w[2])
     assert exact_div(p, w[0]) == w[1] * w[2] * (w[0] + w[1] + w[2])
-    assert exact_div(p, p) == Polynomial.one()
+    assert exact_div(p, p) == one()
     assert exact_div(w[0] + w[1], w[0]) is None
 
 
@@ -108,7 +108,7 @@ def test_exact_div_large_exponents():
 
 
 def test_large_variable_index():
-    v = Polynomial.var(10_000)
+    v = var(10_000)
     p = (v + w[0]) * (power(v, 2) - w[5])
     assert exact_div(p, v + w[0]) == power(v, 2) - w[5]
     assert v.variables() == {10_000}
@@ -117,19 +117,19 @@ def test_large_variable_index():
 
 @pytest.mark.parametrize("p, q", [
     (power(w[0], 2) + w[1], w[0]),          # leading terms divide, a later one does not
-    (Polynomial.const(3) * w[0], Polynomial.const(2) * w[0]),  # coefficient
+    (const(3) * w[0], const(2) * w[0]),  # coefficient
     (power(w[0], 2), w[0] * w[1]),          # same degree, monomial does not divide
     (w[0], w[0] * w[1]),                    # divisor of higher degree
     (power(w[1], 3), w[0]),                 # variable absent from the dividend
-    (w[0] * w[1] + Polynomial.one(), w[0] + w[1]),  # nonzero remainder
+    (w[0] * w[1] + one(), w[0] + w[1]),  # nonzero remainder
 ])
 def test_not_divisible(p, q):
     assert exact_div(p, q) is None
 
 
 def test_pow_and_power_product():
-    assert power(w[0] + w[1], 0) == Polynomial.one()
-    assert power_product([]) == Polynomial.one()
+    assert power(w[0] + w[1], 0) == one()
+    assert power_product([]) == one()
     lhs = power_product([(w[4], 3), (w[3], 2), (w[2], 1), (w[1], 1),
                          (w[0], 2), (w[1] + w[2] + w[4], 1)])
     rhs = (power(w[4], 3) * power(w[3], 2) * w[2] * w[1] * power(w[0], 2)
@@ -141,16 +141,16 @@ PRIME = 2305843009213693967
 
 
 def test_eval_mod_examples():
-    assert w[0].eval_mod({0: 5}, PRIME) == 5
+    assert eval_mod(w[0], {0: 5}, PRIME) == 5
     p = w[1] * w[4] + w[2] * w[4]
-    assert p.eval_mod({1: 1, 2: 2, 4: 3}, PRIME) == 9
-    assert Polynomial.zero().eval_mod({}, PRIME) == 0
+    assert eval_mod(p, {1: 1, 2: 2, 4: 3}, PRIME) == 9
+    assert eval_mod(zero(), {}, PRIME) == 0
 
 
 @given(polys, polys)
 def test_eval_mod_homomorphism(p, q):
     assignment = {0: 17, 1: 91, 2: 123456}
-    ev = lambda r: r.eval_mod(assignment, PRIME)
+    ev = lambda r: eval_mod(r, assignment, PRIME)
     assert ev(p * q) == ev(p) * ev(q) % PRIME
     assert ev(p + q) == (ev(p) + ev(q)) % PRIME
 
@@ -162,17 +162,23 @@ def test_canonical_form(p, q):
 
 
 def test_to_string():
-    p = power(w[0], 2) * w[1] + Polynomial.const(3) * w[4]
+    p = power(w[0], 2) * w[1] + const(3) * w[4]
     assert p.to_string() == "w1^2*w2 + 3*w5"
     assert (-w[0] + w[1]).to_string() in ("w2 - w1", "-w1 + w2")
-    assert Polynomial.zero().to_string() == "0"
+    assert zero().to_string() == "0"
+
+
+def test_sum_text():
+    # a weight's text, formatted from its set of variables
+    assert sum_text({4, 1, 2}) == (w[1] + w[2] + w[4]).to_string() == "w2 + w3 + w5"
+    assert sum_text(frozenset({10_000, 0})) == (var(10_000) + w[0]).to_string()
 
 
 def test_to_string_graded_lex_order():
     # higher total degree first; within a degree, the higher power of
     # the lower-indexed variable first
-    p = (w[1] + Polynomial.const(3) + w[0] * w[2] + power(w[1], 2) + w[0]
-         + power(w[0], 2) * w[1] - Polynomial.const(2) * power(w[2], 3)
+    p = (w[1] + const(3) + w[0] * w[2] + power(w[1], 2) + w[0]
+         + power(w[0], 2) * w[1] - const(2) * power(w[2], 3)
          - w[0] * w[1] * w[5])
     assert p.to_string() == ("w1^2*w2 - w1*w2*w6 - 2*w3^3 + w1*w3 + w2^2"
                              " + w1 + w2 + 3")
@@ -224,7 +230,7 @@ def test_det_bareiss_matches_sympy(seed):
     M = [[entry() for _ in range(n)] for _ in range(n)]
     symbols = sympy.symbols("w1:4")
     expected = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in M]).det()
-    assert sympy.expand(to_sympy(det_minors(M), symbols) - expected) == 0
+    assert sympy.expand(to_sympy(det_via_minors(M), symbols) - expected) == 0
 
 
 @pytest.mark.parametrize("name", ["degree-300", "zero-column"])
@@ -236,7 +242,7 @@ def test_det_bareiss_packing_width(name):
     # replaced.)
     sympy = pytest.importorskip("sympy")
     x, y, z = w[:3]
-    c = Polynomial.const
+    c = const
     if name == "degree-300":
         M = [[power(x, 300) + y, power(x, 299) * y, power(z, 7)],
              [power(y, 300) - x, power(x, 300) + power(z, 2),
@@ -245,7 +251,7 @@ def test_det_bareiss_packing_width(name):
     else:
         M = [[power(x, 300), c(0), power(y, 2)], [z, c(0), x * y],
              [c(3), c(0), power(x, 150)]]
-    det = det_minors(M)
+    det = det_via_minors(M)
     symbols = sympy.symbols("w1:4")
     expected = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in M]).det()
     assert sympy.expand(to_sympy(det, symbols) - expected) == 0

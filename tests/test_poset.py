@@ -418,6 +418,8 @@ def down_set(P, x):
 def assert_order_matches_scan(P):
     for x in P.elements:
         assert down_set(P, x) == closure(P)[1][x]
+        assert P.atoms_below(x) == [a for a in P.elements
+                                    if a in P.atoms and scan_leq(P, a, x)]
         for y in P.elements:
             assert P.leq(x, y) == scan_leq(P, x, y)
             assert P.meet(x, y) == scan_meet(P, x, y)
@@ -425,7 +427,8 @@ def assert_order_matches_scan(P):
 
 
 class TestOrderKernel:
-    """The down-masks, leq, meet and join against the scan oracles."""
+    """The down-masks, leq, atoms_below, meet and join against the scan
+    oracles."""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("poset_*.json")))
     def test_poset_fixtures(self, name):
