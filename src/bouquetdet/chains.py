@@ -6,7 +6,9 @@ maximal chain runs from an atom up to a maximal element.  Neat chains
 are grown cover by cover, as neatness is decided one cover at a time.
 The chain matrix is the Gram product G^T diag(w^S) G of one signed
 vector per chain over the atom sets S of its generator tuples (after
-Brylawski and Varchenko), so it is symmetric by construction.
+Brylawski and Varchenko), so it is symmetric by construction, and it is
+block-diagonal by family (proved in `chain_matrix`): `packed_block`
+forms each family block straight from its Gram vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .polyring import Monomial, Polynomial
+from .polyring import Monomial, Packing, Polynomial
 from .poset import Poset, PosetError
 
 
@@ -129,8 +131,15 @@ def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Injective map atom -> polynomial variable index."""
+    """Injective map atom -> polynomial variable index, checked."""
     atom_vars: dict[str, int] = field(hash=False)
+
+    def __post_init__(self):
+        owner: dict[int, str] = {}
+        for a, v in self.atom_vars.items():
+            if owner.setdefault(v, a) != a:
+                raise ValueError(f"atoms {owner[v]!r} and {a!r} share the "
+                                 f"variable w{v + 1}; weights must be injective")
 
     @staticmethod
     def default(P: Poset) -> "WeightAssignment":
@@ -145,16 +154,23 @@ def weight(P: Poset, x: str, weights: WeightAssignment) -> frozenset[int]:
 
 
 GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> ±1
+Packed = dict[int, int]  # packed monomial -> coefficient (see polyring)
 
 
-def gram_entry(g: GramVector, h: GramVector) -> Polynomial:
-    """The sum over the atom sets S of both g and h of g(S) * h(S) * w^S."""
-    return Polynomial({S: c * h[S] for S, c in g.items() if S in h})
-
-
-def gram_entries(vectors: Sequence[GramVector]) -> list[list[Polynomial]]:
-    """The Gram matrix of the vectors over Z[w]."""
-    return [[gram_entry(g, h) for h in vectors] for g in vectors]
+def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]]:
+    """The layout of a family block and its entries packed in it, straight
+    from its Gram vectors: the layout is `Packing(atom variables of the
+    block, dim * rank)`, rank the size of its atom sets (all of family r
+    have rank(r) atoms), and entry (C, C') is the sum over the atom sets
+    S of both of g_C(S) * g_C'(S) * key(S): the one place an entry of
+    the chain matrix is formed."""
+    atom_sets = {S for g in G for S in g}
+    rank = len(next(iter(atom_sets), ()))
+    layout = Packing({v for S in atom_sets for v, _ in S}, len(G) * rank)
+    key = {S: layout.key(S) for S in atom_sets}
+    rows = [{key[S]: c for S, c in g.items()} for g in G]
+    return layout, [[{k: c * h[k] for k, c in g.items() if k in h} for h in rows]
+                    for g in rows]
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,8 @@ class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
     grouped into neat chain families (family = common top element), held
     as its Gram factor: one vector g_C of ±1 coefficients per chain.  The
-    polynomial entries are built on first use."""
+    polynomial entries are built on first use, by family blocks, each
+    off-block entry one shared zero (see `chain_matrix`)."""
     chains: tuple[Chain, ...]
     family_tops: tuple[str, ...]
     family_bounds: tuple[tuple[int, int], ...]  # [start, stop) per family
@@ -174,7 +191,12 @@ class ChainMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(map(tuple, gram_entries(self.vectors)))
+        zero, rows = Polynomial(), []
+        for start, stop in self.family_bounds:
+            layout, block = packed_block(self.vectors[start:stop])
+            rows += [(zero,) * start + tuple(map(layout.unpack, row))
+                     + (zero,) * (self.dim - stop) for row in block]
+        return tuple(rows)
 
     def to_json(self) -> dict:
         return {
@@ -192,9 +214,15 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     increasing variable index, so entry (C, C') is the sum over atom sets
     S of g_C(S) * g_C'(S) * w^S, with g_C(S) = ±1 the sign of C's one
     generator tuple on S (see `generators`).  The matrix keeps the
-    vectors g_C; `determinant.block_decompose` checks that no atom set is
-    shared across families, which is exactly the vanishing of every
-    cross-family entry.
+    vectors g_C.
+
+    It is block-diagonal by family, under every labeling.  The partial
+    joins of a tuple generating a chain of family r trace the chain, so
+    r is the join of its atom set S; were S also the atom set of a chain
+    of family r', r' would be that join too.  The weights are injective,
+    so w^S determines S: every cross-family entry is the empty sum.  The
+    callers check that P is a bouquet, as `generators` needs (the CLI's
+    `_pipeline_input`, `determinant.verify_theorem`).
 
     Each family r has |mu(0̂, r)| neat chains, its block's dimension, with
     one exemption: the one-element poset, whose only element is both 0̂

@@ -19,8 +19,8 @@ from . import matroid as matroid_mod
 from .chains import (InvalidLabeling, Labeling, WeightAssignment,
                      chain_matrix, make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
-                          block_determinants, det_texts, unpack_blocks,
-                          verify_theorem)
+                          block_determinants, blocks_json, det_texts,
+                          unpack_blocks, verify_theorem)
 from .poset import Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
@@ -181,9 +181,7 @@ def cmd_det(args) -> int:
     except DeterminantError as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
     block_texts, det = det_texts(blocks)
-    payload = {"det": det,
-               "blocks": [{"top": t, "dim": d, "det": text}
-                          for (t, d, _), text in zip(blocks, block_texts)]}
+    payload = {"det": det, "blocks": blocks_json(blocks, block_texts)}
     _emit(args, lambda: payload, lambda: det)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ set S of columns to the minor of the first |S| rows on S and extends it
 a row at a time, each step adding one entry times one minor into a
 minor one column larger.  Each block is packed once, straight from its
 Gram vectors, in `Packing(atom variables of the block, dim_r * rank(r))`
-(`packed_block`): every entry of family r is homogeneous of degree
+(`chains.packed_block`): every entry of family r is homogeneous of degree
 rank(r), so every minor has degree at most dim_r * rank(r).  The
 expansion, the packed D_r it returns and the factor count all stay in
 that layout; D_r is unpacked once, after the verdict, for output.  The
@@ -28,9 +28,9 @@ dimension above MAX_SYMBOLIC_DIM raises TooLarge before any block is
 expanded.
 
 Both modes take the chain matrix as its Gram factor, one signed vector
-g_C per chain over atom sets S, and `block_decompose` checks once that
-no atom set is shared across families, which is the vanishing of every
-off-block entry.  Symbolic mode expands only the diagonal blocks.
+g_C per chain over atom sets S; it is block-diagonal by family (proved
+in `chains.chain_matrix`), so `block_decompose` just slices the vectors
+and symbolic mode expands the diagonal blocks alone.
 Randomized mode never builds a polynomial entry: per trial it draws each
 variable uniformly from [1, p - 1], p a fixed 62-bit prime, computes w^S
 mod p once per atom set, packs each block row into one int from the Gram
@@ -50,8 +50,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chains import (ChainMatrix, GramVector, Labeling, WeightAssignment,
-                     chain_matrix, gram_entry, weight)
+from .chains import (ChainMatrix, GramVector, Labeling, Packed,
+                     WeightAssignment, chain_matrix, packed_block, weight)
 from .polyring import (Monomial, Packing, Polynomial, div_exact, mul_into,
                        sum_text)
 from .poset import NotABouquet, Poset
@@ -70,53 +70,19 @@ class DeterminantError(Exception):
     pass
 
 
-class NonZeroOffBlock(DeterminantError):
-    """A cross-family entry of the chain matrix is nonzero."""
-
-
 class TooLarge(DeterminantError):
     pass
 
 
-Packed = dict[int, int]  # packed monomial -> coefficient (see polyring)
 PackedBlock = tuple[str, int, Packing, Packed]  # (top, dim, layout, D_r)
 
 
 def block_decompose(M: ChainMatrix) -> list[tuple[str, tuple[GramVector, ...]]]:
-    """Split the family-grouped chain matrix into its diagonal blocks,
-    one per neat chain family, each as the Gram vectors of its chains,
-    after checking that every off-block entry is zero.  Entry (C, C') is
-    the sum over the atom sets S of both of g_C(S) * g_C'(S) * w^S, no
-    stored coefficient zero, so it vanishes iff C and C' share no atom
-    set; a set shared across two families raises NonZeroOffBlock naming
-    the two chains and their entry."""
-    owner: dict[Monomial, int] = {}  # atom set -> first chain having it
-    blocks = []
-    for top, (start, stop) in zip(M.family_tops, M.family_bounds):
-        for j in range(start, stop):
-            for S in M.vectors[j]:
-                i = owner.setdefault(S, j)
-                if i < start:
-                    raise NonZeroOffBlock(
-                        f"entry ({M.chains[i]}, {M.chains[j]}) = "
-                        f"{gram_entry(M.vectors[i], M.vectors[j]).to_string()}")
-        blocks.append((top, M.vectors[start:stop]))
-    return blocks
-
-
-def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]]:
-    """The layout of a family block and its entries packed in it, straight
-    from its Gram vectors: the layout is `Packing(atom variables of the
-    block, dim * rank)`, rank the size of its atom sets (all of family r
-    have rank(r) atoms), and entry (C, C') is the sum over the atom sets
-    S of both of g_C(S) * g_C'(S) * key(S)."""
-    atom_sets = {S for g in G for S in g}
-    rank = len(next(iter(atom_sets), ()))
-    layout = Packing({v for S in atom_sets for v, _ in S}, len(G) * rank)
-    key = {S: layout.key(S) for S in atom_sets}
-    rows = [{key[S]: c for S, c in g.items()} for g in G]
-    return layout, [[{k: c * h[k] for k, c in g.items() if k in h} for h in rows]
-                    for g in rows]
+    """The diagonal blocks of the family-grouped chain matrix, one per
+    neat chain family, each as (top, Gram vectors of its chains); the
+    off-block entries are zero (`chains.chain_matrix`)."""
+    return [(top, M.vectors[start:stop])
+            for top, (start, stop) in zip(M.family_tops, M.family_bounds)]
 
 
 def det_minors(M: list[list[Packed]]) -> Packed:
@@ -250,6 +216,15 @@ def det_texts(blocks: list[tuple[str, int, Polynomial]]) -> tuple[list[str], str
     return texts, product_text([(t, 1) for t in texts])
 
 
+def blocks_json(blocks: list[tuple[str, int, Polynomial | None]],
+                texts: list[str] | None) -> list[dict]:
+    """The blocks as `det` and `verify` print them: top, dim and the
+    determinant's text, None for each block when there are no texts."""
+    texts = texts or [None] * len(blocks)
+    return [{"top": t, "dim": d, "det": text}
+            for (t, d, _), text in zip(blocks, texts)]
+
+
 @dataclass
 class VerificationReport:
     verdict: bool
@@ -286,16 +261,13 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         block_texts, det, product = self.texts()
-        if block_texts is None:
-            block_texts = [None] * len(self.blocks)
         return {
             "verdict": self.verdict,
             "sign": self.sign,
             "det": det,
             "product": product,
             "exponents": dict(self.exponents),
-            "blocks": [{"top": t, "dim": d, "det": text}
-                       for (t, d, _), text in zip(self.blocks, block_texts)],
+            "blocks": blocks_json(self.blocks, block_texts),
             "mode": self.mode,
             "trials": self.trials,
             "seed": self.seed,

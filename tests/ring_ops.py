@@ -7,7 +7,9 @@ mod-p comparisons) add, negate, multiply and evaluate polynomials, so
 those operations live here: `Poly` is a `Polynomial` with them, and a
 plain `Polynomial` on the other side of a binary operation is read as a
 `Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
-from the packed kernel `det_minors`.
+from the packed kernel `det_minors`.  `gram_entry` and `gram_entries`
+form chain matrix entries from the Gram vectors pair by pair, the oracle
+for the library's packed family blocks and their zero off-block entries.
 """
 
 from bouquetdet.determinant import det_minors
@@ -70,6 +72,17 @@ def var(index: int) -> Poly:
 def weight_poly(w) -> Poly:
     """The weight given as a set of variables, as their sum."""
     return Poly({((v, 1),): 1 for v in w})
+
+
+def gram_entry(g, h) -> Poly:
+    """The sum over the atom sets S of both Gram vectors g and h of
+    g(S) * h(S) * w^S."""
+    return Poly({S: c * h[S] for S, c in g.items() if S in h})
+
+
+def gram_entries(vectors) -> list[list[Poly]]:
+    """The Gram matrix of the vectors over Z[w], every entry formed."""
+    return [[gram_entry(g, h) for h in vectors] for g in vectors]
 
 
 def eval_mod(p: Polynomial, assignment, modulus: int) -> int:

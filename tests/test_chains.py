@@ -1,11 +1,14 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
-                                enumerate_covectors)
+                                enumerate_covectors, exact_covectors,
+                                random_lines)
 from bouquetdet.chains import (Chain, InvalidLabeling,
                                WeightAssignment, chain_matrix, generators,
                                make_labeling, min_labeling,
@@ -15,8 +18,8 @@ from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.matroid import flat_lattice
 from bouquetdet.poset import build_poset
 from conftest import load_fixture
-from ring_ops import Poly, var, weight_poly, zero
-from test_cli import FIXTURE_FILES, fixture_kind
+from ring_ops import Poly, gram_entry, var, weight_poly, zero
+from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
 from test_poset import down_set, join_all
@@ -294,6 +297,16 @@ class TestWeight:
         assert weight_poly(weight(P, "0", w)) == zero()
         assert weight(P, "r3", w) == {w.atom_vars[a] for a in ("a2", "a3", "a5")}
 
+    def test_not_injective(self, bouquet_example):
+        # a1 and a2 on one variable would share atom sets across families
+        # (entry ([a5 < r2], [a5 < r3]) would be w1*w5): refused before any
+        # matrix is built.
+        atom_vars = {a: i for i, a in enumerate(bouquet_example.atoms)}
+        atom_vars["a2"] = atom_vars["a1"]
+        with pytest.raises(ValueError, match=r"^atoms 'a1' and 'a2' share the "
+                                             r"variable w1; weights must be injective$"):
+            WeightAssignment(atom_vars)
+
 
 class TestChainMatrix:
     def test_printed_entries(self, labeled):
@@ -309,10 +322,11 @@ class TestChainMatrix:
             v["a2"] * v["a3"] + v["a3"] * v["a5"]
         assert M.entries[at("a5", "r3")][at("a3", "r3")] == -(v["a3"] * v["a5"])
         assert M.entries[at("a5", "r4")][at("a5", "r4")] == v["a4"] * v["a5"]
-        # every remaining pair is zero
+        # every remaining pair is zero, formed from the Gram vectors
         for i in range(M.dim):
             for j in range(M.dim):
                 if i != j and {M.chains[i].top, M.chains[j].top} != {"r3"}:
+                    assert gram_entry(M.vectors[i], M.vectors[j]).is_zero()
                     assert M.entries[i][j].is_zero()
 
     def test_one_atom(self, one_atom):
@@ -432,3 +446,33 @@ class TestAgainstOracles:
         atoms = _atom_order(P, order)
         self.check(P, labeling,
                    WeightAssignment({a: i for i, a in enumerate(atoms)}))
+
+
+def assert_block_diagonal(P):
+    """The lemma in the `chain_matrix` docstring, on every maximal chain,
+    so under every labeling: the atoms of each generator tuple of a chain
+    of family r join to r, so no atom set lies in two families."""
+    assert P.is_bouquet()
+    family: dict[frozenset, str] = {}
+    for c in enumerate_maximal_chains(P):
+        for t in generators(P, c):
+            assert reduce(P.join, t) == c.top
+            assert family.setdefault(frozenset(t), c.top) == c.top
+
+
+class TestBlockDiagonal:
+    @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
+    def test_fixtures(self, name):
+        assert_block_diagonal(_fixture_poset(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]))
+    def test_uniform_bouquets(self, roofs, shape):
+        assert_block_diagonal(uniform_bouquet(roofs, *shape))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 16))
+    def test_arrangement_coms(self, n, concurrent, seed):
+        lines = random_lines(random.Random(seed), n, min(concurrent, n))
+        names = [f"l{i}" for i in range(n)]
+        assert_block_diagonal(zero_set_poset(validate_com(names, exact_covectors(lines)))[0])

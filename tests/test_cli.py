@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from bouquetdet.chains import min_labeling
-from bouquetdet.cli import build_parser, main
+from bouquetdet.cli import KINDS, build_parser, main
 from conftest import FIXTURES, load_fixture
 
 PEX = str(FIXTURES / "poset_bouquet_example.json")
@@ -396,17 +396,6 @@ class TestExitCodes:
         assert code == 0
         assert [b["dim"] for b in json.loads(out)["blocks"]] == [24]
 
-    def test_det_off_block_entry(self, monkeypatch, capsys):
-        from bouquetdet import determinant
-
-        def nonzero(M):
-            raise determinant.NonZeroOffBlock("entry (C, D) = w1")
-
-        monkeypatch.setattr(determinant, "block_decompose", nonzero)
-        code = main(["det", PEX])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", "entry (C, D) = w1\n")
-
 
 class TestRunOnce:
     """Each pipeline step runs once per CLI call."""
@@ -467,6 +456,24 @@ class TestRunOnce:
         assert code == 0
         ids = set(map(id, blocks))
         assert not [p for p in pairs if id(p[0]) in ids and id(p[1]) in ids]
+
+    @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_matrix_packs_each_family_once(self, monkeypatch, capsys, name, fmt):
+        # The entries are formed by family blocks only: one `packed_block`
+        # call per family, on exactly that family's Gram vectors.
+        from bouquetdet import chains
+        kind = KINDS[fixture_kind(name)]
+        P = kind.poset(kind.parse(load_fixture(name)))
+        M = chains.chain_matrix(P, min_labeling(P), chains.WeightAssignment.default(P))
+        calls = []
+        packed_block = chains.packed_block
+        monkeypatch.setattr(chains, "packed_block",
+                            lambda G: calls.append(G) or packed_block(G))
+        code, _ = run(capsys, "matrix", str(FIXTURES / name), "--kind",
+                      fixture_kind(name), "--format", fmt)
+        assert code == 0
+        assert calls == [M.vectors[start:stop] for start, stop in M.family_bounds]
 
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from arrangement_oracle import exact_covectors, random_lines
 from bouquetdet import chains, determinant, polyring
-from bouquetdet.chains import (WeightAssignment, chain_matrix, gram_entries,
-                               make_labeling, min_labeling, weight)
+from bouquetdet.chains import (WeightAssignment, chain_matrix, make_labeling,
+                               min_labeling, weight)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
-                                    NonZeroOffBlock, NotABouquet, TooLarge,
+                                    NotABouquet, TooLarge,
                                     block_decompose, block_determinants,
                                     det_minors, det_mod, factors_match,
                                     unpack_blocks, verify_theorem)
@@ -22,8 +22,8 @@ from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
 from bouquetdet.polyring import Packing, Polynomial
 from conftest import load_fixture, power, verify_default
-from ring_ops import (Poly, const, det_via_minors, eval_mod, lift, one,
-                      packed_blocks, var, weight_poly, zero)
+from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
+                      lift, one, packed_blocks, var, weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
 from test_polyring import exact_div, power_product
@@ -133,28 +133,6 @@ class TestBlockDecompose:
         blocks = block_decompose(M)
         assert len(blocks) == 1 and len(blocks[0][1]) == 2
 
-    def test_nonzero_off_block_detected(self, labeled, monkeypatch):
-        # Chain [a4 < r1] is given an atom set of chain [a5 < r4], of
-        # another family, so entry (0, 4) is nonzero.
-        P, lab, w = labeled
-        M = chain_matrix(P, lab, w)
-        vectors = [dict(g) for g in M.vectors]
-        [S] = vectors[4]
-        vectors[0][S] = 3
-        corrupted = type(M)(M.chains, M.family_tops, M.family_bounds,
-                            tuple(vectors))
-        assert not corrupted.entries[0][4].is_zero()
-        names = (str(M.chains[0]), str(M.chains[4]))
-        assert names == ("[a4 < r1]", "[a5 < r4]")
-        with pytest.raises(NonZeroOffBlock) as caught:
-            block_decompose(corrupted)
-        assert str(caught.value) == (f"entry ({names[0]}, {names[1]}) = "
-                                     f"{corrupted.entries[0][4].to_string()}")
-        monkeypatch.setattr(determinant, "chain_matrix", lambda *args: corrupted)
-        for mode in ("symbolic", "randomized"):
-            with pytest.raises(NonZeroOffBlock, match=r"\[a4 < r1\], \[a5 < r4\]"):
-                verify_theorem(P, lab, w, mode=mode)
-
 
 class TestBareiss:
     """det_minors on small cases.  This class and TestBareissOracle keep
@@ -221,7 +199,7 @@ class TestCofactor:
         product = one()
         for _, G in block_decompose(M):
             product = product * det_via_minors(gram_entries(G))
-        assert det_cofactor([list(r) for r in M.entries]) == product
+        assert det_cofactor(gram_entries(M.vectors)) == product
 
 
 def random_matrix(rng, n, shape):
@@ -717,8 +695,8 @@ class TestGramEvaluation:
         weight_mod = determinant.weight_mod
         monkeypatch.setattr(determinant, "weight_mod", lambda w, point, p:
                             evaluated.append(w) or weight_mod(w, point, p))
-        monkeypatch.setattr(chains, "gram_entry", None)
-        monkeypatch.setattr(determinant, "gram_entry", None)
+        monkeypatch.setattr(chains, "packed_block", None)
+        monkeypatch.setattr(determinant, "packed_block", None)
         report = verify_default(P, mode="randomized", trials=4)
         assert report.verdict
         assert evaluated == [q for q, _ in report.rhs] * 4
