@@ -221,8 +221,9 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     r is the join of its atom set S; were S also the atom set of a chain
     of family r', r' would be that join too.  The weights are injective,
     so w^S determines S: every cross-family entry is the empty sum.  The
-    callers check that P is a bouquet, as `generators` needs (the CLI's
-    `_pipeline_input`, `determinant.verify_theorem`).
+    callers require P to be a bouquet, as `generators` needs, with
+    `Poset.require_bouquet` (the CLI's `_load_poset`, for `matrix` and
+    `det`, and `determinant.verify_theorem`).
 
     Each family r has |mu(0̂, r)| neat chains, its block's dimension, with
     one exemption: the one-element poset, whose only element is both 0̂

@@ -44,13 +44,14 @@ def _load_json(path: str) -> dict:
 
 
 def _poset_report(P: Poset) -> dict:
-    report = {"meet_semilattice": P.is_meet_semilattice()}
-    failure = P.geometric_failure()
-    report["geometric"] = failure is None
+    """The bouquet verdict; "geometric" when it is a bouquet with one
+    maximal element, a geometric lattice; the witness when it is not."""
+    failure = P.bouquet_failure()
+    report = {"bouquet": failure is None,
+              "geometric": failure is None and len(P.maximal) == 1}
     if failure is not None:
-        report["geometric_failure"] = {"reason": failure[0],
-                                       "witness": list(failure[1])}
-    report["bouquet"] = P.is_bouquet()
+        report["bouquet_failure"] = {"reason": failure[0],
+                                     "witness": list(failure[1])}
     return report
 
 
@@ -91,12 +92,17 @@ def _parse(args):
         raise CliError(f"malformed input: {exc}", EXIT_PARSE) from exc
 
 
-def _load_poset(args) -> Poset:
-    """Build the working poset for the requested input kind."""
+def _load_poset(args, bouquet: bool = True) -> Poset:
+    """Build the working poset for the requested input kind and, unless
+    `bouquet` is False, require a bouquet: every kind then names the
+    same reason and witness (`Poset.require_bouquet`)."""
     try:
-        return KINDS[args.kind].poset(_parse(args))
+        P = KINDS[args.kind].poset(_parse(args))
+        if bouquet:
+            P.require_bouquet()
     except STRUCTURAL_ERRORS as exc:
         raise CliError(f"{args.kind}: {exc}", EXIT_STRUCTURAL) from exc
+    return P
 
 
 def _load_labels(path: str) -> dict[str, str]:
@@ -109,18 +115,11 @@ def _load_labels(path: str) -> dict[str, str]:
     return labels
 
 
-def _require_bouquet(P: Poset) -> None:
-    if not P.is_bouquet():
-        raise CliError("input poset is not a bouquet of geometric lattices",
-                       EXIT_STRUCTURAL)
-
-
 def _pipeline_input(args) -> tuple[Poset, Labeling, WeightAssignment]:
-    """The front half of `matrix`, `det` and `verify`: load the input,
-    require a bouquet, then build the labeling and the variables from one
-    atom order, --atom-order or else the poset's own."""
+    """The front half of `matrix`, `det` and `verify`: load the input as
+    a bouquet, then build the labeling and the variables from one atom
+    order, --atom-order or else the poset's own."""
     P = _load_poset(args)
-    _require_bouquet(P)
     order = P.atoms
     if args.atom_order is not None:
         # "" is the empty order, a permutation of no atoms only.
@@ -188,7 +187,6 @@ def cmd_det(args) -> int:
 
 def cmd_rho(args) -> int:
     P = _load_poset(args)
-    _require_bouquet(P)
     table = {x: {"rank": P.rank(x), "mobius": P.mobius(x),
                  "beta": P.beta(x), "rho": P.rho(x)}
              for x in P.elements}
@@ -219,7 +217,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    P = _load_poset(args)
+    P = _load_poset(args, bouquet=False)
     # DOT reads \" inside a quoted ID as a quote and has no escape for
     # a backslash, so a name ending in one would leave its string open.
     trailing = next((x for x in P.elements if x.endswith("\\")), None)

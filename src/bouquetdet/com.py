@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import NotABouquet, Poset, _bits, inclusion_poset, json_strings
+from .poset import Poset, _bits, inclusion_poset, json_strings
 
 
 class ComError(Exception):
@@ -245,13 +245,12 @@ def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
 
     Element ids are canonical set strings; the returned id -> zero set
     mapping is kept for perfbench and the tests until ROADMAP item 1.
-    Raises NotABouquet when the result is not a bouquet of geometric
-    lattices.
+    Raises NotABouquet, with its witness, when the result is not a
+    bouquet of geometric lattices.
     """
     poset, mapping = inclusion_poset(
         frozenset(zero_set(c.ground, x)) for x in c.covectors)
-    if not poset.is_bouquet():
-        raise NotABouquet("zero-set poset is not a bouquet of geometric lattices")
+    poset.require_bouquet()
     return poset, mapping
 
 

@@ -54,7 +54,7 @@ from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
 from .polyring import (Monomial, Packing, Polynomial, div_exact, mul_into,
                        sum_text)
-from .poset import NotABouquet, Poset
+from .poset import Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
 # above 2^61 (62 bits).
@@ -374,8 +374,7 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     covered: det - R nonzero over Z with every coefficient divisible
     by p.
     """
-    if not P.is_bouquet():
-        raise NotABouquet("input poset is not a bouquet of geometric lattices")
+    P.require_bouquet()
     exponents = {x: P.rho(x) for x in P.elements}  # >= 0 on a bouquet (Poset.rho)
     # Distinct elements of a bouquet have distinct atom sets, so each
     # weight belongs to one element.

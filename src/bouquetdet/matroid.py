@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import NotABouquet, Poset, inclusion_poset, json_strings, set_id
+from .poset import Poset, inclusion_poset, json_strings, set_id
 
 
 class MatroidError(Exception):
@@ -198,9 +198,10 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
 def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset]]:
     """Union of the per-roof flats ordered by inclusion.
 
-    Each roof matroid must be simple.  Raises NotABouquet when the result
-    is not a bouquet of geometric lattices: that is a modeling error in
-    the input, not something to accept silently.
+    Each roof matroid must be simple.  Raises NotABouquet, with its
+    witness, when the result is not a bouquet of geometric lattices:
+    that is a modeling error in the input, not something to accept
+    silently.
     """
     flats: set[frozenset] = set()
     for i, m in enumerate(b.roof_matroids):
@@ -208,8 +209,7 @@ def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset
             raise NotSimple(f"roof {i} matroid is not simple")
         flats.update(m.flats())
     poset, mapping = inclusion_poset(flats)
-    if not poset.is_bouquet():
-        raise NotABouquet("flat poset is not a bouquet of geometric lattices")
+    poset.require_bouquet()
     return poset, mapping
 
 

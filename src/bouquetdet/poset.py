@@ -12,10 +12,13 @@ common lower bounds of x and y are the down-set `down[x] & down[y]`,
 which has a greatest element m exactly when it is the principal ideal
 `down[m]`; so the meet is a dict lookup of that mask (None when it is
 not a key), and the join is the same lookup on up-masks.  The bouquet
-test runs on these masks in one pass over the poset, without building
-any interval, and tests semimodularity on atoms only: an atomistic
-lattice is semimodular iff x v a covers x for every x and every atom a
-not below x (proved at `Poset.is_bouquet`).  Rank, mu(0̂, x), beta and rho
+test is one pass over these masks that tests each element against the
+atoms only, with no interval built and no pair of elements scanned:
+every x is the join of the atoms below it, and x v a exists and covers
+x for every atom a not below x with which x has a common upper bound.
+These two make the poset a meet semilattice and every [0̂, r]
+semimodular (proved at `Poset.is_bouquet`); the first failure is the
+witness that `Poset.bouquet_failure` names.  Rank, mu(0̂, x), beta and rho
 come from one table, built on first use in one pass up the poset and one
 pass down each [0̂, r], r maximal (see `Poset._invariants`).
 
@@ -25,6 +28,7 @@ a Poset is immutable afterwards, so queries are safe to run concurrently.
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Iterator, Sequence
 
 
@@ -49,7 +53,13 @@ class NotRanked(PosetError):
 
 
 class NotABouquet(PosetError):
-    """The poset is not a bouquet of geometric lattices."""
+    """The poset is not a bouquet of geometric lattices, for `reason`,
+    shown by `witness` (see `Poset.bouquet_failure`)."""
+
+    def __init__(self, reason: str, witness: tuple):
+        super().__init__(f"not a bouquet of geometric lattices: {reason} "
+                         f"{json.dumps(list(witness))}")
+        self.reason, self.witness = reason, witness
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -67,7 +77,7 @@ class Poset:
     __slots__ = (
         "elements", "covers", "_index", "_up", "_down", "_by_up", "_by_down",
         "_upcov", "_downcov", "bottom", "atoms", "_atom_mask", "maximal",
-        "_semilattice", "_bouquet", "_table",
+        "_bouquet", "_failure", "_table",
     )
 
     def __init__(self, elements: Sequence[str], down: list[int]):
@@ -101,8 +111,8 @@ class Poset:
         self.atoms = self._upcov[self.bottom] if self.bottom is not None else ()
         self._atom_mask = sum(1 << self._index[a] for a in self.atoms)
         self.maximal = tuple(x for x in elements if not upcov[x])
-        self._semilattice: bool | None = None
         self._bouquet: bool | None = None
+        self._failure: tuple[str, tuple] | None = None
         self._table: list[tuple[int, int, int, int]] | None = None
 
     # -- order queries ------------------------------------------------
@@ -137,88 +147,37 @@ class Poset:
 
     # -- structure tests ----------------------------------------------
 
-    def is_meet_semilattice(self) -> bool:
-        """Every pair has a meet.  Evaluated once; later calls return the
-        stored verdict."""
-        if self._semilattice is None:
-            down, by_down = self._down, self._by_down
-            self._semilattice = all(d & e in by_down
-                                    for i, d in enumerate(down) for e in down[i + 1:])
-        return self._semilattice
-
-    def _atomic_failure(self) -> int | None:
-        """Position of the first element that is not the join of the
-        atoms below it: the common up-mask of those atoms is not its own
-        up-mask.  (For the bottom there are no atoms below, and the
-        empty join is the whole poset, the bottom's up-mask.)"""
-        up, atoms = self._up, self._atom_mask
-        everything = (1 << len(up)) - 1
-        for i, (u, d) in enumerate(zip(up, self._down)):
+    def _failure_pass(self) -> tuple[str, tuple] | None:
+        """The first failure of the two tests of `is_bouquet`, in the
+        order `bouquet_failure` documents, or None.  (A) x is the join of
+        the atoms below it when their common up-mask is up[x]; for the
+        bottom there are no atoms below, and the empty join is the whole
+        poset, the bottom's up-mask.  (B) x v a is the element whose
+        up-mask is up[x] & up[a], when some element has that up-mask, and
+        it covers x when the interval [x, x v a], the mask
+        up[x] & down[x v a], holds x and x v a only.  n * |atoms| mask lookups in all."""
+        els, up, down = self.elements, self._up, self._down
+        if self.bottom is None:
+            return ("not-lattice", tuple(x for x in els if not self._downcov[x])[:2])
+        everything = (1 << len(els)) - 1
+        for x, u, d in zip(els, up, down):
             upper = everything
-            for a in _bits(d & atoms):
+            for a in _bits(d & self._atom_mask):
                 upper &= up[a]
             if upper != u:
-                return i
-        return None
-
-    def _semimodular_at_atoms(self) -> bool:
-        """x v a covers x for every x and every atom a not below x that
-        has a common upper bound with x.  One join lookup per such pair,
-        n * |atoms| in all; a missing join (which a meet semilattice does
-        not have) counts as a failure.  j covers x when the interval
-        [x, j], the mask up[x] & down[j], holds x and j only.
-
-        On an atomistic lattice this is semimodularity (see `is_bouquet`),
-        whose pairwise test `_semimodular_failure` is kept for the
-        witness."""
-        up, down, by_up = self._up, self._down, self._by_up
-        atoms = [up[self._index[a]] for a in self.atoms]
-        for ux in up:
-            for ua in atoms:
+                return ("not-atomic", (x,))
+        atoms = [(a, up[self._index[a]]) for a in self.atoms]
+        for x, ux in zip(els, up):
+            for a, ua in atoms:
                 common = ux & ua
-                # common is ux exactly when a <= x
+                # common is ux exactly when a <= x, and 0 when x and a
+                # have no common upper bound
                 if common and common != ux:
-                    j = by_up.get(common)
-                    if j is None or (ux & down[j]).bit_count() != 2:
-                        return False
-        return True
-
-    def _semimodular_failure(self) -> tuple[int, int] | None:
-        """First ordered pair (x, y) of positions, x outer, that has a
-        meet and a join, where x covers x ^ y but x v y neither equals
-        nor covers y."""
-        els, index, downcov = self.elements, self._index, self._downcov
-        up, down, by_up = self._up, self._down, self._by_up
-        for i, (x, ui, di) in enumerate(zip(els, up, down)):
-            # x ^ y is covered by x when its down-mask is one of these;
-            # x = y never fails, as x ^ x = x is not covered by x.
-            covered = {down[index[m]] for m in downcov[x]}
-            for k in [k for k, dk in enumerate(down) if di & dk in covered]:
-                j = by_up.get(ui & up[k])
-                if j is not None and j != k and els[k] not in downcov[els[j]]:
-                    return i, k
-        return None
-
-    def geometric_failure(self) -> tuple[str, tuple] | None:
-        """None if this poset is a geometric lattice, otherwise a
-        (reason, witness) pair: reason in {"not-lattice", "not-atomic",
-        "not-semimodular"}.  The witness is the first failing unordered
-        pair, element or ordered pair in element order; the empty poset,
-        which has no bottom, is not a lattice, with an empty witness."""
-        els = self.elements
-        if not els:
-            return ("not-lattice", ())
-        up, down, by_up, by_down = self._up, self._down, self._by_up, self._by_down
-        for i, (ui, di) in enumerate(zip(up, down)):
-            for k in range(i + 1, len(els)):
-                if di & down[k] not in by_down or ui & up[k] not in by_up:
-                    return ("not-lattice", (els[i], els[k]))
-        x = self._atomic_failure()
-        if x is not None:
-            return ("not-atomic", (els[x],))
-        pair = None if self._semimodular_at_atoms() else self._semimodular_failure()
-        if pair is not None:
-            return ("not-semimodular", (els[pair[0]], els[pair[1]]))
+                    j = self._by_up.get(common)
+                    if j is None:
+                        return ("not-lattice", (a, x))
+                    if (ux & down[j]).bit_count() != 2:
+                        return ("not-semimodular", (a, x))
         return None
 
     def is_bouquet(self) -> bool:
@@ -227,36 +186,73 @@ class Poset:
         of the poset sits inside some [0̂, r], and intervals of geometric
         lattices are geometric, so the top intervals suffice.)
 
-        The test runs in one pass over the poset, with no interval built.
-        In a finite meet semilattice with 0̂, each [0̂, r] is a lattice
+        One pass decides it (`_failure_pass`), with no interval built and
+        no pair of elements scanned; it runs once, and later calls return
+        the stored verdict.  Claim: a finite poset with a unique minimal
+        element 0̂, which then lies below every element, is a bouquet iff
+        (A) every x is the join of the atoms below it, and (B) for every
+        x and every atom a not below x that has a common upper bound with
+        x, the join x v a exists and covers x.
+
+        Lemma: an atomistic lattice is semimodular iff x v a covers x for
+        every x and every atom a not below x.  (=>) a ^ x = 0̂ is covered
+        by a, so by semimodularity x is covered by a v x.  (<=) Let x ^ y
+        be covered by x.  Some atom a <= x is not below y, or x would be
+        the join of atoms below y and x ^ y = x.  Then x ^ y <
+        (x ^ y) v a <= x, so x = (x ^ y) v a and x v y = y v a, which
+        covers y.
+
+        (=>) In a finite meet semilattice with 0̂, each [0̂, r] is a lattice
         whose meets and joins are the poset's: x ^ y lies below r, and
         when x and y have a common upper bound, the meet of all their
         common upper bounds is their join, which lies below r.  The
         covers of [0̂, r] are the poset's covers, and its atoms are the
-        poset's atoms below r.  So every [0̂, r] is geometric exactly
-        when (1) every element is the join of the atoms below it, and
-        (2) semimodularity holds on every pair with a common upper bound,
-        these being the pairs that lie together in some [0̂, r].
+        poset's atoms below r.  (A): a common upper bound u of the atoms
+        below x has u ^ x above them all, so u ^ x = x in the atomistic
+        [0̂, x], and u lies above x.  (B): a common upper bound of x and a
+        lies below some maximal r, so [0̂, r] holds x, a and x v a, and the
+        lemma applies there.
 
-        Semimodularity is tested on atoms only.  Lemma: an atomistic
-        lattice is semimodular iff x v a covers x for every x and every
-        atom a not below x.  (=>) a ^ x = 0̂ is covered by a, so by
-        semimodularity x is covered by a v x.  (<=) Let x ^ y be covered
-        by x.  Some atom a <= x is not below y, or x would be the join of
-        atoms below y and x ^ y = x.  Then x ^ y < (x ^ y) v a <= x, so
-        x = (x ^ y) v a and x v y = y v a, which covers y.  Applied to
-        each [0̂, r], (2) becomes: x v a covers x for every x and every
-        atom a not below x with a common upper bound
-        (`_semimodular_at_atoms`), one join lookup per element and atom
-        instead of one per pair.
+        (<=) Joins of atom sets first: if a set S of atoms has a common
+        upper bound, then v S exists and its up-set is the intersection
+        of the up-sets of the atoms in S.  By induction on |S|: the empty
+        join is 0̂; for S = T + {a}, v T = t exists, and every common
+        upper bound of S lies above t, so v S = t when a <= t, and
+        otherwise (B) gives t v a, whose up-set is up(t) & up(a).  Now
+        let x and y be any elements and m the join of the atoms below
+        both, which exists as x bounds them.  x and y lie in the up-set
+        of m, so m <= x, y; and any z <= x, y has its atoms among those
+        of m, so by (A) the up-set of z holds that of m, and z <= m.  So m = x ^ y:
+        the poset is a meet semilattice, each [0̂, r] is a lattice,
+        atomistic by (A) and semimodular by (B) and the lemma.
 
-        Evaluated once; later calls return the stored verdict."""
+        `bouquet_failure` gives the witness when the answer is no."""
         if self._bouquet is None:
-            self._bouquet = (
-                self.bottom is not None and self.is_meet_semilattice()
-                and self._atomic_failure() is None
-                and self._semimodular_at_atoms())
+            self._failure = self._failure_pass()
+            self._bouquet = self._failure is None
         return self._bouquet
+
+    def bouquet_failure(self) -> tuple[str, tuple] | None:
+        """None on a bouquet, otherwise (reason, witness), the first
+        failure in this order:
+        - no unique minimal element: ("not-lattice", the first two
+          minimal elements), or () for the empty poset;
+        - else the first x, in element order, that is not the join of the
+          atoms below it: ("not-atomic", (x,));
+        - else the first x in element order and, for it, the first atom
+          a not below x, in atom order (`atoms`, by name), that has a
+          common upper bound with x: ("not-lattice", (a, x)) when x v a
+          does not exist, and ("not-semimodular", (a, x)) when x v a does
+          not cover x.  There a covers a ^ x = 0̂, while a v x does not
+          cover x."""
+        self.is_bouquet()
+        return self._failure
+
+    def require_bouquet(self) -> None:
+        """Raise NotABouquet, naming the reason and the witness of
+        `bouquet_failure`, unless this poset is a bouquet."""
+        if not self.is_bouquet():
+            raise NotABouquet(*self._failure)
 
     # -- rank and invariants ------------------------------------------
 

@@ -23,6 +23,7 @@ from ring_ops import gram_entries, gram_entry, lift, one, var, zero
 from test_com import composition
 from test_determinant import block_product, det_cofactor, global_verdict
 from test_matroid import brute_rank, simplify
+from test_poset import brute_geometric_failure, scan_meet
 
 MATROID_FIXTURES = ["matroid_u23.json", "matroid_u24.json", "matroid_u34.json",
                     "matroid_k3.json", "matroid_k4_minus_edge.json",
@@ -238,7 +239,8 @@ def test_criterion_7_structural_property_suite():
                               if P.leq(x, z) and P.leq(z, y)) == 0
             ok &= P.mobius(x) == brute_mobius(leq, b, x)
         ok &= P.beta(b) == 0
-        ok &= (not P.is_bouquet()) or P.is_meet_semilattice()
+        ok &= (not P.is_bouquet()) or all(scan_meet(P, x, y) is not None
+                                          for x in P.elements for y in P.elements)
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
         for i in range(M.dim):
             for j in range(M.dim):
@@ -258,6 +260,6 @@ def test_criterion_7_structural_property_suite():
         if not simple.ground:
             continue
         P, _ = flat_lattice(simple)
-        ok &= P.geometric_failure() is None
-        ok &= P.is_bouquet() and P.is_meet_semilattice()
+        ok &= brute_geometric_failure(P) is None
+        ok &= P.bouquet_failure() is None and len(P.maximal) == 1
     report("7 structural property suite", ok)

@@ -34,8 +34,8 @@ class TestCheck:
         code, out = run(capsys, "check", PENTAGON)
         payload = json.loads(out)
         assert code == 2
-        assert payload["geometric"] is False
-        assert "witness" in payload["geometric_failure"]
+        assert payload["bouquet"] is payload["geometric"] is payload["valid"] is False
+        assert payload["bouquet_failure"] == {"reason": "not-atomic", "witness": ["c"]}
 
     def test_empty_poset_not_geometric(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -44,7 +44,30 @@ class TestCheck:
         payload = json.loads(out)
         assert code == 2
         assert payload["geometric"] is False
-        assert payload["geometric_failure"] == {"reason": "not-lattice", "witness": []}
+        assert payload["bouquet_failure"] == {"reason": "not-lattice", "witness": []}
+
+    def test_two_tops_names_the_failing_pair(self, tmp_path, capsys):
+        # The failing pair is (c, a) in the top [0, 1]; a and d, which
+        # have no join, lie in no common top and are fine in a bouquet.
+        path = tmp_path / "two_tops.json"
+        path.write_text(json.dumps({
+            "elements": ["0", "a", "b", "c", "ab", "1", "d", "r2"],
+            "covers": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "ab"], ["b", "ab"],
+                       ["ab", "1"], ["c", "1"], ["0", "d"], ["c", "r2"], ["d", "r2"]]}))
+        code, out = run(capsys, "check", str(path))
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["bouquet_failure"] == {"reason": "not-semimodular",
+                                              "witness": ["c", "a"]}
+
+    def test_geometric_is_a_bouquet_with_one_top(self, capsys):
+        verdicts = {}
+        for path in (PEX, ONE_ATOM):
+            _, out = run(capsys, "check", path)
+            payload = json.loads(out)
+            verdicts[path] = (payload["bouquet"], payload["geometric"])
+            assert "bouquet_failure" not in payload
+        assert verdicts == {PEX: (True, False), ONE_ATOM: (True, True)}
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -307,7 +330,29 @@ class TestExitCodes:
         code = main([command, str(path)])
         assert code == 2
         assert capsys.readouterr().err == \
-            "input poset is not a bouquet of geometric lattices\n"
+            'poset: not a bouquet of geometric lattices: not-lattice ["a", "b"]\n'
+
+    @pytest.mark.parametrize("command", ["verify", "det", "matrix", "rho"])
+    def test_pentagon_names_its_witness(self, capsys, command):
+        code = main([command, PENTAGON])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            'poset: not a bouquet of geometric lattices: not-atomic ["c"]\n'
+
+    @pytest.mark.parametrize("command", ["verify", "det", "matrix", "rho"])
+    def test_same_witness_text_for_every_kind(self, monkeypatch, capsys, command):
+        # No COM or bouquet fixture fails the bouquet test, so each
+        # adapter is handed the pentagon: only the kind prefix differs.
+        from bouquetdet import com, matroid
+        pentagon = KINDS["poset"].parse(load_fixture("poset_pentagon.json"))
+        errors = {}
+        for kind, module, name in [("com", com, "com_generic_lines.json"),
+                                   ("bouquet", matroid, "bouquet_example.json")]:
+            monkeypatch.setattr(module, "inclusion_poset", lambda sets: (pentagon, {}))
+            assert main([command, str(FIXTURES / name), "--kind", kind]) == 2
+            errors[kind] = capsys.readouterr().err
+        assert errors == {kind: f"{kind}: not a bouquet of geometric lattices: "
+                                f'not-atomic ["c"]\n' for kind in errors}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_simple_matroid(self, tmp_path, capsys, command):
@@ -403,32 +448,26 @@ class TestRunOnce:
     @pytest.mark.parametrize("name", FIXTURE_FILES)
     @pytest.mark.parametrize("command", ["matrix", "det", "rho", "verify"])
     def test_one_bouquet_evaluation(self, monkeypatch, capsys, name, command):
-        # Every fixture has a bottom element, so one evaluation of the
-        # bouquet check runs exactly one meet-semilattice test.
+        # The adapters of the bouquet and COM kinds and the CLI each
+        # require a bouquet; the pass runs once, the rest read its verdict.
         from bouquetdet.poset import Poset
         calls = []
-        original = Poset.is_meet_semilattice
-        monkeypatch.setattr(Poset, "is_meet_semilattice",
+        original = Poset._failure_pass
+        monkeypatch.setattr(Poset, "_failure_pass",
                             lambda self: calls.append(self) or original(self))
         run(capsys, command, str(FIXTURES / name), "--kind", fixture_kind(name))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", [n for n in FIXTURE_FILES
                                       if fixture_kind(n) == "poset"])
-    def test_check_one_meet_evaluation(self, monkeypatch, capsys, name):
-        # `check` reports the meet-semilattice verdict and the bouquet
-        # verdict; the second reuses the first.  Count the tests that are
-        # evaluated, not the verdicts read back from the poset.
+    def test_check_one_bouquet_pass(self, monkeypatch, capsys, name):
+        # `check` reports the bouquet verdict, the geometric verdict and
+        # the witness, all from one pass.
         from bouquetdet.poset import Poset
         calls = []
-        original = Poset.is_meet_semilattice
-
-        def counting(self):
-            if self._semilattice is None:
-                calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(Poset, "is_meet_semilattice", counting)
+        original = Poset._failure_pass
+        monkeypatch.setattr(Poset, "_failure_pass",
+                            lambda self: calls.append(self) or original(self))
         run(capsys, "check", str(FIXTURES / name), "--kind", "poset")
         assert len(calls) == 1
 

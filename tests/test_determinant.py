@@ -13,14 +13,14 @@ from bouquetdet.chains import (WeightAssignment, chain_matrix, make_labeling,
                                min_labeling, weight)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.cli import KINDS, main
-from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod,
-                                    NotABouquet, TooLarge,
+from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod, TooLarge,
                                     block_decompose, block_determinants,
                                     det_minors, det_mod, factors_match,
                                     unpack_blocks, verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
 from bouquetdet.polyring import Packing, Polynomial
+from bouquetdet.poset import NotABouquet
 from conftest import load_fixture, power, verify_default
 from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
                       lift, one, packed_blocks, var, weight_poly, zero)

@@ -242,7 +242,7 @@ class TestFlatLattice:
         P, mapping = u23_lattice
         assert len(P.elements) == 5
         assert P.rank("{1,2,3}") == 2
-        assert P.geometric_failure() is None
+        assert P.bouquet_failure() is None and P.maximal == ("{1,2,3}",)
         assert mapping["{1,2}"] if "{1,2}" in mapping else True
 
     def test_free_single_element(self):
@@ -265,7 +265,8 @@ class TestFlatLattice:
     def test_fixture_lattices_geometric(self, name):
         m = matroid_from_json(load_fixture(name))
         P, _ = flat_lattice(m)
-        assert P.geometric_failure() is None
+        # geometric: a bouquet with one maximal element
+        assert P.bouquet_failure() is None and len(P.maximal) == 1
 
 
 class TestBouquet:

@@ -11,10 +11,10 @@ from hypothesis import find, given, settings, strategies as st
 from arrangement_oracle import enumerate_covectors
 from bouquetdet import poset as poset_mod
 from bouquetdet.com import com_from_json, validate_com, zero_set, zero_set_poset
-from bouquetdet.matroid import bouquet_from_json, flat_lattice
-from bouquetdet.poset import (CycleDetected, NotRanked, RedundantCover,
-                              UnknownElement, build_poset, inclusion_poset,
-                              poset_from_json, set_id)
+from bouquetdet.matroid import bouquet_from_json, flat_lattice, matroid_from_json
+from bouquetdet.poset import (CycleDetected, NotABouquet, NotRanked,
+                              RedundantCover, UnknownElement, build_poset,
+                              inclusion_poset, poset_from_json, set_id)
 from conftest import FIXTURES, load_fixture
 from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
@@ -240,28 +240,76 @@ class TestMeetJoin:
                 assert P.join(x, y) == scan_join(P, x, y)
 
 
+def is_meet_semilattice(P):
+    """Every pair has a meet, by the scan."""
+    els = P.elements
+    return all(scan_meet(P, x, y) is not None
+               for i, x in enumerate(els) for y in els[i + 1:])
+
+
+def is_geometric(P):
+    """A geometric lattice is a bouquet with one maximal element."""
+    return P.bouquet_failure() is None and len(P.maximal) == 1
+
+
+# 0, atoms a, b, c, d, x above b, c, d and y above a, b, c: atomic, but x
+# and y have the common lower bounds 0, b and c, and no meet.
+HARD_CASE = (["0", "a", "b", "c", "d", "x", "y"],
+             [("0", "a"), ("0", "b"), ("0", "c"), ("0", "d"), ("b", "x"),
+              ("c", "x"), ("d", "x"), ("a", "y"), ("b", "y"), ("c", "y")])
+# Atomic, but 0 = a ^ c is covered by c while a is not covered by
+# a v c = 1; with atom d and a second top r2 above c and d.
+NOT_SEMIMODULAR = (["0", "a", "b", "c", "ab", "1"],
+                   [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+                    ("ab", "1"), ("c", "1")])
+TWO_TOPS = (NOT_SEMIMODULAR[0] + ["d", "r2"],
+            NOT_SEMIMODULAR[1] + [("0", "d"), ("c", "r2"), ("d", "r2")])
+
+
 class TestStructure:
     def test_meet_semilattice(self, bouquet_example, pentagon):
-        assert bouquet_example.is_meet_semilattice()
-        assert pentagon.is_meet_semilattice()  # lattices are meet semilattices
+        assert is_meet_semilattice(bouquet_example)
+        assert is_meet_semilattice(pentagon)  # lattices are meet semilattices
         antichain = build_poset(["a", "b"], [])
-        assert not antichain.is_meet_semilattice()
+        assert not is_meet_semilattice(antichain)
+        assert antichain.bouquet_failure() == ("not-lattice", ("a", "b"))
 
     def test_geometric_interval(self, bouquet_example):
         P = bouquet_example
-        assert interval(P, "0", "r3").geometric_failure() is None
+        assert is_geometric(interval(P, "0", "r3"))
 
     def test_pentagon_not_geometric(self, pentagon):
-        reason, witness = pentagon.geometric_failure()
-        assert reason in ("not-atomic", "not-semimodular")
+        # c lies above the atom a only, and a < c
+        assert pentagon.bouquet_failure() == ("not-atomic", ("c",))
 
     def test_empty_not_geometric(self):
         # A lattice has a bottom, which the empty poset lacks.
-        assert build_poset([], []).geometric_failure() == ("not-lattice", ())
+        assert build_poset([], []).bouquet_failure() == ("not-lattice", ())
 
     def test_single_chain_not_atomic(self):
         P = build_poset(["0", "a", "b"], [("0", "a"), ("a", "b")])
-        assert P.geometric_failure()[0] == "not-atomic"
+        assert P.bouquet_failure() == ("not-atomic", ("b",))
+
+    def test_hard_case(self):
+        """Atomic but not a meet semilattice: the at-atoms test rejects
+        it, at b v c, which has the two minimal upper bounds x and y."""
+        P = build_poset(*HARD_CASE)
+        assert not is_meet_semilattice(P) and P.meet("x", "y") is None
+        assert P.bouquet_failure() == ("not-lattice", ("c", "b"))
+        assert not brute_is_bouquet(P)
+
+    def test_two_tops(self):
+        # The fault of the whole is in [0, 1], though a and d have no join.
+        P = build_poset(*TWO_TOPS)
+        assert P.bouquet_failure() == ("not-semimodular", ("c", "a"))
+        assert brute_geometric_failure(interval(P, "0", "1"))[0] == "not-semimodular"
+
+    def test_require_bouquet(self, bouquet_example, pentagon):
+        bouquet_example.require_bouquet()
+        with pytest.raises(NotABouquet) as exc:
+            pentagon.require_bouquet()
+        assert (exc.value.reason, exc.value.witness) == ("not-atomic", ("c",))
+        assert str(exc.value) == 'not a bouquet of geometric lattices: not-atomic ["c"]'
 
     def test_bouquet(self, bouquet_example, pentagon, one_atom):
         assert bouquet_example.is_bouquet()
@@ -283,7 +331,7 @@ class TestStructure:
 
     def test_bouquet_implies_meet_semilattice(self, bouquet_example, one_atom):
         for P in (bouquet_example, one_atom):
-            assert not P.is_bouquet() or P.is_meet_semilattice()
+            assert not P.is_bouquet() or is_meet_semilattice(P)
 
     def test_semimodularity_exhaustive(self, bouquet_example):
         # on each geometric interval: x^y covered by x implies y covered by x v y
@@ -295,6 +343,18 @@ class TestStructure:
                     m, j = I.meet(x, y), I.join(x, y)
                     if (m, x) in I.covers:
                         assert y == j or (y, j) in I.covers
+
+
+def brute_semimodular_failure(P):
+    """The first ordered pair (x, y), by the scans, where x covers x ^ y
+    but x v y neither equals nor covers y."""
+    for x in P.elements:
+        for y in P.elements:
+            m = scan_meet(P, x, y)
+            j = scan_join(P, x, y)
+            if (m, x) in P.covers and (y, j) not in P.covers and y != j:
+                return (x, y)
+    return None
 
 
 def brute_geometric_failure(P):
@@ -309,24 +369,41 @@ def brute_geometric_failure(P):
         below = [a for a in P.atoms if scan_leq(P, a, x)]
         if join_all(P, below) != x:
             return ("not-atomic", (x,))
-    for x in els:
-        for y in els:
-            m = scan_meet(P, x, y)
-            j = scan_join(P, x, y)
-            if (m, x) in P.covers and (y, j) not in P.covers and y != j:
-                return ("not-semimodular", (x, y))
-    return None
+    pair = brute_semimodular_failure(P)
+    return None if pair is None else ("not-semimodular", pair)
 
 
 def brute_is_bouquet(P):
     """Oracle, by the definition: a meet semilattice with a bottom whose
     interval below each maximal element is a geometric lattice."""
-    els = P.elements
-    return (P.bottom is not None
-            and all(scan_meet(P, x, y) is not None
-                    for i, x in enumerate(els) for y in els[i + 1:])
+    return (P.bottom is not None and is_meet_semilattice(P)
             and all(brute_geometric_failure(interval(P, P.bottom, r)) is None
                     for r in P.maximal))
+
+
+def brute_bouquet_failure(P):
+    """Oracle for `bouquet_failure`, in its documented order, on the
+    scanned order: the minimal elements; then each x against the join of
+    the atoms below it; then, for each x and each atom a not below x
+    with a common upper bound, the join a v x and the covers."""
+    above, below = closure(P)
+    els = P.elements
+    minimal = [x for x in els if below[x] == {x}]
+    if len(minimal) != 1:
+        return ("not-lattice", tuple(minimal[:2]))
+    atoms = sorted(a for a in els if below[a] == {minimal[0], a} and a != minimal[0])
+    for x in els:
+        if join_all(P, [a for a in atoms if a in below[x]]) != x:
+            return ("not-atomic", (x,))
+    for x in els:
+        for a in atoms:
+            if a not in below[x] and above[a] & above[x]:
+                j = scan_join(P, a, x)
+                if j is None:
+                    return ("not-lattice", (a, x))
+                if (x, j) not in P.covers:
+                    return ("not-semimodular", (a, x))
+    return None
 
 
 def lattice_intervals(P):
@@ -409,6 +486,37 @@ def atomic_lattices(draw):
     return build_poset(draw(st.permutations(P.elements)), P.covers)
 
 
+@st.composite
+def atom_set_posets(draw):
+    """A bottom, up to five atoms and elements over drawn atom sets,
+    ordered by inclusion, in a drawn element order.  Each element is the
+    join of the atoms below it, but the family is not closed under
+    intersection, so two elements may have common lower bounds and no
+    meet: the case where only the at-atoms test rejects the poset."""
+    points = "abcde"[:draw(st.integers(2, 5))]
+    family = {frozenset()} | {frozenset(a) for a in points}
+    family |= set(draw(st.lists(st.frozensets(st.sampled_from(points), min_size=2),
+                                max_size=6)))
+    P = inclusion_poset(family)[0]
+    return build_poset(draw(st.permutations(P.elements)), P.covers)
+
+
+def fixture_poset(name):
+    """The poset of a fixture of any kind, built without the bouquet
+    check of the adapters."""
+    data = load_fixture(name)
+    kind = name.split("_")[0]
+    if kind == "poset":
+        return poset_from_json(data)
+    if kind == "matroid":
+        return flat_lattice(matroid_from_json(data))[0]
+    if kind == "bouquet":
+        return inclusion_poset(set().union(
+            *(m.flats() for m in bouquet_from_json(data).roof_matroids)))[0]
+    c = com_from_json(data)
+    return inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)[0]
+
+
 def down_set(P, x):
     """The elements at or below x, read off the poset's down-mask of x."""
     mask = P._down[P.elements.index(x)]
@@ -483,65 +591,118 @@ class TestBouquetOracle:
     def test_small_posets(self, P):
         assert P.is_bouquet() == brute_is_bouquet(P)
 
+    @settings(max_examples=300, deadline=None)
+    @given(atom_set_posets())
+    def test_atom_set_posets(self, P):
+        assert P.is_bouquet() == brute_is_bouquet(P)
+
+    def test_draws_include_atomic_non_semilattices(self):
+        """The drawn family reaches the case of the lemma that no pair
+        scan is left to catch: atomic, not a meet semilattice."""
+        P = find(atom_set_posets(), lambda P: not is_meet_semilattice(P))
+        reason, _ = P.bouquet_failure()
+        assert reason != "not-atomic"
+        assert not brute_is_bouquet(P)
+
+
+ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
+
+
+class TestBouquetFailureOracle:
+    """bouquet_failure, verdict and witness, against the scan oracle in
+    the documented order; its verdict against the definition."""
+
+    @staticmethod
+    def check(P):
+        assert P.bouquet_failure() == brute_bouquet_failure(P)
+        assert (P.bouquet_failure() is None) == brute_is_bouquet(P)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        self.check(fixture_poset(name))
+
+    @pytest.mark.parametrize("case", [HARD_CASE, NOT_SEMIMODULAR, TWO_TOPS],
+                             ids=["hard-case", "not-semimodular", "two-tops"])
+    def test_cases(self, case):
+        self.check(build_poset(*case))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, P):
+        self.check(P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(many_top_posets())
+    def test_many_top_posets(self, P):
+        self.check(P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(atom_set_posets())
+    def test_atom_set_posets(self, P):
+        self.check(P)
+
 
 class TestGeometricFailureOracle:
+    """A bouquet with one maximal element against the geometric-lattice
+    oracle."""
+
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("poset_*.json")))
     def test_poset_fixtures(self, name):
         P = poset_from_json(load_fixture(name))
         for r in P.maximal:
             I = interval(P, P.bottom, r)
-            assert I.geometric_failure() == brute_geometric_failure(I)
-        assert P.geometric_failure() == brute_geometric_failure(P)
+            assert is_geometric(I) == (brute_geometric_failure(I) is None)
+        assert is_geometric(P) == (brute_geometric_failure(P) is None)
 
     @pytest.mark.parametrize("elements, covers, reason", [
         (["a", "b"], [], "not-lattice"),
         (["0", "a", "b"], [("0", "a"), ("a", "b")], "not-atomic"),
-        # atomic, but 0 = a ^ c is covered by c while a is not covered by
-        # a v c = 1
-        (["0", "a", "b", "c", "ab", "1"],
-         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
-          ("ab", "1"), ("c", "1")], "not-semimodular"),
+        (*NOT_SEMIMODULAR, "not-semimodular"),
         (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
          None),
     ])
     def test_each_reason(self, elements, covers, reason):
         P = build_poset(elements, covers)
-        found = P.geometric_failure()
+        found = P.bouquet_failure()
         assert (found and found[0]) == reason
-        assert found == brute_geometric_failure(P)
+        assert found == brute_bouquet_failure(P)
+        assert is_geometric(P) == (brute_geometric_failure(P) is None)
+        if reason is not None:
+            assert brute_geometric_failure(P)[0] == reason
 
     @pytest.mark.parametrize("make", [lambda: uniform(4, 9), lambda: graphic_complete(5)],
                              ids=["U(4,9)", "M(K5)"])
     def test_matroid_intervals(self, make):
         for I in lattice_intervals(flat_lattice(make())[0]):
-            assert I.geometric_failure() == brute_geometric_failure(I) is None
+            assert is_geometric(I) and brute_geometric_failure(I) is None
 
     @settings(max_examples=300, deadline=None)
     @given(small_posets())
     def test_small_posets(self, P):
-        assert P.geometric_failure() == brute_geometric_failure(P)
+        assert is_geometric(P) == (brute_geometric_failure(P) is None)
 
 
 class TestSemimodularAtAtoms:
-    """The atom test (x v a covers x for every atom a not below x) against
-    the pairwise semimodularity scan, on atomistic lattices."""
+    """The at-atoms test (x v a covers x for every atom a not below x)
+    against the pairwise semimodularity scan, on atomistic lattices,
+    where it is the only test of the pass that can fail."""
 
     @settings(max_examples=300, deadline=None)
     @given(atomic_lattices())
     def test_atomic_lattices(self, P):
-        assert P._atomic_failure() is None
-        assert P._semimodular_at_atoms() is (P._semimodular_failure() is None)
+        failure = P.bouquet_failure()
+        assert (failure and failure[0]) in (None, "not-semimodular")
+        assert (failure is None) is (brute_semimodular_failure(P) is None)
 
     def test_draws_include_non_semimodular(self):
-        P = find(atomic_lattices(), lambda P: P._semimodular_failure() is not None)
-        assert P._atomic_failure() is None
-        assert not P._semimodular_at_atoms()
+        P = find(atomic_lattices(), lambda P: brute_semimodular_failure(P) is not None)
+        assert P.bouquet_failure()[0] == "not-semimodular"
 
     @pytest.mark.parametrize("make", [lambda: uniform(4, 9), lambda: graphic_complete(5)],
                              ids=["U(4,9)", "M(K5)"])
     def test_matroid_intervals(self, make):
         for I in lattice_intervals(flat_lattice(make())[0]):
-            assert I._semimodular_at_atoms() and I._semimodular_failure() is None
+            assert I.bouquet_failure() is None and brute_semimodular_failure(I) is None
 
 
 class TestRank:
