@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .polyring import Monomial, Packing, Polynomial
+from .polyring import Monomial, Packing
 from .poset import Poset, PosetError
 
 
@@ -178,8 +178,9 @@ class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
     grouped into neat chain families (family = common top element), held
     as its Gram factor: one vector g_C of ±1 coefficients per chain.  The
-    polynomial entries are built on first use, by family blocks, each
-    off-block entry one shared zero (see `chain_matrix`)."""
+    printed entries are formed on first use, each family block packed
+    once and printed in its own layout, every off-block entry "0" (see
+    `chain_matrix`)."""
     chains: tuple[Chain, ...]
     family_tops: tuple[str, ...]
     family_bounds: tuple[tuple[int, int], ...]  # [start, stop) per family
@@ -190,12 +191,13 @@ class ChainMatrix:
         return len(self.chains)
 
     @cached_property
-    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
-        zero, rows = Polynomial(), []
+    def entries(self) -> tuple[tuple[str, ...], ...]:
+        """The text of every entry, row by row."""
+        rows = []
         for start, stop in self.family_bounds:
             layout, block = packed_block(self.vectors[start:stop])
-            rows += [(zero,) * start + tuple(map(layout.unpack, row))
-                     + (zero,) * (self.dim - stop) for row in block]
+            rows += [("0",) * start + tuple(map(layout.text, row))
+                     + ("0",) * (self.dim - stop) for row in block]
         return tuple(rows)
 
     def to_json(self) -> dict:
@@ -203,7 +205,7 @@ class ChainMatrix:
             "chains": [list(c.elements) for c in self.chains],
             "families": [{"top": t, "start": b[0], "stop": b[1]}
                          for t, b in zip(self.family_tops, self.family_bounds)],
-            "entries": [[p.to_string() for p in row] for row in self.entries],
+            "entries": [list(row) for row in self.entries],
         }
 
 

@@ -20,7 +20,7 @@ from .chains import (InvalidLabeling, Labeling, WeightAssignment,
                      chain_matrix, make_labeling, min_labeling)
 from .determinant import (VERIFICATION_PRIME, DeterminantError,
                           block_determinants, blocks_json, det_texts,
-                          unpack_blocks, verify_theorem)
+                          verify_theorem)
 from .poset import Poset, PosetError, poset_from_json
 
 EXIT_OK = 0
@@ -53,6 +53,14 @@ def _poset_report(P: Poset) -> dict:
         report["bouquet_failure"] = {"reason": failure[0],
                                      "witness": list(failure[1])}
     return report
+
+
+def _check_line(key: str, value) -> str:
+    """A `check` report field as text; the bouquet failure as its reason
+    and JSON witness, as `NotABouquet` gives them."""
+    if isinstance(value, dict):
+        value = f"{value['reason']} {json.dumps(value['witness'])}"
+    return f"{key}: {value}"
 
 
 class Kind(NamedTuple):
@@ -156,7 +164,7 @@ def cmd_check(args) -> int:
     ok = report.get("bouquet", True)  # other kinds are valid once parsed
     report["valid"] = ok
     _emit(args, lambda: report,
-          lambda: "\n".join(f"{k}: {v}" for k, v in report.items() if k != "kind"))
+          lambda: "\n".join(_check_line(k, v) for k, v in report.items() if k != "kind"))
     return EXIT_OK if ok else EXIT_STRUCTURAL
 
 
@@ -166,7 +174,7 @@ def cmd_matrix(args) -> int:
 
     def text() -> str:
         lines = [f"chains: {[list(c.elements) for c in M.chains]}"]
-        lines += [" | ".join(p.to_string() for p in row) for row in M.entries]
+        lines += [" | ".join(row) for row in M.entries]
         return "\n".join(lines)
 
     _emit(args, M.to_json, text)
@@ -176,7 +184,7 @@ def cmd_matrix(args) -> int:
 def cmd_det(args) -> int:
     P, labeling, weights = _pipeline_input(args)
     try:
-        blocks = unpack_blocks(block_determinants(P, labeling, weights))
+        blocks = block_determinants(P, labeling, weights)
     except DeterminantError as exc:
         raise CliError(str(exc), EXIT_STRUCTURAL) from exc
     block_texts, det = det_texts(blocks)

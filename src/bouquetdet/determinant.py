@@ -21,11 +21,10 @@ minor one column larger.  Each block is packed once, straight from its
 Gram vectors, in `Packing(atom variables of the block, dim_r * rank(r))`
 (`chains.packed_block`): every entry of family r is homogeneous of degree
 rank(r), so every minor has degree at most dim_r * rank(r).  The
-expansion, the packed D_r it returns and the factor count all stay in
-that layout; D_r is unpacked once, after the verdict, for output.  The
-table of an n x n block peaks at C(n, n // 2) minors, so a block of
-dimension above MAX_SYMBOLIC_DIM raises TooLarge before any block is
-expanded.
+expansion, the packed D_r it returns, the factor count and the printed
+text (`Packing.text`) all stay in that layout.  The table of an n x n
+block peaks at C(n, n // 2) minors, so a block of dimension above
+MAX_SYMBOLIC_DIM raises TooLarge before any block is expanded.
 
 Both modes take the chain matrix as its Gram factor, one signed vector
 g_C per chain over atom sets S; it is block-diagonal by family (proved
@@ -144,12 +143,6 @@ def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
     return out
 
 
-def unpack_blocks(blocks: list[PackedBlock]) -> list[tuple[str, int, Polynomial]]:
-    """The block determinants as (top, dim, D_r) with D_r a polynomial,
-    for output."""
-    return [(top, dim, layout.unpack(det)) for top, dim, layout, det in blocks]
-
-
 def factors_match(blocks: list[PackedBlock],
                   factors: list[tuple[frozenset[int], int]]) -> bool:
     """Whether prod D_r = prod w^e over `factors`, D_r the packed block
@@ -196,7 +189,7 @@ def factors_match(blocks: list[PackedBlock],
 def product_text(factors: list[tuple[str, int]]) -> str:
     """The text of a product of (text, exponent) factors, joined by "*";
     "1" for none.  A factor of several terms (its text has a space, as
-    `Polynomial.to_string` puts spaces only between terms) is put in
+    `Packing.text` puts spaces only between terms) is put in
     parentheses when there are two or more factors or its exponent is
     above 1."""
     if not factors:
@@ -209,20 +202,19 @@ def product_text(factors: list[tuple[str, int]]) -> str:
     return "*".join(out)
 
 
-def det_texts(blocks: list[tuple[str, int, Polynomial]]) -> tuple[list[str], str]:
-    """The text of each block determinant, formatted once, and the text
-    of the determinant: the product of the blocks."""
-    texts = [p.to_string() for _, _, p in blocks]
+def det_texts(blocks: list[PackedBlock]) -> tuple[list[str], str]:
+    """The text of each block determinant, printed once in its own
+    layout, and the text of the determinant: the product of the blocks."""
+    texts = [layout.text(det) for _, _, layout, det in blocks]
     return texts, product_text([(t, 1) for t in texts])
 
 
-def blocks_json(blocks: list[tuple[str, int, Polynomial | None]],
-                texts: list[str] | None) -> list[dict]:
+def blocks_json(blocks: list[tuple], texts: list[str] | None) -> list[dict]:
     """The blocks as `det` and `verify` print them: top, dim and the
     determinant's text, None for each block when there are no texts."""
     texts = texts or [None] * len(blocks)
     return [{"top": t, "dim": d, "det": text}
-            for (t, d, _), text in zip(blocks, texts)]
+            for (t, d, *_), text in zip(blocks, texts)]
 
 
 @dataclass
@@ -230,7 +222,9 @@ class VerificationReport:
     verdict: bool
     exponents: dict[str, int]
     rhs: list[tuple[frozenset[int], int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
-    blocks: list[tuple[str, int, Polynomial | None]]  # (top, dim, block det)
+    # (top, dim, layout, D_r) as `block_determinants` gives them in
+    # symbolic mode; (top, dim, None, None) in randomized mode
+    blocks: list[tuple[str, int, Packing | None, Packed | None]]
     mode: str
     trials: int = 0
     seed: int = 0
@@ -243,9 +237,13 @@ class VerificationReport:
 
     @property
     def determinant(self) -> Polynomial | None:
-        """The lone block's determinant; None for several blocks, whose
-        product is never formed.  (perfbench's tracer reads this.)"""
-        return self.blocks[0][2] if len(self.blocks) == 1 else None
+        """The lone block's determinant, unpacked on each call; None for
+        several blocks, whose product is never formed, and in randomized
+        mode.  (perfbench's tracer reads this; no command does.)"""
+        if len(self.blocks) != 1 or self.blocks[0][2] is None:
+            return None
+        _, _, layout, det = self.blocks[0]
+        return layout.unpack(det)
 
     def texts(self) -> tuple[list[str] | None, str | None, str | None]:
         """The texts of the block determinants, of their product and of
@@ -383,7 +381,7 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     if mode == "symbolic":
         blocks = block_determinants(P, labeling, weights)
         return VerificationReport(factors_match(blocks, rhs), exponents, rhs,
-                                  unpack_blocks(blocks), "symbolic")
+                                  blocks, "symbolic")
 
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
@@ -413,5 +411,5 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
             verdict = False
             break
     return VerificationReport(verdict, exponents, rhs,
-                              [(t, len(G), None) for t, G in blocks],
+                              [(t, len(G), None, None) for t, G in blocks],
                               "randomized", trials=trials, seed=seed)

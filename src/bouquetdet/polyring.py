@@ -22,10 +22,12 @@ Johnson, 1974), pops the leading monomial, forms one quotient term t and
 subtracts t * (q - LT(q)) in place.
 
 The symbolic determinant keeps one layout per family block, from its
-Gram vectors to the verdict (see `determinant`); division has one
-caller, the factor count (`determinant.factors_match`).  A `Polynomial`
-is built only to be printed: a chain matrix entry or a block
-determinant, unpacked once after the verdict.
+Gram vectors to the printed text (see `determinant`); division has one
+caller, the factor count (`determinant.factors_match`).  `Packing.text`
+prints a packed polynomial straight from its keys: sorting them falling
+is the graded-lex order, and each key's fields are its exponents.
+`Polynomial`, a dict of monomial tuples, and `Packing.unpack` are kept
+for the test oracles; no command builds one.
 """
 
 from __future__ import annotations
@@ -71,6 +73,27 @@ class Packing:
             deg += e
             key += e << shift[v]
         return key + (deg << self.top)
+
+    def text(self, packed: Mapping[int, int]) -> str:
+        """The text of a packed polynomial, e.g. "w1^2*w2 + 3*w5": terms
+        by falling key, which is graded-lex order with w1 > w2 > ...,
+        zero coefficients left out, "0" when none is left, and spaces
+        only between terms."""
+        mask = self.mask
+        names = [(s, f"w{v + 1}") for v, s in self.fields]
+        terms = []
+        for k in sorted(packed, reverse=True):
+            if c := packed[k]:
+                factors = [n if e == 1 else f"{n}^{e}"
+                           for s, n in names if (e := k >> s & mask)]
+                if abs(c) != 1 or not factors:
+                    factors.insert(0, str(abs(c)))
+                terms.append((" - " if c < 0 else " + ") + "*".join(factors))
+        if not terms:
+            return "0"
+        lead = terms[0]  # " + " or " - " comes off, a minus stays
+        terms[0] = "-" + lead[3:] if lead[1] == "-" else lead[3:]
+        return "".join(terms)
 
     def unpack(self, packed: Mapping[int, int]) -> "Polynomial":
         fields, mask = self.fields, self.mask
@@ -137,8 +160,8 @@ def div_exact(p: Mapping[int, int], q: Mapping[int, int],
 
 
 class Polynomial:
-    """Immutable element of Z[w_1, w_2, ...], built to be printed (see
-    the module docstring)."""
+    """Immutable element of Z[w_1, w_2, ...] as a dict of monomial
+    tuples, for the test oracles (see the module docstring)."""
 
     __slots__ = ("_terms",)
 
@@ -171,33 +194,15 @@ class Polynomial:
     # -- formatting ---------------------------------------------------
 
     def to_string(self) -> str:
-        """Canonical text form, e.g. "w1^2*w2 + 3*w5"."""
-        terms = self._terms
-        if not terms:
-            return "0"
-        factors = {f for m in terms for f in m}
-        names = {v: f"w{v + 1}" for v, _ in factors}
-        factor = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}"
-                  for v, e in factors}.__getitem__
-        order = Packing(set(names), self.total_degree()).key
-        out = []
-        for m in sorted(terms, key=order, reverse=True):
-            c = terms[m]
-            out.append(" - " if c < 0 else " + ")
-            if not m:
-                out.append(str(abs(c)))
-                continue
-            if c != 1 and c != -1:
-                out.append(f"{abs(c)}*")
-            out.append("*".join(map(factor, m)))
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        """Canonical text form, e.g. "w1^2*w2 + 3*w5" (`Packing.text`)."""
+        layout = Packing(self.variables(), self.total_degree())
+        return layout.text({layout.key(m): c for m, c in self._terms.items()})
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
 
 
 def sum_text(variables: Iterable[int]) -> str:
-    """The text of the sum of the variables, as `Polynomial.to_string`
-    prints it, e.g. "w2 + w3 + w5"."""
+    """The text of the sum of the variables, as `Packing.text` prints
+    it, e.g. "w2 + w3 + w5"."""
     return " + ".join(f"w{v + 1}" for v in sorted(variables))

@@ -1,6 +1,6 @@
 """Finite posets, with the order-theoretic invariants used by the
-chain-matrix pipeline: meet/join, rank, mu(0̂, x), Crapo beta, and the
-cumulated rho exponent.
+chain-matrix pipeline: the bouquet test, rank, mu(0̂, x), Crapo beta,
+and the cumulated rho exponent.
 
 The order is held once, as int bitmasks over element positions, bit i
 standing for `elements[i]`: the down-mask of x has a bit for every
@@ -8,14 +8,14 @@ y <= x.  The `Poset` constructor derives the rest from the down-masks:
 up-masks (so x <= y is one bit test), covers, bottom, atoms and maximal
 elements.  `build_poset` validates outside input and closes its covers
 into down-masks; `inclusion_poset` passes its masks straight on.  The
-common lower bounds of x and y are the down-set `down[x] & down[y]`,
-which has a greatest element m exactly when it is the principal ideal
-`down[m]`; so the meet is a dict lookup of that mask (None when it is
-not a key), and the join is the same lookup on up-masks.  The bouquet
-test is one pass over these masks that tests each element against the
-atoms only, with no interval built and no pair of elements scanned:
-every x is the join of the atoms below it, and x v a exists and covers
-x for every atom a not below x with which x has a common upper bound.
+common upper bounds of x and y are the up-set `up[x] & up[y]`, which
+has a least element j exactly when it is the principal filter `up[j]`;
+so their join is a dict lookup of that mask (none when it is not a
+key).  The bouquet test is one pass over these masks that tests each
+element against the atoms only, with no interval built and no pair of
+elements scanned: every x is the join of the atoms below it, and x v a
+exists and covers x for every atom a not below x with which x has a
+common upper bound.
 These two make the poset a meet semilattice and every [0̂, r]
 semimodular (proved at `Poset.is_bouquet`); the first failure is the
 witness that `Poset.bouquet_failure` names.  Rank, mu(0̂, x), beta and rho
@@ -75,7 +75,7 @@ class Poset:
     cover pairs, inclusion_poset() for sets ordered by inclusion."""
 
     __slots__ = (
-        "elements", "covers", "_index", "_up", "_down", "_by_up", "_by_down",
+        "elements", "covers", "_index", "_up", "_down", "_by_up",
         "_upcov", "_downcov", "bottom", "atoms", "_atom_mask", "maximal",
         "_bouquet", "_failure", "_table",
     )
@@ -105,7 +105,6 @@ class Poset:
         self._up = up
         self._down = down
         self._by_up = {m: i for i, m in enumerate(up)}
-        self._by_down = {m: i for i, m in enumerate(down)}
         minimal = [x for x in elements if not downcov[x]]
         self.bottom = minimal[0] if len(minimal) == 1 else None
         self.atoms = self._upcov[self.bottom] if self.bottom is not None else ()
@@ -134,16 +133,6 @@ class Poset:
     def upper_covers(self, x: str) -> tuple[str, ...]:
         self._pos(x)
         return self._upcov[x]
-
-    def meet(self, x: str, y: str) -> str | None:
-        """Greatest lower bound, or None if it does not exist."""
-        m = self._by_down.get(self._down[self._pos(x)] & self._down[self._pos(y)])
-        return None if m is None else self.elements[m]
-
-    def join(self, x: str, y: str) -> str | None:
-        """Least upper bound, or None if it does not exist."""
-        j = self._by_up.get(self._up[self._pos(x)] & self._up[self._pos(y)])
-        return None if j is None else self.elements[j]
 
     # -- structure tests ----------------------------------------------
 

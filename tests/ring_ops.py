@@ -1,15 +1,17 @@
 """Ring operations on `Polynomial` for the test oracles.
 
-The library builds polynomials only to print them and keeps the symbolic
-path packed.  The oracles (the Laplace expansion, the expanded products
-of the blocks and of the right-hand side, substitution, the sympy and
-mod-p comparisons) add, negate, multiply and evaluate polynomials, so
-those operations live here: `Poly` is a `Polynomial` with them, and a
-plain `Polynomial` on the other side of a binary operation is read as a
-`Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
+The library keeps the symbolic path packed, down to the printed text,
+and builds no polynomial.  The oracles (the Laplace expansion, the
+expanded products of the blocks and of the right-hand side,
+substitution, the sympy and mod-p comparisons) add, negate, multiply
+and evaluate polynomials, so those operations live here: `Poly` is a
+`Polynomial` with them, and a plain `Polynomial` on the other side of a
+binary operation is read as a `Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
 from the packed kernel `det_minors`.  `gram_entry` and `gram_entries`
 form chain matrix entries from the Gram vectors pair by pair, the oracle
 for the library's packed family blocks and their zero off-block entries.
+`oracle_text` prints a polynomial term by term from its monomial tuples,
+the oracle for `Packing.text`.
 """
 
 from bouquetdet.determinant import det_minors
@@ -85,6 +87,34 @@ def gram_entries(vectors) -> list[list[Poly]]:
     return [[gram_entry(g, h) for h in vectors] for g in vectors]
 
 
+def oracle_text(p: Polynomial) -> str:
+    """The text of p, e.g. "w1^2*w2 + 3*w5", from its monomial tuples:
+    terms in the order of a sort on (total degree, exponent vector),
+    falling, which is graded-lex with w1 > w2 > ..., independent of the
+    packed keys; "0" for zero."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    n = max(p.variables(), default=-1) + 1
+
+    def order(m):
+        exps = dict(m)
+        return sum(exps.values()), [exps.get(v, 0) for v in range(n)]
+
+    out = []
+    for m in sorted(terms, key=order, reverse=True):
+        c = terms[m]
+        out.append(" - " if c < 0 else " + ")
+        if not m:
+            out.append(str(abs(c)))
+            continue
+        if c != 1 and c != -1:
+            out.append(f"{abs(c)}*")
+        out.append("*".join(f"w{v + 1}" if e == 1 else f"w{v + 1}^{e}" for v, e in m))
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
 def eval_mod(p: Polynomial, assignment, modulus: int) -> int:
     """Value of p at an integer point, reduced modulo a prime."""
     total = 0
@@ -111,10 +141,16 @@ def det_via_minors(M: list[list[Polynomial]]) -> Poly:
     return lift(layout.unpack(det_minors([[pack(layout, e) for e in row] for row in M])))
 
 
+def unpacked_blocks(blocks) -> list[tuple]:
+    """(top, dim, layout, packed det) blocks, as `block_determinants` and
+    a symbolic report give them, as (top, dim, det) with det a `Poly`."""
+    return [(top, dim, lift(layout.unpack(d))) for top, dim, layout, d in blocks]
+
+
 def packed_blocks(blocks) -> list[tuple]:
     """(top, dim, det) blocks as `factors_match` takes them, (top, dim,
     layout, packed det), each det in `Packing(det.variables(), deg det)`;
-    the inverse of `determinant.unpack_blocks`."""
+    the inverse of `unpacked_blocks`."""
     out = []
     for top, dim, d in blocks:
         layout = Packing(d.variables(), d.total_degree())

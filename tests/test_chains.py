@@ -18,11 +18,11 @@ from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.matroid import flat_lattice
 from bouquetdet.poset import build_poset
 from conftest import load_fixture
-from ring_ops import Poly, gram_entry, var, weight_poly, zero
+from ring_ops import Poly, gram_entry, oracle_text, var, weight_poly, zero
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
-from test_poset import down_set, join_all
+from test_poset import down_set, join_all, scan_join
 
 
 def enumerate_maximal_chains(P):
@@ -94,7 +94,8 @@ def pairwise_chain_matrix(P, labeling, weights):
     """Oracle: entry (C, C') summed pair by pair, over each generator
     tuple of C and each of its reorderings that generates C', with the
     reordering's sign from its cycles.  Both triangles are computed.
-    Returns (chains, family tops, family bounds, entries)."""
+    Returns (chains, family tops, family bounds, entries printed by
+    `oracle_text`)."""
     families = oracle_families(P, labeling)
     chains, tops, bounds = [], [], []
     for r in P.maximal:
@@ -117,7 +118,7 @@ def pairwise_chain_matrix(P, labeling, weights):
                             {tuple(sorted(exponents.items())):
                              permutation_sign(a_tuple, b_tuple)})
     return (tuple(chains), tuple(tops), tuple(bounds),
-            tuple(tuple(row) for row in rows))
+            tuple(tuple(map(oracle_text, row)) for row in rows))
 
 
 def inversion_gram_vectors(P, chains, weights):
@@ -143,7 +144,7 @@ def brute_generators(P, chain):
         cur = None
         ok = True
         for a, x in zip(tup, chain.elements):
-            cur = a if cur is None else P.join(cur, a)
+            cur = a if cur is None else scan_join(P, cur, a)
             if cur != x:
                 ok = False
                 break
@@ -314,36 +315,34 @@ class TestChainMatrix:
         M = chain_matrix(P, lab, w)
         v = {a: var(w.atom_vars[a]) for a in P.atoms}
         at = lambda *els: M.chains.index(Chain(tuple(els)))
-        assert M.entries[at("a4", "r1")][at("a4", "r1")] == v["a1"] * v["a4"]
-        assert M.entries[at("a5", "r2")][at("a5", "r2")] == v["a1"] * v["a5"]
-        assert M.entries[at("a5", "r3")][at("a5", "r3")] == \
-            v["a2"] * v["a5"] + v["a3"] * v["a5"]
-        assert M.entries[at("a3", "r3")][at("a3", "r3")] == \
-            v["a2"] * v["a3"] + v["a3"] * v["a5"]
-        assert M.entries[at("a5", "r3")][at("a3", "r3")] == -(v["a3"] * v["a5"])
-        assert M.entries[at("a5", "r4")][at("a5", "r4")] == v["a4"] * v["a5"]
+        entry = lambda ci, cj: M.entries[at(*ci)][at(*cj)]
+        assert entry(("a4", "r1"), ("a4", "r1")) == oracle_text(v["a1"] * v["a4"])
+        assert entry(("a5", "r2"), ("a5", "r2")) == oracle_text(v["a1"] * v["a5"])
+        assert entry(("a5", "r3"), ("a5", "r3")) == \
+            oracle_text(v["a2"] * v["a5"] + v["a3"] * v["a5"])
+        assert entry(("a3", "r3"), ("a3", "r3")) == \
+            oracle_text(v["a2"] * v["a3"] + v["a3"] * v["a5"])
+        assert entry(("a5", "r3"), ("a3", "r3")) == oracle_text(-(v["a3"] * v["a5"]))
+        assert entry(("a5", "r4"), ("a5", "r4")) == oracle_text(v["a4"] * v["a5"])
         # every remaining pair is zero, formed from the Gram vectors
         for i in range(M.dim):
             for j in range(M.dim):
                 if i != j and {M.chains[i].top, M.chains[j].top} != {"r3"}:
                     assert gram_entry(M.vectors[i], M.vectors[j]).is_zero()
-                    assert M.entries[i][j].is_zero()
+                    assert M.entries[i][j] == "0"
 
     def test_one_atom(self, one_atom):
         M = chain_matrix(one_atom, min_labeling(one_atom),
                          WeightAssignment.default(one_atom))
         assert M.dim == 1
-        assert M.entries[0][0] == var(0)
+        assert M.entries[0][0] == "w1"
 
     def test_u23(self, u23_lattice):
         P, _ = u23_lattice
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
-        w1, w2, w3 = (var(i) for i in range(3))
         assert M.dim == 2
-        assert M.entries[0][0] == w1 * w2 + w2 * w3
-        assert M.entries[0][1] == -(w2 * w3)
-        assert M.entries[1][0] == -(w2 * w3)
-        assert M.entries[1][1] == w1 * w3 + w2 * w3
+        assert M.entries == (("w1*w2 + w2*w3", "-w2*w3"),
+                             ("-w2*w3", "w1*w3 + w2*w3"))
 
     def test_symmetry(self, labeled, u23_lattice):
         P, lab, w = labeled
@@ -355,11 +354,13 @@ class TestChainMatrix:
                     assert M.entries[i][j] == M.entries[j][i]
 
     def test_diagonal_positive(self, labeled):
-        _, _, _ = labeled
+        # every coefficient of a diagonal entry is positive: no "-" is
+        # printed, and none is "0"
         P, lab, w = labeled
         M = chain_matrix(P, lab, w)
         for i in range(M.dim):
-            assert all(c > 0 for c in M.entries[i][i].terms.values())
+            assert "-" not in M.entries[i][i] and M.entries[i][i] != "0"
+            assert all(c > 0 for c in gram_entry(M.vectors[i], M.vectors[i]).terms.values())
 
 
 def _com_poset(lines):
@@ -451,12 +452,13 @@ class TestAgainstOracles:
 def assert_block_diagonal(P):
     """The lemma in the `chain_matrix` docstring, on every maximal chain,
     so under every labeling: the atoms of each generator tuple of a chain
-    of family r join to r, so no atom set lies in two families."""
+    of family r join to r (folded with `scan_join`), so no atom set lies
+    in two families."""
     assert P.is_bouquet()
     family: dict[frozenset, str] = {}
     for c in enumerate_maximal_chains(P):
         for t in generators(P, c):
-            assert reduce(P.join, t) == c.top
+            assert reduce(lambda x, a: scan_join(P, x, a), t) == c.top
             assert family.setdefault(frozenset(t), c.top) == c.top
 
 

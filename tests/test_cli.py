@@ -7,6 +7,7 @@ import pytest
 from bouquetdet.chains import min_labeling
 from bouquetdet.cli import KINDS, build_parser, main
 from conftest import FIXTURES, load_fixture
+from test_golden import GOLDEN_DIGESTS, cases as golden_cases, digest
 
 PEX = str(FIXTURES / "poset_bouquet_example.json")
 PENTAGON = str(FIXTURES / "poset_pentagon.json")
@@ -36,6 +37,11 @@ class TestCheck:
         assert code == 2
         assert payload["bouquet"] is payload["geometric"] is payload["valid"] is False
         assert payload["bouquet_failure"] == {"reason": "not-atomic", "witness": ["c"]}
+        # the text format prints the witness as JSON, as `verify` does
+        code, out = run(capsys, "check", PENTAGON, "--format", "text")
+        assert code == 2
+        assert out == ("bouquet: False\ngeometric: False\n"
+                       'bouquet_failure: not-atomic ["c"]\nvalid: False\n')
 
     def test_empty_poset_not_geometric(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -59,6 +65,8 @@ class TestCheck:
         assert code == 2
         assert payload["bouquet_failure"] == {"reason": "not-semimodular",
                                               "witness": ["c", "a"]}
+        _, out = run(capsys, "check", str(path), "--format", "text")
+        assert 'bouquet_failure: not-semimodular ["c", "a"]\n' in out
 
     def test_geometric_is_a_bouquet_with_one_top(self, capsys):
         verdicts = {}
@@ -516,25 +524,20 @@ class TestRunOnce:
 
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):
-        """Run `command`; return the block determinants, unpacked once
-        each from what det_minors returned and in that order, and the
-        polynomials it formatted."""
+        """Run `command`; return the packed block determinants det_minors
+        returned and the packed polynomials `Packing.text` printed."""
         from bouquetdet import determinant
-        from bouquetdet.polyring import Packing, Polynomial
-        packed, unpacked, dets, formatted = [], [], [], []
+        from bouquetdet.polyring import Packing
+        dets, formatted = [], []
         det_minors = determinant.det_minors
         monkeypatch.setattr(determinant, "det_minors",
-                            lambda B: packed.append(det_minors(B)) or packed[-1])
-        unpack = Packing.unpack
-        monkeypatch.setattr(Packing, "unpack", lambda self, d: unpacked.append(d)
-                            or dets.append(unpack(self, d)) or dets[-1])
-        to_string = Polynomial.to_string
-        monkeypatch.setattr(Polynomial, "to_string",
-                            lambda self, *a: formatted.append(self) or to_string(self, *a))
+                            lambda B: dets.append(det_minors(B)) or dets[-1])
+        text = Packing.text
+        monkeypatch.setattr(Packing, "text",
+                            lambda self, d: formatted.append(d) or text(self, d))
         code, _ = run(capsys, command, str(FIXTURES / name), "--kind",
                       fixture_kind(name), "--format", fmt)
         assert code == 0
-        assert list(map(id, unpacked)) == list(map(id, packed))
         return dets, formatted
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
@@ -550,6 +553,21 @@ class TestRunOnce:
     def test_det_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
         dets, formatted = self.determinant_texts(monkeypatch, capsys, "det", name, fmt)
         assert sorted(map(id, formatted)) == sorted(map(id, dets))
+
+    @pytest.mark.parametrize("case", [c for c in sorted(GOLDEN_DIGESTS)
+                                      if c.split()[0] in ("matrix", "det", "verify")])
+    def test_no_polynomial_printed(self, monkeypatch, case):
+        # Every entry and block determinant is printed from its packed
+        # layout: the output is the pinned one with no polynomial built
+        # and nothing unpacked.
+        from bouquetdet.polyring import Packing, Polynomial
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(Packing, "unpack", refuse)
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        assert digest(golden_cases()[case]) == GOLDEN_DIGESTS[case]
 
     def test_parser_built_once(self, capsys):
         """The argparse tree is built once per process, and an argparse

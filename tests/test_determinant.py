@@ -16,14 +16,15 @@ from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod, TooLarge,
                                     block_decompose, block_determinants,
                                     det_minors, det_mod, factors_match,
-                                    unpack_blocks, verify_theorem)
+                                    verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
 from bouquetdet.polyring import Packing, Polynomial
 from bouquetdet.poset import NotABouquet
 from conftest import load_fixture, power, verify_default
 from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
-                      lift, one, packed_blocks, var, weight_poly, zero)
+                      lift, one, packed_blocks, unpacked_blocks, var,
+                      weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
 from test_polyring import exact_div, power_product
@@ -101,10 +102,11 @@ def rhs_product(P, weights):
 
 
 def block_product(blocks):
-    """Oracle: the determinant, expanded, as the product of the
-    (top, dim, det) blocks a report or `block_determinants` gives."""
+    """Oracle: the determinant, expanded, as the product of the packed
+    (top, dim, layout, det) blocks a report or `block_determinants`
+    gives."""
     product = one()
-    for _, _, d in blocks:
+    for _, _, d in unpacked_blocks(blocks):
         product = product * d
     return product
 
@@ -291,7 +293,7 @@ class TestBareissOracle:
         packed = block_determinants(P, min_labeling(P), weights)
         assert calls == []
         monkeypatch.undo()
-        assert next(d for _, dim, d in unpack_blocks(packed) if dim == 6) == expected
+        assert next(d for _, dim, d in unpacked_blocks(packed) if dim == 6) == expected
 
 
 def random_int_matrix(rng, n, shape):
@@ -399,6 +401,15 @@ class TestVerify:
         assert block_product(report.blocks) == w1 * w2 * w3 * (w1 + w2 + w3)
         assert (report.verdict, report.sign) == global_verdict(P)[:2]
 
+    def test_lone_block_determinant(self, u23_lattice, bouquet_example):
+        # The lone block's determinant, unpacked on demand; None for
+        # several blocks and in randomized mode.
+        P, _ = u23_lattice
+        w1, w2, w3 = (var(i) for i in range(3))
+        assert verify_default(P).determinant == w1 * w2 * w3 * (w1 + w2 + w3)
+        assert verify_default(P, mode="randomized", trials=1).determinant is None
+        assert verify_default(bouquet_example).determinant is None
+
     def test_not_a_bouquet(self, pentagon):
         with pytest.raises(NotABouquet):
             verify_default(pentagon)
@@ -437,8 +448,7 @@ def global_verdict(P):
     """Oracle: multiply the block determinants, expand the global
     prod w(x)^rho(x) and compare; (verdict, sign, det, rhs)."""
     weights = WeightAssignment.default(P)
-    det = block_product(unpack_blocks(determinant.block_determinants(
-        P, min_labeling(P), weights)))
+    det = block_product(determinant.block_determinants(P, min_labeling(P), weights))
     rhs, _ = rhs_product(P, weights)
     verdict = det == rhs
     return verdict, 1 if verdict else None, det, rhs
@@ -505,7 +515,7 @@ class TestBlockVerdict:
         original = determinant.block_determinants
         monkeypatch.setattr(determinant, "block_determinants", lambda *args: packed_blocks(
             [(top, dim, change(i, lift(d), w))
-             for i, (top, dim, d) in enumerate(unpack_blocks(original(*args)))]))
+             for i, (top, dim, d) in enumerate(unpacked_blocks(original(*args)))]))
         expanding, products = [], []
         det_minors, mul_into = determinant.det_minors, determinant.mul_into
 
@@ -554,7 +564,7 @@ class TestBlockVerdict:
         assert block_product(report.blocks) == det
         assert made == expansions
         block_texts, det_text, product_text = report.texts()
-        assert block_texts == [d.to_string() for _, _, d in report.blocks]
+        assert block_texts == [d.to_string() for _, _, d in unpacked_blocks(report.blocks)]
         assert text_value(det_text) == text_value(det.to_string())
         assert text_value(product_text) == text_value(rhs.to_string())
 
@@ -641,7 +651,7 @@ class TestSignIsPlusOne:
         atoms = data.draw(st.permutations(P.atoms))
         weights = WeightAssignment({a: i for i, a in enumerate(atoms)})
         gram = block_decompose(chain_matrix(P, labeling, weights))
-        dets = unpack_blocks(block_determinants(P, labeling, weights))
+        dets = unpacked_blocks(block_determinants(P, labeling, weights))
         for (top, G), (_, dim, d) in zip(gram, dets):
             assert all(c >= 0 for c in d.terms.values())
             if not d.is_zero():
@@ -705,7 +715,7 @@ class TestGramEvaluation:
         # M(K5): one block of dimension 4! = 24, past the cofactor limit.
         P = flat_lattice(graphic_complete(5))[0]
         report = verify_default(P, mode="randomized", trials=3, seed=5)
-        assert [d for _, d, _ in report.blocks] == [24]
+        assert [d for _, d, *_ in report.blocks] == [24]
         assert report.verdict and report.sign == 1
 
 

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bouquetdet.polyring import Packing, div_exact, sum_text
 from conftest import power
-from ring_ops import const, det_via_minors, eval_mod, one, pack, var, zero
+from ring_ops import (Poly, const, det_via_minors, eval_mod, one, oracle_text,
+                      pack, var, zero)
 
 w = [var(i) for i in range(6)]
 
@@ -184,30 +185,49 @@ def test_to_string_graded_lex_order():
                              " + w1 + w2 + 3")
 
 
-def reference_to_string(p):
-    """Oracle: the term loop with one factor string per occurrence, in the
-    order of a sort on (total degree, exponent vector)."""
-    if p.is_zero():
-        return "0"
-    n = max(p.variables(), default=-1) + 1
-
-    def order(m):
-        exps = dict(m)
-        return (sum(exps.values()), [exps.get(v, 0) for v in range(n)])
-
-    out = ""
-    for m in sorted(p.terms, key=order, reverse=True):
-        c = p.terms[m]
-        factors = [f"w{v + 1}" if e == 1 else f"w{v + 1}^{e}" for v, e in m]
-        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
-        out += ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
-        out += body
-    return out
-
-
 @given(polys6)
 def test_to_string_against_reference(p):
-    assert p.to_string() == reference_to_string(p)
+    assert p.to_string() == oracle_text(p)
+
+
+@st.composite
+def packed_polys(draw):
+    """(layout, packed polynomial, the same as a `Poly`).  The layout holds
+    up to six variables, not all of them in the polynomial, and a degree
+    bound that may exceed its degree; the terms have coefficients of
+    either sign, zero and multi-digit ones included, exponents up to the
+    bound, and may repeat a monomial or be the constant."""
+    variables = draw(st.sets(st.integers(0, 11), max_size=6))
+    degree = draw(st.integers(0, 7))
+    layout = Packing(variables, degree)
+    monomial = st.lists(st.sampled_from(sorted(variables)), max_size=degree) \
+        if variables else st.just([])
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))
+    packed, terms = {}, {}
+    for c, vs in draw(st.lists(st.tuples(coefficient, monomial), max_size=8)):
+        m = tuple(sorted((v, vs.count(v)) for v in set(vs)))
+        k = layout.key(m)
+        packed[k] = packed.get(k, 0) + c
+        terms[m] = terms.get(m, 0) + c
+    return layout, packed, Poly(terms)
+
+
+@settings(max_examples=300)
+@given(packed_polys())
+def test_text_against_oracle(drawn):
+    layout, packed, p = drawn
+    assert layout.text(packed) == oracle_text(p)
+
+
+def test_text_examples():
+    layout = Packing({0, 1, 4, 7}, 3)
+    key = layout.key
+    assert layout.text({}) == "0"
+    assert layout.text({key(((0, 1),)): 0}) == "0"
+    assert layout.text({0: -12}) == "-12"
+    assert layout.text({key(((0, 2), (1, 1))): 1, key(((4, 1),)): 3}) == "w1^2*w2 + 3*w5"
+    assert layout.text({key(((1, 1),)): 1, key(((0, 1),)): -1, 0: 10}) == "-w1 + w2 + 10"
+    assert layout.text({key(((7, 3),)): -1, key(((0, 1), (4, 1))): 25}) == "-w8^3 + 25*w1*w5"
 
 
 def to_sympy(p, symbols):
