@@ -90,8 +90,9 @@ def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
     A maximal chain x_1 < ... < x_k is neat when l(x_i) is not below
     x_{i-1} for every i > 1 (the first step always passes, as l(x_1) is
     x_1).  Each step is decided by the cover (x_{i-1}, x_i) alone, so the
-    chains are grown depth-first from the sorted atoms along the sorted
-    neat upper covers, which reaches them in lexicographic order.
+    chains are grown depth-first from the atoms along the neat upper
+    covers, which `Poset` lists by name (the atoms are the upper covers
+    of 0̂), and that reaches them in lexicographic order.
     """
     families: dict[str, list[Chain]] = {r: [] for r in P.maximal}
 
@@ -101,13 +102,13 @@ def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
         if not ups:
             families[x].append(Chain(tuple(prefix)))
             return
-        for y in sorted(ups):
+        for y in ups:
             if not P.leq(labeling[y], x):
                 prefix.append(y)
                 extend(prefix)
                 prefix.pop()
 
-    for a in sorted(P.atoms):
+    for a in P.atoms:
         extend([a])
     return families
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
-from .polyring import (Monomial, Packing, Polynomial, div_exact, mul_into,
+from .polyring import (Monomial, Packing, Polynomial, div_weight, mul_into,
                        sum_text)
 from .poset import Poset
 
@@ -147,11 +147,10 @@ def factors_match(blocks: list[PackedBlock],
                   factors: list[tuple[frozenset[int], int]]) -> bool:
     """Whether prod D_r = prod w^e over `factors`, D_r the packed block
     determinants and each w a weight, a sum of variables given as their
-    set.  Each D_r is divided in its own layout: each w whose variables
-    the layout has is packed there as the keys of its variables (a w with
-    a variable outside it, which D_r lacks, cannot divide it), and the
-    cofactor is divided by each w, more variables first, until
-    `div_exact` returns None.
+    set.  Each D_r is divided in its own layout by each w whose variables
+    the layout has (a w with a variable outside it, which D_r lacks,
+    cannot divide it), more variables first, until `div_weight` returns
+    None.
 
     For a family block this is the layout `Packing(D_r.variables(),
     deg D_r)` whenever D_r != 0.  Every entry is homogeneous of degree
@@ -159,26 +158,21 @@ def factors_match(blocks: list[PackedBlock],
     dim * rank(r) = deg D_r.  And every variable of the entries occurs in
     D_r: by Cauchy-Binet D_r is the sum over the dim-sets T of atom sets
     of det(G_T)^2 * w^T, with no cancellation, and every nonzero row S of
-    G lies in some row basis T.  The layout is sound: every quotient and
-    remainder has degree at most deg D_r, so the guard bits still detect
-    a failed division, and a w of higher degree than the cofactor lands
-    in the top (degree) field, so the first monomial difference is
-    negative.  The weights are distinct sums of variables, so pairwise
-    non-associate primes, and no D_r has a negative coefficient (module
-    docstring): the identity holds iff every cofactor is the packed 1,
-    {0: 1}, and the counts of each w, summed over the blocks, equal its
-    exponent.  A zero D_r is a miss."""
+    G lies in some row basis T.  So the layout is wide enough for
+    `div_weight` on D_r.  The weights are distinct sums of
+    variables, so pairwise non-associate primes, and no D_r has a
+    negative coefficient (module docstring): the identity holds iff every
+    cofactor is the packed 1, {0: 1}, and the counts of each w, summed
+    over the blocks, equal its exponent.  A zero D_r is a miss."""
     counts = dict.fromkeys((w for w, _ in factors), 0)
     weights = sorted(counts, key=len, reverse=True)
     for _, _, layout, det in blocks:
         if not det:
             return False
-        guard, key = layout.guard(), layout.key
         cofactor = det
         for w in weights:
             if w.issubset(layout.shift):
-                q = {key(((v, 1),)): 1 for v in w}
-                while (quotient := div_exact(cofactor, q, guard)) is not None:
+                while (quotient := div_weight(cofactor, layout, w)) is not None:
                     cofactor = quotient
                     counts[w] += 1
         if cofactor != {0: 1}:

@@ -89,24 +89,31 @@ class Matroid:
 
 
 def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) -> Matroid:
-    """Validate the three independent-set axioms and build the matroid."""
+    """Validate the three independent-set axioms and build the matroid.
+
+    Witnesses follow input order with duplicates dropped: NotDownwardClosed
+    names the first independent set I with a subset missing, then the
+    first e of I, in ground order, whose I - e is not independent;
+    ExchangeFails names the first I, then the first J of size |I| + 1
+    that no element extends I from.
+    """
     ground = tuple(ground)
     ground_set = set(ground)
     if len(ground_set) != len(ground):
         raise MatroidError("duplicate ground elements")
-    family = set()
+    family: dict[frozenset, None] = {}  # the distinct sets, in input order
     for i in independents:
         s = frozenset(i)
         if not s <= ground_set:
             raise MatroidError(f"independent set {set_id(s)} not within the ground set")
-        family.add(s)
+        family[s] = None
     if frozenset() not in family:
         raise EmptySetMissing("the empty set must be independent")
     for s in family:
-        for e in s:
-            if s - {e} not in family:
-                raise NotDownwardClosed(
-                    f"{set_id(s)} is independent but {set_id(s - {e})} is not")
+        if missing := [e for e in s if s - {e} not in family]:
+            e = min(missing, key=ground.index)
+            raise NotDownwardClosed(
+                f"{set_id(s)} is independent but {set_id(s - {e})} is not")
     # The family is downward-closed, so exchange between sizes k and
     # k + 1 implies it for all |I| < |J|: any (|I| + 1)-subset of J is
     # independent and offers J's candidates outside I.
@@ -155,7 +162,15 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     """Validate the three bouquet conditions: each roof restriction is a
     matroid, the family is the union of the restrictions, and exchange
     holds across roofs.  The ground elements are distinct and every roof
-    lies within them."""
+    lies within them.
+
+    Witnesses follow input order with duplicates dropped: each roof's
+    restriction keeps the input order for `build_matroid`; UnionMismatch
+    lists the sets within no roof as a JSON array; and
+    ExchangeAcrossRoofsFails names the first failure over the ordered
+    pairs of roofs (a, b), then the sets within both, then the elements
+    e of a outside b in ground order.
+    """
     ground = tuple(ground)
     ground_set = set(ground)
     if len(ground_set) != len(ground):
@@ -164,7 +179,7 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     for r in roofs:
         if not r <= ground_set:
             raise MatroidError(f"roof {set_id(r)} not within the ground set")
-    family = frozenset(frozenset(i) for i in independents)
+    family = dict.fromkeys(frozenset(i) for i in independents)  # in input order
     for i, a in enumerate(roofs):
         for j, b in enumerate(roofs):
             if i != j and a <= b:
@@ -172,27 +187,28 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     roof_matroids = []
     restrictions = []
     for i, roof in enumerate(roofs):
-        restricted = frozenset(s for s in family if s <= roof)
+        restricted = [s for s in family if s <= roof]
         restrictions.append(restricted)
         try:
             roof_matroids.append(build_matroid(sorted(roof), restricted))
         except MatroidError as exc:
             raise RoofNotMatroid(i, exc) from exc
-    union = frozenset().union(*restrictions) if restrictions else frozenset()
-    if union != family:
-        extra = family - union
-        raise UnionMismatch(
-            f"independent sets not within any roof: {[set_id(s) for s in extra]}")
+    within = set().union(*restrictions)
+    if extra := [set_id(s) for s in family if s not in within]:
+        import json  # loaded with `poset` already; only this error needs it here
+        raise UnionMismatch(f"independent sets not within any roof: {json.dumps(extra)}")
     for i, a in enumerate(roofs):
         for j, b in enumerate(roofs):
             if i == j:
                 continue
-            for s in restrictions[i] & restrictions[j]:
-                for e in a - b:
-                    if s | {e} not in family:
-                        raise ExchangeAcrossRoofsFails(
-                            f"{set_id(s)} + {e!r} not independent")
-    return BouquetOfMatroids(ground, roofs, family, tuple(roof_matroids))
+            outside = [e for e in ground if e in a and e not in b]
+            for s in restrictions[i]:
+                if s <= b:
+                    for e in outside:
+                        if s | {e} not in family:
+                            raise ExchangeAcrossRoofsFails(
+                                f"{set_id(s)} + {e!r} not independent")
+    return BouquetOfMatroids(ground, roofs, frozenset(family), tuple(roof_matroids))
 
 
 def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset]]:

@@ -3,36 +3,34 @@
 Variables are nonnegative integer indices; index i prints as "w{i+1}".
 Monomials are stored as sorted tuples of (variable, exponent) pairs with
 all exponents positive, so equal polynomials have identical internal
-form.  Terms are ordered graded-lexicographically with
-w1 > w2 > ... for printing and for leading-term division.
+form.  Terms are printed in graded-lexicographic order with
+w1 > w2 > ....
 
-Multiplication and exact division run on packed monomials (Monagan and
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  A `Packing` lays monomials out in one
-int: the total degree in the top field, then one field per variable of
-the layout, the smallest index highest.  A larger int is then exactly an
-earlier monomial in the graded-lex order, and multiplying monomials is
-adding ints.  The field width comes from a degree bound, plus one guard
-bit per exponent field: when one monomial does not divide another, their
-difference is negative or has a guard bit set.  A packed polynomial is a
-dict from packed monomial to coefficient, and the two kernels work on
-those: `mul_into` adds a product into a dict, and `div_exact` keeps its
-remainder as such a dict together with a max-heap of its keys (after
-Johnson, 1974), pops the leading monomial, forms one quotient term t and
-subtracts t * (q - LT(q)) in place.
+Multiplication runs on packed monomials (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A `Packing` lays monomials out in one int: the total degree in
+the top field, then one field per variable of the layout, the smallest
+index highest, each field `degree.bit_length()` bits wide for the
+layout's degree bound.  A larger int is then exactly an earlier monomial
+in the graded-lex order, and multiplying monomials is adding ints.  A
+packed polynomial is a dict from packed monomial to coefficient, and the
+two kernels work on those: `mul_into` adds a product into a dict, and
+`div_weight` divides by a weight, a sum of distinct variables, with
+synthetic division in its first variable (Knuth, TAOCP vol. 2, 4.6.1),
+which never divides a coefficient.
 
 The symbolic determinant keeps one layout per family block, from its
 Gram vectors to the printed text (see `determinant`); division has one
-caller, the factor count (`determinant.factors_match`).  `Packing.text`
-prints a packed polynomial straight from its keys: sorting them falling
-is the graded-lex order, and each key's fields are its exponents.
+caller, the factor count (`determinant.factors_match`), and every divisor
+it uses is a weight.  `Packing.text` prints a packed polynomial straight
+from its keys: sorting them falling is the graded-lex order, and each
+key's fields are its exponents.
 `Polynomial`, a dict of monomial tuples, and `Packing.unpack` are kept
 for the test oracles; no command builds one.
 """
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -51,7 +49,7 @@ class Packing:
     __slots__ = ("fields", "shift", "top", "mask")
 
     def __init__(self, variables: set[int], degree: int):
-        width = degree.bit_length() + 1
+        width = degree.bit_length()
         self.mask = (1 << width) - 1
         shift = self.top = len(variables) * width
         fields = []
@@ -60,11 +58,6 @@ class Packing:
             fields.append((v, shift))
         self.fields = fields
         self.shift = dict(fields)
-
-    def guard(self) -> int:
-        """The top bit of every exponent field."""
-        high = (self.mask + 1) >> 1
-        return sum(high << s for _, s in self.fields)
 
     def key(self, m: Monomial) -> int:
         shift = self.shift
@@ -118,45 +111,41 @@ def mul_into(out: dict[int, int], a: Mapping[int, int],
     return out
 
 
-def div_exact(p: Mapping[int, int], q: Mapping[int, int],
-              guard: int) -> dict[int, int] | None:
-    """The packed quotient s with p = q * s, or None when there is
-    none.  p and q share one layout wide enough for p, whose
-    guard bits are `guard`; zero coefficients of p are ignored and q must
-    be nonzero.
+def div_weight(p: Mapping[int, int], layout: Packing,
+               w: Iterable[int]) -> dict[int, int] | None:
+    """The packed quotient q with p = w * q, w the weight whose variables
+    are the set `w`, or None when there is none.  p and q are packed in
+    `layout`, which holds the variables of w and is wide enough for p;
+    zero coefficients of p are dropped on the way.
 
-    Leading-term division in graded-lex order: over an integral domain
-    the quotient's leading term is always LT(p)/LT(q), so the greedy loop
-    ends with zero remainder iff q divides p.
+    Synthetic division by w = x_a + r, a the first variable of w and r
+    the sum of the rest: write p = sum over e of P_e * x_a^e with each
+    P_e free of x_a; then q = sum of Q_e * x_a^e with
+    Q_(e-1) = P_e - r * Q_e from the highest e down, and w divides p iff
+    the remainder P_0 - r * Q_0 is zero.  Every term formed has total
+    degree at most deg p, so no field overflows.
     """
-    rem = {k: c for k, c in p.items() if c}
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    tail = dict(q)
-    lt_q = max(tail)
-    lc_q = tail.pop(lt_q)
-    tail = list(tail.items())
-    quot: dict[int, int] = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = rem.pop(k)
-        if not c:
-            continue
-        m = k - lt_q
-        s, r = divmod(c, lc_q)
-        if m < 0 or m & guard or r:
-            return None
-        quot[m] = s
-        # Every key m + t below is smaller than k, so no key that has
-        # left the heap comes back and each key is pushed once.
-        for t, ct in tail:
-            key = m + t
-            if key in rem:
-                rem[key] -= s * ct
-            else:
-                rem[key] = -s * ct
-                heapq.heappush(heap, -key)
-    return quot
+    a, *rest = sorted(w)
+    top, shift, mask = 1 << layout.top, layout.shift[a], layout.mask
+    x_a = (1 << shift) + top
+    r = [(1 << layout.shift[v]) + top for v in rest]
+    parts: dict[int, dict[int, int]] = {}  # e -> P_e, keys free of x_a
+    for k, c in p.items():
+        e = k >> shift & mask
+        parts.setdefault(e, {})[k - e * x_a] = c
+    quotient: dict[int, int] = {}
+    q: dict[int, int] = {}  # Q_e, keys free of x_a
+    for e in range(max(parts, default=0), -1, -1):
+        part = parts.get(e, {})
+        for k, c in q.items():
+            for t in r:
+                part[k + t] = part.get(k + t, 0) - c
+        q = {k: c for k, c in part.items() if c}  # Q_(e-1), or the remainder
+        if e:
+            lift = (e - 1) * x_a
+            for k, c in q.items():
+                quotient[k + lift] = c
+    return None if q else quotient
 
 
 class Polynomial:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import bouquetdet
 from bouquetdet.chains import min_labeling
 from bouquetdet.cli import KINDS, build_parser, main
 from conftest import FIXTURES, load_fixture
@@ -102,6 +107,33 @@ class TestCheck:
         code, out = run(capsys, "check", str(bad), "--kind", "matroid")
         assert code == 2
         assert "EmptySetMissing" in json.loads(out)["error"]
+
+    def test_failing_inputs_independent_of_hash_seed(self, tmp_path):
+        # Under hash seeds 1 and 3 the sets of sets are iterated in
+        # different orders; the witnesses follow input order instead.
+        matroid = tmp_path / "matroid.json"
+        matroid.write_text(json.dumps({
+            "ground": ["a", "b", "c", "d"],
+            "independents": [[], ["a"], ["b"], ["c"], ["d"], ["a", "b"], ["c", "d"]]}))
+        bouquet = tmp_path / "bouquet.json"
+        bouquet.write_text(json.dumps({
+            "ground": ["a", "b", "c"], "roofs": [["a", "b"]],
+            "independents": [[], ["a"], ["b"], ["a", "b"], ["c"], ["a", "c"], ["b", "c"]]}))
+        path = [str(Path(bouquetdet.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        outputs = []
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            runs = [subprocess.run([sys.executable, "-m", "bouquetdet.cli", "check",
+                                    str(f), "--kind", kind], env=env, capture_output=True)
+                    for f, kind in ((matroid, "matroid"), (bouquet, "bouquet"))]
+            assert [r.returncode for r in runs] == [2, 2]
+            outputs.append([r.stdout for r in runs])
+        assert outputs[0] == outputs[1]
+        errors = [json.loads(out)["error"] for out in outputs[0]]
+        assert errors == [
+            "ExchangeFails: no element of {c,d} extends {a}",
+            'UnionMismatch: independent sets not within any roof: ["{c}", "{a,c}", "{b,c}"]']
 
 
 class TestPipelineCommands:
@@ -206,13 +238,15 @@ class TestPipelineCommands:
         assert (report["verdict"], report["blocks"]) == \
             (True, [{"top": "0", "dim": 0, "det": None}])
         # Packed, the block has the empty layout: no variable and degree
-        # bound 0 (a one-bit field), holding the packed 1.
+        # bound 0, holding the packed 1.  A field is degree.bit_length()
+        # bits wide, with no guard bit, so degree 0 gives zero-bit fields
+        # and mask 0.
         P = poset_from_json(data)
         assert P.mobius("0") == 1
         [(top, dim, layout, det)] = block_determinants(
             P, min_labeling(P), WeightAssignment.default(P))
         assert (top, dim, det) == ("0", 0, {0: 1})
-        assert (layout.fields, layout.top, layout.mask) == ([], 0, 1)
+        assert (layout.fields, layout.top, layout.mask) == ([], 0, 0)
 
 
 class TestDot:

@@ -27,7 +27,7 @@ from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
                       weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, uniform
-from test_polyring import exact_div, power_product
+from test_polyring import power_product, weight_div
 
 
 def det_cofactor(M):
@@ -545,14 +545,14 @@ class TestBlockVerdict:
         pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
                      False, None, 0, id="extra-factor"),
         pytest.param(lambda i, d, w: d * w["r3"] if i == 0
-                     else exact_div(d, w["r3"]) if i == 2 else d,
+                     else weight_div(d, w["r3"].variables()) if i == 2 else d,
                      True, 1, 0, id="moved-factor"),
         # Every block determinant has nonnegative coefficients
         # (Cauchy-Binet), so a negated block is a miss.
         pytest.param(lambda i, d, w: -d if i == 1 else d,
                      False, None, 0, id="negated"),
         pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
-                     else exact_div(d, w["r3"]) if i == 2 else d,
+                     else weight_div(d, w["r3"].variables()) if i == 2 else d,
                      False, None, 0, id="moved-factor-negated"),
     ])
     def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from bouquetdet.chains import WeightAssignment, min_labeling
 from bouquetdet.determinant import verify_theorem
-from bouquetdet.matroid import (EmptySetMissing, ExchangeFails, Matroid,
-                                MatroidError, NotAClutter, NotDownwardClosed,
-                                NotSimple, bouquet_flat_poset,
+from bouquetdet.matroid import (EmptySetMissing, ExchangeAcrossRoofsFails,
+                                ExchangeFails, Matroid, MatroidError,
+                                NotAClutter, NotDownwardClosed, NotSimple,
+                                UnionMismatch, bouquet_flat_poset,
                                 bouquet_from_json, build_bouquet_of_matroids,
                                 build_matroid, flat_lattice, matroid_from_json,
                                 set_id)
@@ -99,6 +100,72 @@ class TestBuild:
         with pytest.raises(ExchangeFails):
             build_matroid(["1", "2", "3"],
                           [[], ["1"], ["2"], ["3"], ["2", "3"]])
+
+
+class TestWitnessOrder:
+    """With two violations, each error names the first in input order
+    (elements in ground order), so no witness depends on the order in
+    which a set of sets is scanned; each pair of cases lists the same
+    sets in two orders."""
+
+    @pytest.mark.parametrize("independents, message", [
+        ([[], ["a"], ["c", "d"], ["a", "b"]], "{c,d} is independent but {c} is not"),
+        ([[], ["a"], ["a", "b"], ["c", "d"]], "{a,b} is independent but {b} is not"),
+    ], ids=["in-order", "reordered"])
+    def test_not_downward_closed(self, independents, message):
+        # ground order d, c, b, a: {c,d} lacks both {c} and {d}, and d,
+        # first in ground order, names the missing {c}
+        with pytest.raises(NotDownwardClosed) as info:
+            build_matroid(["d", "c", "b", "a"], independents)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("independents, message", [
+        ([[], ["a"], ["b"], ["c"], ["d"], ["a", "b"], ["c", "d"]],
+         "no element of {c,d} extends {a}"),
+        ([[], ["c"], ["b"], ["a"], ["d"], ["c", "d"], ["a", "b"]],
+         "no element of {a,b} extends {c}"),
+    ], ids=["in-order", "reordered"])
+    def test_exchange_fails(self, independents, message):
+        with pytest.raises(ExchangeFails) as info:
+            build_matroid(["a", "b", "c", "d"], independents)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("independents, message", [
+        ([[], ["a"], ["b"], ["a", "b"], ["c"], ["a", "c"], ["b", "c"]],
+         '["{c}", "{a,c}", "{b,c}"]'),
+        ([[], ["b", "c"], ["a", "c"], ["c"], ["a"], ["b"], ["a", "b"]],
+         '["{b,c}", "{a,c}", "{c}"]'),
+    ], ids=["in-order", "reordered"])
+    def test_union_mismatch(self, independents, message):
+        # the sets within no roof, in input order, as a JSON array
+        with pytest.raises(UnionMismatch) as info:
+            build_bouquet_of_matroids(["a", "b", "c"], [["a", "b"]], independents)
+        assert str(info.value) == f"independent sets not within any roof: {message}"
+
+    @pytest.mark.parametrize("ground, independents, message", [
+        # {c} + a and {c} + b both fail: the first element in ground order
+        (["a", "b", "c", "d"], [[], ["a"], ["b"], ["c"], ["d"], ["c", "d"]],
+         "{c} + 'a' not independent"),
+        (["b", "a", "c", "d"], [[], ["a"], ["b"], ["c"], ["d"], ["c", "d"]],
+         "{c} + 'b' not independent"),
+    ], ids=["in-order", "reordered"])
+    def test_exchange_across_roofs_element(self, ground, independents, message):
+        with pytest.raises(ExchangeAcrossRoofsFails) as info:
+            build_bouquet_of_matroids(ground, [["a", "b", "c"], ["c", "d"]], independents)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("independents, message", [
+        # {c} + a and {d} + a both fail: the first shared set in input order
+        ([[], ["a"], ["c"], ["d"], ["e"], ["c", "e"], ["d", "e"]],
+         "{c} + 'a' not independent"),
+        ([[], ["a"], ["d"], ["c"], ["e"], ["c", "e"], ["d", "e"]],
+         "{d} + 'a' not independent"),
+    ], ids=["in-order", "reordered"])
+    def test_exchange_across_roofs_shared_set(self, independents, message):
+        with pytest.raises(ExchangeAcrossRoofsFails) as info:
+            build_bouquet_of_matroids(["a", "c", "d", "e"],
+                                      [["a", "c", "d"], ["c", "d", "e"]], independents)
+        assert str(info.value) == message
 
 
 def exchange_holds(family):

@@ -1,24 +1,30 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bouquetdet.polyring import Packing, div_exact, sum_text
+from bouquetdet.polyring import Packing, div_weight, sum_text
 from conftest import power
-from ring_ops import (Poly, const, det_via_minors, eval_mod, one, oracle_text,
-                      pack, var, zero)
+from ring_ops import (Poly, const, det_via_minors, eval_mod, lift, one,
+                      oracle_text, pack, var, weight_poly, zero)
 
 w = [var(i) for i in range(6)]
 
 
-def exact_div(p, q):
-    """The quotient s with p = q * s, or None: p and q packed in one
-    layout of degree max(deg p, deg q), divided with `div_exact` and the
-    quotient unpacked.  q must be nonzero."""
-    layout = Packing(p.variables() | q.variables(),
-                     max(p.total_degree(), q.total_degree()))
-    s = div_exact(pack(layout, p), pack(layout, q), layout.guard())
-    return None if s is None else layout.unpack(s)
+def weight_case(p, weight):
+    """(layout, packed p, weight as a frozenset): the layout holds p's
+    variables and the weight's, of degree deg p."""
+    layout = Packing(p.variables() | set(weight), p.total_degree())
+    return layout, pack(layout, p), frozenset(weight)
+
+
+def weight_div(p, weight):
+    """The quotient q with p = w * q, w the weight whose variables are the
+    set `weight`, or None: p packed as `weight_case` packs it, divided
+    with `div_weight` and the quotient unpacked."""
+    layout, packed, weight = weight_case(p, weight)
+    q = div_weight(packed, layout, weight)
+    return None if q is None else layout.unpack(q)
 
 
 def power_product(factors):
@@ -71,12 +77,6 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys, polys)
-def test_exact_div_roundtrip(p, q):
-    if not q.is_zero():
-        assert exact_div(p * q, q) == p
-
-
 # Polynomials in six variables whose terms have degree at most 6.
 polys6 = st.lists(
     st.tuples(st.integers(-9, 9), st.lists(st.integers(0, 5), max_size=6)),
@@ -85,47 +85,90 @@ polys6 = st.lists(
     (c, [vs.count(v) for v in range(6)]) for c, vs in terms))
 
 
-@given(polys6, polys6)
-def test_exact_div_roundtrip_six_variables(p, q):
-    for a, b in ((p, q), (q, p)):
-        if not b.is_zero():
-            assert exact_div(a * b, b) == a
-
-
-def test_exact_div_examples():
-    p = w[0] * w[1] * w[2] * (w[0] + w[1] + w[2])
-    assert exact_div(p, w[0]) == w[1] * w[2] * (w[0] + w[1] + w[2])
-    assert exact_div(p, p) == one()
-    assert exact_div(w[0] + w[1], w[0]) is None
-
-
-def test_exact_div_large_exponents():
-    # exponents far wider than a small fixed field
-    assert exact_div(power(w[0], 300) * w[1], power(w[0], 299)) == w[0] * w[1]
-    p = ((power(w[0], 1000) + power(w[2], 999) * w[1])
-         * (power(w[0], 3) - power(w[1], 500)))
-    assert exact_div(p, power(w[0], 3) - power(w[1], 500)) == \
-        power(w[0], 1000) + power(w[2], 999) * w[1]
-
-
 def test_large_variable_index():
     v = var(10_000)
     p = (v + w[0]) * (power(v, 2) - w[5])
-    assert exact_div(p, v + w[0]) == power(v, 2) - w[5]
+    assert weight_div(p, {10_000, 0}) == power(v, 2) - w[5]
     assert v.variables() == {10_000}
     assert (v * w[0]).to_string() == "w1*w10001"
 
 
 @pytest.mark.parametrize("p, q", [
-    (power(w[0], 2) + w[1], w[0]),          # leading terms divide, a later one does not
-    (const(3) * w[0], const(2) * w[0]),  # coefficient
-    (power(w[0], 2), w[0] * w[1]),          # same degree, monomial does not divide
-    (w[0], w[0] * w[1]),                    # divisor of higher degree
-    (power(w[1], 3), w[0]),                 # variable absent from the dividend
-    (w[0] * w[1] + one(), w[0] + w[1]),  # nonzero remainder
+    (power(w[0], 2) + w[1], {0}),            # leading terms divide, a later one does not
+    (const(2) * w[0] + const(3) * w[1], {0, 1}),  # unequal coefficients
+    (power(w[0], 2), {0, 1}),               # same degree, a monomial
+    (const(5), {0}),                        # divisor of higher degree
+    (power(w[1], 3), {0}),                  # variable absent from the dividend
+    (w[0] * w[1] + one(), {0, 1}),          # nonzero remainder
 ])
 def test_not_divisible(p, q):
-    assert exact_div(p, q) is None
+    # q is the weight's set of variables
+    assert weight_div(p, q) is None
+
+
+@st.composite
+def weight_divisions(draw):
+    """(layout, packed p, weight as its set of variables).  The layout
+    holds up to five variables and a degree bound of deg p or above; the
+    weight is one variable, every layout variable or a drawn subset, and
+    may have variables absent from p.  p is w * q plus up to two further
+    terms, so it is divisible about half the time; its terms are not
+    homogeneous, and the packed dict also keeps some monomials with
+    coefficient 0.  Exponents of 300 and more go on any variable but the
+    weight's first, and on that one too when the weight has at most two
+    variables: a quotient by a longer weight with such a power of its
+    first variable has a term for almost every monomial below it, far
+    too many for either side of the comparison."""
+    variables = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=5)))
+    weight = draw(st.one_of(st.sampled_from(variables).map(lambda v: {v}),
+                            st.just(set(variables)),
+                            st.sets(st.sampled_from(variables), min_size=1)))
+    small, large = st.integers(0, 3), st.one_of(st.integers(0, 3), st.integers(300, 302))
+    first = min(weight) if len(weight) > 2 else None
+    exponents = st.fixed_dictionaries({}, optional={
+        v: small if v == first else large for v in variables})
+    monomial = exponents.map(lambda m: Poly({tuple(
+        (v, e) for v, e in sorted(m.items()) if e): 1}))
+    terms = st.lists(st.tuples(st.integers(-4, 4), monomial), max_size=3)
+    q = sum((const(c) * m for c, m in draw(terms)), zero())
+    extra = sum((const(c) * m for c, m in draw(terms.map(lambda t: t[:2]))), zero())
+    p = weight_poly(weight) * q + extra
+    zeros = draw(st.lists(monomial, max_size=2))
+    degree = max([p.total_degree()] + [m.total_degree() for m in zeros])
+    layout = Packing(set(variables), degree + draw(st.sampled_from([0, 0, 1, 4])))
+    packed = pack(layout, p)
+    for m in zeros:
+        packed.setdefault(layout.key(next(iter(m.terms))), 0)
+    return layout, packed, frozenset(weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_divisions())
+@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), {0}))
+@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), {0, 1, 2}))
+@example(weight_case(w[0] + w[1], {0}))
+@example(weight_case((power(w[0], 1000) + power(w[2], 999) * w[1]) * (w[0] + w[1]),
+                     {0, 1}))
+# degree 3: the two-bit field of w[0] holds 3, its largest value
+@example(weight_case(power(w[0], 2) * (w[0] + w[1]), {0, 1}))
+def test_div_weight_against_sympy(case):
+    # One polynomial is a Groebner basis of the ideal it generates, so
+    # sympy's remainder of p by w is zero under any order iff w divides p.
+    sympy = pytest.importorskip("sympy")
+    layout, packed, weight = case
+    p = lift(layout.unpack(packed))
+    q = div_weight(packed, layout, weight)
+    n = max(layout.shift) + 1
+    ring, *_ = sympy.ring([f"w{v + 1}" for v in range(n)], sympy.ZZ, sympy.lex)
+
+    def element(f):
+        return ring({tuple(dict(m).get(v, 0) for v in range(n)): c
+                     for m, c in f.terms.items()})
+
+    remainder = element(p).rem(element(weight_poly(weight)))
+    assert (q is None) == (remainder != 0)
+    if q is not None:
+        assert weight_poly(weight) * layout.unpack(q) == p
 
 
 def test_pow_and_power_product():
