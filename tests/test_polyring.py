@@ -77,12 +77,50 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+# Weights over the three variables of `polys` and one variable absent
+# from them.
+weights = st.sets(st.integers(0, 3), min_size=1)
+
+
+@given(polys, weights)
+def test_exact_div_roundtrip(p, weight):
+    assert weight_div(weight_poly(weight) * p, weight) == p
+
+
 # Polynomials in six variables whose terms have degree at most 6.
 polys6 = st.lists(
     st.tuples(st.integers(-9, 9), st.lists(st.integers(0, 5), max_size=6)),
     max_size=6,
 ).map(lambda terms: poly_from_terms(
     (c, [vs.count(v) for v in range(6)]) for c, vs in terms))
+
+
+@given(polys6, st.sets(st.integers(0, 6), min_size=1))
+def test_exact_div_roundtrip_six_variables(p, weight):
+    assert weight_div(weight_poly(weight) * p, weight) == p
+    # w * p + 1 has the remainder 1 by w
+    assert weight_div(weight_poly(weight) * p + one(), weight) is None
+
+
+def test_exact_div_examples():
+    p = w[0] * w[1] * w[2] * (w[0] + w[1] + w[2])
+    assert weight_div(p, {0}) == w[1] * w[2] * (w[0] + w[1] + w[2])
+    assert weight_div(p, {0, 1, 2}) == w[0] * w[1] * w[2]
+    assert weight_div(w[0] + w[1], {0, 1}) == one()
+    assert weight_div(w[0] + w[1], {0}) is None
+
+
+def test_exact_div_large_exponents():
+    # exponents far wider than a small fixed field
+    assert weight_div(power(w[0], 300) * w[1], {0}) == power(w[0], 299) * w[1]
+    q = power(w[0], 1000) + power(w[2], 999) * w[1]
+    assert weight_div(q * (w[0] + w[1]), {0, 1}) == q
+    # x^300 - y^300 = (x + y) * (x^299 - x^298*y + ... - y^299)
+    p = power(w[0], 300) - power(w[1], 300)
+    q = weight_div(p, {0, 1})
+    assert q is not None and (w[0] + w[1]) * q == p
+    assert len(q.terms) == 300
+    assert weight_div(power(w[0], 301) - power(w[1], 301), {0, 1}) is None
 
 
 def test_large_variable_index():
