@@ -13,10 +13,8 @@ forms each family block straight from its Gram vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polyring import Monomial, Packing
 from .poset import Poset, PosetError
@@ -26,8 +24,7 @@ class InvalidLabeling(PosetError):
     pass
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Saturated chain [x_1 < x_2 < ... < x_k] from an atom to a maximal
     element; consecutive entries are covers."""
     elements: tuple[str, ...]
@@ -40,10 +37,15 @@ class Chain:
         return "[" + " < ".join(self.elements) + "]"
 
 
-@dataclass(frozen=True)
 class Labeling:
     """Assignment of an atom l(x) <= x to every element above the bottom."""
-    labels: dict[str, str] = field(hash=False)
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: dict[str, str]):
+        self.labels = labels
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Labeling) and self.labels == other.labels
 
     def __getitem__(self, x: str) -> str:
         return self.labels[x]
@@ -130,17 +132,21 @@ def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
     return tuples
 
 
-@dataclass(frozen=True)
 class WeightAssignment:
     """Injective map atom -> polynomial variable index, checked."""
-    atom_vars: dict[str, int] = field(hash=False)
+    __slots__ = ("atom_vars",)
 
-    def __post_init__(self):
+    def __init__(self, atom_vars: dict[str, int]):
         owner: dict[int, str] = {}
-        for a, v in self.atom_vars.items():
+        for a, v in atom_vars.items():
             if owner.setdefault(v, a) != a:
                 raise ValueError(f"atoms {owner[v]!r} and {a!r} share the "
                                  f"variable w{v + 1}; weights must be injective")
+        self.atom_vars = atom_vars
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WeightAssignment)
+                and self.atom_vars == other.atom_vars)
 
     @staticmethod
     def default(P: Poset) -> "WeightAssignment":
@@ -174,32 +180,37 @@ def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]
                     for g in rows]
 
 
-@dataclass(frozen=True)
 class ChainMatrix:
     """Symmetric matrix over Z[w] indexed by neat chains, with the index
     grouped into neat chain families (family = common top element), held
     as its Gram factor: one vector g_C of ±1 coefficients per chain.  The
-    printed entries are formed on first use, each family block packed
-    once and printed in its own layout, every off-block entry "0" (see
-    `chain_matrix`)."""
-    chains: tuple[Chain, ...]
-    family_tops: tuple[str, ...]
-    family_bounds: tuple[tuple[int, int], ...]  # [start, stop) per family
-    vectors: tuple[GramVector, ...]
+    printed entries are formed on first use and kept, each family block
+    packed once and printed in its own layout, every off-block entry "0"
+    (see `chain_matrix`)."""
+    __slots__ = ("chains", "family_tops", "family_bounds", "vectors", "_entries")
+
+    def __init__(self, chains: tuple[Chain, ...], family_tops: tuple[str, ...],
+                 family_bounds: tuple[tuple[int, int], ...],  # [start, stop) per family
+                 vectors: tuple[GramVector, ...]):
+        self.chains, self.family_tops = chains, family_tops
+        self.family_bounds, self.vectors = family_bounds, vectors
+        self._entries: tuple[tuple[str, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.chains)
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[str, ...], ...]:
         """The text of every entry, row by row."""
-        rows = []
-        for start, stop in self.family_bounds:
-            layout, block = packed_block(self.vectors[start:stop])
-            rows += [("0",) * start + tuple(map(layout.text, row))
-                     + ("0",) * (self.dim - stop) for row in block]
-        return tuple(rows)
+        if self._entries is None:
+            rows = []
+            for start, stop in self.family_bounds:
+                layout, block = packed_block(self.vectors[start:stop])
+                rows += [("0",) * start + tuple(map(layout.text, row))
+                         + ("0",) * (self.dim - stop) for row in block]
+            self._entries = tuple(rows)
+        return self._entries
 
     def to_json(self) -> dict:
         return {

@@ -32,14 +32,18 @@ in `chains.chain_matrix`), so `block_decompose` just slices the vectors
 and symbolic mode expands the diagonal blocks alone.
 Randomized mode never builds a polynomial entry: per trial it draws each
 variable uniformly from [1, p - 1], p a fixed 62-bit prime, computes w^S
-mod p once per atom set, packs each block row into one int from the Gram
-vectors and eliminates the packed rows mod p (`det_mod`); a weight w(x),
-a set of variables, is the sum of their values.  A trial of a false
-identity passes with probability at
-most deg / (p - 1), deg <= max(sum over blocks r of dim_r * rank(r),
-sum over x of rho(x)) (Schwartz 1980; Zippel 1979); the bound does not
-cover det - prod w(x)^rho(x) nonzero over Z with every coefficient
-divisible by p.  The independent oracles these are tested against (a
+mod p once per atom set and packs each block row into one int from the
+Gram vectors (`GramBlockMod`), and the trials of a lockstep group
+eliminate their packed rows mod p together
+(`det_mod`): one batch inverse of all the group's pivots per step, and
+each pivot row reduced in all its fields at once by a Barrett step
+(`lane_reducer`), in fields as wide as `lane_width` rules; a weight
+w(x), a set of variables, is the sum of their values.  A trial of a
+false identity passes with probability at most deg / (p - 1),
+deg <= max(sum over blocks r of dim_r * rank(r), sum over x of rho(x))
+(Schwartz 1980; Zippel 1979); the bound does not cover
+det - prod w(x)^rho(x) nonzero over Z with every coefficient divisible
+by p.  The independent oracles these are tested against (a
 Laplace-expansion determinant, a dense mod-p elimination, the expanded
 products) live in tests.
 """
@@ -47,7 +51,7 @@ products) live in tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
@@ -211,8 +215,7 @@ def blocks_json(blocks: list[tuple], texts: list[str] | None) -> list[dict]:
             for (t, d, *_), text in zip(blocks, texts)]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     verdict: bool
     exponents: dict[str, int]
     rhs: list[tuple[frozenset[int], int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
@@ -266,82 +269,161 @@ class VerificationReport:
         }
 
 
-def det_mod(rows: list[int], width: int, p: int) -> int:
-    """Determinant modulo the prime p of the n x n matrix, n = len(rows),
-    whose row i is packed in rows[i]: column j in bits [j * width,
-    (j + 1) * width), entries nonnegative and not necessarily below p.
-    Each field must stay below 2^width after n - 1 further additions of
-    at most (p - 1)^2.
+def lane_width(bound: int, p: int) -> int:
+    """The field width W of packed rows whose fields stay below `bound`
+    through elimination mod the prime p (`det_mod`): with v =
+    bound.bit_length() and k = p.bit_length(), W = max(v + 1,
+    2v - 2k + 3).  Fields below 2^v need v bits and the Barrett step of
+    `lane_reducer` needs 2s bits for its products, s = v - k + 1; the rule
+    keeps one spare bit over each."""
+    v, k = bound.bit_length(), p.bit_length()
+    return max(v + 1, 2 * (v - k) + 3)
 
-    Gaussian elimination mod p, one row per big int: at step k the first
-    row whose column-k entry is nonzero mod p is the pivot, only its
-    fields are reduced below p, its entry is inverted once (none at the
-    last step), and each lower row i takes R_i += (p - f) * R_k with
-    f = a_ik / a_kk, then drops column k with a shift.  No carry crosses
-    a field, so that is O(n^2) Python-level operations.
+
+def lane_reducer(width: int, p: int, lanes: int) -> Callable[[int], int]:
+    """The Barrett step on `lanes` packed fields of `width` bits at once:
+    it maps X to an int whose every field is congruent mod p to X's and
+    below 3p, in a constant number of big-int operations.
+
+    Each field x must be below 2^v, v the largest with `lane_width` at
+    most `width`.  With k = p.bit_length(), s = v - k + 1,
+    mu = floor(2^v / p) < 2^s and L the low s bits of every field:
+    t = (X >> (k - 1)) & L holds floor(x / 2^(k - 1)) < 2^s in each field
+    (v <= W, so no bit of the next field enters), t * mu < 2^(2s) <= 2^W
+    carries into no field, and q = ((t * mu) >> s) & L holds
+    floor(t * mu / 2^s).  As 2^(k - 1) <= p, x/p - t * mu / 2^s < 2, so
+    floor(x / p) - 2 <= q <= floor(x / p): every x - q * p lies in
+    [0, 3p), and X - q * p borrows across no field."""
+    k = p.bit_length()
+    v = min(width - 1, (width + 2 * k - 3) // 2)
+    s = max(v - k + 1, 0)  # 0 when fields are below 2^(k - 1) <= p already
+    mu = (1 << v) // p
+    low = sum(((1 << s) - 1) << j * width for j in range(lanes))
+
+    def reduce(X: int) -> int:
+        return X - ((X >> k - 1 & low) * mu >> s & low) * p
+
+    return reduce
+
+
+def det_mod(matrices: list[list[int]], width: int, p: int) -> list[int]:
+    """The determinants modulo the prime p of a group of n x n matrices,
+    each a list of n packed rows (row i is one int, column j in bits
+    [j * width, (j + 1) * width)), entries nonnegative and not
+    necessarily below p; `width` is `lane_width` of a bound on every
+    field through elimination: the largest entry plus (n - 1) * 3p^2.
+    The rows' lists are overwritten.
+
+    Gaussian elimination mod p, the matrices in lockstep.  At step k each
+    matrix takes as pivot its first row whose column-k entry is nonzero
+    mod p (a matrix with none has determinant 0 and leaves the group).
+    The step's pivots are inverted together with one `pow` (Montgomery's
+    batch inversion: prefix products, one inverse, a backward pass) and
+    none at the last step.  Each pivot row is reduced by `lane_reducer`,
+    its fields below 3p, and each lower row i takes R_i += (p - f) * R_k
+    with f = a_ik / a_kk, then drops column k with a shift: each
+    addition is below 3p^2, and no carry crosses a field.  So a pivot
+    row takes a constant number of big-int operations, a matrix O(n^2)
+    Python-level operations in all, and a step one inverse for the
+    whole group.
     """
-    n = len(rows)
-    rows = list(rows)
+    n = len(matrices[0]) if matrices else 0
     mask = (1 << width) - 1
-    det = 1
+    reduce = lane_reducer(width, p, n)
+    dets = [1] * len(matrices)
+    live = list(enumerate(matrices))
     for k in range(n):
-        for i in range(k, n):
-            if (rows[i] & mask) % p:
-                break
-        else:
-            return 0
-        if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            det = -det
-        row = rows[k]
-        a = (row & mask) % p
-        det = det * a % p
-        if k == n - 1:
+        kept, pivots = [], []
+        for t, rows in live:
+            for i in range(k, n):
+                if a := (rows[i] & mask) % p:
+                    break
+            else:
+                dets[t] = 0
+                continue
+            if i != k:
+                rows[k], rows[i] = rows[i], rows[k]
+                dets[t] = -dets[t]
+            dets[t] = dets[t] * a % p
+            kept.append((t, rows))
+            pivots.append(a)
+        live = kept
+        if k == n - 1 or not live:
             break  # no row left to eliminate: skip the inverse
-        inv = pow(a, -1, p)
-        pivot_row = 0  # columns k + 1 .. n - 1 of row k, reduced, from bit 0
-        for shift in range((n - k - 1) * width, 0, -width):
-            pivot_row = pivot_row << width | (row >> shift & mask) % p
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = (row & mask) * inv % p
-            row >>= width
-            if f:
-                row += (p - f) * pivot_row
-            rows[i] = row
-    return det % p
+        prefix = []  # prefix[j] = product of the pivots before j
+        product = 1
+        for a in pivots:
+            prefix.append(product)
+            product = product * a % p
+        inv = pow(product, -1, p)  # 1 / (product of the step's pivots)
+        for (_, rows), a, before in zip(reversed(live), reversed(pivots),
+                                        reversed(prefix)):
+            inv_a, inv = inv * before % p, inv * a % p
+            pivot_row = reduce(rows[k] >> width)
+            for i in range(k + 1, n):
+                row = rows[i]
+                f = (row & mask) * inv_a % p
+                row >>= width
+                if f:
+                    row += (p - f) * pivot_row
+                rows[i] = row
+    return [d % p for d in dets]
+
+
+# The bytes of packed rows one lockstep group of `det_mod` may hold.  A
+# trial's matrix has dim^2 * width bits: 0.25 MB for M(K6)'s block (dim
+# 120, 141-bit fields) and about 9.5 MB for M(K7)'s (dim 720, 147 bits).
+# 8 MiB takes all 20 default trials of M(K6) and of every smaller block
+# in one group and runs M(K7) one trial at a time.  Measured on randomized
+# M(K6) (CLI, 2 vCPU, 12 runs): the group of 20 lifts peak RSS from 21.9
+# to 30.1 MiB, as `det_mod` overwrites the rows in place.
+MAX_GROUP_BYTES = 8 << 20
+
+
+def group_trials(dim: int, width: int) -> int:
+    """How many trials of a block of this dimension and field width one
+    lockstep group takes: as many packed matrices as fit in
+    MAX_GROUP_BYTES, and at least one."""
+    return max(1, 8 * MAX_GROUP_BYTES // max(1, dim * dim * width))
 
 
 class GramBlockMod:
     """A family block evaluated modulo p from its Gram vectors, as packed
     rows for `det_mod`.  Column pattern S holds g_C'(S) mod p in the field
-    of each chain C' of the block; at a point with w^S = powers[S], row C
-    is the sum over the atom sets S of g_C of (g_C(S) * w^S mod p) times
-    pattern S.  A field then holds at most |g_C| products below p^2, and
-    `width` leaves room for the n - 1 elimination steps on top."""
+    of each chain C' of the block; at a point with w^S = powers[number of
+    S], row C is the sum over the atom sets S of g_C of
+    (g_C(S) * w^S mod p) times pattern S.  A field then holds at most
+    |g_C| products below p^2, and `width` is `lane_width` of that plus
+    the n - 1 elimination steps of `det_mod`, each adding below 3p^2."""
 
-    def __init__(self, vectors: tuple[GramVector, ...], p: int):
-        self.vectors, self.p = vectors, p
-        n = len(vectors)
-        bound = (max(map(len, vectors), default=0) + n) * (p - 1) ** 2
-        self.width = width = bound.bit_length()
+    def __init__(self, vectors: tuple[GramVector, ...],
+                 number: dict[Monomial, int], p: int):
+        self.p = p
+        self.dim = n = len(vectors)
+        bound = (max(map(len, vectors), default=0) * (p - 1) ** 2
+                 + max(n - 1, 0) * 3 * p * p)
+        self.width = width = lane_width(bound, p)
         columns: dict[Monomial, int] = {}
         for j, g in enumerate(vectors):
             for S, c in g.items():
                 columns[S] = columns.get(S, 0) + (c % p << j * width)
-        self.columns = columns
+        self.terms = [[(number[S], c, columns[S]) for S, c in g.items()]
+                      for g in vectors]
 
-    def rows(self, powers: dict[Monomial, int]) -> list[int]:
-        p, columns = self.p, self.columns
-        return [sum(c * powers[S] % p * columns[S] for S, c in g.items())
-                for g in self.vectors]
+    def rows(self, powers: list[int]) -> list[int]:
+        p = self.p
+        return [sum(c * powers[i] % p * column for i, c, column in terms)
+                for terms in self.terms]
 
-    def det(self, powers: dict[Monomial, int]) -> int:
-        return det_mod(self.rows(powers), self.width, self.p)
+    def dets(self, powers: list[list[int]]) -> list[int]:
+        """The block's determinant mod p at each trial's powers, the
+        trials eliminated in lockstep."""
+        return det_mod([self.rows(pw) for pw in powers], self.width, self.p)
 
 
-def weight_mod(w: frozenset[int], point: dict[int, int], p: int) -> int:
-    """The weight w, a sum of variables, at the point modulo p."""
+def weight_mod(w: Iterable[int], point: list[int], p: int) -> int:
+    """The weight w, a sum of variables given by their slots, at the
+    point modulo p."""
     return sum(map(point.__getitem__, w)) % p
 
 
@@ -351,12 +433,17 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     """Check det(chain matrix) = prod w(x)^rho(x).
 
     Symbolic mode counts the factors w(x) of each block determinant
-    exactly (see `factors_match`).  Randomized mode draws each variable
-    uniformly from [1, p - 1], p the fixed 62-bit prime, in each of
-    `trials` trials; evaluates w^S once per atom set S of the Gram
-    factor, each block from it (`GramBlockMod`) and its determinant with
-    `det_mod`; and requires both sides to agree in every trial.  Neither
-    mode multiplies the blocks together or expands the right-hand side.
+    exactly (see `factors_match`).  Randomized mode runs the trials in
+    lockstep groups of consecutive trials (`group_trials` of each block,
+    the fewest).  Per group it draws each trial's point, each variable
+    uniformly from [1, p - 1] (p the fixed 62-bit prime; trial by trial,
+    variables in increasing order, so a seed gives the same points
+    whatever the groups), evaluates w^S once per trial and atom set S of
+    the Gram factor, each block's rows from it (`GramBlockMod`) and
+    their determinants together with `det_mod`, and requires both sides
+    to agree in every trial, stopping after the first group where one
+    does not.  Neither mode multiplies the blocks together or expands
+    the right-hand side.
 
     The randomized error bound (Schwartz 1980; Zippel 1979): if det - R
     is nonzero modulo p, R = prod w(x)^rho(x), a trial passes with
@@ -382,27 +469,40 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
 
     blocks = block_decompose(chain_matrix(P, labeling, weights))
     p = VERIFICATION_PRIME
-    mod_blocks = [GramBlockMod(G, p) for _, G in blocks]
-    atom_sets = {S for _, G in blocks for g in G for S in g}
     rng = random.Random(seed)
     variables = sorted(set(weights.atom_vars.values()))
+    slot = {v: i for i, v in enumerate(variables)}
+    number: dict[Monomial, int] = {}  # atom set -> its index in powers
+    for _, G in blocks:
+        for g in G:
+            for S in g:
+                number.setdefault(S, len(number))
+    atom_slots = [[slot[v] for v, _ in S] for S in number]
+    rhs_slots = [(frozenset(slot[v] for v in w), e) for w, e in rhs]
+    mod_blocks = [GramBlockMod(G, number, p) for _, G in blocks]
+    size = min(group_trials(B.dim, B.width) for B in mod_blocks)
     verdict = True
-    for _ in range(trials):
-        point = {v: rng.randrange(1, p) for v in variables}
-        powers = {}
-        for S in atom_sets:
-            value = 1
-            for v, _ in S:
-                value = value * point[v] % p
-            powers[S] = value
-        det_val = 1
+    for start in range(0, trials, size):
+        group = [[rng.randrange(1, p) for _ in variables]
+                 for _ in range(min(size, trials - start))]
+        powers = []
+        for point in group:
+            values = []
+            for slots in atom_slots:
+                value = 1
+                for i in slots:
+                    value = value * point[i] % p
+                values.append(value)
+            powers.append(values)
+        dets = [1] * len(group)
         for B in mod_blocks:
-            det_val = det_val * B.det(powers) % p
-        rhs_val = 1
-        for w, e in rhs:
-            rhs_val = rhs_val * pow(weight_mod(w, point, p), e, p) % p
-        if det_val != rhs_val:
-            verdict = False
+            dets = [d * e % p for d, e in zip(dets, B.dets(powers))]
+        for point, det_val in zip(group, dets):
+            rhs_val = 1
+            for w, e in rhs_slots:
+                rhs_val = rhs_val * pow(weight_mod(w, point, p), e, p) % p
+            verdict = verdict and det_val == rhs_val
+        if not verdict:
             break
     return VerificationReport(verdict, exponents, rhs,
                               [(t, len(G), None, None) for t, G in blocks],

@@ -13,10 +13,11 @@ from bouquetdet.chains import (WeightAssignment, chain_matrix, make_labeling,
                                min_labeling, weight)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.cli import KINDS, main
-from bouquetdet.determinant import (VERIFICATION_PRIME, GramBlockMod, TooLarge,
-                                    block_decompose, block_determinants,
-                                    det_minors, det_mod, factors_match,
-                                    verify_theorem)
+from bouquetdet.determinant import (MAX_GROUP_BYTES, VERIFICATION_PRIME,
+                                    GramBlockMod, TooLarge, block_decompose,
+                                    block_determinants, det_minors, det_mod,
+                                    factors_match, group_trials, lane_reducer,
+                                    lane_width, verify_theorem)
 from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
 from bouquetdet.polyring import Packing, Polynomial
@@ -75,15 +76,19 @@ def det_mod_dense(rows, p):
     return det % p
 
 
-def packed_rows(M, p):
-    """The integer matrix M as `det_mod` reads it: each row one int, each
-    negative entry raised by a multiple of p to lie in [p, 2p), entries
-    of M at or above p kept as they are.  Returns (rows, width)."""
-    M = [[x % p + p if x < 0 else x for x in row] for row in M]
-    top = max((x for row in M for x in row), default=0)
-    bound = top + len(M) * (p - 1) ** 2
-    width = bound.bit_length()
-    return [sum(x << j * width for j, x in enumerate(row)) for row in M], width
+def packed_rows(matrices, p):
+    """A group of integer matrices, all n x n, as `det_mod` reads them:
+    each row one int, each negative entry raised by a multiple of p to
+    lie in [p, 2p), entries at or above p kept as they are, all in the
+    width `lane_width` gives for the group's largest entry plus the
+    n - 1 elimination steps.  Returns (rows of each matrix, width)."""
+    matrices = [[[x % p + p if x < 0 else x for x in row] for row in M]
+                for M in matrices]
+    top = max((x for M in matrices for row in M for x in row), default=0)
+    n = len(matrices[0]) if matrices else 0
+    width = lane_width(top + max(n - 1, 0) * 3 * p * p, p)
+    return [[sum(x << j * width for j, x in enumerate(row)) for row in M]
+            for M in matrices], width
 
 
 def unpacked(rows, width):
@@ -328,9 +333,9 @@ class TestDetMod:
         for seed in range(4):
             M = random_int_matrix(random.Random(f"{shape} {n} {seed}"), n, shape)
             expected = det_cofactor([[const(c) for c in row] for row in M])
-            assert det_mod(*packed_rows(M, p), p) == expected.terms.get((), 0) % p
+            assert det_mod(*packed_rows([M], p), p) == [expected.terms.get((), 0) % p]
             if shape == "singular" and n > 1 or shape == "zero-lead" and n == 1:
-                assert det_mod(*packed_rows(M, p), p) == 0
+                assert det_mod(*packed_rows([M], p), p) == [0]
 
     @pytest.mark.parametrize("n", [7, 12, 25, 40])
     @pytest.mark.parametrize("shape", ["plain", "zero-lead", "swap", "singular"])
@@ -338,21 +343,104 @@ class TestDetMod:
         p = VERIFICATION_PRIME
         for seed in range(2):
             M = random_int_matrix(random.Random(f"dense {shape} {n} {seed}"), n, shape)
-            det = det_mod(*packed_rows(M, p), p)
+            [det] = det_mod(*packed_rows([M], p), p)
             assert det == det_mod_dense(M, p)
             if shape == "singular":
                 assert det == 0
 
     def test_last_pivot_takes_no_inverse(self, monkeypatch):
-        # a 1 x 1 block needs no inverse; an n x n one needs n - 1
+        # One inverse per step for the whole group and none at the last
+        # step: a group of 1 x 1 matrices needs none, of n x n ones n - 1,
+        # and none is taken once every matrix has dropped out.
         calls = []
         monkeypatch.setattr(determinant, "pow", lambda *a: calls.append(a) or pow(*a),
                             raising=False)
         p = VERIFICATION_PRIME
-        assert det_mod(*packed_rows([[-5]], p), p) == p - 5
+        assert det_mod(*packed_rows([[[-5]], [[3]]], p), p) == [p - 5, 3]
         assert calls == []
-        assert det_mod(*packed_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]], p), p) == 4
-        assert len(calls) == 2
+        tridiagonal = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]  # det 4
+        reversed_rows = tridiagonal[::-1]  # one transposition: det -4
+        dropping = [[1, 2, 5], [3, 6, 1], [2, 4, 7]]  # column 1 = 2 * column 0
+        assert det_mod(*packed_rows([tridiagonal, reversed_rows, dropping], p),
+                       p) == [4, p - 4, 0]
+        assert len(calls) == 2 and all(a[1:] == (-1, p) for a in calls)
+        calls.clear()
+        assert det_mod(*packed_rows([dropping, dropping], p), p) == [0, 0]
+        assert len(calls) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_group_equals_dense(self, data):
+        """A group of 1-5 matrices, n from 0 to 8, entries up to a drawn
+        top (a digit, about p, a Gram row's fields or far wider, which
+        widens the fields), against `det_mod_dense` one matrix at a
+        time.  One matrix may have a column k >= 1 that is a combination
+        of the earlier ones mod p, so it drops out at step k or before
+        while the others go on; one may have a first entry that is 0 mod
+        p, so it alone swaps rows at step 0."""
+        p = VERIFICATION_PRIME
+        n = data.draw(st.integers(0, 8), label="n")
+        trials = data.draw(st.integers(1, 5), label="trials")
+        top = data.draw(st.sampled_from([9, 3 * p, 64 * p * p, 2 ** 200]), label="top")
+        entry = st.one_of(st.integers(0, 9), st.integers(0, top),
+                          st.sampled_from([p, 2 * p, top]))
+        group = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                            min_size=n, max_size=n),
+                                   min_size=trials, max_size=trials), label="group")
+        if n >= 2 and data.draw(st.booleans(), label="singular"):
+            M = group[data.draw(st.integers(0, trials - 1))]
+            k = data.draw(st.integers(1, n - 1), label="k")
+            combination = data.draw(st.lists(st.integers(0, p - 1), min_size=k,
+                                             max_size=k))
+            lift = data.draw(st.sampled_from([0, p]))
+            for row in M:
+                row[k] = sum(c * x for c, x in zip(combination, row)) % p + lift
+            assert det_mod_dense(M, p) == 0
+        if n >= 2 and data.draw(st.booleans(), label="swap"):
+            group[data.draw(st.integers(0, trials - 1))][0][0] = data.draw(
+                st.sampled_from([0, p]))
+        expected = [det_mod_dense(M, p) for M in group]
+        assert det_mod(*packed_rows(group, p), p) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lane_reduction(self, data):
+        """At the widest fields a width allows (`lane_width`), one Barrett
+        step leaves every field congruent to its input mod p and below
+        3p, with nothing carried or borrowed across fields."""
+        p = data.draw(st.sampled_from([VERIFICATION_PRIME, 2 ** 61 - 1, 65537, 3]))
+        width = data.draw(st.integers(1, 300), label="width")
+        v = max(v for v in range(width + 1) if lane_width((1 << v) - 1, p) <= width)
+        field = st.one_of(st.integers(0, (1 << v) - 1),
+                          st.sampled_from([0, (1 << v) - 1, (1 << v) // p * p,
+                                           (1 << v) // p * p - 1, p - 1]).filter(
+                              lambda x: 0 <= x < 1 << v))
+        fields = data.draw(st.lists(field, min_size=1, max_size=6), label="fields")
+        X = sum(x << j * width for j, x in enumerate(fields))
+        Y = lane_reducer(width, p, len(fields))(X)
+        assert 0 <= Y < 1 << len(fields) * width
+        for j, x in enumerate(fields):
+            y = Y >> j * width & (1 << width) - 1
+            assert y % p == x % p and y < 3 * p
+
+    def test_group_sizing(self):
+        # Every trial of U(3,6)'s and M(K6)'s blocks in one group of the
+        # default 20; a group of one trial once one packed matrix, of
+        # dim^2 * width bits, is over MAX_GROUP_BYTES: M(K7)'s block has
+        # dimension 720 and fields of at least 131 bits.
+        p = VERIFICATION_PRIME
+        for matroid, dim in [(uniform(3, 6), 10), (graphic_complete(6), 120)]:
+            P = flat_lattice(matroid)[0]
+            [(_, G)] = block_decompose(chain_matrix(P, min_labeling(P),
+                                                    WeightAssignment.default(P)))
+            number = {S: i for i, S in enumerate({S for g in G for S in g})}
+            B = GramBlockMod(G, number, p)
+            assert B.dim == dim and group_trials(B.dim, B.width) >= 20
+        assert group_trials(720, 131) == 1
+        bits = 8 * MAX_GROUP_BYTES
+        assert [group_trials(1, w)
+                for w in (bits + 1, bits, bits // 2, bits // 3)] == [1, 1, 2, 3]
+        assert group_trials(0, 1) == bits
 
 
 class TestRhsProduct:
@@ -424,16 +512,16 @@ class TestVerify:
     def test_randomized_negated_block(self, monkeypatch, bouquet_example):
         # One block's determinant negated mod p in every trial: the sign
         # is never -1, so both sides differ and the verdict is false.
-        det = GramBlockMod.det
+        dets = GramBlockMod.dets
         first = []
 
         def patched(block, powers):
             if not first:
                 first.append(block)
-            d = det(block, powers)
-            return -d % block.p if block is first[0] else d
+            ds = dets(block, powers)
+            return [-d % block.p for d in ds] if block is first[0] else ds
 
-        monkeypatch.setattr(GramBlockMod, "det", patched)
+        monkeypatch.setattr(GramBlockMod, "dets", patched)
         report = verify_default(bouquet_example, mode="randomized", trials=5, seed=3)
         assert first
         assert (report.verdict, report.sign) == (False, None)
@@ -686,30 +774,44 @@ class TestGramEvaluation:
         point = {v: rng.randrange(1, p) for v in weights.atom_vars.values()}
         for _, G in block_decompose(chain_matrix(P, min_labeling(P), weights)):
             B = gram_entries(G)
-            powers = {S: eval_mod(Polynomial({S: 1}), point, p)
-                      for g in G for S in g}
-            block = GramBlockMod(G, p)
+            number = {S: i for i, S in enumerate({S for g in G for S in g})}
+            powers = [0] * len(number)
+            for S, i in number.items():
+                powers[i] = eval_mod(Polynomial({S: 1}), point, p)
+            block = GramBlockMod(G, number, p)
             expected = [[eval_mod(e, point, p) for e in row] for row in B]
             fields = unpacked(block.rows(powers), block.width)
             assert [[x % p for x in row] for row in fields] == expected
-            # det_mod's room: n - 1 additions below (p - 1)^2 on top
+            # det_mod's room: n - 1 additions below 3p^2 on top, within
+            # the width rule
             top = max((x for row in fields for x in row), default=0)
-            assert top + (len(B) - 1) * (p - 1) ** 2 < 1 << block.width
-            assert block.det(powers) == det_mod_dense(expected, p)
+            assert lane_width(top + max(len(B) - 1, 0) * 3 * p * p, p) <= block.width
+            assert block.dets([powers, powers]) == [det_mod_dense(expected, p)] * 2
 
     def test_no_entry_expanded(self, monkeypatch):
         # Randomized mode builds no polynomial entry and evaluates only
-        # the right-hand side's weights, once per trial each.
+        # the right-hand side's weights, once per trial each, as the
+        # sets of their variables' slots in increasing variable order.
+        # In groups of 3 trials (so of 3 and 1 here), trial t still
+        # evaluates the t-th point the seed draws, trial by trial.
         P = INSTANCES["M(K4)"]()
-        evaluated = []
+        weights = WeightAssignment({a: 2 * i + 1 for i, a in enumerate(P.atoms)})
+        evaluated, points = [], []
         weight_mod = determinant.weight_mod
         monkeypatch.setattr(determinant, "weight_mod", lambda w, point, p:
-                            evaluated.append(w) or weight_mod(w, point, p))
+                            evaluated.append(w) or points.append(point)
+                            or weight_mod(w, point, p))
+        monkeypatch.setattr(determinant, "group_trials", lambda dim, width: 3)
         monkeypatch.setattr(chains, "packed_block", None)
         monkeypatch.setattr(determinant, "packed_block", None)
-        report = verify_default(P, mode="randomized", trials=4)
+        report = verify_theorem(P, min_labeling(P), weights, mode="randomized",
+                                trials=4, seed=9)
         assert report.verdict
-        assert evaluated == [q for q, _ in report.rhs] * 4
+        slot = {2 * i + 1: i for i in range(len(P.atoms))}
+        assert evaluated == [{slot[v] for v in q} for q, _ in report.rhs] * 4
+        rng, p = random.Random(9), VERIFICATION_PRIME
+        drawn = [[rng.randrange(1, p) for _ in P.atoms] for _ in range(4)]
+        assert points == [point for point in drawn for _ in report.rhs]
 
     def test_randomized_k5(self):
         # M(K5): one block of dimension 4! = 24, past the cofactor limit.
