@@ -12,7 +12,7 @@ from .determinant import (VERIFICATION_PRIME, VerificationReport,
 from .matroid import (BouquetOfMatroids, Matroid, bouquet_flat_poset,
                       build_bouquet_of_matroids, build_matroid, flat_lattice)
 from .polyring import Polynomial
-from .poset import Poset, build_poset, poset_from_json
+from .poset import BouquetdetError, Poset, build_poset, poset_from_json
 
 __all__ = [
     "Chain", "ChainMatrix", "Labeling", "WeightAssignment", "chain_matrix",
@@ -24,7 +24,7 @@ __all__ = [
     "BouquetOfMatroids", "Matroid", "bouquet_flat_poset",
     "build_bouquet_of_matroids", "build_matroid", "flat_lattice",
     "Polynomial",
-    "Poset", "build_poset", "poset_from_json",
+    "BouquetdetError", "Poset", "build_poset", "poset_from_json",
 ]
 
 __version__ = "0.1.0"

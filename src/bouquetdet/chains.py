@@ -14,7 +14,7 @@ forms each family block straight from its Gram vectors.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .polyring import Monomial, Packing
 from .poset import Poset, PosetError
@@ -24,31 +24,11 @@ class InvalidLabeling(PosetError):
     pass
 
 
-class Chain(NamedTuple):
-    """Saturated chain [x_1 < x_2 < ... < x_k] from an atom to a maximal
-    element; consecutive entries are covers."""
-    elements: tuple[str, ...]
-
-    @property
-    def top(self) -> str:
-        return self.elements[-1]
-
-    def __repr__(self) -> str:
-        return "[" + " < ".join(self.elements) + "]"
-
-
-class Labeling:
-    """Assignment of an atom l(x) <= x to every element above the bottom."""
-    __slots__ = ("labels",)
-
-    def __init__(self, labels: dict[str, str]):
-        self.labels = labels
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Labeling) and self.labels == other.labels
-
-    def __getitem__(self, x: str) -> str:
-        return self.labels[x]
+# A saturated chain (x_1, ..., x_k) from an atom to a maximal element:
+# consecutive entries are covers, and x_k is its top.
+Chain = tuple[str, ...]
+# An atom l(x) <= x for every element x above the bottom.
+Labeling = dict[str, str]
 
 
 def make_labeling(P: Poset, labels: Mapping[str, str]) -> Labeling:
@@ -63,7 +43,7 @@ def make_labeling(P: Poset, labels: Mapping[str, str]) -> Labeling:
             raise InvalidLabeling(f"no label for {x!r}")
         if a not in atoms or not P.leq(a, x):
             raise InvalidLabeling(f"label {a!r} is not an atom below {x!r}")
-    return Labeling({x: labels[x] for x in P.elements if x != P.bottom})
+    return {x: labels[x] for x in P.elements if x != P.bottom}
 
 
 def min_labeling(P: Poset, atom_order: Sequence[str] | None = None) -> Labeling:
@@ -81,7 +61,7 @@ def min_labeling(P: Poset, atom_order: Sequence[str] | None = None) -> Labeling:
                 break
         else:
             raise InvalidLabeling(f"no atom below {x!r}")
-    return Labeling(labels)
+    return labels
 
 
 def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
@@ -102,7 +82,7 @@ def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
         x = prefix[-1]
         ups = P.upper_covers(x)
         if not ups:
-            families[x].append(Chain(tuple(prefix)))
+            families[x].append(tuple(prefix))
             return
         for y in ups:
             if not P.leq(labeling[y], x):
@@ -125,7 +105,7 @@ def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
     a has x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.
     The levels are disjoint, so each tuple has its own atom set.
     """
-    below = [set()] + [set(P.atoms_below(x)) for x in chain.elements]
+    below = [set()] + [set(P.atoms_below(x)) for x in chain]
     tuples: list[tuple[str, ...]] = [()]
     for prev, cur in zip(below, below[1:]):
         tuples = [t + (a,) for t in tuples for a in sorted(cur - prev)]
@@ -214,7 +194,7 @@ class ChainMatrix:
 
     def to_json(self) -> dict:
         return {
-            "chains": [list(c.elements) for c in self.chains],
+            "chains": [list(c) for c in self.chains],
             "families": [{"top": t, "start": b[0], "stop": b[1]}
                          for t, b in zip(self.family_tops, self.family_bounds)],
             "entries": [list(row) for row in self.entries],
@@ -234,10 +214,10 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
     joins of a tuple generating a chain of family r trace the chain, so
     r is the join of its atom set S; were S also the atom set of a chain
     of family r', r' would be that join too.  The weights are injective,
-    so w^S determines S: every cross-family entry is the empty sum.  The
-    callers require P to be a bouquet, as `generators` needs, with
-    `Poset.require_bouquet` (the CLI's `_load_poset`, for `matrix` and
-    `det`, and `determinant.verify_theorem`).
+    so w^S determines S: every cross-family entry is the empty sum.  P
+    must be a bouquet, as `generators` needs, and is not checked here:
+    the CLI's `_load_poset` (for `matrix` and `det`) and
+    `determinant.verify_theorem` require it with `Poset.require_bouquet`.
 
     Each family r has |mu(0̂, r)| neat chains, its block's dimension, with
     one exemption: the one-element poset, whose only element is both 0̂

@@ -16,12 +16,11 @@ from typing import Any, Callable, NamedTuple
 
 from . import com as com_mod
 from . import matroid as matroid_mod
-from .chains import (InvalidLabeling, Labeling, WeightAssignment,
-                     chain_matrix, make_labeling, min_labeling)
-from .determinant import (VERIFICATION_PRIME, DeterminantError,
-                          block_determinants, blocks_json, det_texts,
-                          verify_theorem)
-from .poset import Poset, PosetError, poset_from_json
+from .chains import (Labeling, WeightAssignment, chain_matrix, make_labeling,
+                     min_labeling)
+from .determinant import (VERIFICATION_PRIME, block_determinants, blocks_json,
+                          det_texts, verify_theorem)
+from .poset import BouquetdetError, Poset, poset_from_json
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -84,7 +83,6 @@ KINDS = {
                 lambda c: com_mod.zero_set_poset(c)[0],
                 lambda c: {"com": True, "om": c.is_om()}),
 }
-STRUCTURAL_ERRORS = (PosetError, matroid_mod.MatroidError, com_mod.ComError)
 
 
 def _parse(args):
@@ -102,13 +100,14 @@ def _parse(args):
 
 def _load_poset(args, bouquet: bool = True) -> Poset:
     """Build the working poset for the requested input kind and, unless
-    `bouquet` is False, require a bouquet: every kind then names the
-    same reason and witness (`Poset.require_bouquet`)."""
+    `bouquet` is False (`dot`), require a bouquet.  The adapters only
+    build their posets, so this is the one place the CLI requires it, and
+    every kind names the same reason and witness (`Poset.require_bouquet`)."""
     try:
         P = KINDS[args.kind].poset(_parse(args))
         if bouquet:
             P.require_bouquet()
-    except STRUCTURAL_ERRORS as exc:
+    except BouquetdetError as exc:
         raise CliError(f"{args.kind}: {exc}", EXIT_STRUCTURAL) from exc
     return P
 
@@ -136,11 +135,8 @@ def _pipeline_input(args) -> tuple[Poset, Labeling, WeightAssignment]:
         if sorted(order) != sorted(P.atoms):
             raise CliError("atom_order must be a permutation of the atoms",
                            EXIT_STRUCTURAL)
-    try:
-        labeling = (min_labeling(P, order) if args.labeling == "min"
-                    else make_labeling(P, _load_labels(args.labeling)))
-    except InvalidLabeling as exc:
-        raise CliError(str(exc), EXIT_STRUCTURAL) from exc
+    labeling = (min_labeling(P, order) if args.labeling == "min"
+                else make_labeling(P, _load_labels(args.labeling)))
     return P, labeling, WeightAssignment({a: i for i, a in enumerate(order)})
 
 
@@ -156,7 +152,7 @@ def cmd_check(args) -> int:
     report: dict = {"kind": args.kind}
     try:
         report.update(KINDS[args.kind].report(_parse(args)))
-    except STRUCTURAL_ERRORS as exc:
+    except BouquetdetError as exc:
         report["valid"] = False
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(args, lambda: report, lambda: report["error"])
@@ -173,7 +169,7 @@ def cmd_matrix(args) -> int:
     M = chain_matrix(P, labeling, weights)
 
     def text() -> str:
-        lines = [f"chains: {[list(c.elements) for c in M.chains]}"]
+        lines = [f"chains: {[list(c) for c in M.chains]}"]
         lines += [" | ".join(row) for row in M.entries]
         return "\n".join(lines)
 
@@ -183,10 +179,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_det(args) -> int:
     P, labeling, weights = _pipeline_input(args)
-    try:
-        blocks = block_determinants(P, labeling, weights)
-    except DeterminantError as exc:
-        raise CliError(str(exc), EXIT_STRUCTURAL) from exc
+    blocks = block_determinants(P, labeling, weights)
     block_texts, det = det_texts(blocks)
     payload = {"det": det, "blocks": blocks_json(blocks, block_texts)}
     _emit(args, lambda: payload, lambda: det)
@@ -206,11 +199,8 @@ def cmd_rho(args) -> int:
 
 def cmd_verify(args) -> int:
     P, labeling, weights = _pipeline_input(args)
-    try:
-        report = verify_theorem(P, labeling, weights, mode=args.mode,
-                                trials=args.trials, seed=args.seed)
-    except DeterminantError as exc:
-        raise CliError(str(exc), EXIT_STRUCTURAL) from exc
+    report = verify_theorem(P, labeling, weights, mode=args.mode,
+                            trials=args.trials, seed=args.seed)
 
     def text() -> str:
         out = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
@@ -262,11 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="path to the input JSON file")
         p.add_argument("--kind", choices=list(KINDS), default="poset")
-        p.add_argument("--labeling", default="min",
-                       help='"min" or path to an explicit labeling JSON')
-        p.add_argument("--atom-order", default=None,
-                       help="comma-separated atom order for the min-labeling "
-                            "and the variable numbering")
+        if name in ("matrix", "det", "verify"):  # read by `_pipeline_input`
+            p.add_argument("--labeling", default="min",
+                           help='"min" or path to an explicit labeling JSON')
+            p.add_argument("--atom-order", default=None,
+                           help="comma-separated atom order for the "
+                                "min-labeling and the variable numbering")
         p.add_argument("--format", choices=["json", "text"], default="json")
         if name == "verify":
             p.add_argument("--mode", choices=["symbolic", "randomized"],
@@ -288,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BouquetdetError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_STRUCTURAL
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import Poset, _bits, inclusion_poset, json_strings
+from .poset import BouquetdetError, Poset, _bits, inclusion_poset, json_strings
 
 
-class ComError(Exception):
+class ComError(BouquetdetError):
     pass
 
 
@@ -241,17 +241,16 @@ def _se_witness(masks: list[tuple[int, int]], at: dict[str, list[int]],
 
 
 def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
-    """Distinct zero sets ordered by inclusion.
+    """Distinct zero sets ordered by inclusion, read straight from the
+    covectors that `validate_com` checked.
 
     Element ids are canonical set strings; the returned id -> zero set
     mapping is kept for perfbench and the tests until ROADMAP item 1.
-    Raises NotABouquet, with its witness, when the result is not a
-    bouquet of geometric lattices.
+    The poset is only built here: the CLI's `_load_poset` and
+    `determinant.verify_theorem` require it to be a bouquet.
     """
-    poset, mapping = inclusion_poset(
-        frozenset(zero_set(c.ground, x)) for x in c.covectors)
-    poset.require_bouquet()
-    return poset, mapping
+    return inclusion_poset(frozenset(e for e, s in zip(c.ground, x) if s == "0")
+                           for x in c.covectors)
 
 
 def com_from_json(data: dict) -> CovectorSet:

@@ -57,7 +57,7 @@ from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
 from .polyring import (Monomial, Packing, Polynomial, div_weight, mul_into,
                        sum_text)
-from .poset import Poset
+from .poset import BouquetdetError, Poset
 
 # Fixed evaluation prime for randomized verification: smallest prime
 # above 2^61 (62 bits).
@@ -69,7 +69,7 @@ VERIFICATION_PRIME = 2305843009213693967
 MAX_SYMBOLIC_DIM = 15
 
 
-class DeterminantError(Exception):
+class DeterminantError(BouquetdetError):
     pass
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poset import Poset, inclusion_poset, json_strings, set_id
+from .poset import BouquetdetError, Poset, inclusion_poset, json_strings, set_id
 
 
-class MatroidError(Exception):
+class MatroidError(BouquetdetError):
     pass
 
 
@@ -214,19 +214,16 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
 def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset]]:
     """Union of the per-roof flats ordered by inclusion.
 
-    Each roof matroid must be simple.  Raises NotABouquet, with its
-    witness, when the result is not a bouquet of geometric lattices:
-    that is a modeling error in the input, not something to accept
-    silently.
+    Each roof matroid must be simple.  The poset is only built here: the
+    CLI's `_load_poset` and `determinant.verify_theorem` require it to be
+    a bouquet of geometric lattices.
     """
     flats: set[frozenset] = set()
     for i, m in enumerate(b.roof_matroids):
         if not m.is_simple():
             raise NotSimple(f"roof {i} matroid is not simple")
         flats.update(m.flats())
-    poset, mapping = inclusion_poset(flats)
-    poset.require_bouquet()
-    return poset, mapping
+    return inclusion_poset(flats)
 
 
 def matroid_from_json(data: dict) -> Matroid:

@@ -32,7 +32,13 @@ import json
 from typing import Iterable, Iterator, Sequence
 
 
-class PosetError(Exception):
+class BouquetdetError(Exception):
+    """Root of every error this package raises on input it rejects: an
+    invalid structure, a poset that is not a bouquet, or a block too
+    large for symbolic mode.  The CLI exits 2 on it."""
+
+
+class PosetError(BouquetdetError):
     pass
 
 

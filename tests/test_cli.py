@@ -282,6 +282,19 @@ class TestDot:
         assert code == 0
         assert '  "0" -> "a\\b";\n' in out
 
+    @pytest.mark.parametrize("kind, module, name", [
+        ("com", "com", "com_generic_lines.json"),
+        ("bouquet", "matroid", "bouquet_example.json")])
+    def test_adapters_only_build(self, monkeypatch, capsys, kind, module, name):
+        # The adapters leave the bouquet test to `_load_poset`, which `dot`
+        # skips: an adapter poset that is not a bouquet is drawn as it is.
+        pentagon = KINDS["poset"].parse(load_fixture("poset_pentagon.json"))
+        monkeypatch.setattr(f"bouquetdet.{module}.inclusion_poset",
+                            lambda sets: (pentagon, {}))
+        code, out = run(capsys, "dot", str(FIXTURES / name), "--kind", kind)
+        assert code == 0
+        assert (code, out) == run(capsys, "dot", PENTAGON)
+
 
 class TestTextFormat:
     def test_det_text(self, capsys):
@@ -421,7 +434,7 @@ class TestExitCodes:
         # The order is checked once, before either labeling is built.
         if labeling == "explicit":
             labeling = tmp_path / "labeling.json"
-            labeling.write_text(json.dumps(min_labeling(bouquet_example).labels))
+            labeling.write_text(json.dumps(min_labeling(bouquet_example)))
         code = main([command, PEX, "--labeling", str(labeling),
                      "--atom-order", order])
         captured = capsys.readouterr()
@@ -482,6 +495,46 @@ class TestExitCodes:
                         "--mode", "randomized", "--trials", "2")
         assert code == 0
         assert [b["dim"] for b in json.loads(out)["blocks"]] == [24]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("option, value", [("--labeling", "min"),
+                                               ("--atom-order", "a5,a4,a3,a2,a1")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pipeline_options_only_where_read(self, capsys, command, option, value):
+        argv = [command, PEX, option, value]
+        if command in ("matrix", "det", "verify"):
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_one_error_root(self):
+        # `main` turns the root into exit 2; only the CLI's own error,
+        # which carries its exit code, stands outside it.
+        from bouquetdet import chains, cli, com, determinant, matroid, poset
+        defined = {obj for mod in (poset, chains, matroid, com, determinant, cli)
+                   for obj in vars(mod).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == mod.__name__}
+        assert {"InvalidLabeling", "RoofNotMatroid", "SEViolation", "TooLarge"} \
+            <= {e.__name__ for e in defined}
+        assert [e.__name__ for e in defined
+                if not issubclass(e, poset.BouquetdetError)] == ["CliError"]
+
+    def test_import_loads_no_introspection(self):
+        # `setup_s` times a fresh `import bouquetdet.cli`: these modules
+        # cost milliseconds of it, and the CLI needs none of them.
+        script = ("import sys, bouquetdet.cli\n"
+                  "print(sorted({'ast', 'dataclasses', 'dis', 'inspect'}"
+                  " & set(sys.modules)))\n")
+        path = [str(Path(bouquetdet.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
 
 class TestRunOnce:
