@@ -2,7 +2,11 @@
 matroids, and the zero-set poset feeding the chain-matrix pipeline.
 
 Covectors are strings over {+, -, 0} in ground-set order (e.g. "+-0"),
-which keeps fixtures compact and diffable.
+which keeps fixtures compact and diffable.  Inside, every sign vector
+and every set of ground elements is an int bitmask over ground
+positions, bit i for ground[i], and each column of the covector list is
+a bitset over covector indices; names return only in witnesses and in
+the frozensets handed to `inclusion_poset`.
 """
 
 from __future__ import annotations
@@ -51,10 +55,16 @@ _DIGITS = {"+": str.maketrans("+-0", "100"), "-": str.maketrans("+-0", "010"),
            "0": str.maketrans("+-0", "001")}
 
 
-def _mask(signs: str, s: str) -> int:
-    """Bitmask of the positions of `signs` holding the sign `s`; bit i is
-    position i."""
-    return int("0" + signs[::-1].translate(_DIGITS[s]), 2)
+def _sign_masks(rows: list[str], s: str) -> list[int]:
+    """For each sign string of `rows`, the bitmask of its positions
+    holding the sign `s`, bit i for position i.  One reversal and one
+    translation serve all the rows: the joined string, reversed, lists
+    each row reversed, most significant position first."""
+    if not rows:
+        return []
+    digits = ("0|".join(rows) + "0")[::-1].translate(_DIGITS[s]).split("|")
+    digits.reverse()
+    return [int(d, 2) for d in digits]
 
 
 def zero_set(ground: Sequence[str], x: str) -> set[str]:
@@ -65,11 +75,13 @@ def zero_set(ground: Sequence[str], x: str) -> set[str]:
 class CovectorSet:
     """Validated COM (E, L).  Construct via validate_com()."""
 
-    __slots__ = ("ground", "covectors")
+    __slots__ = ("ground", "covectors", "zeros")
 
-    def __init__(self, ground: tuple[str, ...], covectors: tuple[str, ...]):
+    def __init__(self, ground: tuple[str, ...], covectors: tuple[str, ...],
+                 zeros: tuple[int, ...]):
         self.ground = ground
         self.covectors = covectors
+        self.zeros = zeros  # the zero set of each covector, as a mask
 
     def is_om(self) -> bool:
         """An OM is a COM containing the all-zero covector."""
@@ -87,15 +99,21 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
 
     Each covector is held as two bitmasks over the ground positions, the
     positions signed + and the positions signed -, and packed into one
-    int, the + mask in the low n bits and the - mask above it.
+    int, the + mask in the low n bits and the - mask above it.  Each
+    column is held too: `at[s][f]` is the bitset of covector indices with
+    sign s at position f.
 
     FS: X o (-Y) is X off the zero set z(X) and -Y on it, so it depends
-    only on X and on -Y restricted to z(X).  The covectors are negated
-    once, by swapping the halves of their packed ints.  For each distinct
-    zero set z the restrictions of -Y to z are one AND each, collected in
-    a set r(z); then X o (-Y) is X | r for r in r(z(X)), and each check is
-    one OR and one set lookup.  Topes (no zeros) pass at once.  Only a
-    failing X has its row rescanned, in input order, for the witness.
+    only on X and on -Y restricted to z(X).  For each distinct zero set z
+    the distinct restrictions of -Y to z, r(z), come from the columns:
+    descend z position by position, splitting each bitset of the Y that
+    share a restriction so far three ways by the sign at the next
+    position, and keep only the nonempty bitsets.  A level holds at most
+    min(3^k, N) of them, so z costs at most min(3^|z|, N) * |z| ANDs,
+    not a pass over all N covectors.  Then X o (-Y) is X | r for r in
+    r(z(X)), and each check is one OR and one set lookup.  Topes (no
+    zeros) pass at once.  Only a failing X has its row rescanned, in
+    input order, for the witness.
 
     SE, by faces.  Call Z a proper face of X when Z is in L, Z != X and
     Z_f is 0 or X_f for every f.  The certificate: for every X, and every
@@ -124,10 +142,16 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     somewhere on its D, the OR over f in D of `at[X_f][f]`, and the
     certificate holds at X when none is left.  A COM passes: its
     covectors of support U = supp X, restricted to U, are the topes of a
-    contraction of L, itself a COM, and a COM's tope graph is a partial
-    cube (BCK 2018).  So a shortest path from X to Y first steps to a
-    tope differing from X only at some e in S(X, Y), and SE on that pair
-    at e gives a proper face of X with D = {e}.
+    contraction of L, itself a COM.  Merging each class of parallel
+    elements there (elements zero together, whose signs agree on every
+    covector or differ on every one) gives a simple COM on the same
+    topes, and a COM's tope graph is a partial cube (BCK 2018).  So a
+    shortest path from X to Y first steps to a tope X' that differs from
+    X on exactly one parallel class P inside S(X, Y).  SE on (X, X') at
+    some e in P gives a covector 0 at e, so 0 on all of P, and equal to X
+    off P: a proper face of X with D = P.  P is a single element only in
+    a simple COM: in {++, --, 00} on (e0, e1) the only proper face of ++
+    is 00, with D = {e0, e1}, so faces with |D| = 1 do not suffice.
 
     Only when the certificate fails are all pairs rescanned, in input
     order, for a witness (`_se_witness`); an input on which the rescan
@@ -143,46 +167,53 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
     if len(set(ground)) != len(ground):
         raise GroundMismatch("duplicate ground elements")
     n = len(ground)
-    vecs = []
-    seen = set()
-    for x in covectors:
-        _check_vector(ground, x)
-        if x not in seen:
-            seen.add(x)
-            vecs.append(x)
-    masks = [(_mask(x, "+"), _mask(x, "-")) for x in vecs]
+    vecs = list(dict.fromkeys(covectors))
+    if not (set(map(len, vecs)) <= {n} and set("".join(vecs)) <= _SIGNS):
+        for x in vecs:
+            _check_vector(ground, x)
+    masks = list(zip(_sign_masks(vecs, "+"), _sign_masks(vecs, "-")))
+    columns = ["".join(column) for column in zip(*vecs)] or [""] * n
+    at = {s: _sign_masks(columns, s) for s in _SIGNS}
+    # the columns again, keyed by the bit of their position
+    bits = [1 << f for f in range(n)]
+    plus_at, minus_at, zero_at = (dict(zip(bits, at[s])) for s in "+-0")
+    everyone = (1 << len(vecs)) - 1
     everywhere = (1 << n) - 1
-    packed = [plus | minus << n for plus, minus in masks]
-    pool = set(packed)
-    negated = [m >> n | (m & everywhere) << n for m in packed]
-    restricted: dict[int, set[int]] = {}  # zero set z -> r(z)
-    for x, (xp, xm), xk in zip(vecs, masks, packed):
+    pool = {plus | minus << n for plus, minus in masks}
+    restricted: dict[int, list[int]] = {}  # zero set z -> r(z)
+    for x, (xp, xm) in zip(vecs, masks):
         zero = everywhere & ~(xp | xm)
         if not zero:
             continue  # a tope: X o (-Y) = X
-        on_zero = zero | zero << n
         rows = restricted.get(zero)
         if rows is None:
-            rows = restricted[zero] = {m & on_zero for m in negated}
-        if any(xk | r not in pool for r in rows):
-            y = next(y for y, m in zip(vecs, negated) if xk | m & on_zero not in pool)
+            # descend z position by position: each node is a restriction
+            # of -Y to the positions so far and the bitset of its Y
+            nodes, rest = [(0, everyone)], zero
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                splits = ((low << n, plus_at[low]), (low, minus_at[low]), (0, zero_at[low]))
+                nodes = [(r | add, keep) for r, ys in nodes for add, column in splits
+                         if (keep := ys & column)]
+            rows = restricted[zero] = [r for r, _ in nodes]
+        xk = xp | xm << n
+        if not pool.issuperset(map(xk.__or__, rows)):
+            y = next(y for y, (yp, ym) in zip(vecs, masks)
+                     if xk | (ym & zero) | (yp & zero) << n not in pool)
             raise FSViolation(x, y)
-    columns = ["".join(column) for column in zip(*vecs)] or [""] * n
-    at = {s: [_mask(column, s) for column in columns] for s in _SIGNS}
-    plus_at, minus_at, zero_at = at["+"], at["-"], at["0"]
     supports = [xp | xm for xp, xm in masks]
     classes: dict[int, int] = {}  # support -> bitset of its covectors
     for k, support in enumerate(supports):
         classes[support] = classes.get(support, 0) | 1 << k
-    everyone = (1 << len(vecs)) - 1
     candidates = {}  # support U -> the covectors that are 0 off U
     for support in classes:
         agree = everyone
         for f in _bits(everywhere & ~support):
-            agree &= zero_at[f]
+            agree &= at["0"][f]
         candidates[support] = agree
-    plus_or_zero = [p | z for p, z in zip(plus_at, zero_at)]
-    minus_or_zero = [m | z for m, z in zip(minus_at, zero_at)]
+    plus_or_zero = {b: p | zero_at[b] for b, p in plus_at.items()}
+    minus_or_zero = {b: m | zero_at[b] for b, m in minus_at.items()}
 
     def certified(k: int) -> bool:
         xp, xm = masks[k]
@@ -191,14 +222,25 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
         if not unseparated:
             return True
         faces = candidates[support] & ~(1 << k)
-        for f in _bits(xp):
-            faces &= plus_or_zero[f]
-        for f in _bits(xm):
-            faces &= minus_or_zero[f]
-        for z in _bits(faces):
+        rest = xp
+        while rest:
+            low = rest & -rest
+            faces &= plus_or_zero[low]
+            rest ^= low
+        rest = xm
+        while rest:
+            low = rest & -rest
+            faces &= minus_or_zero[low]
+            rest ^= low
+        while faces:
+            z = faces & -faces
+            faces ^= z
             agree = 0
-            for f in _bits(support & ~supports[z]):
-                agree |= plus_at[f] if xp >> f & 1 else minus_at[f]
+            rest = support & ~supports[z.bit_length() - 1]
+            while rest:
+                low = rest & -rest
+                agree |= plus_at[low] if xp & low else minus_at[low]
+                rest ^= low
             unseparated &= agree
             if not unseparated:
                 return True
@@ -209,7 +251,7 @@ def validate_com(ground: Sequence[str], covectors: Iterable[str]) -> CovectorSet
         if witness is not None:
             i, j, e = witness
             raise SEViolation(vecs[i], vecs[j], ground[e])
-    return CovectorSet(ground, tuple(vecs))
+    return CovectorSet(ground, tuple(vecs), tuple(everywhere ^ u for u in supports))
 
 
 def _se_witness(masks: list[tuple[int, int]], at: dict[str, list[int]],
@@ -242,15 +284,15 @@ def _se_witness(masks: list[tuple[int, int]], at: dict[str, list[int]],
 
 def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
     """Distinct zero sets ordered by inclusion, read straight from the
-    covectors that `validate_com` checked.
+    zero masks of the covectors that `validate_com` checked.
 
     Element ids are canonical set strings; the returned id -> zero set
     mapping is kept for perfbench and the tests until ROADMAP item 1.
     The poset is only built here: the CLI's `_load_poset` and
     `determinant.verify_theorem` require it to be a bouquet.
     """
-    return inclusion_poset(frozenset(e for e, s in zip(c.ground, x) if s == "0")
-                           for x in c.covectors)
+    ground = c.ground
+    return inclusion_poset(frozenset(ground[i] for i in _bits(z)) for z in set(c.zeros))
 
 
 def com_from_json(data: dict) -> CovectorSet:

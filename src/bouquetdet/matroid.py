@@ -1,6 +1,14 @@
 """Matroids from explicit independent-set families, their flat lattices,
 and bouquets of matroids glued along roof subsets.
 
+Every set is held as an int bitmask over ground positions, bit i for
+ground[i]; names map to positions only where input is read, and return
+only in witnesses and in the frozensets handed to `inclusion_poset`.  A
+matroid's family is held as its extension table, each independent set I
+-> the mask of the e outside I with I + e independent.  One pass fills
+it and checks downward closure, exchange is read from it as the links of
+`build_matroid`, and a flat is the complement of an entry.
+
 Flat posets produced here plug straight into the chain-matrix pipeline:
 elements are canonical set strings like "{a,b}".  Each poset comes with
 its id -> flat mapping, kept for perfbench and the tests until ROADMAP
@@ -9,10 +17,10 @@ item 1.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .poset import BouquetdetError, Poset, inclusion_poset, json_strings, set_id
+from .poset import BouquetdetError, Poset, _bits, inclusion_poset, json_strings, set_id
 
 
 class MatroidError(BouquetdetError):
@@ -57,39 +65,132 @@ class ExchangeAcrossRoofsFails(MatroidError):
 class Matroid:
     """Matroid given by ground set and full independent-set family."""
 
-    __slots__ = ("ground", "independents")
+    __slots__ = ("ground", "independents", "_ext")
 
     def __init__(self, ground: tuple[str, ...], independents: frozenset):
         self.ground = ground
         self.independents = independents
+        self._ext: dict[int, int] | None = None
+
+    def _extensions(self) -> dict[int, int]:
+        """Each independent mask I -> the mask of the e outside I with
+        I + e independent; `build_matroid` hands over the table it checked,
+        and a matroid built directly derives it on first use."""
+        if self._ext is None:
+            bit = {e: 1 << i for i, e in enumerate(self.ground)}
+            self._ext = _extensions(self.ground, _masks(bit, self.independents,
+                                                         "independent set"))
+        return self._ext
 
     def flats(self) -> list[frozenset]:
         """All flats, sorted by size then elements: the closures of the
         independent sets.  Every flat is the closure of a basis of it,
-        and an independent set is its own basis."""
-        ind = self.independents
-        flats = {i.union([e for e in self.ground
-                          if e not in i and i | {e} not in ind])
-                 for i in ind}
-        return sorted(flats, key=lambda f: (len(f), sorted(f)))
+        and the closure of an independent I adds every e with I + e
+        dependent, so it is the complement of I's extensions."""
+        full = (1 << len(self.ground)) - 1
+        return sorted((_named(self.ground, full ^ e) for e in set(self._extensions().values())),
+                      key=lambda f: (len(f), sorted(f)))
 
     def is_simple(self) -> bool:
         """No loops and no parallel pairs: every subset of size <= 2 is
-        independent."""
-        for e in self.ground:
-            if frozenset([e]) not in self.independents:
-                return False
-        for e, f in combinations(self.ground, 2):
-            if frozenset([e, f]) not in self.independents:
-                return False
-        return True
+        independent, so the empty set extends by every element and each
+        singleton by every other."""
+        ext = self._extensions()
+        full = (1 << len(self.ground)) - 1
+        return ext.get(0) == full and all(ext.get(1 << i) == full ^ 1 << i
+                                          for i in range(len(self.ground)))
 
     def __repr__(self) -> str:
         return f"Matroid({len(self.ground)} elements, {len(self.independents)} independent sets)"
 
 
+def _named(ground: Sequence[str], mask: int) -> frozenset:
+    """The ground elements at the set bits of `mask`."""
+    return frozenset(ground[i] for i in _bits(mask))
+
+
+def _masks(bit: dict[str, int], sets: Iterable[frozenset], what: str) -> list[int]:
+    """The mask of each set, from `bit`, a ground element's mask; raises
+    MatroidError naming the first set not within the ground set."""
+    try:
+        return [sum(map(bit.__getitem__, s)) for s in sets]
+    except KeyError:
+        s = next(s for s in sets if not s <= bit.keys())
+        raise MatroidError(f"{what} {set_id(s)} not within the ground set") from None
+
+
+def _extensions(ground: Sequence[str], masks: Iterable[int]) -> dict[int, int]:
+    """I -> the mask of the e outside I with I + e in the family, for the
+    distinct masks of a family, in their first order; each I - e of each I
+    is looked up once, and NotDownwardClosed names the first I with one
+    missing, and the first such e in ground order."""
+    ext = dict.fromkeys(masks, 0)
+    for m in ext:
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            try:
+                ext[m ^ low] |= low
+            except KeyError:
+                raise NotDownwardClosed(
+                    f"{set_id(_named(ground, m))} is independent but "
+                    f"{set_id(_named(ground, m ^ low))} is not") from None
+    return ext
+
+
+def _links_multipartite(ext: dict[int, int]) -> bool:
+    """Whether, for each independent K, the graph on {a : K+a independent}
+    with an edge {b, c} whenever K+b+c is independent is complete
+    multipartite: non-adjacency is an equivalence relation.  The part of
+    a vertex a is a with its non-neighbours, the extensions of K that do
+    not extend K+a; each part is taken from its lowest vertex and must be
+    the part of each of its members.  One lookup per vertex per K."""
+    for k, vertices in ext.items():
+        rest = vertices
+        while rest:
+            low = rest & -rest
+            part = vertices & ~ext[k | low]
+            rest &= ~part
+            others = part ^ low
+            while others:
+                b = others & -others
+                others ^= b
+                if vertices & ~ext[k | b] != part:
+                    return False
+    return True
+
+
 def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) -> Matroid:
     """Validate the three independent-set axioms and build the matroid.
+
+    Each set is a mask over ground positions, bit i for ground[i].  The
+    family must hold the empty set and be downward-closed, checked while
+    the extension table of `Matroid._extensions` is filled.
+
+    Exchange is checked from the links.  Claim: a downward-closed family
+    holding the empty set has exchange (for I, J independent with
+    |I| < |J| some e in J - I has I+e independent) iff the local rule
+    holds: for each independent K and distinct a, b, c with K+a and K+b+c
+    independent, K+a+b or K+a+c is independent.  (=>) exchange on K+a and
+    K+b+c.  (<=) a (|I| + 1)-subset of J is independent, so |J| = |I| + 1
+    suffices; induct on |I|, then on |I & J| descending.  If I lies in J,
+    J = I+e.  Else take a in I - J and K = I - a.  Exchange at |K| on K
+    and J gives b in J - K with K+b independent, and b is not in I, as a
+    is not in J.  The inner induction on (K+b, J), one more in common,
+    gives c in J - (K+b) with K+b+c independent, c not in I either.  The
+    local rule then makes I+b or I+c independent.  Fix K.  If K+b or K+c
+    is dependent, so is K+b+c, and the rule holds; so the rule at K is
+    about the vertices of the graph of `_links_multipartite`, and says
+    that a vertex adjacent to neither b nor c makes b and c
+    non-adjacent.  Non-adjacency (with each vertex counted non-adjacent
+    to itself) is reflexive and symmetric, so the rule at K says it is an
+    equivalence: the graph is complete multipartite.
+
+    Only when a link fails are the pairs rescanned, in input order, for
+    a witness.  The rescan checks exchange between sizes k and k + 1,
+    which by the claim fails too; an input on which it finds none is
+    accepted.
 
     Witnesses follow input order with duplicates dropped: NotDownwardClosed
     names the first independent set I with a subset missing, then the
@@ -98,34 +199,26 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
     that no element extends I from.
     """
     ground = tuple(ground)
-    ground_set = set(ground)
-    if len(ground_set) != len(ground):
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    if len(bit) != len(ground):
         raise MatroidError("duplicate ground elements")
-    family: dict[frozenset, None] = {}  # the distinct sets, in input order
-    for i in independents:
-        s = frozenset(i)
-        if not s <= ground_set:
-            raise MatroidError(f"independent set {set_id(s)} not within the ground set")
-        family[s] = None
-    if frozenset() not in family:
+    family = dict.fromkeys(map(frozenset, independents))  # distinct, in input order
+    masks = _masks(bit, family, "independent set")
+    if 0 not in masks:
         raise EmptySetMissing("the empty set must be independent")
-    for s in family:
-        if missing := [e for e in s if s - {e} not in family]:
-            e = min(missing, key=ground.index)
-            raise NotDownwardClosed(
-                f"{set_id(s)} is independent but {set_id(s - {e})} is not")
-    # The family is downward-closed, so exchange between sizes k and
-    # k + 1 implies it for all |I| < |J|: any (|I| + 1)-subset of J is
-    # independent and offers J's candidates outside I.
-    by_size: dict[int, list[frozenset]] = {}
-    for s in family:
-        by_size.setdefault(len(s), []).append(s)
-    for s in family:
-        extends = {e for e in ground_set - s if s | {e} in family}
-        for j in by_size.get(len(s) + 1, ()):
-            if extends.isdisjoint(j):
-                raise ExchangeFails(f"no element of {set_id(j)} extends {set_id(s)}")
-    return Matroid(ground, frozenset(family))
+    ext = _extensions(ground, masks)
+    if not _links_multipartite(ext):
+        by_size: dict[int, list[int]] = {}
+        for j in ext:
+            by_size.setdefault(j.bit_count(), []).append(j)
+        for i, extends in ext.items():
+            for j in by_size.get(i.bit_count() + 1, ()):
+                if not extends & j:
+                    raise ExchangeFails(f"no element of {set_id(_named(ground, j))} "
+                                        f"extends {set_id(_named(ground, i))}")
+    m = Matroid(ground, frozenset(family))
+    m._ext = ext
+    return m
 
 
 def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
@@ -164,6 +257,10 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     holds across roofs.  The ground elements are distinct and every roof
     lies within them.
 
+    Roofs and sets are masks over ground positions, bit i for ground[i];
+    a set naming an element outside the ground set takes the bit past
+    them, which lies in no roof.
+
     Witnesses follow input order with duplicates dropped: each roof's
     restriction keeps the input order for `build_matroid`; UnionMismatch
     lists the sets within no roof as a JSON array; and
@@ -172,22 +269,22 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     e of a outside b in ground order.
     """
     ground = tuple(ground)
-    ground_set = set(ground)
-    if len(ground_set) != len(ground):
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    if len(bit) != len(ground):
         raise MatroidError("duplicate ground elements")
     roofs = tuple(frozenset(r) for r in roofs)
-    for r in roofs:
-        if not r <= ground_set:
-            raise MatroidError(f"roof {set_id(r)} not within the ground set")
-    family = dict.fromkeys(frozenset(i) for i in independents)  # in input order
-    for i, a in enumerate(roofs):
-        for j, b in enumerate(roofs):
-            if i != j and a <= b:
-                raise NotAClutter(f"roof {set_id(a)} is contained in roof {set_id(b)}")
+    roof_masks = _masks(bit, roofs, "roof")
+    stray = 1 << len(ground)
+    family = {s: sum(map(bit.get, s, repeat(stray)))  # in input order
+              for s in map(frozenset, independents)}
+    for i, a in enumerate(roof_masks):
+        for j, b in enumerate(roof_masks):
+            if i != j and not a & ~b:
+                raise NotAClutter(f"roof {set_id(roofs[i])} is contained in roof {set_id(roofs[j])}")
     roof_matroids = []
     restrictions = []
-    for i, roof in enumerate(roofs):
-        restricted = [s for s in family if s <= roof]
+    for i, (roof, r) in enumerate(zip(roofs, roof_masks)):
+        restricted = {s: m for s, m in family.items() if not m & ~r}
         restrictions.append(restricted)
         try:
             roof_matroids.append(build_matroid(sorted(roof), restricted))
@@ -197,17 +294,18 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
     if extra := [set_id(s) for s in family if s not in within]:
         import json  # loaded with `poset` already; only this error needs it here
         raise UnionMismatch(f"independent sets not within any roof: {json.dumps(extra)}")
-    for i, a in enumerate(roofs):
-        for j, b in enumerate(roofs):
+    pool = set(family.values())
+    for i, a in enumerate(roof_masks):
+        for j, b in enumerate(roof_masks):
             if i == j:
                 continue
-            outside = [e for e in ground if e in a and e not in b]
-            for s in restrictions[i]:
-                if s <= b:
-                    for e in outside:
-                        if s | {e} not in family:
+            outside = [(e, 1 << e) for e in _bits(a & ~b)]
+            for s, m in restrictions[i].items():
+                if not m & ~b:
+                    for e, low in outside:
+                        if m | low not in pool:
                             raise ExchangeAcrossRoofsFails(
-                                f"{set_id(s)} + {e!r} not independent")
+                                f"{set_id(s)} + {ground[e]!r} not independent")
     return BouquetOfMatroids(ground, roofs, frozenset(family), tuple(roof_matroids))
 
 

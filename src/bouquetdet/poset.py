@@ -29,6 +29,7 @@ a Poset is immutable afterwards, so queries are safe to run concurrently.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -96,18 +97,22 @@ class Poset:
             raise UnknownElement("duplicate element identifiers")
         up = [1 << j for j in range(len(elements))]
         self._downcov = downcov = {}
-        for j, d in enumerate(down):
-            below, implied = d & ~(1 << j), 0
-            for i in _bits(below):
-                up[i] |= 1 << j
-                implied |= down[i] & ~(1 << i)
-            covered = _bits(below & ~implied)
-            downcov[elements[j]] = tuple(sorted(elements[i] for i in covered))
-        self.covers = frozenset((x, y) for y, xs in downcov.items() for x in xs)
         upcov: dict[str, list[str]] = {x: [] for x in elements}
-        for x, y in sorted(self.covers):
-            upcov[x].append(y)
-        self._upcov = {x: tuple(v) for x, v in upcov.items()}
+        for j, (y, d) in enumerate(zip(elements, down)):
+            bit = 1 << j
+            below = rest = d & ~bit
+            implied = 0
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                up[i] |= bit
+                implied |= down[i] & ~low
+                rest ^= low
+            downcov[y] = xs = tuple(sorted(elements[i] for i in _bits(below & ~implied)))
+            for x in xs:
+                upcov[x].append(y)
+        self.covers = frozenset((x, y) for y, xs in downcov.items() for x in xs)
+        self._upcov = {x: tuple(sorted(v)) for x, v in upcov.items()}
         self._up = up
         self._down = down
         self._by_up = {m: i for i, m in enumerate(up)}
@@ -151,14 +156,16 @@ class Poset:
         up-mask is up[x] & up[a], when some element has that up-mask, and
         it covers x when the interval [x, x v a], the mask
         up[x] & down[x v a], holds x and x v a only.  n * |atoms| mask lookups in all."""
-        els, up, down = self.elements, self._up, self._down
+        els, up, down, by_up = self.elements, self._up, self._down, self._by_up
         if self.bottom is None:
             return ("not-lattice", tuple(x for x in els if not self._downcov[x])[:2])
-        everything = (1 << len(els)) - 1
+        everything, atom_mask = (1 << len(els)) - 1, self._atom_mask
         for x, u, d in zip(els, up, down):
-            upper = everything
-            for a in _bits(d & self._atom_mask):
-                upper &= up[a]
+            upper, rest = everything, d & atom_mask
+            while rest:
+                low = rest & -rest
+                upper &= up[low.bit_length() - 1]
+                rest ^= low
             if upper != u:
                 return ("not-atomic", (x,))
         atoms = [(a, up[self._index[a]]) for a in self.atoms]
@@ -168,7 +175,7 @@ class Poset:
                 # common is ux exactly when a <= x, and 0 when x and a
                 # have no common upper bound
                 if common and common != ux:
-                    j = self._by_up.get(common)
+                    j = by_up.get(common)
                     if j is None:
                         return ("not-lattice", (a, x))
                     if (ux & down[j]).bit_count() != 2:
@@ -275,15 +282,24 @@ class Poset:
                     raise NotRanked(f"unequal saturated chain lengths at {els[j]!r}")
                 rank[j] = k = ranks.pop() + 1
                 m = s = 0
-                for y in _bits(down[j] ^ 1 << j):
+                rest = down[j] ^ 1 << j
+                while rest:
+                    low = rest & -rest
+                    y = low.bit_length() - 1
                     m -= mu[y]
                     s += mu[y] * rank[y]
+                    rest ^= low
                 mu[j], beta[j] = m, (-1) ** k * (s + m * k)
             for r in map(index.get, self.maximal):
                 mu_r = {r: 1}  # z -> mu(z, r)
                 total[r] += 1
-                for z in sorted(_bits(down[r]), key=rank.__getitem__, reverse=True)[1:]:
-                    mu_r[z] = m = -sum(mu_r[u] for u in _bits(up[z] & down[r] ^ 1 << z))
+                for z in sorted(_bits(down[r] ^ 1 << r), key=rank.__getitem__, reverse=True):
+                    m, rest = 0, up[z] & down[r] ^ 1 << z
+                    while rest:
+                        low = rest & -rest
+                        m -= mu_r[low.bit_length() - 1]
+                        rest ^= low
+                    mu_r[z] = m
                     total[z] += abs(m)
             self._table = list(zip(rank, mu, beta, (b * t for b, t in zip(beta, total))))
         return self._table[i]
@@ -377,24 +393,57 @@ def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozens
 
     Element ids are canonical set strings, listed by increasing size; the
     returned id -> set mapping is kept for perfbench and the tests until
-    ROADMAP item 1.  The down-mask of each set comes from subset tests
-    against the sets listed up to it, and goes straight to `Poset`.
+    ROADMAP item 1.  The ground elements are numbered in name order, and
+    column e is the bitset of the sets holding e.  A set a lies within b
+    exactly when it avoids every e outside b, so the down-mask of b is the
+    AND over those e of the complemented columns: |ground| ANDs per set,
+    with no pair of sets compared.  The masks go straight to `Poset`.
     """
-    sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    ids = [set_id(s) for s in sets]
-    down = [sum(1 << k for k, a in enumerate(sets[:i + 1]) if a <= b)
-            for i, b in enumerate(sets)]
-    return Poset(ids, down), dict(zip(ids, sets))
+    sets = set(sets)
+    names = sorted(set().union(*sets))
+    position = {e: i for i, e in enumerate(names)}
+    # (size, names in order) is unique to a set: the order of the elements
+    keyed = sorted((len(s), sorted(s), s) for s in sets)
+    columns = [0] * len(names)
+    masks = []
+    for k, (_, members, _) in enumerate(keyed):
+        mask = 0
+        for i in map(position.__getitem__, members):
+            columns[i] |= 1 << k
+            mask |= 1 << i
+        masks.append(mask)
+    everyone, full = (1 << len(keyed)) - 1, (1 << len(names)) - 1
+    avoid = {1 << i: everyone ^ c for i, c in enumerate(columns)}  # by the bit of e
+    down = []
+    for mask in masks:
+        d, rest = everyone, full ^ mask
+        while rest:
+            low = rest & -rest
+            d &= avoid[low]
+            rest ^= low
+        down.append(d)
+    ids = [set_id(members) for _, members, _ in keyed]
+    return Poset(ids, down), {i: s for i, (_, _, s) in zip(ids, keyed)}
 
 
 def json_strings(value, field: str, depth: int = 1) -> list:
     """`value`, checked to be a JSON array of strings, or for depth 2 an
     array of such arrays, so that no string is read as its characters;
-    TypeError naming `field` otherwise."""
-    kind, name = (list, "an array") if depth else (str, "a string")
-    if not isinstance(value, kind):
-        raise TypeError(f"{field}: expected {name}, got {type(value).__name__}")
-    return [json_strings(v, field, depth - 1) for v in value] if depth else value
+    TypeError naming `field` otherwise.  The types are checked in bulk;
+    only on a failure are the arrays rescanned, in order, to name the
+    first value of a wrong type."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field}: expected an array, got {type(value).__name__}")
+    if depth > 1:
+        if not (set(map(type, value)) <= {list}
+                and set(map(type, chain.from_iterable(value))) <= {str}):
+            for v in value:
+                json_strings(v, field, depth - 1)
+        return value
+    if not set(map(type, value)) <= {str}:
+        wrong = next(v for v in value if type(v) is not str)
+        raise TypeError(f"{field}: expected a string, got {type(wrong).__name__}")
+    return value
 
 
 def poset_from_json(data: dict) -> Poset:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -253,6 +254,21 @@ class TestAgainstBruteForce:
 class TestFaceCertificate:
     """Valid COMs pass strong elimination on the face certificate alone:
     the pair-by-pair rescan never runs."""
+
+    def test_parallel_class_face(self):
+        # e0 and e1 are parallel: the only proper face of ++ is 00, with
+        # D = {e0, e1}, so a certificate from faces with |D| = 1 would fail
+        vecs = ["++", "--", "00"]
+        assert validated(["e0", "e1"], vecs) == (tuple(vecs), 0)
+
+    def test_rank_one_om_on_forty_elements(self):
+        # The zero set of 0...0 is all 40 positions, but the restrictions
+        # of -Y to it are three: enumerating sign patterns rather than
+        # nonempty column bitsets would take 3^40 steps.
+        vecs = ["0" * 40, "+" * 40, "-" * 40]
+        start = time.perf_counter()
+        assert validated([f"e{i}" for i in range(40)], vecs) == (tuple(vecs), 0)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("com_*.json")))
     def test_fixtures(self, name):

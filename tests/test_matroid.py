@@ -215,6 +215,43 @@ class TestExchangeOracle:
         ground = sorted({e for s in family for e in s})
         assert exchange_verdict(ground, family) == exchange_holds(family)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_links_against_all_pairs(self, data):
+        """The check from links accepts exactly the families the
+        all-pairs oracle accepts, and on a failure names the oracle's
+        witness: the first I in input order, then the first J of size
+        |I| + 1 that no element extends I from.  Families are drawn on at
+        most 7 elements, from generators or from the r-subsets of a set
+        with some dropped, listed with repeats in a shuffled order."""
+        ground = data.draw(st.permutations("abcdefg"))
+        if data.draw(st.booleans()):
+            generators = data.draw(st.lists(st.sets(st.sampled_from(ground), max_size=5),
+                                            max_size=6))
+        else:
+            r = data.draw(st.integers(1, 4))
+            top = data.draw(st.sets(st.sampled_from(ground), min_size=r))
+            generators = [set(c) for c in combinations(sorted(top), r)]
+            for _ in range(data.draw(st.integers(0, min(2, len(generators) - 1)))):
+                generators.pop(data.draw(st.integers(0, len(generators) - 1)))
+        family = down_closure(generators)
+        ordered = sorted(family, key=sorted)
+        repeats = data.draw(st.lists(st.sampled_from(ordered), max_size=4))
+        listed = [sorted(s) for s in data.draw(st.permutations(ordered + repeats))]
+        expected = None
+        if not exchange_holds(family):
+            sets = list(dict.fromkeys(map(frozenset, listed)))
+            expected = next(f"no element of {set_id(j)} extends {set_id(i)}"
+                            for i in sets for j in sets
+                            if len(j) == len(i) + 1 and not any(i | {e} in family
+                                                                for e in j - i))
+        try:
+            build_matroid(ground, listed)
+        except ExchangeFails as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
 
 class TestRankClosureFlats:
     def test_flats_u23(self, u23):

@@ -175,6 +175,27 @@ class TestBuild:
         assert (P._up, P._down) == (Q._up, Q._down)
         assert ranks(P) == ranks(Q)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_inclusion_poset_equals_built_on_wide_grounds(self, data):
+        """As above, over names whose sort order is not their numeric
+        order (b10 sorts before b9) and grounds of up to 80 elements,
+        past one 64-bit word: the column bitsets and the set masks may
+        span several words."""
+        n = data.draw(st.integers(1, 80))
+        names = data.draw(st.permutations([f"b{i}" for i in range(n)]))
+        sets = data.draw(st.lists(st.frozensets(st.sampled_from(names)), max_size=6))
+        big = data.draw(st.frozensets(st.sampled_from(names), min_size=n - n // 8))
+        sets += [big, big - {names[0]}, frozenset(names)]
+        distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
+        covers = [(set_id(a), set_id(b)) for a in distinct for b in distinct
+                  if a < b and not any(a < c < b for c in distinct)]
+        P, mapping = inclusion_poset(sets)
+        Q = build_poset([set_id(s) for s in distinct], covers)
+        assert P.elements == Q.elements
+        assert (P.covers, P._up, P._down) == (Q.covers, Q._up, Q._down)
+        assert mapping == {set_id(s): s for s in distinct}
+
     def test_inclusion_duplicate_ids(self):
         # {"a,b"} and {"a", "b"} both print {a,b}.
         with pytest.raises(UnknownElement, match="duplicate element identifiers"):
