@@ -5,8 +5,9 @@ Covectors are strings over {+, -, 0} in ground-set order (e.g. "+-0"),
 which keeps fixtures compact and diffable.  Inside, every sign vector
 and every set of ground elements is an int bitmask over ground
 positions, bit i for ground[i], and each column of the covector list is
-a bitset over covector indices; names return only in witnesses and in
-the frozensets handed to `inclusion_poset`.
+a bitset over covector indices.  The zero sets go to `inclusion_poset`
+as masks; names return only in the element ids it prints and in
+witnesses.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def _sign_masks(rows: list[str], s: str) -> list[int]:
     digits = ("0|".join(rows) + "0")[::-1].translate(_DIGITS[s]).split("|")
     digits.reverse()
     return [int(d, 2) for d in digits]
-
-
-def zero_set(ground: Sequence[str], x: str) -> set[str]:
-    _check_vector(ground, x)
-    return {e for e, a in zip(ground, x) if a == "0"}
 
 
 class CovectorSet:
@@ -291,8 +287,7 @@ def zero_set_poset(c: CovectorSet) -> tuple[Poset, dict[str, frozenset]]:
     The poset is only built here: the CLI's `_load_poset` and
     `determinant.verify_theorem` require it to be a bouquet.
     """
-    ground = c.ground
-    return inclusion_poset(frozenset(ground[i] for i in _bits(z)) for z in set(c.zeros))
+    return inclusion_poset(c.ground, c.zeros)
 
 
 def com_from_json(data: dict) -> CovectorSet:

@@ -452,7 +452,12 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     every trial with probability at most (deg / (p - 1))^trials.  Not
     covered: det - R nonzero over Z with every coefficient divisible
     by p.
+
+    ValueError for an unknown mode, and for trials < 1 in either mode,
+    with which randomized mode would check nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     P.require_bouquet()
     exponents = {x: P.rho(x) for x in P.elements}  # >= 0 on a bouquet (Poset.rho)
     # Distinct elements of a bouquet have distinct atom sets, so each

@@ -2,12 +2,14 @@
 and bouquets of matroids glued along roof subsets.
 
 Every set is held as an int bitmask over ground positions, bit i for
-ground[i]; names map to positions only where input is read, and return
-only in witnesses and in the frozensets handed to `inclusion_poset`.  A
-matroid's family is held as its extension table, each independent set I
--> the mask of the e outside I with I + e independent.  One pass fills
-it and checks downward closure, exchange is read from it as the links of
-`build_matroid`, and a flat is the complement of an entry.
+ground[i], from the parsed input to the masks handed to
+`inclusion_poset`; names return only in the element ids it prints and in
+witnesses.  A matroid is held as its extension table, each independent
+set I -> the mask of the e outside I with I + e independent.  One pass
+fills it and checks downward closure, exchange is read from it as the
+links of `build_matroid`, and a flat is the complement of an entry.  A
+roof of a bouquet is a matroid on the bouquet's own ground, over the
+positions of the roof.
 
 Flat posets produced here plug straight into the chain-matrix pipeline:
 elements are canonical set strings like "{a,b}".  Each poset comes with
@@ -63,45 +65,36 @@ class ExchangeAcrossRoofsFails(MatroidError):
 
 
 class Matroid:
-    """Matroid given by ground set and full independent-set family."""
+    """Matroid on the positions of `ground` that `full` masks, bit i for
+    ground[i], held as its checked extension table `ext`: each independent
+    mask I -> the mask of the e in `full` outside I with I + e
+    independent.  Built by `build_matroid`, and for each roof by
+    `build_bouquet_of_matroids`."""
 
-    __slots__ = ("ground", "independents", "_ext")
+    __slots__ = ("ground", "full", "ext")
 
-    def __init__(self, ground: tuple[str, ...], independents: frozenset):
+    def __init__(self, ground: tuple[str, ...], full: int, ext: dict[int, int]):
         self.ground = ground
-        self.independents = independents
-        self._ext: dict[int, int] | None = None
+        self.full = full
+        self.ext = ext
 
-    def _extensions(self) -> dict[int, int]:
-        """Each independent mask I -> the mask of the e outside I with
-        I + e independent; `build_matroid` hands over the table it checked,
-        and a matroid built directly derives it on first use."""
-        if self._ext is None:
-            bit = {e: 1 << i for i, e in enumerate(self.ground)}
-            self._ext = _extensions(self.ground, _masks(bit, self.independents,
-                                                         "independent set"))
-        return self._ext
-
-    def flats(self) -> list[frozenset]:
-        """All flats, sorted by size then elements: the closures of the
-        independent sets.  Every flat is the closure of a basis of it,
-        and the closure of an independent I adds every e with I + e
-        dependent, so it is the complement of I's extensions."""
-        full = (1 << len(self.ground)) - 1
-        return sorted((_named(self.ground, full ^ e) for e in set(self._extensions().values())),
-                      key=lambda f: (len(f), sorted(f)))
+    def flats(self) -> set[int]:
+        """All flats, as masks: the closures of the independent sets.
+        Every flat is the closure of a basis of it, and the closure of an
+        independent I adds every e with I + e dependent, so it is `full`
+        less I's extensions."""
+        full = self.full
+        return {full ^ e for e in self.ext.values()}
 
     def is_simple(self) -> bool:
         """No loops and no parallel pairs: every subset of size <= 2 is
         independent, so the empty set extends by every element and each
         singleton by every other."""
-        ext = self._extensions()
-        full = (1 << len(self.ground)) - 1
-        return ext.get(0) == full and all(ext.get(1 << i) == full ^ 1 << i
-                                          for i in range(len(self.ground)))
+        ext, full = self.ext, self.full
+        return ext[0] == full and all(ext.get(1 << i) == full ^ 1 << i for i in _bits(full))
 
     def __repr__(self) -> str:
-        return f"Matroid({len(self.ground)} elements, {len(self.independents)} independent sets)"
+        return f"Matroid({self.full.bit_count()} elements, {len(self.ext)} independent sets)"
 
 
 def _named(ground: Sequence[str], mask: int) -> frozenset:
@@ -117,6 +110,16 @@ def _masks(bit: dict[str, int], sets: Iterable[frozenset], what: str) -> list[in
     except KeyError:
         s = next(s for s in sets if not s <= bit.keys())
         raise MatroidError(f"{what} {set_id(s)} not within the ground set") from None
+
+
+def _ground_bits(ground: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The ground elements and each one's mask, bit i for ground[i];
+    MatroidError if two are equal."""
+    ground = tuple(ground)
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    if len(bit) != len(ground):
+        raise MatroidError("duplicate ground elements")
+    return ground, bit
 
 
 def _extensions(ground: Sequence[str], masks: Iterable[int]) -> dict[int, int]:
@@ -166,7 +169,7 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
 
     Each set is a mask over ground positions, bit i for ground[i].  The
     family must hold the empty set and be downward-closed, checked while
-    the extension table of `Matroid._extensions` is filled.
+    the extension table `Matroid.ext` is filled.
 
     Exchange is checked from the links.  Claim: a downward-closed family
     holding the empty set has exchange (for I, J independent with
@@ -198,12 +201,15 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
     ExchangeFails names the first I, then the first J of size |I| + 1
     that no element extends I from.
     """
-    ground = tuple(ground)
-    bit = {e: 1 << i for i, e in enumerate(ground)}
-    if len(bit) != len(ground):
-        raise MatroidError("duplicate ground elements")
-    family = dict.fromkeys(map(frozenset, independents))  # distinct, in input order
-    masks = _masks(bit, family, "independent set")
+    ground, bit = _ground_bits(ground)
+    masks = _masks(bit, dict.fromkeys(map(frozenset, independents)), "independent set")
+    return _matroid(ground, (1 << len(ground)) - 1, masks)
+
+
+def _matroid(ground: tuple[str, ...], full: int, masks: list[int]) -> Matroid:
+    """The matroid on the positions masked by `full` whose independent
+    sets are `masks`, distinct, within `full` and in input order, after
+    the checks of `build_matroid`, which names their witnesses."""
     if 0 not in masks:
         raise EmptySetMissing("the empty set must be independent")
     ext = _extensions(ground, masks)
@@ -216,38 +222,34 @@ def build_matroid(ground: Sequence[str], independents: Iterable[Iterable[str]]) 
                 if not extends & j:
                     raise ExchangeFails(f"no element of {set_id(_named(ground, j))} "
                                         f"extends {set_id(_named(ground, i))}")
-    m = Matroid(ground, frozenset(family))
-    m._ext = ext
-    return m
+    return Matroid(ground, full, ext)
 
 
 def flat_lattice(m: Matroid) -> tuple[Poset, dict[str, frozenset]]:
     """Poset of flats ordered by inclusion; requires a simple matroid.
 
-    Returns the poset (element ids are canonical set strings, listed in
-    order of increasing rank) and the id -> flat mapping, kept for
-    perfbench and the tests until ROADMAP item 1.
+    Returns the poset (element ids are canonical set strings, listed by
+    size, then by their names in order) and the id -> flat mapping, kept
+    for perfbench and the tests until ROADMAP item 1.
     """
     if not m.is_simple():
         raise NotSimple("flat lattice requires a simple matroid")
-    return inclusion_poset(m.flats())
+    return inclusion_poset(m.ground, m.flats())
 
 
 class BouquetOfMatroids:
     """Independent-set family on a ground set whose restriction to each
-    roof is a matroid, glued by a cross-roof exchange condition."""
+    roof is a matroid, glued by a cross-roof exchange condition; held as
+    the matroids of its roofs."""
 
-    __slots__ = ("ground", "roofs", "independents", "roof_matroids")
+    __slots__ = ("ground", "roof_matroids")
 
-    def __init__(self, ground: tuple[str, ...], roofs: tuple[frozenset, ...],
-                 independents: frozenset, roof_matroids: tuple[Matroid, ...]):
+    def __init__(self, ground: tuple[str, ...], roof_matroids: tuple[Matroid, ...]):
         self.ground = ground
-        self.roofs = roofs
-        self.independents = independents
         self.roof_matroids = roof_matroids
 
     def __repr__(self) -> str:
-        return f"BouquetOfMatroids({len(self.ground)} elements, {len(self.roofs)} roofs)"
+        return f"BouquetOfMatroids({len(self.ground)} elements, {len(self.roof_matroids)} roofs)"
 
 
 def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[str]],
@@ -259,20 +261,21 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
 
     Roofs and sets are masks over ground positions, bit i for ground[i];
     a set naming an element outside the ground set takes the bit past
-    them, which lies in no roof.
+    them, which lies in no roof.  Each roof is checked as a matroid on
+    its own positions of this ground, from the sets within it, by the
+    checks of `build_matroid`.
 
     Witnesses follow input order with duplicates dropped: each roof's
-    restriction keeps the input order for `build_matroid`; UnionMismatch
+    restriction keeps the input order, and its elements keep the order
+    of the bouquet's ground, so a roof's NotDownwardClosed drops the
+    first element of I in ground order, not in name order; UnionMismatch
     lists the sets within no roof as a JSON array; and
     ExchangeAcrossRoofsFails names the first failure over the ordered
     pairs of roofs (a, b), then the sets within both, then the elements
     e of a outside b in ground order.
     """
-    ground = tuple(ground)
-    bit = {e: 1 << i for i, e in enumerate(ground)}
-    if len(bit) != len(ground):
-        raise MatroidError("duplicate ground elements")
-    roofs = tuple(frozenset(r) for r in roofs)
+    ground, bit = _ground_bits(ground)
+    roofs = [frozenset(r) for r in roofs]
     roof_masks = _masks(bit, roofs, "roof")
     stray = 1 << len(ground)
     family = {s: sum(map(bit.get, s, repeat(stray)))  # in input order
@@ -282,16 +285,13 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
             if i != j and not a & ~b:
                 raise NotAClutter(f"roof {set_id(roofs[i])} is contained in roof {set_id(roofs[j])}")
     roof_matroids = []
-    restrictions = []
-    for i, (roof, r) in enumerate(zip(roofs, roof_masks)):
-        restricted = {s: m for s, m in family.items() if not m & ~r}
-        restrictions.append(restricted)
+    for i, r in enumerate(roof_masks):
         try:
-            roof_matroids.append(build_matroid(sorted(roof), restricted))
+            roof_matroids.append(_matroid(ground, r, [m for m in family.values() if not m & ~r]))
         except MatroidError as exc:
             raise RoofNotMatroid(i, exc) from exc
-    within = set().union(*restrictions)
-    if extra := [set_id(s) for s in family if s not in within]:
+    within = set().union(*(m.ext for m in roof_matroids))
+    if extra := [set_id(s) for s, m in family.items() if m not in within]:
         import json  # loaded with `poset` already; only this error needs it here
         raise UnionMismatch(f"independent sets not within any roof: {json.dumps(extra)}")
     pool = set(family.values())
@@ -300,13 +300,13 @@ def build_bouquet_of_matroids(ground: Sequence[str], roofs: Iterable[Iterable[st
             if i == j:
                 continue
             outside = [(e, 1 << e) for e in _bits(a & ~b)]
-            for s, m in restrictions[i].items():
+            for m in roof_matroids[i].ext:
                 if not m & ~b:
                     for e, low in outside:
                         if m | low not in pool:
                             raise ExchangeAcrossRoofsFails(
-                                f"{set_id(s)} + {ground[e]!r} not independent")
-    return BouquetOfMatroids(ground, roofs, frozenset(family), tuple(roof_matroids))
+                                f"{set_id(_named(ground, m))} + {ground[e]!r} not independent")
+    return BouquetOfMatroids(ground, tuple(roof_matroids))
 
 
 def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset]]:
@@ -316,12 +316,12 @@ def bouquet_flat_poset(b: BouquetOfMatroids) -> tuple[Poset, dict[str, frozenset
     CLI's `_load_poset` and `determinant.verify_theorem` require it to be
     a bouquet of geometric lattices.
     """
-    flats: set[frozenset] = set()
+    flats: set[int] = set()
     for i, m in enumerate(b.roof_matroids):
         if not m.is_simple():
             raise NotSimple(f"roof {i} matroid is not simple")
-        flats.update(m.flats())
-    return inclusion_poset(flats)
+        flats |= m.flats()
+    return inclusion_poset(b.ground, flats)
 
 
 def matroid_from_json(data: dict) -> Matroid:

@@ -7,7 +7,9 @@ standing for `elements[i]`: the down-mask of x has a bit for every
 y <= x.  The `Poset` constructor derives the rest from the down-masks:
 up-masks (so x <= y is one bit test), covers, bottom, atoms and maximal
 elements.  `build_poset` validates outside input and closes its covers
-into down-masks; `inclusion_poset` passes its masks straight on.  The
+into down-masks.  `inclusion_poset` takes sets as masks over a ground's
+positions, as the matroid and COM adapters hold them, and passes its
+down-masks straight on; names enter only where it forms the ids.  The
 common upper bounds of x and y are the up-set `up[x] & up[y]`, which
 has a least element j exactly when it is the principal filter `up[j]`;
 so their join is a dict lookup of that mask (none when it is not a
@@ -388,42 +390,40 @@ def set_id(s: Iterable[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def inclusion_poset(sets: Iterable[frozenset]) -> tuple[Poset, dict[str, frozenset]]:
-    """Distinct sets ordered by inclusion.
+def inclusion_poset(ground: Sequence[str],
+                    masks: Iterable[int]) -> tuple[Poset, dict[str, frozenset]]:
+    """Distinct sets ordered by inclusion, each a mask over the positions
+    of `ground`, bit i for ground[i].
 
-    Element ids are canonical set strings, listed by increasing size; the
-    returned id -> set mapping is kept for perfbench and the tests until
-    ROADMAP item 1.  The ground elements are numbered in name order, and
-    column e is the bitset of the sets holding e.  A set a lies within b
-    exactly when it avoids every e outside b, so the down-mask of b is the
-    AND over those e of the complemented columns: |ground| ANDs per set,
-    with no pair of sets compared.  The masks go straight to `Poset`.
+    Element ids are canonical set strings, listed by size, then by their
+    names in order; the returned id -> set of names mapping is kept for
+    perfbench and the tests until ROADMAP item 1.  Column i is the bitset
+    of the sets holding ground[i].  A set a lies within b exactly when it
+    avoids every position outside b, so the down-mask of b is the AND over
+    those positions of the complemented columns: one AND per position
+    that b lacks and some set holds, with no pair of sets compared.  The
+    masks go straight to `Poset`.
     """
-    sets = set(sets)
-    names = sorted(set().union(*sets))
-    position = {e: i for i, e in enumerate(names)}
     # (size, names in order) is unique to a set: the order of the elements
-    keyed = sorted((len(s), sorted(s), s) for s in sets)
-    columns = [0] * len(names)
-    masks = []
-    for k, (_, members, _) in enumerate(keyed):
-        mask = 0
-        for i in map(position.__getitem__, members):
+    keyed = sorted((m.bit_count(), sorted(ground[i] for i in _bits(m)), m) for m in set(masks))
+    columns = [0] * len(ground)
+    union = 0
+    for k, (_, _, mask) in enumerate(keyed):
+        union |= mask
+        for i in _bits(mask):
             columns[i] |= 1 << k
-            mask |= 1 << i
-        masks.append(mask)
-    everyone, full = (1 << len(keyed)) - 1, (1 << len(names)) - 1
-    avoid = {1 << i: everyone ^ c for i, c in enumerate(columns)}  # by the bit of e
+    everyone = (1 << len(keyed)) - 1
+    avoid = {1 << i: everyone ^ c for i, c in enumerate(columns)}  # by the bit of ground[i]
     down = []
-    for mask in masks:
-        d, rest = everyone, full ^ mask
+    for _, _, mask in keyed:
+        d, rest = everyone, union ^ mask
         while rest:
             low = rest & -rest
             d &= avoid[low]
             rest ^= low
         down.append(d)
-    ids = [set_id(members) for _, members, _ in keyed]
-    return Poset(ids, down), {i: s for i, (_, _, s) in zip(ids, keyed)}
+    ids = [set_id(names) for _, names, _ in keyed]
+    return Poset(ids, down), {i: frozenset(names) for i, (_, names, _) in zip(ids, keyed)}
 
 
 def json_strings(value, field: str, depth: int = 1) -> list:

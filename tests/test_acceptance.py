@@ -16,7 +16,7 @@ from bouquetdet.chains import (WeightAssignment, chain_matrix, min_labeling,
                                neat_chain_families, packed_block)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.determinant import block_decompose, det_minors, verify_theorem
-from bouquetdet.matroid import (Matroid, bouquet_from_json, flat_lattice,
+from bouquetdet.matroid import (bouquet_from_json, build_matroid, flat_lattice,
                                 matroid_from_json)
 from conftest import load_fixture, power, verify_default
 from ring_ops import gram_entries, gram_entry, lift, one, oracle_text, var, zero
@@ -223,7 +223,7 @@ def random_binary_matroid(rng, n_ground, n_rows):
         for combo in combinations(range(n_ground), k):
             if gf2_rank([cols[i] for i in combo]) == k:
                 ind.append(frozenset(ids[i] for i in combo))
-    return Matroid(tuple(ids), frozenset(ind))
+    return build_matroid(ids, ind)
 
 
 def test_criterion_7_structural_property_suite():

@@ -290,7 +290,7 @@ class TestDot:
         # skips: an adapter poset that is not a bouquet is drawn as it is.
         pentagon = KINDS["poset"].parse(load_fixture("poset_pentagon.json"))
         monkeypatch.setattr(f"bouquetdet.{module}.inclusion_poset",
-                            lambda sets: (pentagon, {}))
+                            lambda ground, masks: (pentagon, {}))
         code, out = run(capsys, "dot", str(FIXTURES / name), "--kind", kind)
         assert code == 0
         assert (code, out) == run(capsys, "dot", PENTAGON)
@@ -403,7 +403,7 @@ class TestExitCodes:
         errors = {}
         for kind, module, name in [("com", com, "com_generic_lines.json"),
                                    ("bouquet", matroid, "bouquet_example.json")]:
-            monkeypatch.setattr(module, "inclusion_poset", lambda sets: (pentagon, {}))
+            monkeypatch.setattr(module, "inclusion_poset", lambda ground, masks: (pentagon, {}))
             assert main([command, str(FIXTURES / name), "--kind", kind]) == 2
             errors[kind] = capsys.readouterr().err
         assert errors == {kind: f"{kind}: not a bouquet of geometric lattices: "
@@ -495,6 +495,16 @@ class TestExitCodes:
                         "--mode", "randomized", "--trials", "2")
         assert code == 0
         assert [b["dim"] for b in json.loads(out)["blocks"]] == [24]
+
+    @pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_verify_no_trials(self, tmp_path, capsys, mode, trials):
+        # The count is checked before the input is read: a missing file
+        # gets the same line.
+        for path in (PEX, str(tmp_path / "missing.json")):
+            assert main(["verify", path, "--mode", mode, "--trials", trials]) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "trials must be >= 1\n")
 
 
 class TestSurface:

@@ -10,8 +10,7 @@ from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
                                 exact_covectors, random_lines)
 from bouquetdet import com as com_mod
 from bouquetdet.com import (FSViolation, GroundMismatch, SEViolation,
-                            com_from_json, validate_com, zero_set,
-                            zero_set_poset)
+                            com_from_json, validate_com, zero_set_poset)
 from bouquetdet.matroid import flat_lattice, matroid_from_json
 from conftest import FIXTURES, load_fixture, verify_default
 
@@ -20,6 +19,11 @@ E3 = ("l1", "l2", "l3")
 
 def negate(x):
     return x.translate(str.maketrans("+-", "-+"))
+
+
+def zero_set(ground, x):
+    """The elements of `ground` where the sign vector x is 0."""
+    return {e for e, a in zip(ground, x) if a == "0"}
 
 
 def composition(x, y):
@@ -53,7 +57,7 @@ class TestSignVectorOps:
 
     def test_ground_mismatch(self):
         with pytest.raises(GroundMismatch):
-            zero_set(E3, "+-")
+            validate_com(E3, ["+-"])
 
 
 class TestValidation:

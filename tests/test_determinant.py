@@ -27,7 +27,7 @@ from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
                       lift, one, packed_blocks, unpacked_blocks, var,
                       weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
-from test_matroid import graphic_complete, uniform
+from test_matroid import graphic_complete, independents, line_in_rank_4, uniform
 from test_polyring import power_product, weight_div
 
 
@@ -502,6 +502,13 @@ class TestVerify:
         with pytest.raises(NotABouquet):
             verify_default(pentagon)
 
+    @pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials(self, u23_lattice, mode, trials):
+        # no trial would check anything, so there is no verdict to give
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_default(u23_lattice[0], mode=mode, trials=trials)
+
     def test_randomized_agrees(self, bouquet_example, one_atom, u23_lattice):
         for P in (bouquet_example, one_atom, u23_lattice[0]):
             sym = verify_default(P, mode="symbolic")
@@ -570,6 +577,7 @@ INSTANCES = {
     "U(3,5)": lambda: flat_lattice(uniform(3, 5))[0],
     "U(2,6)": lambda: flat_lattice(uniform(2, 6))[0],
     "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
+    "line in rank 4": lambda: flat_lattice(line_in_rank_4())[0],
     "2xU(3,5)": lambda: uniform_bouquet(2, 3, 5),
     "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5),
 }
@@ -717,7 +725,7 @@ def small_bouquets(draw):
     if kind == "graphic":
         edges = draw(st.sets(st.sampled_from(K4.ground), min_size=1))
         return flat_lattice(build_matroid(
-            sorted(edges), [sorted(s) for s in K4.independents if s <= edges]))[0]
+            sorted(edges), [sorted(s) for s in independents(K4) if s <= edges]))[0]
     n = draw(st.integers(1, 5))
     lines = random_lines(random.Random(draw(st.integers(0, 2 ** 16))), n,
                          draw(st.integers(0, n)))

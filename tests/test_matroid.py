@@ -1,14 +1,17 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bouquetdet import matroid as matroid_mod
 from bouquetdet.chains import WeightAssignment, min_labeling
+from bouquetdet.cli import KINDS
 from bouquetdet.determinant import verify_theorem
 from bouquetdet.matroid import (EmptySetMissing, ExchangeAcrossRoofsFails,
-                                ExchangeFails, Matroid, MatroidError,
-                                NotAClutter, NotDownwardClosed, NotSimple,
+                                ExchangeFails, MatroidError, NotAClutter,
+                                NotDownwardClosed, NotSimple, RoofNotMatroid,
                                 UnionMismatch, bouquet_flat_poset,
                                 bouquet_from_json, build_bouquet_of_matroids,
                                 build_matroid, flat_lattice, matroid_from_json,
@@ -17,10 +20,26 @@ from conftest import load_fixture, power, verify_default
 from ring_ops import const, var, zero
 
 
+def named(m, mask):
+    """The ground elements of m at the set bits of `mask`."""
+    return frozenset(e for i, e in enumerate(m.ground) if mask >> i & 1)
+
+
+@cache
+def independents(m):
+    """The independent sets of m, as name sets, read off its extension table."""
+    return frozenset(named(m, i) for i in m.ext)
+
+
+def flat_sets(m):
+    """The flats of m, as name sets, sorted by size then names."""
+    return sorted((named(m, f) for f in m.flats()), key=lambda f: (len(f), sorted(f)))
+
+
 def brute_rank(m, subset):
     """Oracle: the size of a largest independent subset."""
     s = frozenset(subset)
-    return max(len(i) for i in m.independents if i <= s)
+    return max(len(i) for i in independents(m) if i <= s)
 
 
 def brute_closure(m, subset):
@@ -65,7 +84,7 @@ def simplify(m):
     Returns the simple matroid and the map element -> representative
     (None for loops).
     """
-    loops = {e for e in m.ground if frozenset([e]) not in m.independents}
+    loops = {e for e in m.ground if frozenset([e]) not in independents(m)}
     rep = {e: None for e in loops}
     classes = {}
     for e in m.ground:
@@ -77,8 +96,7 @@ def simplify(m):
         rep[e] = classes[cl]
     keep = set(classes.values())
     ground = tuple(e for e in m.ground if e in keep)
-    independents = frozenset(i for i in m.independents if i <= keep)
-    return Matroid(ground, independents), rep
+    return build_matroid(ground, [i for i in independents(m) if i <= keep]), rep
 
 
 class TestBuild:
@@ -128,6 +146,19 @@ class TestWitnessOrder:
     def test_exchange_fails(self, independents, message):
         with pytest.raises(ExchangeFails) as info:
             build_matroid(["a", "b", "c", "d"], independents)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ground, message", [
+        (["a", "b", "c", "d"], "roof 1: {c,d} is independent but {d} is not"),
+        (["d", "c", "b", "a"], "roof 1: {c,d} is independent but {c} is not"),
+    ], ids=["in-order", "reordered"])
+    def test_roof_not_downward_closed(self, ground, message):
+        # {c,d} lacks both {c} and {d}; the element dropped is the first
+        # in the bouquet's ground order, not in name order
+        with pytest.raises(RoofNotMatroid) as info:
+            build_bouquet_of_matroids(ground, [["a", "b"], ["c", "d"]],
+                                      [[], ["a"], ["b"], ["a", "b"], ["c", "d"]])
+        assert isinstance(info.value.cause, NotDownwardClosed)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("independents, message", [
@@ -255,14 +286,14 @@ class TestExchangeOracle:
 
 class TestRankClosureFlats:
     def test_flats_u23(self, u23):
-        assert [set_id(f) for f in u23.flats()] == \
+        assert [set_id(f) for f in flat_sets(u23)] == \
             ["{}", "{1}", "{2}", "{3}", "{1,2,3}"]
 
     def test_closure_of_ground(self, u23):
         assert brute_closure(u23, u23.ground) == frozenset(u23.ground)
 
     def test_flats_are_closure_fixed_points(self, u23):
-        for f in u23.flats():
+        for f in flat_sets(u23):
             assert brute_closure(u23, f) == f
 
 
@@ -294,6 +325,15 @@ def graphic_complete(n):
                                   for s in combinations(edges, k) if is_forest(s)])
 
 
+def line_in_rank_4():
+    """Seven points in rank 4 with 1, 2, 3 and 4 on a line: the sets of at
+    most four points with at most two on the line.  The line is a rank-2
+    flat of four points, so it is listed after every rank-3 flat of three."""
+    ground = [str(i) for i in range(1, 8)]
+    return build_matroid(ground, [s for k in range(5) for s in combinations(ground, k)
+                                  if len({"1", "2", "3", "4"} & set(s)) <= 2])
+
+
 ORACLE_MATROIDS = {
     **{name: lambda name=name: matroid_from_json(load_fixture(name)) for name in (
         "matroid_u23.json", "matroid_u24.json", "matroid_u34.json",
@@ -301,6 +341,7 @@ ORACLE_MATROIDS = {
     "U(2,9)": lambda: uniform(2, 9),
     "U(4,9)": lambda: uniform(4, 9),
     "M(K5)": lambda: graphic_complete(5),
+    "line in rank 4": line_in_rank_4,
     # a loop and a parallel pair: the empty set is not a flat
     "loop+parallel": lambda: build_matroid(["1", "2", "3", "4"],
                                            [[], ["1"], ["2"], ["3"], ["1", "2"], ["1", "3"]]),
@@ -320,7 +361,7 @@ def test_rank_closure_flats_against_brute_force(name):
         closure = s | {e for e in m.ground if rank[s | {e}] == rank[s]}
         if closure == s:
             flats.append(s)
-    assert m.flats() == sorted(flats, key=lambda f: (len(f), sorted(f)))
+    assert flat_sets(m) == sorted(flats, key=lambda f: (len(f), sorted(f)))
 
 
 class TestSimple:
@@ -376,7 +417,7 @@ class TestFlatLattice:
 class TestBouquet:
     def test_single_roof_is_matroid(self, u23):
         b = build_bouquet_of_matroids(
-            u23.ground, [u23.ground], [sorted(i) for i in u23.independents])
+            u23.ground, [u23.ground], [sorted(i) for i in independents(u23)])
         P, _ = bouquet_flat_poset(b)
         assert len(P.elements) == 5  # same as the plain flat lattice
 
@@ -409,6 +450,23 @@ class TestBouquet:
         assert nx.is_isomorphic(g1, g2)
 
 
+@pytest.mark.parametrize("name", ["matroid_u34.json", "bouquet_example.json",
+                                  "com_generic_lines.json"])
+def test_valid_input_names_no_set(monkeypatch, name):
+    """Names come back only in element ids and witnesses: a valid input
+    reaches its poset with no mask turned back into a set of names, while
+    a witness is named through `_named`."""
+    calls = []
+    original = matroid_mod._named
+    monkeypatch.setattr(matroid_mod, "_named", lambda *args: calls.append(args) or original(*args))
+    kind = KINDS[name.split("_")[0]]
+    assert kind.poset(kind.parse(load_fixture(name))).is_bouquet()
+    assert calls == []
+    with pytest.raises(NotDownwardClosed):
+        build_matroid(["a", "b"], [[], ["a", "b"]])
+    assert calls
+
+
 class TestFlagMatrixIdentity:
     @pytest.mark.parametrize("name", [
         "matroid_u23.json", "matroid_u24.json", "matroid_u34.json",
@@ -417,6 +475,16 @@ class TestFlagMatrixIdentity:
         m = matroid_from_json(load_fixture(name))
         P, _ = flat_lattice(m)
         assert verify_default(P).verdict
+
+    @pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+    def test_line_in_rank_4(self, mode):
+        P, _ = flat_lattice(line_in_rank_4())
+        line = P.elements.index("{1,2,3,4}")
+        assert P.rank("{1,2,3,4}") == 2
+        assert all(P.elements.index(x) < line for x in P.elements
+                   if P.rank(x) == 3 and x.count(",") == 2)
+        report = verify_default(P, mode=mode)
+        assert report.verdict and [b[1] for b in report.blocks] == [10]
 
     def test_ground_substitution_preserves_identity(self, u23_lattice):
         from test_determinant import block_product, global_verdict

@@ -10,14 +10,26 @@ from hypothesis import find, given, settings, strategies as st
 
 from arrangement_oracle import enumerate_covectors
 from bouquetdet import poset as poset_mod
-from bouquetdet.com import com_from_json, validate_com, zero_set, zero_set_poset
+from bouquetdet.com import com_from_json, validate_com, zero_set_poset
 from bouquetdet.matroid import bouquet_from_json, flat_lattice, matroid_from_json
 from bouquetdet.poset import (CycleDetected, NotABouquet, NotRanked,
                               RedundantCover, UnknownElement, build_poset,
                               inclusion_poset, poset_from_json, set_id)
 from conftest import FIXTURES, load_fixture
+from test_com import zero_set
 from test_determinant import uniform_bouquet
-from test_matroid import graphic_complete, uniform
+from test_matroid import graphic_complete, line_in_rank_4, uniform
+
+
+def masks(ground, sets):
+    """The mask of each set over the positions of `ground`, bit i for ground[i]."""
+    return [sum(1 << ground.index(e) for e in s) for s in sets]
+
+
+def zero_masks(c):
+    """The zero set of each covector of the COM c, read off its sign
+    string, as a mask over c.ground."""
+    return masks(c.ground, (zero_set(c.ground, x) for x in c.covectors))
 
 
 # -- scan oracles ------------------------------------------------------
@@ -142,32 +154,33 @@ class TestBuild:
         assert P.atoms == ("a1",)
 
     def test_inclusion_poset(self):
-        sets = [frozenset("ab"), frozenset("b"), frozenset(), frozenset("a"),
-                frozenset("b"), frozenset("abc")]
-        P, mapping = inclusion_poset(sets)
+        # ab, b, {}, a, b, abc over the ground (c, a, b)
+        P, mapping = inclusion_poset(("c", "a", "b"), [0b110, 0b100, 0, 0b010, 0b100, 0b111])
         assert P.elements == ("{}", "{a}", "{b}", "{a,b}", "{a,b,c}")
         assert P.covers == {("{}", "{a}"), ("{}", "{b}"), ("{a}", "{a,b}"),
                             ("{b}", "{a,b}"), ("{a,b}", "{a,b,c}")}
         assert mapping["{a,b}"] == frozenset("ab")
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=12))
-    def test_inclusion_covers_against_scan(self, sets):
-        P, mapping = inclusion_poset(sets)
+    @given(st.permutations("abcde"), st.lists(st.frozensets(st.sampled_from("abcde")),
+                                              max_size=12))
+    def test_inclusion_covers_against_scan(self, ground, sets):
+        P, mapping = inclusion_poset(ground, masks(ground, sets))
         distinct = set(sets)
         assert P.covers == {(set_id(a), set_id(b)) for a in distinct for b in distinct
                             if a < b and not any(a < c < b for c in distinct)}
         assert mapping == {set_id(s): s for s in distinct}
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.frozensets(st.sampled_from("abcde")), max_size=12))
-    def test_inclusion_poset_equals_built(self, sets):
+    @given(st.permutations("abcde"), st.lists(st.frozensets(st.sampled_from("abcde")),
+                                              max_size=12))
+    def test_inclusion_poset_equals_built(self, ground, sets):
         """The masks inclusion_poset passes to the constructor give the
         poset build_poset makes from the covers of a pairwise scan."""
         distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
         covers = [(set_id(a), set_id(b)) for a in distinct for b in distinct
                   if a < b and not any(a < c < b for c in distinct)]
-        P = inclusion_poset(sets)[0]
+        P = inclusion_poset(ground, masks(ground, sets))[0]
         Q = build_poset([set_id(s) for s in distinct], covers)
         assert (P.elements, P.covers, P.bottom, P.atoms, P.maximal) == \
             (Q.elements, Q.covers, Q.bottom, Q.atoms, Q.maximal)
@@ -190,7 +203,7 @@ class TestBuild:
         distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
         covers = [(set_id(a), set_id(b)) for a in distinct for b in distinct
                   if a < b and not any(a < c < b for c in distinct)]
-        P, mapping = inclusion_poset(sets)
+        P, mapping = inclusion_poset(names, masks(names, sets))
         Q = build_poset([set_id(s) for s in distinct], covers)
         assert P.elements == Q.elements
         assert (P.covers, P._up, P._down) == (Q.covers, Q._up, Q._down)
@@ -199,7 +212,7 @@ class TestBuild:
     def test_inclusion_duplicate_ids(self):
         # {"a,b"} and {"a", "b"} both print {a,b}.
         with pytest.raises(UnknownElement, match="duplicate element identifiers"):
-            inclusion_poset([frozenset(), frozenset({"a,b"}), frozenset({"a", "b"})])
+            inclusion_poset(["a,b", "a", "b"], [0, 0b001, 0b110])
 
     def test_example_shape(self, bouquet_example):
         P = bouquet_example
@@ -318,7 +331,7 @@ class TestStructure:
         # the generic-lines COM's zero-set poset has three tops; the
         # bouquet test runs on the poset itself, with no interval built
         c = com_from_json(load_fixture("com_generic_lines.json"))
-        P, _ = inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)
+        P, _ = inclusion_poset(c.ground, zero_masks(c))
         assert len(P.maximal) == 3
         calls = []
         original = poset_mod.build_poset
@@ -480,7 +493,7 @@ def atomic_lattices(draw):
         if not meets:
             break
         family |= meets
-    P = inclusion_poset(family)[0]
+    P = inclusion_poset(points, masks(points, family))[0]
     return build_poset(draw(st.permutations(P.elements)), P.covers)
 
 
@@ -495,7 +508,7 @@ def atom_set_posets(draw):
     family = {frozenset()} | {frozenset(a) for a in points}
     family |= set(draw(st.lists(st.frozensets(st.sampled_from(points), min_size=2),
                                 max_size=6)))
-    P = inclusion_poset(family)[0]
+    P = inclusion_poset(points, masks(points, family))[0]
     return build_poset(draw(st.permutations(P.elements)), P.covers)
 
 
@@ -509,10 +522,10 @@ def fixture_poset(name):
     if kind == "matroid":
         return flat_lattice(matroid_from_json(data))[0]
     if kind == "bouquet":
-        return inclusion_poset(set().union(
-            *(m.flats() for m in bouquet_from_json(data).roof_matroids)))[0]
+        b = bouquet_from_json(data)
+        return inclusion_poset(b.ground, set().union(*(m.flats() for m in b.roof_matroids)))[0]
     c = com_from_json(data)
-    return inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)[0]
+    return inclusion_poset(c.ground, zero_masks(c))[0]
 
 
 def down_set(P, x):
@@ -555,13 +568,13 @@ class TestBouquetOracle:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("com_*.json")))
     def test_com_zero_set_posets(self, name):
         c = com_from_json(load_fixture(name))
-        P, _ = inclusion_poset(frozenset(zero_set(c.ground, x)) for x in c.covectors)
+        P, _ = inclusion_poset(c.ground, zero_masks(c))
         assert P.is_bouquet() is brute_is_bouquet(P) is True
 
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("bouquet_*.json")))
     def test_matroid_bouquet_posets(self, name):
         b = bouquet_from_json(load_fixture(name))
-        P, _ = inclusion_poset(set().union(*(m.flats() for m in b.roof_matroids)))
+        P, _ = inclusion_poset(b.ground, set().union(*(m.flats() for m in b.roof_matroids)))
         assert len(P.maximal) > 1
         assert P.is_bouquet() is brute_is_bouquet(P) is True
 
@@ -732,6 +745,7 @@ TABLE_POSETS = {
     "U(2,9)": lambda: flat_lattice(uniform(2, 9))[0],
     "U(4,9)": lambda: flat_lattice(uniform(4, 9))[0],
     "M(K5)": lambda: flat_lattice(graphic_complete(5))[0],
+    "line in rank 4": lambda: flat_lattice(line_in_rank_4())[0],
     "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5),
     "2xU(3,5)": lambda: uniform_bouquet(2, 3, 5),
     "4-fold point": lambda: zero_set_poset(validate_com(
