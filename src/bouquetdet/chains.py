@@ -1,5 +1,5 @@
-"""Labelings, neat maximal chains, generating atom tuples, element
-weights, and assembly of the symmetric chain matrix over Z[w].
+"""Labelings, neat maximal chains, their Gram vectors, element weights,
+and assembly of the symmetric chain matrix over Z[w].
 
 Chains follow the convention that the bottom element is excluded: a
 maximal chain runs from an atom up to a maximal element.  Neat chains
@@ -7,17 +7,21 @@ are grown cover by cover, as neatness is decided one cover at a time.
 The chain matrix is the Gram product G^T diag(w^S) G of one signed
 vector per chain over the atom sets S of its generator tuples (after
 Brylawski and Varchenko), so it is symmetric by construction, and it is
-block-diagonal by family (proved in `chain_matrix`): `packed_block`
-forms each family block straight from its Gram vectors.
+block-diagonal by family (proved in `chain_matrix`).  An atom set is a
+variable mask, one int with bit v for variable v, from `generators`,
+which forms each vector as a product of levels, to both determinant
+engines; `packed_block` forms each family block straight from its Gram
+vectors.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from operator import or_
 from typing import Mapping, Sequence
 
-from .polyring import Monomial, Packing
-from .poset import Poset, PosetError
+from .polyring import Packing
+from .poset import Poset, PosetError, _bits
 
 
 class InvalidLabeling(PosetError):
@@ -29,6 +33,8 @@ class InvalidLabeling(PosetError):
 Chain = tuple[str, ...]
 # An atom l(x) <= x for every element x above the bottom.
 Labeling = dict[str, str]
+# Atom set S, as a mask with bit v for variable v -> ±1.
+GramVector = dict[int, int]
 
 
 def make_labeling(P: Poset, labels: Mapping[str, str]) -> Labeling:
@@ -95,21 +101,32 @@ def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
     return families
 
 
-def generators(P: Poset, chain: Chain) -> list[tuple[str, ...]]:
-    """All ordered atom tuples (a_1, ..., a_k) whose partial joins trace
-    the chain: a_1 v ... v a_i = x_i.
+def generators(P: Poset, chain: Chain, var: Mapping[str, int]) -> GramVector:
+    """The Gram vector g_C of the chain: the atom set S of each ordered
+    atom tuple (a_1, ..., a_k) whose partial joins trace the chain,
+    a_1 v ... v a_i = x_i, as a variable mask, mapped to the tuple's
+    sign, (-1)^(number of inversions of var[a_1], ..., var[a_k]).
 
     Level i holds the atoms below x_i and not below x_{i-1} (x_0 = 0̂),
     and the tuples are the product of the levels.  This needs a meet
     semilattice with 0̂, as every checked bouquet is: there such an atom
     a has x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.
-    The levels are disjoint, so each tuple has its own atom set.
+    The levels are disjoint, so each tuple has its own atom set, and the
+    product is taken over the masks.  The sign follows level by level:
+    a tuple on the variables S extended by a variable v not in S gains
+    one inversion for each variable of S above v and no other, so its
+    sign flips exactly when (S >> v).bit_count() is odd.
     """
-    below = [set()] + [set(P.atoms_below(x)) for x in chain]
-    tuples: list[tuple[str, ...]] = [()]
-    for prev, cur in zip(below, below[1:]):
-        tuples = [t + (a,) for t in tuples for a in sorted(cur - prev)]
-    return tuples
+    vector: GramVector = {0: 1}
+    below = 0
+    for x in chain:
+        cur = sum(1 << var[a] for a in P.atoms_below(x))
+        # var is injective, so these are the variables of level i
+        level = [(v, 1 << v) for v in _bits(cur & ~below)]
+        vector = {S | bit: -c if (S >> v).bit_count() & 1 else c
+                  for S, c in vector.items() for v, bit in level}
+        below = cur
+    return vector
 
 
 class WeightAssignment:
@@ -140,21 +157,22 @@ def weight(P: Poset, x: str, weights: WeightAssignment) -> frozenset[int]:
     return frozenset(var[a] for a in P.atoms_below(x))
 
 
-GramVector = dict[Monomial, int]  # atom set S, as a squarefree monomial -> ±1
 Packed = dict[int, int]  # packed monomial -> coefficient (see polyring)
 
 
 def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]]:
     """The layout of a family block and its entries packed in it, straight
-    from its Gram vectors: the layout is `Packing(atom variables of the
-    block, dim * rank)`, rank the size of its atom sets (all of family r
-    have rank(r) atoms), and entry (C, C') is the sum over the atom sets
-    S of both of g_C(S) * g_C'(S) * key(S): the one place an entry of
-    the chain matrix is formed."""
+    from its Gram vectors: the layout is `Packing(variables of the block,
+    dim * rank)`, the variables the OR of its atom-set masks and rank the
+    size of its atom sets (all of family r have rank(r) atoms), and entry
+    (C, C') is the sum over the atom sets S of both of
+    g_C(S) * g_C'(S) * key(S), key(S) the packed w^S: the one place an
+    entry of the chain matrix is formed."""
     atom_sets = {S for g in G for S in g}
-    rank = len(next(iter(atom_sets), ()))
-    layout = Packing({v for S in atom_sets for v, _ in S}, len(G) * rank)
-    key = {S: layout.key(S) for S in atom_sets}
+    rank = next(iter(atom_sets), 0).bit_count()
+    layout = Packing(set(_bits(reduce(or_, atom_sets, 0))), len(G) * rank)
+    shift, top = layout.shift, rank << layout.top
+    key = {S: top + sum(1 << shift[v] for v in _bits(S)) for S in atom_sets}
     rows = [{key[S]: c for S, c in g.items()} for g in G]
     return layout, [[{k: c * h[k] for k, c in g.items() if k in h} for h in rows]
                     for g in rows]
@@ -237,19 +255,5 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         bounds.append((start, len(chains)))
 
     var = weights.atom_vars
-    # the sign of each permutation that sorts a tuple's variables; a chain
-    # of length k has at most k! of them, however many tuples it has
-    signs: dict[tuple[int, ...], int] = {}
-    vectors: list[GramVector] = []
-    for c in chains:
-        g: GramVector = {}
-        for t in generators(P, c):
-            vs = [var[a] for a in t]
-            order = tuple(sorted(range(len(vs)), key=vs.__getitem__))
-            sign = signs.get(order)
-            if sign is None:
-                inversions = sum(u > v for u, v in combinations(order, 2))
-                sign = signs[order] = -1 if inversions & 1 else 1
-            g[tuple((vs[i], 1) for i in order)] = sign
-        vectors.append(g)
-    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds), tuple(vectors))
+    return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
+                       tuple(generators(P, c, var) for c in chains))

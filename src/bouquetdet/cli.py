@@ -3,7 +3,9 @@ determinants and invariant tables, verify the factorization, and emit
 Hasse diagrams.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 structural
-invalidity or a block too large for symbolic mode, 3 parse error.
+invalidity or a block too large for symbolic mode, 3 parse error, 4 the
+reader of stdout closed it before the output was written (a broken pipe,
+as in `bouquetdet verify ... | head -c 10`), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_STRUCTURAL = 2
 EXIT_PARSE = 3
+EXIT_BROKEN_PIPE = 4
 
 
 class CliError(Exception):
@@ -275,7 +279,16 @@ def main(argv: list[str] | None = None) -> int:
         print("trials must be >= 1", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so that the flush at interpreter exit
+        # cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -27,13 +27,15 @@ block peaks at C(n, n // 2) minors, so a block of dimension above
 MAX_SYMBOLIC_DIM raises TooLarge before any block is expanded.
 
 Both modes take the chain matrix as its Gram factor, one signed vector
-g_C per chain over atom sets S; it is block-diagonal by family (proved
-in `chains.chain_matrix`), so `block_decompose` just slices the vectors
-and symbolic mode expands the diagonal blocks alone.
+g_C per chain over atom sets S, each S a variable mask (see `chains`);
+it is block-diagonal by family (proved in `chains.chain_matrix`), so
+`block_decompose` just slices the vectors and symbolic mode expands the
+diagonal blocks alone.
 Randomized mode never builds a polynomial entry: per trial it draws each
 variable uniformly from [1, p - 1], p a fixed 62-bit prime, computes w^S
-mod p once per atom set and packs each block row into one int from the
-Gram vectors (`GramBlockMod`), and the trials of a lockstep group
+mod p once per atom set S, keyed by its mask (no atom set is numbered),
+and packs each block row into one int from the Gram vectors
+(`GramBlockMod`), and the trials of a lockstep group
 eliminate their packed rows mod p together
 (`det_mod`): one batch inverse of all the group's pivots per step, and
 each pivot row reduced in all its fields at once by a Barrett step
@@ -51,13 +53,13 @@ products) live in tests.
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Callable, Iterable, NamedTuple
 
 from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
-from .polyring import (Monomial, Packing, Polynomial, div_weight, mul_into,
-                       sum_text)
-from .poset import BouquetdetError, Poset
+from .polyring import Packing, Polynomial, div_weight, mul_into, sum_text
+from .poset import BouquetdetError, Poset, _bits
 
 # Fixed evaluation prime for randomized verification: smallest prime
 # above 2^61 (62 bits).
@@ -389,41 +391,41 @@ def group_trials(dim: int, width: int) -> int:
 
 class GramBlockMod:
     """A family block evaluated modulo p from its Gram vectors, as packed
-    rows for `det_mod`.  Column pattern S holds g_C'(S) mod p in the field
-    of each chain C' of the block; at a point with w^S = powers[number of
-    S], row C is the sum over the atom sets S of g_C of
-    (g_C(S) * w^S mod p) times pattern S.  A field then holds at most
-    |g_C| products below p^2, and `width` is `lane_width` of that plus
-    the n - 1 elimination steps of `det_mod`, each adding below 3p^2."""
+    rows for `det_mod`, its columns and terms keyed by the atom-set masks
+    themselves.  Column pattern S holds g_C'(S) mod p in the field of
+    each chain C' of the block; at a point with w^S = powers[S], row C is
+    the sum over the atom sets S of g_C of (g_C(S) * w^S mod p) times
+    pattern S.  A field then holds at most |g_C| products below p^2, and
+    `width` is `lane_width` of that plus the n - 1 elimination steps of
+    `det_mod`, each adding below 3p^2."""
 
-    def __init__(self, vectors: tuple[GramVector, ...],
-                 number: dict[Monomial, int], p: int):
+    def __init__(self, vectors: tuple[GramVector, ...], p: int):
         self.p = p
         self.dim = n = len(vectors)
         bound = (max(map(len, vectors), default=0) * (p - 1) ** 2
                  + max(n - 1, 0) * 3 * p * p)
         self.width = width = lane_width(bound, p)
-        columns: dict[Monomial, int] = {}
+        columns: dict[int, int] = {}
         for j, g in enumerate(vectors):
             for S, c in g.items():
                 columns[S] = columns.get(S, 0) + (c % p << j * width)
-        self.terms = [[(number[S], c, columns[S]) for S, c in g.items()]
+        self.terms = [[(S, c, columns[S]) for S, c in g.items()]
                       for g in vectors]
 
-    def rows(self, powers: list[int]) -> list[int]:
+    def rows(self, powers: dict[int, int]) -> list[int]:
         p = self.p
-        return [sum(c * powers[i] % p * column for i, c, column in terms)
+        return [sum(c * powers[S] % p * column for S, c, column in terms)
                 for terms in self.terms]
 
-    def dets(self, powers: list[list[int]]) -> list[int]:
+    def dets(self, powers: list[dict[int, int]]) -> list[int]:
         """The block's determinant mod p at each trial's powers, the
         trials eliminated in lockstep."""
         return det_mod([self.rows(pw) for pw in powers], self.width, self.p)
 
 
-def weight_mod(w: Iterable[int], point: list[int], p: int) -> int:
-    """The weight w, a sum of variables given by their slots, at the
-    point modulo p."""
+def weight_mod(w: Iterable[int], point: dict[int, int], p: int) -> int:
+    """The weight w, a sum of variables given as their set, at the point,
+    a dict from variable to value, modulo p."""
     return sum(map(point.__getitem__, w)) % p
 
 
@@ -475,36 +477,23 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     blocks = block_decompose(chain_matrix(P, labeling, weights))
     p = VERIFICATION_PRIME
     rng = random.Random(seed)
-    variables = sorted(set(weights.atom_vars.values()))
-    slot = {v: i for i, v in enumerate(variables)}
-    number: dict[Monomial, int] = {}  # atom set -> its index in powers
-    for _, G in blocks:
-        for g in G:
-            for S in g:
-                number.setdefault(S, len(number))
-    atom_slots = [[slot[v] for v, _ in S] for S in number]
-    rhs_slots = [(frozenset(slot[v] for v in w), e) for w, e in rhs]
-    mod_blocks = [GramBlockMod(G, number, p) for _, G in blocks]
+    variables = sorted(weights.atom_vars.values())  # distinct: weights are injective
+    # the variables of each atom set, read off its mask once per run
+    atom_sets = {S: tuple(_bits(S)) for S in {S for _, G in blocks for g in G for S in g}}
+    mod_blocks = [GramBlockMod(G, p) for _, G in blocks]
     size = min(group_trials(B.dim, B.width) for B in mod_blocks)
     verdict = True
     for start in range(0, trials, size):
-        group = [[rng.randrange(1, p) for _ in variables]
+        group = [{v: rng.randrange(1, p) for v in variables}
                  for _ in range(min(size, trials - start))]
-        powers = []
-        for point in group:
-            values = []
-            for slots in atom_slots:
-                value = 1
-                for i in slots:
-                    value = value * point[i] % p
-                values.append(value)
-            powers.append(values)
+        powers = [{S: prod(map(point.__getitem__, vs)) % p for S, vs in atom_sets.items()}
+                  for point in group]
         dets = [1] * len(group)
         for B in mod_blocks:
             dets = [d * e % p for d, e in zip(dets, B.dets(powers))]
         for point, det_val in zip(group, dets):
             rhs_val = 1
-            for w, e in rhs_slots:
+            for w, e in rhs:
                 rhs_val = rhs_val * pow(weight_mod(w, point, p), e, p) % p
             verdict = verdict and det_val == rhs_val
         if not verdict:

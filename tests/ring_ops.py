@@ -7,9 +7,12 @@ substitution, the sympy and mod-p comparisons) add, negate, multiply
 and evaluate polynomials, so those operations live here: `Poly` is a
 `Polynomial` with them, and a plain `Polynomial` on the other side of a
 binary operation is read as a `Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
-from the packed kernel `det_minors`.  `gram_entry` and `gram_entries`
-form chain matrix entries from the Gram vectors pair by pair, the oracle
-for the library's packed family blocks and their zero off-block entries.
+from the packed kernel `det_minors`.  `mask_monomial` and
+`monomial_mask` convert an atom set between the library's variable mask
+and a squarefree monomial.  `gram_entry` and `gram_entries` form chain
+matrix entries from the Gram vectors, keyed by masks, pair by pair, the
+oracle for the library's packed family blocks and their zero off-block
+entries.
 `oracle_text` prints a polynomial term by term from its monomial tuples,
 the oracle for `Packing.text`.
 """
@@ -76,10 +79,23 @@ def weight_poly(w) -> Poly:
     return Poly({((v, 1),): 1 for v in w})
 
 
+def mask_monomial(S: int) -> tuple:
+    """The squarefree monomial w^S of the variable mask S (bit v for
+    variable v), read bit by bit."""
+    return tuple((v, 1) for v in range(S.bit_length()) if S >> v & 1)
+
+
+def monomial_mask(m) -> int:
+    """The variable mask of a squarefree monomial; the inverse of
+    `mask_monomial`."""
+    assert all(e == 1 for _, e in m), m
+    return sum(1 << v for v, _ in m)
+
+
 def gram_entry(g, h) -> Poly:
-    """The sum over the atom sets S of both Gram vectors g and h of
-    g(S) * h(S) * w^S."""
-    return Poly({S: c * h[S] for S, c in g.items() if S in h})
+    """The sum over the atom sets S of both Gram vectors g and h, keyed
+    by their masks, of g(S) * h(S) * w^S."""
+    return Poly({mask_monomial(S): c * h[S] for S, c in g.items() if S in h})
 
 
 def gram_entries(vectors) -> list[list[Poly]]:

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arrangement_oracle import (CONCURRENT_LINES, GENERIC_LINES,
                                 enumerate_covectors, exact_covectors,
@@ -18,7 +18,8 @@ from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.matroid import flat_lattice
 from bouquetdet.poset import build_poset
 from conftest import load_fixture
-from ring_ops import Poly, gram_entry, oracle_text, var, weight_poly, zero
+from ring_ops import (Poly, gram_entry, monomial_mask, oracle_text, var,
+                      weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_determinant import uniform_bouquet
 from test_matroid import graphic_complete, uniform
@@ -103,7 +104,7 @@ def pairwise_chain_matrix(P, labeling, weights):
         chains.extend(families[r])
         tops.append(r)
         bounds.append((start, len(chains)))
-    gens = [generators(P, c) for c in chains]
+    gens = [brute_generators(P, c) for c in chains]
     n = len(chains)
     rows = [[zero()] * n for _ in range(n)]
     for i in range(n):
@@ -121,23 +122,36 @@ def pairwise_chain_matrix(P, labeling, weights):
             tuple(tuple(map(oracle_text, row)) for row in rows))
 
 
+def inversion_vector(tuples, var):
+    """Oracle for a Gram vector: the atom set of each tuple, its
+    squarefree monomial read as a variable mask, -> the tuple's sign from
+    the inversions of its variables, counted pair by pair.  No two tuples
+    may share an atom set."""
+    g = {}
+    for t in tuples:
+        vs = [var[a] for a in t]
+        S = monomial_mask(tuple((v, 1) for v in sorted(vs)))
+        assert S not in g, t
+        inversions = sum(u > v for u, v in combinations(vs, 2))
+        g[S] = -1 if inversions & 1 else 1
+    return g
+
+
 def inversion_gram_vectors(P, chains, weights):
-    """Oracle for `ChainMatrix.vectors`: each generator tuple's sign from
-    the inversions of its variables, counted pair by pair."""
-    var = weights.atom_vars
-    vectors = []
-    for c in chains:
-        g = {}
-        for t in generators(P, c):
-            vs = [var[a] for a in t]
-            inversions = sum(u > v for u, v in combinations(vs, 2))
-            g[tuple((v, 1) for v in sorted(vs))] = -1 if inversions & 1 else 1
-        vectors.append(g)
-    return tuple(vectors)
+    """Oracle for `ChainMatrix.vectors`: the `inversion_vector` of each
+    chain's tuples from the exhaustive scan."""
+    return tuple(inversion_vector(brute_generators(P, c), weights.atom_vars)
+                 for c in chains)
+
+
+def mask_atoms(S, var):
+    """The atoms whose variables are the bits of the mask S."""
+    return [a for a, v in var.items() if S >> v & 1]
 
 
 def brute_generators(P, chain):
-    """Exhaustive scan over all ordered atom tuples."""
+    """Exhaustive scan over all ordered atom tuples, for those whose
+    partial joins (folded with `scan_join`) trace the chain."""
     k = len(chain)
     out = []
     for tup in permutations(P.atoms, k):
@@ -249,41 +263,55 @@ class TestNeatness:
 
 
 class TestGenerators:
+    """`generators` gives a chain's Gram vector, keyed by atom-set masks,
+    against the exhaustive scan and the inversions of each tuple."""
+
     def test_examples(self, bouquet_example):
+        # a1, ..., a5 on w1, ..., w5: (a5, a2) and (a5, a3) each have one
+        # inversion, (a3, a2) one and (a3, a5) none.
         P = bouquet_example
-        assert set(generators(P, ("a5", "r3"))) == {("a5", "a2"), ("a5", "a3")}
-        assert set(generators(P, ("a3", "r3"))) == {("a3", "a2"), ("a3", "a5")}
+        var = WeightAssignment.default(P).atom_vars
+        mask = lambda *atoms: sum(1 << var[a] for a in atoms)
+        assert generators(P, ("a5", "r3"), var) == {mask("a5", "a2"): -1,
+                                                    mask("a5", "a3"): -1}
+        assert generators(P, ("a3", "r3"), var) == {mask("a3", "a2"): -1,
+                                                    mask("a3", "a5"): 1}
 
     def test_single(self, one_atom):
-        assert generators(one_atom, ("a",)) == [("a",)]
+        assert generators(one_atom, ("a",), {"a": 0}) == {1: 1}
+        assert generators(one_atom, ("a",), {"a": 3}) == {8: 1}
 
     def test_against_brute_force(self, bouquet_example):
         P = bouquet_example
+        var = WeightAssignment.default(P).atom_vars
         for c in enumerate_maximal_chains(P):
-            assert sorted(generators(P, c)) == brute_generators(P, c)
+            assert generators(P, c, var) == inversion_vector(brute_generators(P, c), var)
 
     def test_tuples_distinct_and_join_to_top(self, bouquet_example):
         P = bouquet_example
+        var = WeightAssignment.default(P).atom_vars
         for c in enumerate_maximal_chains(P):
-            for t in generators(P, c):
-                assert len(set(t)) == len(t)
-                assert join_all(P, t) == c[-1]
+            for S in generators(P, c, var):
+                atoms = mask_atoms(S, var)
+                assert len(atoms) == len(c)
+                assert join_all(P, atoms) == c[-1]
 
     @pytest.mark.parametrize("name", [
         *(n for n in FIXTURE_FILES if n != "poset_pentagon.json"),
         "U(3,6)", "M(K4)", "3xU(2,5)"])
     def test_levels(self, name):
-        """The levels against the exhaustive scan; they are disjoint, so
-        no two tuples of a chain share an atom set and every stored Gram
-        coefficient is +-1."""
+        """The level product against the exhaustive scan; no two tuples
+        of a chain share an atom set, so the vector has one key per tuple
+        and every stored Gram coefficient is +-1."""
         P = {"U(3,6)": lambda: flat_lattice(uniform(3, 6))[0],
              "M(K4)": lambda: flat_lattice(graphic_complete(4))[0],
              "3xU(2,5)": lambda: uniform_bouquet(3, 2, 5)}.get(
                  name, lambda: _fixture_poset(name))()
+        var = WeightAssignment.default(P).atom_vars
         for c in enumerate_maximal_chains(P):
-            tuples = generators(P, c)
-            assert sorted(tuples) == brute_generators(P, c)
+            tuples = brute_generators(P, c)
             assert len({frozenset(t) for t in tuples}) == len(tuples)
+            assert generators(P, c, var) == inversion_vector(tuples, var)
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
         assert all(c in (1, -1) for g in M.vectors for c in g.values())
 
@@ -449,17 +477,52 @@ class TestAgainstOracles:
                    WeightAssignment({a: i for i, a in enumerate(atoms)}))
 
 
+class TestSignRule:
+    """The sign rule of `generators`, a flip per odd count of variables
+    above the new one, where it could break: numberings with gaps and not
+    monotone in atom order, against the inversion oracle over the
+    exhaustive scan, and the entries against the pairwise matrix."""
+
+    @staticmethod
+    def check(P, seed):
+        n = len(P.atoms)
+        numbers = random.Random(seed).sample(range(4 * n + 3), n)
+        assume(max(numbers, default=n) >= n)  # some number below is skipped
+        assume(n < 2 or numbers != sorted(numbers))
+        weights = WeightAssignment(dict(zip(P.atoms, numbers)))
+        labeling = min_labeling(P)
+        M = chain_matrix(P, labeling, weights)
+        assert M.vectors == inversion_gram_vectors(P, M.chains, weights)
+        assert (M.chains, M.family_tops, M.family_bounds, M.entries) == \
+            pairwise_chain_matrix(P, labeling, weights)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+           st.integers(0, 2 ** 16))
+    def test_uniform_bouquets(self, roofs, shape, seed):
+        self.check(uniform_bouquet(roofs, *shape), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 16),
+           st.integers(0, 2 ** 16))
+    def test_line_coms(self, n, concurrent, lines_seed, seed):
+        lines = random_lines(random.Random(lines_seed), n, min(concurrent, n))
+        names = [f"l{i}" for i in range(n)]
+        self.check(zero_set_poset(validate_com(names, exact_covectors(lines)))[0], seed)
+
+
 def assert_block_diagonal(P):
     """The lemma in the `chain_matrix` docstring, on every maximal chain,
-    so under every labeling: the atoms of each generator tuple of a chain
-    of family r join to r (folded with `scan_join`), so no atom set lies
-    in two families."""
+    so under every labeling: the atoms of each atom set of a chain of
+    family r join to r (folded with `scan_join`), so no atom set lies in
+    two families."""
     assert P.is_bouquet()
-    family: dict[frozenset, str] = {}
+    var = WeightAssignment.default(P).atom_vars
+    family: dict[int, str] = {}
     for c in enumerate_maximal_chains(P):
-        for t in generators(P, c):
-            assert reduce(lambda x, a: scan_join(P, x, a), t) == c[-1]
-            assert family.setdefault(frozenset(t), c[-1]) == c[-1]
+        for S in generators(P, c, var):
+            assert reduce(lambda x, a: scan_join(P, x, a), mask_atoms(S, var)) == c[-1]
+            assert family.setdefault(S, c[-1]) == c[-1]
 
 
 class TestBlockDiagonal:

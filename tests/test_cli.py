@@ -496,6 +496,28 @@ class TestExitCodes:
         assert code == 0
         assert [b["dim"] for b in json.loads(out)["blocks"]] == [24]
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_broken_pipe(self, command, unbuffered):
+        # stdout is a pipe whose read end is closed before the CLI starts,
+        # so its first write fails, whether print writes straight through
+        # (PYTHONUNBUFFERED) or the flush in `main` does: exit 4, which no
+        # other outcome has, and no traceback.
+        path = [str(Path(bouquetdet.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "bouquetdet.cli", command,
+                                   str(FIXTURES / "matroid_u34.json"), "--kind", "matroid"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (4, b"")
+
     @pytest.mark.parametrize("mode", ["symbolic", "randomized"])
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_verify_no_trials(self, tmp_path, capsys, mode, trials):

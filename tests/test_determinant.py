@@ -24,8 +24,8 @@ from bouquetdet.polyring import Packing, Polynomial
 from bouquetdet.poset import NotABouquet
 from conftest import load_fixture, power, verify_default
 from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
-                      lift, one, packed_blocks, unpacked_blocks, var,
-                      weight_poly, zero)
+                      lift, mask_monomial, one, packed_blocks,
+                      unpacked_blocks, var, weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, independents, line_in_rank_4, uniform
 from test_polyring import power_product, weight_div
@@ -433,8 +433,7 @@ class TestDetMod:
             P = flat_lattice(matroid)[0]
             [(_, G)] = block_decompose(chain_matrix(P, min_labeling(P),
                                                     WeightAssignment.default(P)))
-            number = {S: i for i, S in enumerate({S for g in G for S in g})}
-            B = GramBlockMod(G, number, p)
+            B = GramBlockMod(G, p)
             assert B.dim == dim and group_trials(B.dim, B.width) >= 20
         assert group_trials(720, 131) == 1
         bits = 8 * MAX_GROUP_BYTES
@@ -753,7 +752,8 @@ class TestSignIsPlusOne:
             if not d.is_zero():
                 # The layout lemma (`factors_match`): D_r has every
                 # variable of its atom sets and degree dim * rank(r).
-                assert d.variables() == {v for g in G for S in g for v, _ in S}
+                assert d.variables() == {v for g in G for S in g
+                                         for v, _ in mask_monomial(S)}
                 assert {sum(e for _, e in m) for m in d.terms} == {dim * P.rank(top)}
         report = verify_theorem(P, labeling, weights)
         assert (report.verdict, report.sign) == (True, 1)
@@ -782,11 +782,9 @@ class TestGramEvaluation:
         point = {v: rng.randrange(1, p) for v in weights.atom_vars.values()}
         for _, G in block_decompose(chain_matrix(P, min_labeling(P), weights)):
             B = gram_entries(G)
-            number = {S: i for i, S in enumerate({S for g in G for S in g})}
-            powers = [0] * len(number)
-            for S, i in number.items():
-                powers[i] = eval_mod(Polynomial({S: 1}), point, p)
-            block = GramBlockMod(G, number, p)
+            powers = {S: eval_mod(Polynomial({mask_monomial(S): 1}), point, p)
+                      for g in G for S in g}
+            block = GramBlockMod(G, p)
             expected = [[eval_mod(e, point, p) for e in row] for row in B]
             fields = unpacked(block.rows(powers), block.width)
             assert [[x % p for x in row] for row in fields] == expected
@@ -799,7 +797,7 @@ class TestGramEvaluation:
     def test_no_entry_expanded(self, monkeypatch):
         # Randomized mode builds no polynomial entry and evaluates only
         # the right-hand side's weights, once per trial each, as the
-        # sets of their variables' slots in increasing variable order.
+        # sets of their variables, at points keyed by variable.
         # In groups of 3 trials (so of 3 and 1 here), trial t still
         # evaluates the t-th point the seed draws, trial by trial.
         P = INSTANCES["M(K4)"]()
@@ -815,10 +813,10 @@ class TestGramEvaluation:
         report = verify_theorem(P, min_labeling(P), weights, mode="randomized",
                                 trials=4, seed=9)
         assert report.verdict
-        slot = {2 * i + 1: i for i in range(len(P.atoms))}
-        assert evaluated == [{slot[v] for v in q} for q, _ in report.rhs] * 4
+        assert evaluated == [q for q, _ in report.rhs] * 4
         rng, p = random.Random(9), VERIFICATION_PRIME
-        drawn = [[rng.randrange(1, p) for _ in P.atoms] for _ in range(4)]
+        drawn = [{2 * i + 1: rng.randrange(1, p) for i in range(len(P.atoms))}
+                 for _ in range(4)]
         assert points == [point for point in drawn for _ in report.rhs]
 
     def test_randomized_k5(self):
