@@ -10,8 +10,10 @@ Brylawski and Varchenko), so it is symmetric by construction, and it is
 block-diagonal by family (proved in `chain_matrix`).  An atom set is a
 variable mask, one int with bit v for variable v, from `generators`,
 which forms each vector as a product of levels, to both determinant
-engines; `packed_block` forms each family block straight from its Gram
-vectors.
+engines, and so is a weight w(x), from `weight`, to the factor count,
+the mod-p evaluation and the printed product; the levels are differences
+of weights.  `packed_block` forms each family block straight from its
+Gram vectors, its keys packed by `Packing.power`.
 """
 
 from __future__ import annotations
@@ -101,17 +103,18 @@ def neat_chain_families(P: Poset, labeling: Labeling) -> dict[str, list[Chain]]:
     return families
 
 
-def generators(P: Poset, chain: Chain, var: Mapping[str, int]) -> GramVector:
+def generators(P: Poset, chain: Chain, weights: WeightAssignment) -> GramVector:
     """The Gram vector g_C of the chain: the atom set S of each ordered
     atom tuple (a_1, ..., a_k) whose partial joins trace the chain,
     a_1 v ... v a_i = x_i, as a variable mask, mapped to the tuple's
-    sign, (-1)^(number of inversions of var[a_1], ..., var[a_k]).
+    sign, (-1)^(number of inversions of the variables of a_1, ..., a_k).
 
     Level i holds the atoms below x_i and not below x_{i-1} (x_0 = 0̂),
-    and the tuples are the product of the levels.  This needs a meet
-    semilattice with 0̂, as every checked bouquet is: there such an atom
-    a has x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.
-    The levels are disjoint, so each tuple has its own atom set, and the
+    the variables of w(x_i) & ~w(x_{i-1}) (`weight`), and the tuples are
+    the product of the levels.  This needs a meet semilattice with 0̂, as
+    every checked bouquet is: there such an atom a has
+    x_{i-1} < x_{i-1} v a <= x_i, so x_{i-1} v a = x_i by the cover.  The
+    levels are disjoint, so each tuple has its own atom set, and the
     product is taken over the masks.  The sign follows level by level:
     a tuple on the variables S extended by a variable v not in S gains
     one inversion for each variable of S above v and no other, so its
@@ -120,8 +123,7 @@ def generators(P: Poset, chain: Chain, var: Mapping[str, int]) -> GramVector:
     vector: GramVector = {0: 1}
     below = 0
     for x in chain:
-        cur = sum(1 << var[a] for a in P.atoms_below(x))
-        # var is injective, so these are the variables of level i
+        cur = weight(P, x, weights)
         level = [(v, 1 << v) for v in _bits(cur & ~below)]
         vector = {S | bit: -c if (S >> v).bit_count() & 1 else c
                   for S, c in vector.items() for v, bit in level}
@@ -150,11 +152,12 @@ class WeightAssignment:
         return WeightAssignment({a: i for i, a in enumerate(P.atoms)})
 
 
-def weight(P: Poset, x: str, weights: WeightAssignment) -> frozenset[int]:
-    """Weight w(x), the sum of the atom variables below x, as the set of
-    those variables."""
+def weight(P: Poset, x: str, weights: WeightAssignment) -> int:
+    """Weight w(x), the sum of the atom variables below x, as the mask of
+    those variables, bit v for variable v (injective weights, so one bit
+    per atom)."""
     var = weights.atom_vars
-    return frozenset(var[a] for a in P.atoms_below(x))
+    return sum(1 << var[a] for a in P.atoms_below(x))
 
 
 Packed = dict[int, int]  # packed monomial -> coefficient (see polyring)
@@ -166,13 +169,12 @@ def packed_block(G: tuple[GramVector, ...]) -> tuple[Packing, list[list[Packed]]
     dim * rank)`, the variables the OR of its atom-set masks and rank the
     size of its atom sets (all of family r have rank(r) atoms), and entry
     (C, C') is the sum over the atom sets S of both of
-    g_C(S) * g_C'(S) * key(S), key(S) the packed w^S: the one place an
-    entry of the chain matrix is formed."""
+    g_C(S) * g_C'(S) * key(S), key(S) = `layout.power(S)` the packed w^S:
+    the one place an entry of the chain matrix is formed."""
     atom_sets = {S for g in G for S in g}
     rank = next(iter(atom_sets), 0).bit_count()
-    layout = Packing(set(_bits(reduce(or_, atom_sets, 0))), len(G) * rank)
-    shift, top = layout.shift, rank << layout.top
-    key = {S: top + sum(1 << shift[v] for v in _bits(S)) for S in atom_sets}
+    layout = Packing(reduce(or_, atom_sets, 0), len(G) * rank)
+    key = {S: layout.power(S) for S in atom_sets}
     rows = [{key[S]: c for S, c in g.items()} for g in G]
     return layout, [[{k: c * h[k] for k, c in g.items() if k in h} for h in rows]
                     for g in rows]
@@ -254,6 +256,5 @@ def chain_matrix(P: Poset, labeling: Labeling, weights: WeightAssignment) -> Cha
         tops.append(r)
         bounds.append((start, len(chains)))
 
-    var = weights.atom_vars
     return ChainMatrix(tuple(chains), tuple(tops), tuple(bounds),
-                       tuple(generators(P, c, var) for c in chains))
+                       tuple(generators(P, c, weights) for c in chains))

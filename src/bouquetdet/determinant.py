@@ -12,9 +12,10 @@ and its own product of weights.  So the identity checked is D = R, and a
 cofactor of -1 is a miss like any other.
 
 Symbolic mode computes each family block's determinant by division-free
-expansion over column subsets (`det_minors`) and counts the weights
-w(x) among its factors; it never multiplies the blocks together or
-expands the right-hand side.  The expansion keeps one table from each
+expansion over column subsets (`det_minors`) and divides the weights
+w(x) out of the blocks, each at most rho(x) times in all
+(`factors_match`); it never multiplies the blocks together or expands
+the right-hand side.  The expansion keeps one table from each
 set S of columns to the minor of the first |S| rows on S and extends it
 a row at a time, each step adding one entry times one minor into a
 minor one column larger.  Each block is packed once, straight from its
@@ -40,7 +41,8 @@ eliminate their packed rows mod p together
 (`det_mod`): one batch inverse of all the group's pivots per step, and
 each pivot row reduced in all its fields at once by a Barrett step
 (`lane_reducer`), in fields as wide as `lane_width` rules; a weight
-w(x), a set of variables, is the sum of their values.  A trial of a
+w(x), a variable mask like an atom set, is the sum of the values of its
+variables, read off the mask once per run.  A trial of a
 false identity passes with probability at most deg / (p - 1),
 deg <= max(sum over blocks r of dim_r * rank(r), sum over x of rho(x))
 (Schwartz 1980; Zippel 1979); the bound does not cover
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import random
 from math import prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .chains import (ChainMatrix, GramVector, Labeling, Packed,
                      WeightAssignment, chain_matrix, packed_block, weight)
@@ -149,41 +151,55 @@ def block_determinants(P: Poset, labeling: Labeling, weights: WeightAssignment
     return out
 
 
-def factors_match(blocks: list[PackedBlock],
-                  factors: list[tuple[frozenset[int], int]]) -> bool:
+def factors_match(blocks: list[PackedBlock], factors: list[tuple[int, int]]) -> bool:
     """Whether prod D_r = prod w^e over `factors`, D_r the packed block
     determinants and each w a weight, a sum of variables given as their
-    set.  Each D_r is divided in its own layout by each w whose variables
-    the layout has (a w with a variable outside it, which D_r lacks,
-    cannot divide it), more variables first, until `div_weight` returns
-    None.
+    mask.  Each w has a budget, left[w], that starts at its exponent e.
+    Each D_r is divided in its own layout by each w whose variables the
+    layout has, more variables first, while left[w] is nonzero and
+    `div_weight` finds a quotient, each quotient spending one unit.  The
+    identity holds iff every cofactor is the packed 1, {0: 1}, and no
+    budget is left.  A zero D_r is a miss: w divides {} with quotient {},
+    so each division spends budget and the loop ends, and the cofactor {}
+    is not 1.
 
-    For a family block this is the layout `Packing(D_r.variables(),
-    deg D_r)` whenever D_r != 0.  Every entry is homogeneous of degree
-    rank(r), as every atom set of family r has rank(r) atoms, so
-    dim * rank(r) = deg D_r.  And every variable of the entries occurs in
-    D_r: by Cauchy-Binet D_r is the sum over the dim-sets T of atom sets
-    of det(G_T)^2 * w^T, with no cancellation, and every nonzero row S of
-    G lies in some row basis T.  So the layout is wide enough for
-    `div_weight` on D_r.  The weights are distinct sums of
-    variables, so pairwise non-associate primes, and no D_r has a
-    negative coefficient (module docstring): the identity holds iff every
-    cofactor is the packed 1, {0: 1}, and the counts of each w, summed
-    over the blocks, equal its exponent.  A zero D_r is a miss."""
-    counts = dict.fromkeys((w for w, _ in factors), 0)
-    weights = sorted(counts, key=len, reverse=True)
+    The layout of family block r is the `Packing` of the variables of
+    D_r, of degree deg D_r, whenever D_r != 0.  Every entry is homogeneous
+    of degree rank(r), as every atom set of family r has rank(r) atoms,
+    so dim * rank(r) = deg D_r.  And every variable of the entries occurs
+    in D_r: by Cauchy-Binet D_r is the sum over the dim-sets T of atom
+    sets of det(G_T)^2 * w^T, with no cancellation, and every nonzero row
+    S of G lies in some row basis T.  So the layout is wide enough for
+    `div_weight` on D_r, and a w with a variable outside it, which D_r
+    lacks, cannot divide it.  The layout's variables are those of w(r):
+    the levels of any one chain of family r, w(x_i) & ~w(x_(i-1)), cover
+    the atoms below its top (`generators`).  And w(x) lies within w(r)
+    exactly when x <= r: x is the join of its atoms in [0̂, x], and when
+    they all lie below r, x meet r is an upper bound of them, so
+    x <= x meet r <= r.  So block r is tried on exactly the weights of the
+    elements below r.
+
+    The weights are distinct sums of variables, so pairwise non-associate
+    primes.  (<=) If prod D_r = prod w^e, each D_r is prod w^k_r(w) with
+    sum over r of k_r(w) = e(w).  When block r is reached, left[w] >=
+    k_r(w), as the blocks before it spent their own k's, and whatever
+    weights were divided out before w, w^k_r(w) divides what is left and
+    w^(k_r(w) + 1) does not: exactly k_r(w) quotients are found, so every
+    cofactor is 1 and no budget is left.  (=>) If every cofactor is 1 and
+    no budget is left, each D_r is the product of the weights divided out
+    of it, e(w) of each w in all.  No D_r has a negative coefficient
+    (module docstring), so a cofactor of -1 is a miss like any other."""
+    left = dict(sorted(factors, key=lambda f: f[0].bit_count(), reverse=True))
     for _, _, layout, det in blocks:
-        if not det:
-            return False
         cofactor = det
-        for w in weights:
-            if w.issubset(layout.shift):
-                while (quotient := div_weight(cofactor, layout, w)) is not None:
+        for w in left:
+            if not w & ~layout.variables:
+                while left[w] and (quotient := div_weight(cofactor, layout, w)) is not None:
                     cofactor = quotient
-                    counts[w] += 1
+                    left[w] -= 1
         if cofactor != {0: 1}:
             return False
-    return all(counts[w] == e for w, e in factors)
+    return not any(left.values())
 
 
 def product_text(factors: list[tuple[str, int]]) -> str:
@@ -220,7 +236,7 @@ def blocks_json(blocks: list[tuple], texts: list[str] | None) -> list[dict]:
 class VerificationReport(NamedTuple):
     verdict: bool
     exponents: dict[str, int]
-    rhs: list[tuple[frozenset[int], int]]  # (w(x), rho(x)) for rho(x) != 0, in element order
+    rhs: list[tuple[int, int]]  # (w(x) as a mask, rho(x)) for rho(x) != 0, in element order
     # (top, dim, layout, D_r) as `block_determinants` gives them in
     # symbolic mode; (top, dim, None, None) in randomized mode
     blocks: list[tuple[str, int, Packing | None, Packed | None]]
@@ -423,10 +439,10 @@ class GramBlockMod:
         return det_mod([self.rows(pw) for pw in powers], self.width, self.p)
 
 
-def weight_mod(w: Iterable[int], point: dict[int, int], p: int) -> int:
-    """The weight w, a sum of variables given as their set, at the point,
-    a dict from variable to value, modulo p."""
-    return sum(map(point.__getitem__, w)) % p
+def weight_mod(variables: tuple[int, ...], point: dict[int, int], p: int) -> int:
+    """The weight, the sum of the variables, at the point, a dict from
+    variable to value, modulo p."""
+    return sum(map(point.__getitem__, variables)) % p
 
 
 def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
@@ -434,8 +450,9 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
                    seed: int = 0) -> VerificationReport:
     """Check det(chain matrix) = prod w(x)^rho(x).
 
-    Symbolic mode counts the factors w(x) of each block determinant
-    exactly (see `factors_match`).  Randomized mode runs the trials in
+    Symbolic mode divides the factors w(x) out of the block
+    determinants exactly, each at most rho(x) times (see
+    `factors_match`).  Randomized mode runs the trials in
     lockstep groups of consecutive trials (`group_trials` of each block,
     the fewest).  Per group it draws each trial's point, each variable
     uniformly from [1, p - 1] (p the fixed 62-bit prime; trial by trial,
@@ -478,8 +495,9 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
     p = VERIFICATION_PRIME
     rng = random.Random(seed)
     variables = sorted(weights.atom_vars.values())  # distinct: weights are injective
-    # the variables of each atom set, read off its mask once per run
+    # the variables of each atom set and of each weight, read off its mask once per run
     atom_sets = {S: tuple(_bits(S)) for S in {S for _, G in blocks for g in G for S in g}}
+    rhs_vars = [(tuple(_bits(w)), e) for w, e in rhs]
     mod_blocks = [GramBlockMod(G, p) for _, G in blocks]
     size = min(group_trials(B.dim, B.width) for B in mod_blocks)
     verdict = True
@@ -493,8 +511,8 @@ def verify_theorem(P: Poset, labeling: Labeling, weights: WeightAssignment,
             dets = [d * e % p for d, e in zip(dets, B.dets(powers))]
         for point, det_val in zip(group, dets):
             rhs_val = 1
-            for w, e in rhs:
-                rhs_val = rhs_val * pow(weight_mod(w, point, p), e, p) % p
+            for vs, e in rhs_vars:
+                rhs_val = rhs_val * pow(weight_mod(vs, point, p), e, p) % p
             verdict = verdict and det_val == rhs_val
         if not verdict:
             break

@@ -13,11 +13,14 @@ the top field, then one field per variable of the layout, the smallest
 index highest, each field `degree.bit_length()` bits wide for the
 layout's degree bound.  A larger int is then exactly an earlier monomial
 in the graded-lex order, and multiplying monomials is adding ints.  A
-packed polynomial is a dict from packed monomial to coefficient, and the
-two kernels work on those: `mul_into` adds a product into a dict, and
-`div_weight` divides by a weight, a sum of distinct variables, with
-synthetic division in its first variable (Knuth, TAOCP vol. 2, 4.6.1),
-which never divides a coefficient.
+set of variables is a mask, one int with bit v for variable v, as the
+atom sets and weights of `chains` are: a layout takes its variables as
+one, and `Packing.power` packs the squarefree monomial w^S of a mask S.
+A packed polynomial is a dict from packed monomial to coefficient, and
+the two kernels work on those: `mul_into` adds a product into a dict,
+and `div_weight` divides by a weight, the sum of the variables of a
+mask, with synthetic division in its first variable (Knuth, TAOCP
+vol. 2, 4.6.1), which never divides a coefficient.
 
 The symbolic determinant keeps one layout per family block, from its
 Gram vectors to the printed text (see `determinant`); division has one
@@ -32,7 +35,9 @@ for the test oracles; no command builds one.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
+
+from .poset import _bits
 
 Monomial = tuple[tuple[int, int], ...]
 _exponent = itemgetter(1)
@@ -46,14 +51,14 @@ class Packing:
     """Packed-int layout of the monomials in `variables` up to total
     degree `degree` (see the module docstring)."""
 
-    __slots__ = ("fields", "shift", "top", "mask")
+    __slots__ = ("variables", "fields", "shift", "top", "mask")
 
-    def __init__(self, variables: set[int], degree: int):
+    def __init__(self, variables: int, degree: int):
         width = degree.bit_length()
-        self.mask = (1 << width) - 1
-        shift = self.top = len(variables) * width
+        self.variables, self.mask = variables, (1 << width) - 1
+        shift = self.top = variables.bit_count() * width
         fields = []
-        for v in sorted(variables):
+        for v in _bits(variables):
             shift -= width
             fields.append((v, shift))
         self.fields = fields
@@ -66,6 +71,12 @@ class Packing:
             deg += e
             key += e << shift[v]
         return key + (deg << self.top)
+
+    def power(self, S: int) -> int:
+        """The packed w^S of a variable mask S: |S| in the top field and 1
+        in the field of each variable of S."""
+        shift = self.shift
+        return (S.bit_count() << self.top) + sum(1 << shift[v] for v in _bits(S))
 
     def text(self, packed: Mapping[int, int]) -> str:
         """The text of a packed polynomial, e.g. "w1^2*w2 + 3*w5": terms
@@ -112,9 +123,9 @@ def mul_into(out: dict[int, int], a: Mapping[int, int],
 
 
 def div_weight(p: Mapping[int, int], layout: Packing,
-               w: Iterable[int]) -> dict[int, int] | None:
+               w: int) -> dict[int, int] | None:
     """The packed quotient q with p = w * q, w the weight whose variables
-    are the set `w`, or None when there is none.  p and q are packed in
+    are the mask `w`, or None when there is none.  p and q are packed in
     `layout`, which holds the variables of w and is wide enough for p;
     zero coefficients of p are dropped on the way.
 
@@ -125,10 +136,10 @@ def div_weight(p: Mapping[int, int], layout: Packing,
     the remainder P_0 - r * Q_0 is zero.  Every term formed has total
     degree at most deg p, so no field overflows.
     """
-    a, *rest = sorted(w)
-    top, shift, mask = 1 << layout.top, layout.shift[a], layout.mask
-    x_a = (1 << shift) + top
-    r = [(1 << layout.shift[v]) + top for v in rest]
+    low = w & -w
+    shift, mask = layout.shift[low.bit_length() - 1], layout.mask
+    x_a = layout.power(low)
+    r = [layout.power(1 << v) for v in _bits(w ^ low)]
     parts: dict[int, dict[int, int]] = {}  # e -> P_e, keys free of x_a
     for k, c in p.items():
         e = k >> shift & mask
@@ -184,14 +195,14 @@ class Polynomial:
 
     def to_string(self) -> str:
         """Canonical text form, e.g. "w1^2*w2 + 3*w5" (`Packing.text`)."""
-        layout = Packing(self.variables(), self.total_degree())
+        layout = Packing(sum(1 << v for v in self.variables()), self.total_degree())
         return layout.text({layout.key(m): c for m, c in self._terms.items()})
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
 
 
-def sum_text(variables: Iterable[int]) -> str:
-    """The text of the sum of the variables, as `Packing.text` prints
-    it, e.g. "w2 + w3 + w5"."""
-    return " + ".join(f"w{v + 1}" for v in sorted(variables))
+def sum_text(variables: int) -> str:
+    """The text of the sum of the variables of the mask, as `Packing.text`
+    prints it, e.g. "w2 + w3 + w5"."""
+    return " + ".join(f"w{v + 1}" for v in _bits(variables))

@@ -386,8 +386,14 @@ def build_poset(elements: Sequence[str], covers: Iterable[Sequence[str]]) -> Pos
 
 
 def set_id(s: Iterable[str]) -> str:
-    """Canonical string id for a ground subset, e.g. "{a,b}"."""
-    return "{" + ",".join(sorted(s)) + "}"
+    """Canonical string id for a ground subset, e.g. "{a,b}": its names
+    in order, joined by commas, each name that is empty or has a comma or
+    a double quote written as its JSON string, e.g. {a,"a,b"}.  A bare
+    name has no comma and no quote, and a JSON string ends at its first
+    unescaped quote, so the names read back from the id and distinct sets
+    get distinct ids."""
+    return "{" + ",".join(n if n and "," not in n and '"' not in n else json.dumps(n)
+                          for n in sorted(s)) + "}"
 
 
 def inclusion_poset(ground: Sequence[str],

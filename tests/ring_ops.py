@@ -6,8 +6,10 @@ expanded products of the blocks and of the right-hand side,
 substitution, the sympy and mod-p comparisons) add, negate, multiply
 and evaluate polynomials, so those operations live here: `Poly` is a
 `Polynomial` with them, and a plain `Polynomial` on the other side of a
-binary operation is read as a `Poly`.  `pack` and `det_via_minors` carry polynomial matrices to and
-from the packed kernel `det_minors`.  `mask_monomial` and
+binary operation is read as a `Poly`.  `variable_mask` gives a set of
+variables as the mask `Packing` and the weights take.  `pack` and
+`det_via_minors` carry polynomial matrices to and from the packed kernel
+`det_minors`.  `mask_monomial` and
 `monomial_mask` convert an atom set between the library's variable mask
 and a squarefree monomial.  `gram_entry` and `gram_entries` form chain
 matrix entries from the Gram vectors, keyed by masks, pair by pair, the
@@ -44,7 +46,7 @@ class Poly(Polynomial):
     def __mul__(self, other: Polynomial) -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        layout = Packing(self.variables() | other.variables(),
+        layout = Packing(variable_mask(self.variables() | other.variables()),
                          self.total_degree() + other.total_degree())
         return lift(layout.unpack(mul_into({}, pack(layout, self), pack(layout, other))))
 
@@ -74,9 +76,15 @@ def var(index: int) -> Poly:
     return Poly({((index, 1),): 1})
 
 
-def weight_poly(w) -> Poly:
-    """The weight given as a set of variables, as their sum."""
-    return Poly({((v, 1),): 1 for v in w})
+def variable_mask(variables) -> int:
+    """The mask of a set of variables, bit v for variable v."""
+    return sum(1 << v for v in set(variables))
+
+
+def weight_poly(w: int) -> Poly:
+    """The weight given as a variable mask, as the sum of its variables,
+    read bit by bit."""
+    return Poly({((v, 1),): 1 for v in range(w.bit_length()) if w >> v & 1})
 
 
 def mask_monomial(S: int) -> tuple:
@@ -153,7 +161,7 @@ def det_via_minors(M: list[list[Polynomial]]) -> Poly:
     the rows of their largest entry degree (every minor has degree at
     most D), and the determinant unpacked."""
     degree = sum(max((e.total_degree() for e in row), default=0) for row in M)
-    layout = Packing(set().union(*(e.variables() for row in M for e in row)), degree)
+    layout = Packing(variable_mask(v for row in M for e in row for v in e.variables()), degree)
     return lift(layout.unpack(det_minors([[pack(layout, e) for e in row] for row in M])))
 
 
@@ -169,6 +177,6 @@ def packed_blocks(blocks) -> list[tuple]:
     the inverse of `unpacked_blocks`."""
     out = []
     for top, dim, d in blocks:
-        layout = Packing(d.variables(), d.total_degree())
+        layout = Packing(variable_mask(d.variables()), d.total_degree())
         out.append((top, dim, layout, pack(layout, d)))
     return out

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from conftest import load_fixture
 from ring_ops import (Poly, gram_entry, monomial_mask, oracle_text, var,
                       weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
-from test_determinant import uniform_bouquet
+from test_determinant import small_bouquets, uniform_bouquet
 from test_matroid import graphic_complete, uniform
 from test_poset import down_set, join_all, scan_join
 
@@ -272,26 +273,27 @@ class TestGenerators:
         P = bouquet_example
         var = WeightAssignment.default(P).atom_vars
         mask = lambda *atoms: sum(1 << var[a] for a in atoms)
-        assert generators(P, ("a5", "r3"), var) == {mask("a5", "a2"): -1,
-                                                    mask("a5", "a3"): -1}
-        assert generators(P, ("a3", "r3"), var) == {mask("a3", "a2"): -1,
-                                                    mask("a3", "a5"): 1}
+        assert generators(P, ("a5", "r3"), WeightAssignment(var)) == {
+            mask("a5", "a2"): -1, mask("a5", "a3"): -1}
+        assert generators(P, ("a3", "r3"), WeightAssignment(var)) == {
+            mask("a3", "a2"): -1, mask("a3", "a5"): 1}
 
     def test_single(self, one_atom):
-        assert generators(one_atom, ("a",), {"a": 0}) == {1: 1}
-        assert generators(one_atom, ("a",), {"a": 3}) == {8: 1}
+        assert generators(one_atom, ("a",), WeightAssignment({"a": 0})) == {1: 1}
+        assert generators(one_atom, ("a",), WeightAssignment({"a": 3})) == {8: 1}
 
     def test_against_brute_force(self, bouquet_example):
         P = bouquet_example
         var = WeightAssignment.default(P).atom_vars
         for c in enumerate_maximal_chains(P):
-            assert generators(P, c, var) == inversion_vector(brute_generators(P, c), var)
+            assert generators(P, c, WeightAssignment(var)) == inversion_vector(
+                brute_generators(P, c), var)
 
     def test_tuples_distinct_and_join_to_top(self, bouquet_example):
         P = bouquet_example
         var = WeightAssignment.default(P).atom_vars
         for c in enumerate_maximal_chains(P):
-            for S in generators(P, c, var):
+            for S in generators(P, c, WeightAssignment(var)):
                 atoms = mask_atoms(S, var)
                 assert len(atoms) == len(c)
                 assert join_all(P, atoms) == c[-1]
@@ -311,7 +313,7 @@ class TestGenerators:
         for c in enumerate_maximal_chains(P):
             tuples = brute_generators(P, c)
             assert len({frozenset(t) for t in tuples}) == len(tuples)
-            assert generators(P, c, var) == inversion_vector(tuples, var)
+            assert generators(P, c, WeightAssignment(var)) == inversion_vector(tuples, var)
         M = chain_matrix(P, min_labeling(P), WeightAssignment.default(P))
         assert all(c in (1, -1) for g in M.vectors for c in g.values())
 
@@ -324,7 +326,7 @@ class TestWeight:
         for a in P.atoms:
             assert weight_poly(weight(P, a, w)) == var(w.atom_vars[a])
         assert weight_poly(weight(P, "0", w)) == zero()
-        assert weight(P, "r3", w) == {w.atom_vars[a] for a in ("a2", "a3", "a5")}
+        assert weight(P, "r3", w) == sum(1 << w.atom_vars[a] for a in ("a2", "a3", "a5"))
 
     def test_not_injective(self, bouquet_example):
         # a1 and a2 on one variable would share atom sets across families
@@ -520,7 +522,7 @@ def assert_block_diagonal(P):
     var = WeightAssignment.default(P).atom_vars
     family: dict[int, str] = {}
     for c in enumerate_maximal_chains(P):
-        for S in generators(P, c, var):
+        for S in generators(P, c, WeightAssignment(var)):
             assert reduce(lambda x, a: scan_join(P, x, a), mask_atoms(S, var)) == c[-1]
             assert family.setdefault(S, c[-1]) == c[-1]
 
@@ -541,3 +543,45 @@ class TestBlockDiagonal:
         lines = random_lines(random.Random(seed), n, min(concurrent, n))
         names = [f"l{i}" for i in range(n)]
         assert_block_diagonal(zero_set_poset(validate_com(names, exact_covectors(lines)))[0])
+
+
+class TestFamilyWeight:
+    """The fact the layout test of `determinant.factors_match` rests on:
+    the variables of family r's block, the OR of its atom-set masks, are
+    those of w(r), and w(x) lies within w(r) exactly when x <= r, so block
+    r is tried on the weights of the elements below r.  Under injective
+    variable numberings with gaps."""
+
+    @staticmethod
+    def check(P, seed):
+        n = len(P.atoms)
+        numbers = random.Random(seed).sample(range(4 * n + 3), n)
+        assume(max(numbers, default=n) >= n)  # some number below is skipped
+        weights = WeightAssignment(dict(zip(P.atoms, numbers)))
+        M = chain_matrix(P, min_labeling(P), weights)
+        for r, (start, stop) in zip(M.family_tops, M.family_bounds):
+            if start == stop:
+                continue
+            w_r = weight(P, r, weights)
+            assert reduce(or_, (S for g in M.vectors[start:stop] for S in g)) == w_r
+            for x in P.elements:
+                assert (weight(P, x, weights) & ~w_r == 0) == P.leq(x, r)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_bouquets(), st.integers(0, 2 ** 16))
+    def test_small_bouquets(self, P, seed):
+        self.check(P, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+           st.integers(0, 2 ** 16))
+    def test_uniform_bouquets(self, roofs, shape, seed):
+        self.check(uniform_bouquet(roofs, *shape), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 16),
+           st.integers(0, 2 ** 16))
+    def test_line_coms(self, n, concurrent, lines_seed, seed):
+        lines = random_lines(random.Random(lines_seed), n, min(concurrent, n))
+        names = [f"l{i}" for i in range(n)]
+        self.check(zero_set_poset(validate_com(names, exact_covectors(lines)))[0], seed)

@@ -296,6 +296,37 @@ class TestDot:
         assert (code, out) == run(capsys, "dot", PENTAGON)
 
 
+def boolean_inputs(ground: list[str]) -> dict[str, dict]:
+    """U(n, n) on the ground, n = len(ground), as each adapter kind reads
+    it: a matroid, a bouquet with one roof, and the Boolean oriented
+    matroid, every sign vector a covector."""
+    subsets = [list(s) for k in range(len(ground) + 1) for s in combinations(ground, k)]
+    return {"matroid": {"ground": ground, "independents": subsets},
+            "bouquet": {"ground": ground, "roofs": [ground], "independents": subsets},
+            "com": {"ground": ground, "covectors": [
+                "".join(v) for v in product("+-0", repeat=len(ground))]}}
+
+
+class TestSetIds:
+    """Element ids of the adapters are set ids, one per flat: a name that
+    is empty or has a comma is written as its JSON string, so the ids of
+    distinct flats differ.  Every one of the 2^n flats of U(n, n) keeps
+    its own element."""
+
+    @pytest.mark.parametrize("ground", [["a,b", "a", "b"], [""]], ids=["comma", "empty"])
+    @pytest.mark.parametrize("kind", ["matroid", "bouquet", "com"])
+    def test_names_with_commas_or_empty(self, tmp_path, capsys, kind, ground):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(boolean_inputs(ground)[kind]))
+        for mode in ("symbolic", "randomized"):
+            code, out = run(capsys, "verify", str(path), "--kind", kind, "--mode", mode)
+            report = json.loads(out)
+            assert (code, report["verdict"]) == (0, True)
+            assert len(report["exponents"]) == 2 ** len(ground)
+        for command in ("check", "rho", "matrix", "det", "dot"):
+            assert run(capsys, command, str(path), "--kind", kind)[0] == 0
+
+
 class TestTextFormat:
     def test_det_text(self, capsys):
         code, out = run(capsys, "det", PEX, "--format", "text")

@@ -25,7 +25,7 @@ from bouquetdet.poset import NotABouquet
 from conftest import load_fixture, power, verify_default
 from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
                       lift, mask_monomial, one, packed_blocks,
-                      unpacked_blocks, var, weight_poly, zero)
+                      unpacked_blocks, var, variable_mask, weight_poly, zero)
 from test_cli import EXIT_CODES, FIXTURE_FILES, fixture_kind
 from test_matroid import graphic_complete, independents, line_in_rank_4, uniform
 from test_polyring import power_product, weight_div
@@ -640,14 +640,14 @@ class TestBlockVerdict:
         pytest.param(lambda i, d, w: d * w["a1"] if i == 0 else d,
                      False, None, 0, id="extra-factor"),
         pytest.param(lambda i, d, w: d * w["r3"] if i == 0
-                     else weight_div(d, w["r3"].variables()) if i == 2 else d,
+                     else weight_div(d, variable_mask(w["r3"].variables())) if i == 2 else d,
                      True, 1, 0, id="moved-factor"),
         # Every block determinant has nonnegative coefficients
         # (Cauchy-Binet), so a negated block is a miss.
         pytest.param(lambda i, d, w: -d if i == 1 else d,
                      False, None, 0, id="negated"),
         pytest.param(lambda i, d, w: -(d * w["r3"]) if i == 0
-                     else weight_div(d, w["r3"].variables()) if i == 2 else d,
+                     else weight_div(d, variable_mask(w["r3"].variables())) if i == 2 else d,
                      False, None, 0, id="moved-factor-negated"),
     ])
     def test_perturbed_blocks(self, monkeypatch, bouquet_example, change,
@@ -685,7 +685,7 @@ class TestFactorsMatch:
             assert layouts == [layout for _, _, layout, _ in blocks]
 
     x0, x1 = var(0), var(1)
-    w0, w1, w01 = frozenset({0}), frozenset({1}), frozenset({0, 1})
+    w0, w1, w01 = 0b1, 0b10, 0b11
 
     @pytest.mark.parametrize("dets, factors, match", [
         pytest.param([one()], [], True, id="constant-1"),
@@ -698,16 +698,37 @@ class TestFactorsMatch:
                      [(w0, 1), (w1, 1), (w01, 1)], True, id="moved-factor"),
         pytest.param([x0 * x0], [(w0, 1)], False, id="square-for-one"),
         pytest.param([x0], [(w0, 2)], False, id="one-for-square"),
+        # one exponent spent across blocks
+        pytest.param([x0, x0 * x0], [(w0, 3)], True, id="spent-across-blocks"),
+        pytest.param([x0, x0 * x0], [(w0, 2)], False, id="spent-before-last-block"),
+        pytest.param([x0 * x0, x0], [(w0, 2)], False, id="spent-by-first-block"),
     ])
     def test_degenerate_layouts(self, dets, factors, match):
         blocks = packed_blocks([(f"r{i}", 1, d) for i, d in enumerate(dets)])
         assert factors_match(blocks, factors) is match
 
+    @pytest.mark.parametrize("name", ["matroid_u34.json", "U(3,6)", "M(K4)"])
+    def test_one_block_spends_each_exponent(self, monkeypatch, name):
+        # On one block with a true verdict, each w(x) is divided rho(x)
+        # times and no more: every division finds a quotient.
+        P = {"U(3,6)": lambda: flat_lattice(uniform(3, 6))[0],
+             **INSTANCES}[name]()
+        quotients = []
+        div_weight = determinant.div_weight
+        monkeypatch.setattr(determinant, "div_weight", lambda *args:
+                            quotients.append(div_weight(*args)) or quotients[-1])
+        report = verify_default(P)
+        assert report.verdict and len(report.blocks) == 1
+        assert all(q is not None for q in quotients)
+        assert len(quotients) == sum(P.rho(x) for x in P.elements) > 0
+
     def test_zero_in_block_layout(self):
         # A zero D_r in a layout with variables, which every weight fits:
-        # a miss, not a division of zero by w.
-        w = frozenset({0, 1})
-        assert factors_match([("r", 2, Packing({0, 1}, 2), {})], [(w, 2)]) is False
+        # w divides zero, so each division spends one unit of w's budget
+        # and the loop ends with the budget; the cofactor {} is not 1, so
+        # a miss.
+        w = 0b11
+        assert factors_match([("r", 2, Packing(0b11, 2), {})], [(w, 2)]) is False
 
 
 K4 = graphic_complete(4)
@@ -797,7 +818,7 @@ class TestGramEvaluation:
     def test_no_entry_expanded(self, monkeypatch):
         # Randomized mode builds no polynomial entry and evaluates only
         # the right-hand side's weights, once per trial each, as the
-        # sets of their variables, at points keyed by variable.
+        # tuples of their variables, at points keyed by variable.
         # In groups of 3 trials (so of 3 and 1 here), trial t still
         # evaluates the t-th point the seed draws, trial by trial.
         P = INSTANCES["M(K4)"]()
@@ -813,7 +834,8 @@ class TestGramEvaluation:
         report = verify_theorem(P, min_labeling(P), weights, mode="randomized",
                                 trials=4, seed=9)
         assert report.verdict
-        assert evaluated == [q for q, _ in report.rhs] * 4
+        assert evaluated == [tuple(v for v in range(q.bit_length()) if q >> v & 1)
+                             for q, _ in report.rhs] * 4
         rng, p = random.Random(9), VERIFICATION_PRIME
         drawn = [{2 * i + 1: rng.randrange(1, p) for i in range(len(P.atoms))}
                  for _ in range(4)]

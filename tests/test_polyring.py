@@ -6,21 +6,21 @@ from hypothesis import example, given, settings, strategies as st
 from bouquetdet.polyring import Packing, div_weight, sum_text
 from conftest import power
 from ring_ops import (Poly, const, det_via_minors, eval_mod, lift, one,
-                      oracle_text, pack, var, weight_poly, zero)
+                      oracle_text, pack, var, variable_mask, weight_poly, zero)
 
 w = [var(i) for i in range(6)]
 
 
 def weight_case(p, weight):
-    """(layout, packed p, weight as a frozenset): the layout holds p's
+    """(layout, packed p, weight as a variable mask): the layout holds p's
     variables and the weight's, of degree deg p."""
-    layout = Packing(p.variables() | set(weight), p.total_degree())
-    return layout, pack(layout, p), frozenset(weight)
+    layout = Packing(variable_mask(p.variables()) | weight, p.total_degree())
+    return layout, pack(layout, p), weight
 
 
 def weight_div(p, weight):
     """The quotient q with p = w * q, w the weight whose variables are the
-    set `weight`, or None: p packed as `weight_case` packs it, divided
+    mask `weight`, or None: p packed as `weight_case` packs it, divided
     with `div_weight` and the quotient unpacked."""
     layout, packed, weight = weight_case(p, weight)
     q = div_weight(packed, layout, weight)
@@ -79,7 +79,7 @@ def test_ring_laws(p, q, r):
 
 # Weights over the three variables of `polys` and one variable absent
 # from them.
-weights = st.sets(st.integers(0, 3), min_size=1)
+weights = st.sets(st.integers(0, 3), min_size=1).map(variable_mask)
 
 
 @given(polys, weights)
@@ -95,7 +95,7 @@ polys6 = st.lists(
     (c, [vs.count(v) for v in range(6)]) for c, vs in terms))
 
 
-@given(polys6, st.sets(st.integers(0, 6), min_size=1))
+@given(polys6, st.sets(st.integers(0, 6), min_size=1).map(variable_mask))
 def test_exact_div_roundtrip_six_variables(p, weight):
     assert weight_div(weight_poly(weight) * p, weight) == p
     # w * p + 1 has the remainder 1 by w
@@ -104,29 +104,29 @@ def test_exact_div_roundtrip_six_variables(p, weight):
 
 def test_exact_div_examples():
     p = w[0] * w[1] * w[2] * (w[0] + w[1] + w[2])
-    assert weight_div(p, {0}) == w[1] * w[2] * (w[0] + w[1] + w[2])
-    assert weight_div(p, {0, 1, 2}) == w[0] * w[1] * w[2]
-    assert weight_div(w[0] + w[1], {0, 1}) == one()
-    assert weight_div(w[0] + w[1], {0}) is None
+    assert weight_div(p, 0b1) == w[1] * w[2] * (w[0] + w[1] + w[2])
+    assert weight_div(p, 0b111) == w[0] * w[1] * w[2]
+    assert weight_div(w[0] + w[1], 0b11) == one()
+    assert weight_div(w[0] + w[1], 0b1) is None
 
 
 def test_exact_div_large_exponents():
     # exponents far wider than a small fixed field
-    assert weight_div(power(w[0], 300) * w[1], {0}) == power(w[0], 299) * w[1]
+    assert weight_div(power(w[0], 300) * w[1], 0b1) == power(w[0], 299) * w[1]
     q = power(w[0], 1000) + power(w[2], 999) * w[1]
-    assert weight_div(q * (w[0] + w[1]), {0, 1}) == q
+    assert weight_div(q * (w[0] + w[1]), 0b11) == q
     # x^300 - y^300 = (x + y) * (x^299 - x^298*y + ... - y^299)
     p = power(w[0], 300) - power(w[1], 300)
-    q = weight_div(p, {0, 1})
+    q = weight_div(p, 0b11)
     assert q is not None and (w[0] + w[1]) * q == p
     assert len(q.terms) == 300
-    assert weight_div(power(w[0], 301) - power(w[1], 301), {0, 1}) is None
+    assert weight_div(power(w[0], 301) - power(w[1], 301), 0b11) is None
 
 
 def test_large_variable_index():
     v = var(10_000)
     p = (v + w[0]) * (power(v, 2) - w[5])
-    assert weight_div(p, {10_000, 0}) == power(v, 2) - w[5]
+    assert weight_div(p, 1 << 10_000 | 1) == power(v, 2) - w[5]
     assert v.variables() == {10_000}
     assert (v * w[0]).to_string() == "w1*w10001"
 
@@ -141,12 +141,12 @@ def test_large_variable_index():
 ])
 def test_not_divisible(p, q):
     # q is the weight's set of variables
-    assert weight_div(p, q) is None
+    assert weight_div(p, variable_mask(q)) is None
 
 
 @st.composite
 def weight_divisions(draw):
-    """(layout, packed p, weight as its set of variables).  The layout
+    """(layout, packed p, weight as its variable mask).  The layout
     holds up to five variables and a degree bound of deg p or above; the
     weight is one variable, every layout variable or a drawn subset, and
     may have variables absent from p.  p is w * q plus up to two further
@@ -170,25 +170,25 @@ def weight_divisions(draw):
     terms = st.lists(st.tuples(st.integers(-4, 4), monomial), max_size=3)
     q = sum((const(c) * m for c, m in draw(terms)), zero())
     extra = sum((const(c) * m for c, m in draw(terms.map(lambda t: t[:2]))), zero())
-    p = weight_poly(weight) * q + extra
+    p = weight_poly(variable_mask(weight)) * q + extra
     zeros = draw(st.lists(monomial, max_size=2))
     degree = max([p.total_degree()] + [m.total_degree() for m in zeros])
-    layout = Packing(set(variables), degree + draw(st.sampled_from([0, 0, 1, 4])))
+    layout = Packing(variable_mask(variables), degree + draw(st.sampled_from([0, 0, 1, 4])))
     packed = pack(layout, p)
     for m in zeros:
         packed.setdefault(layout.key(next(iter(m.terms))), 0)
-    return layout, packed, frozenset(weight)
+    return layout, packed, variable_mask(weight)
 
 
 @settings(max_examples=200, deadline=None)
 @given(weight_divisions())
-@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), {0}))
-@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), {0, 1, 2}))
-@example(weight_case(w[0] + w[1], {0}))
+@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), 0b1))
+@example(weight_case(w[0] * w[1] * w[2] * (w[0] + w[1] + w[2]), 0b111))
+@example(weight_case(w[0] + w[1], 0b1))
 @example(weight_case((power(w[0], 1000) + power(w[2], 999) * w[1]) * (w[0] + w[1]),
-                     {0, 1}))
+                     0b11))
 # degree 3: the two-bit field of w[0] holds 3, its largest value
-@example(weight_case(power(w[0], 2) * (w[0] + w[1]), {0, 1}))
+@example(weight_case(power(w[0], 2) * (w[0] + w[1]), 0b11))
 def test_div_weight_against_sympy(case):
     # One polynomial is a Groebner basis of the ideal it generates, so
     # sympy's remainder of p by w is zero under any order iff w divides p.
@@ -251,9 +251,9 @@ def test_to_string():
 
 
 def test_sum_text():
-    # a weight's text, formatted from its set of variables
-    assert sum_text({4, 1, 2}) == (w[1] + w[2] + w[4]).to_string() == "w2 + w3 + w5"
-    assert sum_text(frozenset({10_000, 0})) == (var(10_000) + w[0]).to_string()
+    # a weight's text, formatted from its variable mask
+    assert sum_text(0b10110) == (w[1] + w[2] + w[4]).to_string() == "w2 + w3 + w5"
+    assert sum_text(1 << 10_000 | 1) == (var(10_000) + w[0]).to_string()
 
 
 def test_to_string_graded_lex_order():
@@ -280,7 +280,7 @@ def packed_polys(draw):
     bound, and may repeat a monomial or be the constant."""
     variables = draw(st.sets(st.integers(0, 11), max_size=6))
     degree = draw(st.integers(0, 7))
-    layout = Packing(variables, degree)
+    layout = Packing(variable_mask(variables), degree)
     monomial = st.lists(st.sampled_from(sorted(variables)), max_size=degree) \
         if variables else st.just([])
     coefficient = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))
@@ -301,7 +301,7 @@ def test_text_against_oracle(drawn):
 
 
 def test_text_examples():
-    layout = Packing({0, 1, 4, 7}, 3)
+    layout = Packing(0b10010011, 3)
     key = layout.key
     assert layout.text({}) == "0"
     assert layout.text({key(((0, 1),)): 0}) == "0"

@@ -209,10 +209,20 @@ class TestBuild:
         assert (P.covers, P._up, P._down) == (Q.covers, Q._up, Q._down)
         assert mapping == {set_id(s): s for s in distinct}
 
-    def test_inclusion_duplicate_ids(self):
-        # {"a,b"} and {"a", "b"} both print {a,b}.
-        with pytest.raises(UnknownElement, match="duplicate element identifiers"):
-            inclusion_poset(["a,b", "a", "b"], [0, 0b001, 0b110])
+    def test_inclusion_ids_injective(self):
+        # {"a,b"} and {"a", "b"} would both print {a,b} with bare names; a
+        # name that is empty or has a comma or a quote is written as its
+        # JSON string.
+        P, mapping = inclusion_poset(["a,b", "a", "b"], [0, 0b001, 0b110])
+        assert P.elements == ("{}", '{"a,b"}', "{a,b}")
+        assert mapping == {"{}": frozenset(), '{"a,b"}': frozenset({"a,b"}),
+                           "{a,b}": frozenset({"a", "b"})}
+        assert set_id([""]) == '{""}' and set_id(['a"b', "c"]) == '{"a\\"b",c}'
+
+    @given(st.sets(st.text(',"{}\\ab', max_size=3), max_size=3),
+           st.sets(st.text(',"{}\\ab', max_size=3), max_size=3))
+    def test_set_id_injective(self, s, t):
+        assert (set_id(s) == set_id(t)) == (s == t)
 
     def test_example_shape(self, bouquet_example):
         P = bouquet_example
