@@ -69,7 +69,8 @@ VERIFICATION_PRIME = 2305843009213693967
 
 # The largest family block symbolic mode expands.  The minor table of an
 # n x n block peaks at C(n, n // 2) minors: at n = 15 (U(3,7)) that is
-# 6435 minors and about 0.35 GiB; at n = 20 (U(4,7)) it is 29 times as many.
+# 6435 minors and about 0.12 GiB of peak RSS (`det_minors` in-process,
+# 2 vCPU); at n = 20 (U(4,7)) it is 29 times as many.
 MAX_SYMBOLIC_DIM = 15
 
 
@@ -105,16 +106,30 @@ def det_minors(M: list[list[Packed]]) -> Packed:
     minor is zero is absent.  Row k adds +/- a_kj * D(S) into
     D(S + {j}) for each nonzero a_kj with j not in S, negated when an
     odd number of the columns of S lie above j (the inversions that
-    placing column j after them adds).
+    placing column j after them adds).  `mul_into` forms every term
+    product, and adds or subtracts D(S) with no multiply for a term of
+    a_kj with coefficient +1 or -1: a family block has no other.
+
+    The rows are expanded in falling order of their total term count,
+    the later row first on a tie, and the columns are permuted alike:
+    det(P M P^T) = det M for every permutation matrix P, so the result
+    does not depend on the order.  The order sets how many term products
+    the table forms, and the rule is measured, not proved: it puts the
+    long rows against the short minors of the first levels.  On U(3,6)'s
+    block it forms 79 759 products against 141 652 in the given order,
+    and on M(K4)'s 7102, 32% below the mean over all 720 orders.
     """
     n = len(M)
     for row in M:
         if len(row) != n:
             raise DeterminantError("matrix is not square")
+    terms = [sum(map(len, row)) for row in M]
+    # most terms first; the sort is stable, so the later row goes first on a tie
+    order = sorted(range(n - 1, -1, -1), key=terms.__getitem__, reverse=True)
     minors: dict[int, Packed] = {0: {0: 1}}  # the empty minor is 1
-    for row in M:
+    for i in order:
         entries = [(j, 1 << j, a, {t: -c for t, c in a.items()})
-                   for j, a in enumerate(row) if a]
+                   for j, a in enumerate(map(M[i].__getitem__, order)) if a]
         extended: dict[int, Packed] = {}
         while minors:
             S, D = minors.popitem()

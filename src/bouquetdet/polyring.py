@@ -8,14 +8,19 @@ w1 > w2 > ....
 
 Multiplication runs on packed monomials (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007).  A `Packing` lays monomials out in one int: the total degree in
-the top field, then one field per variable of the layout, the smallest
-index highest, each field `degree.bit_length()` bits wide for the
-layout's degree bound.  A larger int is then exactly an earlier monomial
-in the graded-lex order, and multiplying monomials is adding ints.  A
-set of variables is a mask, one int with bit v for variable v, as the
-atom sets and weights of `chains` are: a layout takes its variables as
-one, and `Packing.power` packs the squarefree monomial w^S of a mask S.
+2007).  A `Packing` lays monomials out in one int: one field per
+variable of the layout, the smallest index highest, each field
+`degree.bit_length()` bits wide for the layout's degree bound, so no
+exponent of a monomial within the bound overflows its field.  There is
+no field for the total degree: every polynomial the pipeline packs is
+homogeneous (the entries of family block r, its minors, D_r and every
+quotient of D_r by a weight all have one degree each), so that field
+would be constant within a polynomial.  A larger int is then exactly an
+earlier monomial in the lex order, which within one degree is the
+graded-lex order, and multiplying monomials is adding ints.  A set of
+variables is a mask, one int with bit v for variable v, as the atom
+sets and weights of `chains` are: a layout takes its variables as one,
+and `Packing.power` packs the squarefree monomial w^S of a mask S.
 A packed polynomial is a dict from packed monomial to coefficient, and
 the two kernels work on those: `mul_into` adds a product into a dict,
 and `div_weight` divides by a weight, the sum of the variables of a
@@ -26,8 +31,11 @@ The symbolic determinant keeps one layout per family block, from its
 Gram vectors to the printed text (see `determinant`); division has one
 caller, the factor count (`determinant.factors_match`), and every divisor
 it uses is a weight.  `Packing.text` prints a packed polynomial straight
-from its keys: sorting them falling is the graded-lex order, and each
-key's fields are its exponents.
+from its keys: sorting them falling is the graded-lex order of a
+homogeneous polynomial, and each key's fields are its exponents, read
+as two halves whose texts are memoized on the layout.
+`Polynomial.to_string`, the one caller with mixed degrees, sorts by
+degree first.
 `Polynomial`, a dict of monomial tuples, and `Packing.unpack` are kept
 for the test oracles; no command builds one.
 """
@@ -35,7 +43,7 @@ for the test oracles; no command builds one.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .poset import _bits
 
@@ -51,53 +59,66 @@ class Packing:
     """Packed-int layout of the monomials in `variables` up to total
     degree `degree` (see the module docstring)."""
 
-    __slots__ = ("variables", "fields", "shift", "top", "mask")
+    __slots__ = ("variables", "fields", "shift", "mask", "_halves")
 
     def __init__(self, variables: int, degree: int):
         width = degree.bit_length()
         self.variables, self.mask = variables, (1 << width) - 1
-        shift = self.top = variables.bit_count() * width
+        shift = variables.bit_count() * width
         fields = []
         for v in _bits(variables):
             shift -= width
             fields.append((v, shift))
         self.fields = fields
         self.shift = dict(fields)
+        self._halves: tuple[_HalfTexts, _HalfTexts, int] | None = None
 
     def key(self, m: Monomial) -> int:
         shift = self.shift
-        deg = key = 0
-        for v, e in m:
-            deg += e
-            key += e << shift[v]
-        return key + (deg << self.top)
+        return sum(e << shift[v] for v, e in m)
 
     def power(self, S: int) -> int:
-        """The packed w^S of a variable mask S: |S| in the top field and 1
-        in the field of each variable of S."""
+        """The packed w^S of a variable mask S: 1 in the field of each
+        variable of S."""
         shift = self.shift
-        return (S.bit_count() << self.top) + sum(1 << shift[v] for v in _bits(S))
+        return sum(1 << shift[v] for v in _bits(S))
 
     def text(self, packed: Mapping[int, int]) -> str:
         """The text of a packed polynomial, e.g. "w1^2*w2 + 3*w5": terms
-        by falling key, which is graded-lex order with w1 > w2 > ...,
-        zero coefficients left out, "0" when none is left, and spaces
-        only between terms."""
-        mask = self.mask
-        names = [(s, f"w{v + 1}") for v, s in self.fields]
-        terms = []
-        for k in sorted(packed, reverse=True):
-            if c := packed[k]:
-                factors = [n if e == 1 else f"{n}^{e}"
-                           for s, n in names if (e := k >> s & mask)]
-                if abs(c) != 1 or not factors:
-                    factors.insert(0, str(abs(c)))
-                terms.append((" - " if c < 0 else " + ") + "*".join(factors))
-        if not terms:
+        by falling key, which is graded-lex order with w1 > w2 > ... when
+        the polynomial is homogeneous, zero coefficients left out, "0"
+        when none is left, and spaces only between terms."""
+        keys = sorted(packed, reverse=True)
+        return self.terms_text(zip(keys, map(packed.__getitem__, keys)))
+
+    def terms_text(self, terms: Iterable[tuple[int, int]]) -> str:
+        """The text of the (key, coefficient) terms in the order given,
+        as `text` prints it.  Each key is read as two halves of its
+        fields, the text of each half looked up in a memo kept on the
+        layout, so that the polynomials printed in one layout share it."""
+        if self._halves is None:
+            names = [(s, f"w{v + 1}") for v, s in self.fields]
+            cut = len(names) // 2  # fields in the low half
+            self._halves = (_HalfTexts(names[:len(names) - cut], self.mask),
+                            _HalfTexts(names[len(names) - cut:], self.mask),
+                            -1 << cut * self.mask.bit_length())
+        left_texts, right_texts, high = self._halves
+        low = ~high
+        out = []
+        for k, c in terms:
+            if c:
+                left, right = left_texts[k & high], right_texts[k & low]
+                mono = f"{left}*{right}" if left and right else left or right
+                if c < 0:
+                    out.append(" - ")
+                    c = -c
+                else:
+                    out.append(" + ")
+                out.append(mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c))
+        if not out:
             return "0"
-        lead = terms[0]  # " + " or " - " comes off, a minus stays
-        terms[0] = "-" + lead[3:] if lead[1] == "-" else lead[3:]
-        return "".join(terms)
+        out[0] = "-" if out[0] == " - " else ""  # the lead's " + " comes off, a minus stays
+        return "".join(out)
 
     def unpack(self, packed: Mapping[int, int]) -> "Polynomial":
         fields, mask = self.fields, self.mask
@@ -108,17 +129,45 @@ class Packing:
         return out
 
 
+class _HalfTexts(dict):
+    """The text of each value of some fields of a layout, given as
+    (shift, name) pairs, e.g. "w1^2*w2", "" when they are all 0; each
+    made on first lookup."""
+
+    __slots__ = ("names", "mask")
+
+    def __init__(self, names: list[tuple[int, str]], mask: int):
+        self.names, self.mask = names, mask
+
+    def __missing__(self, k: int) -> str:
+        mask = self.mask
+        text = self[k] = "*".join(n if e == 1 else f"{n}^{e}"
+                                  for s, n in self.names if (e := k >> s & mask))
+        return text
+
+
 def mul_into(out: dict[int, int], a: Mapping[int, int],
              b: Mapping[int, int]) -> dict[int, int]:
     """Add the product of the packed polynomials a and b to `out`, all in
     one layout wide enough for the product, and return `out`.  Terms that
-    cancel are left in with coefficient 0."""
-    b_terms = list(b.items())
+    cancel are left in with coefficient 0; `out` is neither a nor b.  A
+    term of a with coefficient +1 or -1 adds or subtracts b shifted by
+    its key, with no multiply: every entry of a family block has such
+    coefficients only."""
     get = out.get
     for ka, ca in a.items():
-        for kb, cb in b_terms:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
+        if ca == 1:
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + cb
+        elif ca == -1:
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) - cb
+        else:
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
     return out
 
 
@@ -135,11 +184,18 @@ def div_weight(p: Mapping[int, int], layout: Packing,
     Q_(e-1) = P_e - r * Q_e from the highest e down, and w divides p iff
     the remainder P_0 - r * Q_0 is zero.  Every term formed has total
     degree at most deg p, so no field overflows.
+
+    First, one pass over the keys of p against the bits of w's fields:
+    a nonzero term with no variable of w proves a miss, as setting w's
+    variables to 0 kills w * q but not that term.  It returns None
+    before any quotient term is formed.
     """
-    low = w & -w
-    shift, mask = layout.shift[low.bit_length() - 1], layout.mask
-    x_a = layout.power(low)
-    r = [layout.power(1 << v) for v in _bits(w ^ low)]
+    mask = layout.mask
+    x_a, *r = [1 << layout.shift[v] for v in _bits(w)]  # w's variables, packed
+    fields = (x_a + sum(r)) * mask
+    if not all(map(fields.__and__, p)) and any(p[k] for k in p if not k & fields):
+        return None
+    shift = x_a.bit_length() - 1
     parts: dict[int, dict[int, int]] = {}  # e -> P_e, keys free of x_a
     for k, c in p.items():
         e = k >> shift & mask
@@ -194,9 +250,12 @@ class Polynomial:
     # -- formatting ---------------------------------------------------
 
     def to_string(self) -> str:
-        """Canonical text form, e.g. "w1^2*w2 + 3*w5" (`Packing.text`)."""
+        """Canonical text form, e.g. "w1^2*w2 + 3*w5", in graded-lex order:
+        terms by falling total degree, then by falling key, as
+        `Packing.text` prints a homogeneous polynomial."""
         layout = Packing(sum(1 << v for v in self.variables()), self.total_degree())
-        return layout.text({layout.key(m): c for m, c in self._terms.items()})
+        terms = sorted((_mono_degree(m), layout.key(m), c) for m, c in self._terms.items())
+        return layout.terms_text((k, c) for _, k, c in reversed(terms))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"

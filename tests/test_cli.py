@@ -240,13 +240,13 @@ class TestPipelineCommands:
         # Packed, the block has the empty layout: no variable and degree
         # bound 0, holding the packed 1.  A field is degree.bit_length()
         # bits wide, with no guard bit, so degree 0 gives zero-bit fields
-        # and mask 0.
+        # and mask 0; a key has no degree field.
         P = poset_from_json(data)
         assert P.mobius("0") == 1
         [(top, dim, layout, det)] = block_determinants(
             P, min_labeling(P), WeightAssignment.default(P))
         assert (top, dim, det) == ("0", 0, {0: 1})
-        assert (layout.fields, layout.top, layout.mask) == ([], 0, 0)
+        assert (layout.fields, layout.mask, layout.power(0)) == ([], 0, 0)
 
 
 class TestDot:

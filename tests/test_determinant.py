@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from arrangement_oracle import exact_covectors, random_lines
 from bouquetdet import chains, determinant, polyring
 from bouquetdet.chains import (WeightAssignment, chain_matrix, make_labeling,
-                               min_labeling, weight)
+                               min_labeling, packed_block, weight)
 from bouquetdet.com import validate_com, zero_set_poset
 from bouquetdet.cli import KINDS, main
 from bouquetdet.determinant import (MAX_GROUP_BYTES, VERIFICATION_PRIME,
@@ -722,6 +722,39 @@ class TestFactorsMatch:
         assert all(q is not None for q in quotients)
         assert len(quotients) == sum(P.rho(x) for x in P.elements) > 0
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: line_com_poset(5, 5, 3), id="5 lines, 3 concurrent"),
+        pytest.param(lambda: line_com_poset(5, 8, 4), id="8 lines, 4 concurrent"),
+        pytest.param(lambda: uniform_bouquet(3, 2, 5), id="3xU(2,5)"),
+        pytest.param(lambda: uniform_bouquet(2, 3, 5), id="2xU(3,5)"),
+    ])
+    def test_failing_division_forms_no_quotient(self, monkeypatch, make):
+        # On multi-block inputs a weight is tried on blocks that lack it.
+        # Each such division ends at div_weight's first pass over the keys
+        # of p: it never reads p's terms, from which every quotient term
+        # is formed.
+        class Terms(dict):
+            read = False
+
+            def items(self):
+                self.read = True
+                return super().items()
+
+        calls = []
+        div_weight = determinant.div_weight
+
+        def spy(p, layout, w):
+            p = Terms(p)
+            q = div_weight(p, layout, w)
+            calls.append((q is None, p.read))
+            return q
+
+        monkeypatch.setattr(determinant, "div_weight", spy)
+        assert verify_default(make()).verdict
+        failed = [read for missed, read in calls if missed]
+        assert failed and not any(failed)
+        assert all(read for missed, read in calls if not missed)
+
     def test_zero_in_block_layout(self):
         # A zero D_r in a layout with variables, which every weight fits:
         # w divides zero, so each division spends one unit of w's budget
@@ -779,6 +812,68 @@ class TestSignIsPlusOne:
         report = verify_theorem(P, labeling, weights)
         assert (report.verdict, report.sign) == (True, 1)
         assert all(e >= 0 for e in report.exponents.values())
+
+
+
+def line_com_poset(seed, n, concurrent):
+    """The zero-set poset of `random_lines(Random(seed), n, concurrent)`."""
+    lines = random_lines(random.Random(seed), n, concurrent)
+    return zero_set_poset(validate_com([f"l{i}" for i in range(n)],
+                                       exact_covectors(lines)))[0]
+
+
+def packed_blocks_of(P):
+    """(layout, packed entries) of each family block of P under the
+    min-labeling and the default weights."""
+    weights = WeightAssignment.default(P)
+    return [packed_block(G)
+            for _, G in block_decompose(chain_matrix(P, min_labeling(P), weights))]
+
+
+class TestRowOrder:
+    """det_minors expands the rows in falling order of their term counts,
+    the columns permuted alike, and adds +/-1 entry terms without a
+    multiply; D_r is the same packed dict whatever the order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_bouquets(),
+                     st.sampled_from([(2, 2, 4), (3, 2, 5), (2, 3, 5)]).map(
+                         lambda shape: uniform_bouquet(*shape))),
+           st.data())
+    def test_permuted_blocks(self, P, data):
+        for layout, entries in packed_blocks_of(P):
+            order = data.draw(st.permutations(range(len(entries))))
+            permuted = [[entries[i][j] for j in order] for i in order]
+            assert det_minors(permuted) == det_minors(entries)
+
+    def test_term_products_u36(self, monkeypatch):
+        # A regression guard of the order rule, which is measured, not
+        # proved.  Every row of U(3,6)'s block has 10 terms, so the rows
+        # are expanded last first; the given order forms 141 652 term
+        # products.
+        [(layout, entries)] = packed_blocks_of(flat_lattice(uniform(3, 6))[0])
+        products = []
+        mul_into = determinant.mul_into
+        monkeypatch.setattr(determinant, "mul_into", lambda out, a, b:
+                            products.append(len(a) * len(b)) or mul_into(out, a, b))
+        det_minors(entries)
+        assert sum(products) == 79_759
+
+    @pytest.mark.parametrize("name", ["U(3,5)", "M(K4)", "3xU(2,5)",
+                                      "com_concurrent_lines.json"])
+    def test_keys_within_variable_fields(self, name):
+        # A key has no degree field: layout.power(S) sets one bit per
+        # variable of S, and no key of the block or of D_r has a bit above
+        # the variable fields.  M(K4)'s keys fit one 30-bit CPython digit.
+        for layout, entries in packed_blocks_of(INSTANCES[name]()):
+            top = len(layout.fields) * layout.mask.bit_length()
+            assert {layout.power(1 << v) for v, _ in layout.fields} == \
+                {1 << s for _, s in layout.fields}
+            keys = [k for row in entries for e in row for k in e]
+            keys += det_minors(entries)
+            assert all(k >> top == 0 for k in keys)
+            if name == "M(K4)":
+                assert top <= 30
 
 
 GRAM_INSTANCES = {

@@ -275,13 +275,15 @@ def test_to_string_against_reference(p):
 def packed_polys(draw):
     """(layout, packed polynomial, the same as a `Poly`).  The layout holds
     up to six variables, not all of them in the polynomial, and a degree
-    bound that may exceed its degree; the terms have coefficients of
-    either sign, zero and multi-digit ones included, exponents up to the
-    bound, and may repeat a monomial or be the constant."""
+    bound that may exceed its degree; the polynomial is homogeneous, as
+    every one the pipeline packs is, of a drawn degree up to the bound
+    (0 for the constant); the terms have coefficients of either sign,
+    zero and multi-digit ones included, and may repeat a monomial."""
     variables = draw(st.sets(st.integers(0, 11), max_size=6))
     degree = draw(st.integers(0, 7))
     layout = Packing(variable_mask(variables), degree)
-    monomial = st.lists(st.sampled_from(sorted(variables)), max_size=degree) \
+    d = draw(st.integers(0, degree)) if variables else 0
+    monomial = st.lists(st.sampled_from(sorted(variables)), min_size=d, max_size=d) \
         if variables else st.just([])
     coefficient = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))
     packed, terms = {}, {}
@@ -308,7 +310,14 @@ def test_text_examples():
     assert layout.text({0: -12}) == "-12"
     assert layout.text({key(((0, 2), (1, 1))): 1, key(((4, 1),)): 3}) == "w1^2*w2 + 3*w5"
     assert layout.text({key(((1, 1),)): 1, key(((0, 1),)): -1, 0: 10}) == "-w1 + w2 + 10"
-    assert layout.text({key(((7, 3),)): -1, key(((0, 1), (4, 1))): 25}) == "-w8^3 + 25*w1*w5"
+    assert layout.text({key(((7, 2),)): -1, key(((0, 1), (4, 1))): 25}) == "25*w1*w5 - w8^2"
+    # A key has no degree field, so falling keys are lex order: graded-lex
+    # within one degree.  Polynomial.to_string, which takes mixed degrees,
+    # sorts by degree first.
+    assert layout.text({key(((7, 3),)): -1, key(((0, 1), (4, 1))): 25}) == "25*w1*w5 - w8^3"
+    assert (const(25) * w[0] * w[4] - power(var(7), 3)).to_string() == "-w8^3 + 25*w1*w5"
+    assert layout.text({key(((0, 1),)): 1, key(((1, 2),)): 1}) == "w1 + w2^2"
+    assert (w[0] + power(w[1], 2)).to_string() == "w2^2 + w1"
 
 
 def to_sympy(p, symbols):
