@@ -106,9 +106,7 @@ def det_minors(M: list[list[Packed]]) -> Packed:
     minor is zero is absent.  Row k adds +/- a_kj * D(S) into
     D(S + {j}) for each nonzero a_kj with j not in S, negated when an
     odd number of the columns of S lie above j (the inversions that
-    placing column j after them adds).  `mul_into` forms every term
-    product, and adds or subtracts D(S) with no multiply for a term of
-    a_kj with coefficient +1 or -1: a family block has no other.
+    placing column j after them adds).
 
     The rows are expanded in falling order of their total term count,
     the later row first on a tie, and the columns are permuted alike:

@@ -32,8 +32,7 @@ Gram vectors to the printed text (see `determinant`); division has one
 caller, the factor count (`determinant.factors_match`), and every divisor
 it uses is a weight.  `Packing.text` prints a packed polynomial straight
 from its keys: sorting them falling is the graded-lex order of a
-homogeneous polynomial, and each key's fields are its exponents, read
-as two halves whose texts are memoized on the layout.
+homogeneous polynomial, and each key's fields are its exponents.
 `Polynomial.to_string`, the one caller with mixed degrees, sorts by
 degree first.
 `Polynomial`, a dict of monomial tuples, and `Packing.unpack` are kept
@@ -59,7 +58,7 @@ class Packing:
     """Packed-int layout of the monomials in `variables` up to total
     degree `degree` (see the module docstring)."""
 
-    __slots__ = ("variables", "fields", "shift", "mask", "_halves")
+    __slots__ = ("variables", "fields", "shift", "mask")
 
     def __init__(self, variables: int, degree: int):
         width = degree.bit_length()
@@ -71,7 +70,6 @@ class Packing:
             fields.append((v, shift))
         self.fields = fields
         self.shift = dict(fields)
-        self._halves: tuple[_HalfTexts, _HalfTexts, int] | None = None
 
     def key(self, m: Monomial) -> int:
         shift = self.shift
@@ -93,31 +91,21 @@ class Packing:
 
     def terms_text(self, terms: Iterable[tuple[int, int]]) -> str:
         """The text of the (key, coefficient) terms in the order given,
-        as `text` prints it.  Each key is read as two halves of its
-        fields, the text of each half looked up in a memo kept on the
-        layout, so that the polynomials printed in one layout share it."""
-        if self._halves is None:
-            names = [(s, f"w{v + 1}") for v, s in self.fields]
-            cut = len(names) // 2  # fields in the low half
-            self._halves = (_HalfTexts(names[:len(names) - cut], self.mask),
-                            _HalfTexts(names[len(names) - cut:], self.mask),
-                            -1 << cut * self.mask.bit_length())
-        left_texts, right_texts, high = self._halves
-        low = ~high
+        as `text` prints it."""
+        mask = self.mask
+        names = [(s, f"w{v + 1}") for v, s in self.fields]
         out = []
         for k, c in terms:
             if c:
-                left, right = left_texts[k & high], right_texts[k & low]
-                mono = f"{left}*{right}" if left and right else left or right
-                if c < 0:
-                    out.append(" - ")
-                    c = -c
-                else:
-                    out.append(" + ")
-                out.append(mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c))
+                factors = [n if e == 1 else f"{n}^{e}"
+                           for s, n in names if (e := k >> s & mask)]
+                if abs(c) != 1 or not factors:
+                    factors.insert(0, str(abs(c)))
+                out.append((" - " if c < 0 else " + ") + "*".join(factors))
         if not out:
             return "0"
-        out[0] = "-" if out[0] == " - " else ""  # the lead's " + " comes off, a minus stays
+        lead = out[0]  # " + " or " - " comes off, a minus stays
+        out[0] = "-" + lead[3:] if lead[1] == "-" else lead[3:]
         return "".join(out)
 
     def unpack(self, packed: Mapping[int, int]) -> "Polynomial":
@@ -129,45 +117,16 @@ class Packing:
         return out
 
 
-class _HalfTexts(dict):
-    """The text of each value of some fields of a layout, given as
-    (shift, name) pairs, e.g. "w1^2*w2", "" when they are all 0; each
-    made on first lookup."""
-
-    __slots__ = ("names", "mask")
-
-    def __init__(self, names: list[tuple[int, str]], mask: int):
-        self.names, self.mask = names, mask
-
-    def __missing__(self, k: int) -> str:
-        mask = self.mask
-        text = self[k] = "*".join(n if e == 1 else f"{n}^{e}"
-                                  for s, n in self.names if (e := k >> s & mask))
-        return text
-
-
 def mul_into(out: dict[int, int], a: Mapping[int, int],
              b: Mapping[int, int]) -> dict[int, int]:
     """Add the product of the packed polynomials a and b to `out`, all in
     one layout wide enough for the product, and return `out`.  Terms that
-    cancel are left in with coefficient 0; `out` is neither a nor b.  A
-    term of a with coefficient +1 or -1 adds or subtracts b shifted by
-    its key, with no multiply: every entry of a family block has such
-    coefficients only."""
+    cancel are left in with coefficient 0; `out` is neither a nor b."""
     get = out.get
     for ka, ca in a.items():
-        if ca == 1:
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + cb
-        elif ca == -1:
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) - cb
-        else:
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
     return out
 
 

@@ -832,8 +832,8 @@ def packed_blocks_of(P):
 
 class TestRowOrder:
     """det_minors expands the rows in falling order of their term counts,
-    the columns permuted alike, and adds +/-1 entry terms without a
-    multiply; D_r is the same packed dict whatever the order."""
+    the columns permuted alike; D_r is the same packed dict whatever the
+    order."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(small_bouquets(),
