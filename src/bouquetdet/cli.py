@@ -1,6 +1,8 @@
 """Command-line surface: validate inputs, build chain matrices, compute
 determinants and invariant tables, verify the factorization, and emit
-Hasse diagrams.
+Hasse diagrams.  `det` prints the expanded block determinants; `verify`
+prints the verdict, the factored right-hand side and each block's term
+count, and formats no determinant.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 structural
 invalidity or a block too large for symbolic mode, 3 parse error, 4 the
@@ -21,8 +23,8 @@ from . import com as com_mod
 from . import matroid as matroid_mod
 from .chains import (Labeling, WeightAssignment, chain_matrix, make_labeling,
                      min_labeling)
-from .determinant import (VERIFICATION_PRIME, block_determinants, blocks_json,
-                          det_texts, verify_theorem)
+from .determinant import (VERIFICATION_PRIME, block_determinants, det_texts,
+                          verify_theorem)
 from .poset import BouquetdetError, Poset, poset_from_json
 
 EXIT_OK = 0
@@ -184,8 +186,9 @@ def cmd_matrix(args) -> int:
 def cmd_det(args) -> int:
     P, labeling, weights = _pipeline_input(args)
     blocks = block_determinants(P, labeling, weights)
-    block_texts, det = det_texts(blocks)
-    payload = {"det": det, "blocks": blocks_json(blocks, block_texts)}
+    texts, det = det_texts(blocks)
+    payload = {"det": det, "blocks": [{"top": t, "dim": d, "det": text}
+                                      for (t, d, *_), text in zip(blocks, texts)]}
     _emit(args, lambda: payload, lambda: det)
     return EXIT_OK
 
@@ -206,15 +209,9 @@ def cmd_verify(args) -> int:
     report = verify_theorem(P, labeling, weights, mode=args.mode,
                             trials=args.trials, seed=args.seed)
 
-    def text() -> str:
-        out = (f"verdict: {report.verdict}\nsign: {report.sign}\n"
-               f"mode: {report.mode}")
-        _, det, product = report.texts()
-        if det is not None:
-            out += f"\ndet: {det}\nproduct: {product}"
-        return out
-
-    _emit(args, report.to_json, text)
+    _emit(args, report.to_json, lambda: (
+        f"verdict: {report.verdict}\nsign: {report.sign}\n"
+        f"mode: {report.mode}\nproduct: {report.product}"))
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 

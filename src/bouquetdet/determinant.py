@@ -22,8 +22,10 @@ minor one column larger.  Each block is packed once, straight from its
 Gram vectors, in `Packing(atom variables of the block, dim_r * rank(r))`
 (`chains.packed_block`): every entry of family r is homogeneous of degree
 rank(r), so every minor has degree at most dim_r * rank(r).  The
-expansion, the packed D_r it returns, the factor count and the printed
-text (`Packing.text`) all stay in that layout.  The table of an n x n
+expansion, the packed D_r it returns, the factor count and the text
+`det` prints (`Packing.text`) all stay in that layout; `verify` prints
+no determinant, only each block's term count and the factored
+right-hand side.  The table of an n x n
 block peaks at C(n, n // 2) minors, so a block of dimension above
 MAX_SYMBOLIC_DIM raises TooLarge before any block is expanded.
 
@@ -137,7 +139,8 @@ def det_minors(M: list[list[Packed]]) -> Packed:
                     mul_into(extended.setdefault(S | bit, {}),
                              minus_a if odd else a, D)
         for S, D in extended.items():
-            D = {t: c for t, c in D.items() if c}
+            if 0 in D.values():  # rebuilt only where a term cancelled
+                D = {t: c for t, c in D.items() if c}
             if D:
                 minors[S] = D
     return minors.get((1 << n) - 1, {})
@@ -233,17 +236,10 @@ def product_text(factors: list[tuple[str, int]]) -> str:
 
 def det_texts(blocks: list[PackedBlock]) -> tuple[list[str], str]:
     """The text of each block determinant, printed once in its own
-    layout, and the text of the determinant: the product of the blocks."""
+    layout, and the text of the determinant: the product of the blocks.
+    Only `det` prints them; `verify` reports term counts."""
     texts = [layout.text(det) for _, _, layout, det in blocks]
     return texts, product_text([(t, 1) for t in texts])
-
-
-def blocks_json(blocks: list[tuple], texts: list[str] | None) -> list[dict]:
-    """The blocks as `det` and `verify` print them: top, dim and the
-    determinant's text, None for each block when there are no texts."""
-    texts = texts or [None] * len(blocks)
-    return [{"top": t, "dim": d, "det": text}
-            for (t, d, *_), text in zip(blocks, texts)]
 
 
 class VerificationReport(NamedTuple):
@@ -273,27 +269,23 @@ class VerificationReport(NamedTuple):
         _, _, layout, det = self.blocks[0]
         return layout.unpack(det)
 
-    def texts(self) -> tuple[list[str] | None, str | None, str | None]:
-        """The texts of the block determinants, of their product and of
-        the right-hand side, each block formatted once; None in
-        randomized mode.  On a true verdict the right-hand side is the
-        product of the blocks, on a false one prod w(x)^rho(x)."""
-        if self.mode != "symbolic":
-            return None, None, None
-        block_texts, det = det_texts(self.blocks)
-        if self.verdict:
-            return block_texts, det, det
-        return block_texts, det, product_text([(sum_text(w), e) for w, e in self.rhs])
+    @property
+    def product(self) -> str:
+        """The text of the right-hand side prod w(x)^rho(x), factored by
+        distinct weight, in both modes and whatever the verdict."""
+        return product_text([(sum_text(w), e) for w, e in self.rhs])
 
     def to_json(self) -> dict:
-        block_texts, det, product = self.texts()
+        """The report: no determinant is formatted (that is `det`'s job);
+        each block gives its top, dimension and the number of terms of
+        D_r, None in randomized mode."""
         return {
             "verdict": self.verdict,
             "sign": self.sign,
-            "det": det,
-            "product": product,
+            "product": self.product,
             "exponents": dict(self.exponents),
-            "blocks": blocks_json(self.blocks, block_texts),
+            "blocks": [{"top": t, "dim": d, "terms": None if det is None else len(det)}
+                       for t, d, _, det in self.blocks],
             "mode": self.mode,
             "trials": self.trials,
             "seed": self.seed,

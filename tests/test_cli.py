@@ -227,16 +227,19 @@ class TestPipelineCommands:
         assert code == 0
         assert json.loads(out) == {"chains": [], "entries": [],
                                    "families": [{"top": "0", "start": 0, "stop": 0}]}
+        code, out = run(capsys, "det", str(path))
+        assert code == 0
+        assert json.loads(out) == {"det": "1", "blocks": [{"top": "0", "dim": 0, "det": "1"}]}
         code, out = run(capsys, "verify", str(path))
         report = json.loads(out)
         assert code == 0
-        assert (report["verdict"], report["det"], report["blocks"]) == \
-            (True, "1", [{"top": "0", "dim": 0, "det": "1"}])
+        assert (report["verdict"], report["product"], report["blocks"]) == \
+            (True, "1", [{"top": "0", "dim": 0, "terms": 1}])
         code, out = run(capsys, "verify", str(path), "--mode", "randomized")
         report = json.loads(out)
         assert code == 0
-        assert (report["verdict"], report["blocks"]) == \
-            (True, [{"top": "0", "dim": 0, "det": None}])
+        assert (report["verdict"], report["product"], report["blocks"]) == \
+            (True, "1", [{"top": "0", "dim": 0, "terms": None}])
         # Packed, the block has the empty layout: no variable and degree
         # bound 0, holding the packed 1.  A field is degree.bit_length()
         # bits wide, with no guard bit, so degree 0 gives zero-bit fields
@@ -675,33 +678,43 @@ class TestRunOnce:
     @staticmethod
     def determinant_texts(monkeypatch, capsys, command, name, fmt):
         """Run `command`; return the packed block determinants det_minors
-        returned and the packed polynomials `Packing.text` printed."""
+        returned, the packed polynomials `Packing.text` printed and the
+        number of `Packing.terms_text` calls."""
         from bouquetdet import determinant
         from bouquetdet.polyring import Packing
-        dets, formatted = [], []
+        dets, formatted, terms_texts = [], [], []
         det_minors = determinant.det_minors
         monkeypatch.setattr(determinant, "det_minors",
                             lambda B: dets.append(det_minors(B)) or dets[-1])
-        text = Packing.text
+        text, terms_text = Packing.text, Packing.terms_text
         monkeypatch.setattr(Packing, "text",
                             lambda self, d: formatted.append(d) or text(self, d))
+        monkeypatch.setattr(Packing, "terms_text", lambda self, terms:
+                            terms_texts.append(1) or terms_text(self, terms))
         code, _ = run(capsys, command, str(FIXTURES / name), "--kind",
                       fixture_kind(name), "--format", fmt)
         assert code == 0
-        return dets, formatted
+        monkeypatch.undo()
+        return dets, formatted, len(terms_texts)
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        # Every fixture verifies: each block is formatted once, and
-        # nothing else is (no product, no right-hand side).
-        dets, formatted = self.determinant_texts(monkeypatch, capsys, "verify", name, fmt)
+        # Every fixture verifies, and symbolic `verify` formats no
+        # polynomial: it reports term counts and the factored product.
+        # `det` on the same input formats each block once, and nothing else.
+        dets, formatted, calls = self.determinant_texts(monkeypatch, capsys,
+                                                        "verify", name, fmt)
+        assert dets and (formatted, calls) == ([], 0)
+        dets, formatted, calls = self.determinant_texts(monkeypatch, capsys,
+                                                        "det", name, fmt)
         assert sorted(map(id, formatted)) == sorted(map(id, dets))
+        assert calls == len(dets)
 
     @pytest.mark.parametrize("name", sorted(set(FIXTURE_FILES) - set(EXIT_CODES)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_det_determinant_formatted_once(self, monkeypatch, capsys, name, fmt):
-        dets, formatted = self.determinant_texts(monkeypatch, capsys, "det", name, fmt)
+        dets, formatted, _ = self.determinant_texts(monkeypatch, capsys, "det", name, fmt)
         assert sorted(map(id, formatted)) == sorted(map(id, dets))
 
     @pytest.mark.parametrize("case", [c for c in sorted(GOLDEN_DIGESTS)
@@ -760,13 +773,26 @@ class TestPerturbedVerdict:
 
     @staticmethod
     def texts(out, fmt):
-        """(verdict, sign, det, product) from a `verify` output."""
+        """(verdict, sign, product) from a `verify` output, which prints
+        no determinant in either format."""
         if fmt == "json":
             payload = json.loads(out)
-            return payload["verdict"], payload["sign"], payload["det"], payload["product"]
+            assert "det" not in payload
+            return payload["verdict"], payload["sign"], payload["product"]
         lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert list(lines) == ["verdict", "sign", "mode", "product"]
         sign = None if lines["sign"] == "None" else int(lines["sign"])
-        return lines["verdict"] == "True", sign, lines["det"], lines["product"]
+        return lines["verdict"] == "True", sign, lines["product"]
+
+    @staticmethod
+    def perturbed_det(monkeypatch, capsys, change, fmt):
+        """The text `det` prints with the first block changed as in
+        `verify`; the determinant is read from `det`, not from `verify`."""
+        monkeypatch.undo()
+        perturb_block(monkeypatch, change)
+        code, out = run(capsys, "det", PEX, "--format", fmt)
+        assert code == 0
+        return json.loads(out)["det"] if fmt == "json" else out.strip()
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_negated_block(self, monkeypatch, capsys, fmt):
@@ -775,12 +801,14 @@ class TestPerturbedVerdict:
         P = poset_from_json(load_fixture("poset_bouquet_example.json"))
         _, _, unperturbed, rhs = global_verdict(P)
         _, plain = run(capsys, "det", PEX, "--format", "text")
-        perturb_block(monkeypatch, lambda d: {k: -c for k, c in d.items()})
+        negate = lambda d: {k: -c for k, c in d.items()}
+        perturb_block(monkeypatch, negate)
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         # No block determinant has a negative coefficient (Cauchy-Binet),
         # so a negated block is a miss.
         assert code == 1
-        verdict, sign, det, product = self.texts(out, fmt)
+        verdict, sign, product = self.texts(out, fmt)
+        det = self.perturbed_det(monkeypatch, capsys, negate, fmt)
         # The first block, w1*w4, is one term: negating it negates the text.
         assert (verdict, sign, det) == (False, None, "-" + plain.strip())
         assert product == "w1^2*w2*w3*w4^2*w5^3*(w2 + w3 + w5)"
@@ -793,10 +821,12 @@ class TestPerturbedVerdict:
         from test_determinant import global_verdict, text_value
         _, _, unperturbed, rhs = global_verdict(
             poset_from_json(load_fixture("poset_bouquet_example.json")))
-        perturb_block(monkeypatch, lambda d: {k: 2 * c for k, c in d.items()})
+        double = lambda d: {k: 2 * c for k, c in d.items()}
+        perturb_block(monkeypatch, double)
         code, out = run(capsys, "verify", PEX, "--format", fmt)
         assert code == 1
-        verdict, sign, det, product = self.texts(out, fmt)
+        verdict, sign, product = self.texts(out, fmt)
+        det = self.perturbed_det(monkeypatch, capsys, double, fmt)
         assert (verdict, sign) == (False, None)
         assert product == "w1^2*w2*w3*w4^2*w5^3*(w2 + w3 + w5)"
         assert text_value(product) == text_value(rhs.to_string())

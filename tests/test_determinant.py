@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
+from math import prod
 
 import pytest
 import sympy
@@ -22,7 +23,7 @@ from bouquetdet.matroid import (bouquet_flat_poset, bouquet_from_json,
                                 build_matroid, flat_lattice)
 from bouquetdet.polyring import Packing, Polynomial
 from bouquetdet.poset import NotABouquet
-from conftest import load_fixture, power, verify_default
+from conftest import FIXTURES, load_fixture, power, verify_default
 from ring_ops import (Poly, const, det_via_minors, eval_mod, gram_entries,
                       lift, mask_monomial, one, packed_blocks,
                       unpacked_blocks, var, variable_mask, weight_poly, zero)
@@ -120,6 +121,11 @@ def text_value(text):
     """A printed polynomial or product of factors, parsed and expanded by
     sympy, independently of the library's own arithmetic."""
     return sympy.expand(sympy.sympify(text.replace("^", "**")))
+
+
+def text_terms(text):
+    """The number of terms of a printed polynomial, as sympy parses it."""
+    return len(sympy.Add.make_args(sympy.sympify(text.replace("^", "**"))))
 
 
 class TestBlockDecompose:
@@ -533,9 +539,18 @@ class TestVerify:
         assert (report.verdict, report.sign) == (False, None)
 
     def test_report_json_shape(self, bouquet_example):
-        payload = verify_default(bouquet_example).to_json()
-        assert set(payload) >= {"verdict", "sign", "det", "product",
-                                "exponents", "blocks", "mode", "trials", "seed"}
+        # No determinant text: each block gives its term count instead,
+        # and `product` is the factored right-hand side in both modes.
+        rhs, _ = rhs_product(bouquet_example, WeightAssignment.default(bouquet_example))
+        for mode, counts in (("symbolic", [1, 1, 3, 1]), ("randomized", [None] * 4)):
+            report = verify_default(bouquet_example, mode=mode)
+            payload = report.to_json()
+            assert set(payload) == {"verdict", "sign", "product", "exponents",
+                                    "blocks", "mode", "trials", "seed"}
+            assert [set(b) for b in payload["blocks"]] == [{"top", "dim", "terms"}] * 4
+            assert [b["terms"] for b in payload["blocks"]] == counts
+            assert payload["product"] == "w1^2*w2*w3*w4^2*w5^3*(w2 + w3 + w5)"
+            assert text_value(payload["product"]) == text_value(rhs.to_string())
 
 
 def global_verdict(P):
@@ -658,10 +673,15 @@ class TestBlockVerdict:
         assert (report.verdict, report.sign) == (verdict, sign)
         assert block_product(report.blocks) == det
         assert made == expansions
-        block_texts, det_text, product_text = report.texts()
-        assert block_texts == [d.to_string() for _, _, d in unpacked_blocks(report.blocks)]
+        # `det`'s texts of the report's packed blocks, and the report's
+        # term counts and factored product, against the same oracles
+        block_texts, det_text = determinant.det_texts(report.blocks)
+        unpacked = unpacked_blocks(report.blocks)
+        assert block_texts == [d.to_string() for _, _, d in unpacked]
         assert text_value(det_text) == text_value(det.to_string())
-        assert text_value(product_text) == text_value(rhs.to_string())
+        payload = report.to_json()
+        assert [b["terms"] for b in payload["blocks"]] == [len(d.terms) for _, _, d in unpacked]
+        assert text_value(payload["product"]) == text_value(rhs.to_string())
 
 
 class TestFactorsMatch:
@@ -955,13 +975,70 @@ LARGE_BOUQUETS = {"4xU(2,5)": ((4, 2, 5), [4, 4, 4, 4]),
 def test_large_bouquet_factored(tmp_path, capsys, name, command):
     shape, dims = LARGE_BOUQUETS[name]
     path = tmp_path / "bouquet.json"
-    path.write_text(json.dumps(uniform_bouquet_json(*shape)))
+    data = uniform_bouquet_json(*shape)
+    path.write_text(json.dumps(data))
     code = main([command, str(path), "--kind", "bouquet"])
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.encode()) < 64 * 1024
     payload = json.loads(out)
     assert [b["dim"] for b in payload["blocks"]] == dims
-    assert payload["det"] == "*".join(f"({b['det']})" for b in payload["blocks"])
-    if command == "verify":
-        assert payload["verdict"] is True and payload["sign"] == 1
+    if command == "det":
+        assert payload["det"] == "*".join(f"({b['det']})" for b in payload["blocks"])
+        return
+    # `verify` prints term counts and the factored right-hand side: both
+    # are read against `det`'s blocks, the counts term by term and the
+    # product by its value at a random point (expanding it is what is
+    # too large).
+    assert payload["verdict"] is True and payload["sign"] == 1 and "det" not in payload
+    main(["det", str(path), "--kind", "bouquet"])
+    texts = [b["det"] for b in json.loads(capsys.readouterr().out)["blocks"]]
+    assert [b["terms"] for b in payload["blocks"]] == list(map(text_terms, texts))
+    rng = random.Random(1)
+    point = {f"w{i + 1}": rng.randrange(2, 10 ** 6) for i in range(len(data["ground"]))}
+    value = lambda text: eval(text.replace("^", "**"), {}, dict(point))
+    assert value(payload["product"]) == prod(map(value, texts))
+
+
+def seeded_inputs():
+    """U(3,6), M(K4), 3xU(2,5) and a 5-line COM with a 3-fold point as
+    (kind, CLI input): the grounds in an order drawn from Random(5), the
+    lines those of `line_com_poset(5, 5, 3)`."""
+    rng = random.Random(5)
+
+    def shuffled(data):
+        rng.shuffle(data["ground"])
+        return data
+
+    def matroid(m):
+        return shuffled({"ground": list(m.ground),
+                         "independents": sorted(sorted(s) for s in independents(m))})
+
+    lines = random_lines(random.Random(5), 5, 3)
+    return {"U(3,6)": ("matroid", matroid(uniform(3, 6))),
+            "M(K4)": ("matroid", matroid(K4)),
+            "3xU(2,5)": ("bouquet", shuffled(uniform_bouquet_json(3, 2, 5))),
+            "5 lines, 3 concurrent": ("com", {"ground": [f"l{i}" for i in range(5)],
+                                              "covectors": exact_covectors(lines)})}
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_FILES if n not in EXIT_CODES]
+                         + list(seeded_inputs()))
+def test_verify_terms_match_det(tmp_path, capsys, name):
+    # `verify` counts the terms of each packed D_r; `det` prints them.
+    # The counts are read off `det`'s texts by sympy, block by block.
+    if name in FIXTURE_FILES:
+        path, kind = FIXTURES / name, fixture_kind(name)
+    else:
+        kind, data = seeded_inputs()[name]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+    outputs = []
+    for command in ("verify", "det"):
+        assert main([command, str(path), "--kind", kind]) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["blocks"])
+    reported, printed = outputs
+    assert [(b["top"], b["dim"]) for b in reported] == [(b["top"], b["dim"]) for b in printed]
+    assert [b["terms"] for b in reported] == [text_terms(b["det"]) for b in printed]
+    if name == "U(3,6)":
+        assert [b["terms"] for b in reported] == [462]  # C(11, 5), as in CI
